@@ -10,8 +10,8 @@ checkers, and independent finite-difference / Monte Carlo oracles.
 """
 
 from .degeneracy import (CoefficientPath, DegeneracyProfile, LevelsetFit,
-                         accumulate_path, check_domination, compile_expr,
-                         constant_matrix_path, constant_profile,
+                         accumulate_on, accumulate_path, check_domination,
+                         compile_expr, constant_matrix_path, constant_profile,
                          cumulative_delta, cumulative_delta_grid,
                          empirical_bound, eval_delta, expr_matrix_path,
                          expr_profile,

@@ -5,7 +5,8 @@ ExperimentConfig for the schema and defaults).  Every subcommand reads
 one config, writes CSV artifacts plus a plain-text summary into the
 output directory, and exits 0 on pass, 2 when the hypothesis of the
 inequality under test is inadmissible or the check fails, 3 on invalid
-config, 1 on internal error.  CSV outputs are byte-identical across
+config or when quadrature of the config's coefficients exhausts its
+budget, 1 on internal error.  CSV outputs are byte-identical across
 reruns of the same config and seed; timestamps appear only in the text
 summary.
 """
@@ -34,8 +35,8 @@ from .estimates import (check_classic, check_kernel_decay, check_thm1,
                         check_thm2, epsilon_sweep, reports_to_csv)
 from .oracle import (FDScheme, char_function_check, compare_fields,
                      convergence_orders, fd_solve, mc_solve)
-from .solver import (TimePartition, kernel, save_report, solve_duhamel,
-                     weak_residual_profile)
+from .quadrature import QuadratureError
+from .solver import TimePartition, save_report, solve_duhamel
 from .spectral import (GridSpec, LPFamily, SpectralField, _xi_sq, besov_norm,
                        gaussian_bump, lp_norm, mode_field)
 
@@ -379,10 +380,10 @@ def _summary(outdir, command, lines):
 
 
 def _report_lines(rep):
-    lines = [f"lhs = {rep.lhs!r}"]
+    lines = [f"lhs = {float(rep.lhs)!r}"]
     for name, value in rep.rhs_components:
-        lines.append(f"rhs[{name}] = {value!r}")
-    lines.append(f"observed constant N_hat = lhs / rhs = {rep.ratio!r}")
+        lines.append(f"rhs[{name}] = {float(value)!r}")
+    lines.append(f"observed constant N_hat = lhs / rhs = {float(rep.ratio)!r}")
     if rep.flags:
         lines.append(f"flags: {';'.join(rep.flags)}")
     return lines
@@ -391,8 +392,7 @@ def _report_lines(rep):
 def run_solve(cfg, outdir, workers, tol_scale):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     report = solve_duhamel(u0, f, path, partition)
-    save_report(report, os.path.join(outdir, "report"), p=cfg.p)
-    residuals = weak_residual_profile(report)
+    residuals = save_report(report, os.path.join(outdir, "report"), p=cfg.p)
     final = report.snapshots[-1]
     _summary(outdir, "solve", [
         f"grid: dim={cfg.dim} n={cfg.n} period={cfg.period}",
@@ -430,10 +430,12 @@ def run_check_thm2(cfg, outdir, workers, tol_scale):
     _summary(outdir, "check-thm2", [
         f"inequality: {THM2_TEXT}",
         f"constants depend on: dim={ex['dim']}, p={cfg.p}, T={ex['horizon']}, "
-        f"N0_hat={ex['n0_hat']!r}, Nbar0={ex['nbar0']!r}, "
-        f"beta_hat={ex['beta_hat']!r}, kappa0=int_delta={ex['kappa0']!r}",
+        f"N0_hat={float(ex['n0_hat'])!r}, Nbar0={float(ex['nbar0'])!r}, "
+        f"beta_hat={float(ex['beta_hat'])!r}, "
+        f"kappa0=int_delta={float(ex['kappa0'])!r}",
         f"profile: {profile.spec}",
-        f"Besov order 2(1-1/(beta*p)) = {ex.get('besov_order', math.nan)!r}",
+        f"Besov order 2(1-1/(beta*p)) = "
+        f"{float(ex.get('besov_order', math.nan))!r}",
     ] + _report_lines(rep))
     return 0 if rep.admissible else 2
 
@@ -482,7 +484,8 @@ def run_profile_check(cfg, outdir, workers, tol_scale):
     t0 = cfg.t0 if cfg.t0 is not None else cfg.horizon
     kappa0 = cumulative_delta(profile, t0)
     failures = []
-    lines = [f"profile: {profile.spec}", f"t0 = {t0}, beta(t0) = {kappa0!r}"]
+    lines = [f"profile: {profile.spec}",
+             f"t0 = {t0}, beta(t0) = {float(kappa0)!r}"]
 
     top = kappa0 / 4.0
     if top <= 0:
@@ -496,18 +499,19 @@ def run_profile_check(cfg, outdir, workers, tol_scale):
         fit = fit_beta_exponent(profile, t0, h_grid)
         measures = [levelset_measure(profile, h, t0) for h in h_grid]
         scans = [levelset_measure_scan(profile, h, t0) for h in h_grid]
-        lines.append(f"beta_hat = {fit.beta_hat!r}, N0_hat = {fit.n0_hat!r}, "
-                     f"fit residual = {fit.residual!r}")
+        lines.append(f"beta_hat = {float(fit.beta_hat)!r}, "
+                     f"N0_hat = {float(fit.n0_hat)!r}, "
+                     f"fit residual = {float(fit.residual)!r}")
         width = t0 / 1_000_000
         for h, m, sc in zip(h_grid, measures, scans):
             if abs(m - sc) > 2.0 * width * tol_scale + 1e-12:
                 failures.append(
-                    f"level-set measure at h={h!r} disagrees with scan: "
+                    f"level-set measure at h={float(h)!r} disagrees with scan: "
                     f"{m!r} vs {sc!r}")
 
     sample_times = np.linspace(0.0, cfg.horizon, 1025)
     nbar0 = check_domination(path, profile, sample_times)
-    lines.append(f"domination constant Nbar0 = {nbar0!r}")
+    lines.append(f"domination constant Nbar0 = {float(nbar0)!r}")
     if math.isinf(nbar0):
         failures.append("coefficients are not dominated by the floor "
                         "(nonzero a where delta = 0)")
@@ -531,11 +535,12 @@ def run_profile_check(cfg, outdir, workers, tol_scale):
             expected, tol = 1.0, 0.10
         if expected is not None:
             rel = abs(fit.beta_hat - expected) / expected
-            lines.append(f"expected beta = {expected}, relative gap = {rel!r}")
+            lines.append(f"expected beta = {expected}, "
+                         f"relative gap = {float(rel)!r}")
             if rel > tol * tol_scale:
                 failures.append(
-                    f"fitted beta_hat {fit.beta_hat!r} is {rel:.2%} from the "
-                    f"expected {expected} (tolerance {tol:.0%})")
+                    f"fitted beta_hat {float(fit.beta_hat)!r} is {rel:.2%} "
+                    f"from the expected {expected} (tolerance {tol:.0%})")
         if name == "oscillatory":
             ts = np.linspace(1e-6, cfg.horizon, 1000)
             betas = cumulative_delta_grid(profile, ts)
@@ -572,10 +577,10 @@ def run_eps_sweep(cfg, outdir, workers, tol_scale):
              f"regularizations a + eps*I, delta + eps for eps in "
              f"{list(cfg.eps_list)}"]
     for rep in reports:
-        lines.append(f"eps = {rep.extra['eps']!r}: ratio = {rep.ratio!r}"
+        lines.append(f"eps = {rep.extra['eps']!r}: ratio = {float(rep.ratio)!r}"
                      + (f" flags={';'.join(rep.flags)}" if rep.flags else ""))
     if ratios:
-        lines.append(f"max ratio = {max(ratios)!r}")
+        lines.append(f"max ratio = {float(max(ratios))!r}")
     _summary(outdir, "eps-sweep", lines)
     return 0 if all(r.admissible for r in reports) else 2
 
@@ -601,8 +606,8 @@ def run_oracle_compare(cfg, outdir, workers, tol_scale):
     else:
         errors = [fd_gap(1), fd_gap(2)]
     order = float(convergence_orders(errors)[0])
-    lines.append(f"fd vs spectral relative L2 gaps: {errors[0]!r} (base), "
-                 f"{errors[1]!r} (doubled)")
+    lines.append(f"fd vs spectral relative L2 gaps: {float(errors[0])!r} "
+                 f"(base), {float(errors[1])!r} (doubled)")
     lines.append(f"observed fd convergence order = {order!r} (need >= 1.9)")
     if order < 1.9:
         failures.append(f"fd order {order!r} below 1.9")
@@ -666,8 +671,9 @@ RUNNERS = {
 def run(subcommand, config, out=None, workers=1, seed=None,
         tolerance_scale=1.0):
     """Load a config, validate it, dispatch one subcommand, return the
-    exit code (0 pass, 2 check failed / inadmissible, 3 bad config,
-    1 internal error).  `config` is a path to an INI file."""
+    exit code (0 pass, 2 check failed / inadmissible, 3 bad config or
+    quadrature of its coefficients out of budget, 1 internal error).
+    `config` is a path to an INI file."""
     if subcommand not in RUNNERS:
         raise ValueError(f"unknown subcommand {subcommand!r}; "
                          f"choose from {sorted(RUNNERS)}")
@@ -694,6 +700,11 @@ def run(subcommand, config, out=None, workers=1, seed=None,
     os.makedirs(outdir, exist_ok=True)
     try:
         return RUNNERS[subcommand](cfg, outdir, workers, tolerance_scale)
+    except QuadratureError as exc:
+        print(f"quadrature error: {exc.spec}: "
+              f"achieved error estimate {exc.error_estimate:.3e}, "
+              f"target {exc.target:.3e}", file=sys.stderr)
+        return 3
     except Exception:
         traceback.print_exc()
         return 1

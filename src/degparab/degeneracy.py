@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import sici
 
-from .quadrature import integrate_to, integrate_matrix_to
+from .quadrature import QuadratureError, integrate_to, integrate_matrix_to
 
 _EXPR_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -285,8 +285,12 @@ def cumulative_delta(profile, t, rtol=1e-10, max_panels=4000):
         raise ValueError(f"cumulative is defined for t >= 0, got {t}")
     if profile.closed_form_cumulative is not None:
         return float(profile.closed_form_cumulative(t))
-    return integrate_to(profile.delta, t, breakpoints=profile.breakpoints,
-                        rtol=rtol, max_panels=max_panels)
+    try:
+        return integrate_to(profile.delta, t, breakpoints=profile.breakpoints,
+                            rtol=rtol, max_panels=max_panels)
+    except QuadratureError as exc:
+        exc.spec = profile.spec
+        raise
 
 
 def cumulative_delta_grid(profile, ts, npts=None):
@@ -407,8 +411,11 @@ def fit_beta_exponent(profile, t0, h_grid, rtol=1e-10):
 class CoefficientPath:
     """Symmetric matrix path a(t) of size dim x dim.
 
-    cumulative, when present, is the exact entrywise integral over [0, t];
-    otherwise the solver integrates with the same panel scheme as
+    a is vectorized like DegeneracyProfile.delta: a scalar t gives a
+    (dim, dim) array, an array ts of shape (m,) gives (m, dim, dim), and
+    a(ts)[k] equals a(ts[k]) bit for bit.  cumulative, when present, is
+    the exact entrywise integral over [0, t] at one scalar t; otherwise
+    accumulate_on integrates a with the same panel scheme as
     cumulative_delta.
     """
 
@@ -433,7 +440,7 @@ def scalar_path(profile, dim):
         cum = lambda t: float(base(t)) * eye
     return CoefficientPath(
         dim=dim,
-        a=lambda t: float(profile.delta(t)) * eye,
+        a=lambda t: np.multiply.outer(profile.delta(t), eye),
         cumulative=cum,
         bound_M=profile.bound_M,
         spec=f"scalar({profile.spec})",
@@ -452,7 +459,7 @@ def constant_matrix_path(mat):
                      for row in mat)
     return CoefficientPath(
         dim=dim,
-        a=lambda t: mat,
+        a=lambda t: np.broadcast_to(mat, np.shape(t) + mat.shape),
         cumulative=lambda t: float(t) * mat,
         bound_M=float(np.abs(mat).max()),
         spec=f"matrix([{rows}])",
@@ -474,8 +481,12 @@ def expr_matrix_path(entries):
     fns = [[compile_expr(texts[i][j]) for j in range(dim)] for i in range(dim)]
 
     def a(t):
-        return np.array([[float(fns[i][j](t)) for j in range(dim)]
-                         for i in range(dim)])
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape + (dim, dim))
+        for i in range(dim):
+            for j in range(i, dim):
+                out[..., i, j] = out[..., j, i] = fns[i][j](t)
+        return out
 
     rows = ", ".join('[' + ', '.join(f'"{e}"' for e in row) + ']'
                      for row in texts)
@@ -535,10 +546,56 @@ def accumulate_path(path, t, rtol=1e-10, max_panels=4000):
     if path.cumulative is not None:
         mat = np.asarray(path.cumulative(t), dtype=float)
     else:
-        mat = integrate_matrix_to(path.a, path.dim, t,
-                                  breakpoints=path.breakpoints,
-                                  rtol=rtol, max_panels=max_panels)
+        mat = _integrate_window(path, 0.0, t, rtol, max_panels)
     return 0.5 * (mat + mat.T)
+
+
+def _integrate_window(path, lower, t, rtol, max_panels):
+    """Entrywise quadrature of a over [lower, t]; a failure names the path."""
+    try:
+        return integrate_matrix_to(path.a, path.dim, t, lower=lower,
+                                   breakpoints=path.breakpoints,
+                                   rtol=rtol, max_panels=max_panels)
+    except QuadratureError as exc:
+        exc.spec = path.spec
+        raise
+
+
+def accumulate_on(path, nodes, rtol=1e-10, max_panels=4000):
+    """Entrywise integrals of a over [0, t] for every t in nodes, symmetrized.
+
+    Returns an array (len(nodes), dim, dim) in the order of nodes.  A
+    registered cumulative is evaluated per node, exactly as accumulate_path
+    does.  Otherwise each window [t_(k-1), t_k] between consecutive sorted
+    nodes is integrated once, to max(atol, rtol * |window integral|), and
+    the windows are summed; only the first window starts from 0 and gets
+    the geometric head panels.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1:
+        raise ValueError(f"nodes must be one-dimensional, got shape {nodes.shape}")
+    if np.any(nodes < 0):
+        raise ValueError("accumulation endpoints must be >= 0")
+    if path.cumulative is not None:
+        return np.array([accumulate_path(path, t, rtol=rtol,
+                                         max_panels=max_panels)
+                         for t in nodes]).reshape(nodes.shape + (path.dim,) * 2)
+    order = np.argsort(nodes, kind="stable")
+    out = np.empty(nodes.shape + (path.dim, path.dim))
+    total = np.zeros((path.dim, path.dim))
+    prev = 0.0
+    for idx in order:
+        t = float(nodes[idx])
+        if t > prev:
+            if prev == 0.0:
+                total = accumulate_path(path, t, rtol=rtol,
+                                        max_panels=max_panels)
+            else:
+                total = total + _integrate_window(path, prev, t, rtol,
+                                                  max_panels)
+            prev = t
+        out[idx] = total
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def check_domination(path, profile, sample_times):

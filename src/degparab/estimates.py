@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degeneracy import check_domination, fit_beta_exponent, cumulative_delta
-from .solver import (accumulate_coefficients, quadratic_form, solve_duhamel,
-                     solve_homogeneous)
+from .degeneracy import (accumulate_on, check_domination, cumulative_delta,
+                         fit_beta_exponent)
+from .solver import _trapezoid, quadratic_form, solve_duhamel, solve_homogeneous
 from .spectral import (LPFamily, _block_multiplier, _xi_sq, besov_norm,
                        bessel_norm, hessian_lp_norm, lp_norm)
 
@@ -62,7 +62,7 @@ def weighted_norm(report, spec, spatial_norm=None):
         elif nrm > 0.0:
             return math.inf
         # else 0 * inf := 0
-    total = float(np.trapezoid(values, nodes))
+    total = _trapezoid(values, nodes)
     return total ** (1.0 / spec.p)
 
 
@@ -208,7 +208,7 @@ def check_classic(report, f, u0, p):
         rhs_f = 0.0
     else:
         vals = np.array([lp_norm(f(t), p) ** p for t in nodes])
-        rhs_f = float(np.trapezoid(vals, nodes)) ** (1.0 / p)
+        rhs_f = _trapezoid(vals, nodes) ** (1.0 / p)
     rhs_u0 = lp_norm(u0, p)
     components = (("forcing", rhs_f), ("initial", rhs_u0))
     ratio, flags = _make_ratio(lhs, components)
@@ -252,10 +252,10 @@ def check_kernel_decay(path, profile, gamma, k_range, t_samples, grid,
         raise ValueError(f"blocks {min(k_range)}..{max(k_range)} outside the "
                          f"family range [{family.j_min}, {family.j_max}]")
     frac = _xi_sq(grid) ** (0.5 * gamma) if gamma > 0 else 1.0
+    t_samples = np.asarray(t_samples, dtype=float)
     rows = []
-    for t in np.asarray(t_samples, dtype=float):
-        values = np.exp(-quadratic_form(
-            grid, accumulate_coefficients(path, 0.0, t, rtol=rtol)))
+    for t, B in zip(t_samples, accumulate_on(path, t_samples, rtol=rtol)):
+        values = np.exp(-quadratic_form(grid, B))
         beta_t = cumulative_delta(profile, t, rtol=rtol)
         for k in k_range:
             block = _block_multiplier(family, grid, k)

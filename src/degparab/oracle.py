@@ -17,8 +17,8 @@ import scipy.ndimage
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .degeneracy import accumulate_path
-from .solver import SolveReport, TimePartition
+from .degeneracy import accumulate_on, accumulate_path
+from .solver import SolveReport, TimePartition, _trapezoid_weights
 from .spectral import SpectralField, lp_norm
 
 DEFAULT_CHUNK = 16384
@@ -112,7 +112,7 @@ def fd_solve(u0, f, path, partition, scheme=None, rtol=1e-10):
     grid = u0.grid
     nodes = partition.nodes
     if scheme.coefficient_sampling == "step-average":
-        cums = [accumulate_path(path, t, rtol=rtol) for t in nodes]
+        cums = accumulate_on(path, nodes, rtol=rtol)
     size = grid.n ** grid.dim
     eye = scipy.sparse.identity(size, format="csr")
     u = u0.samples.ravel().copy()
@@ -228,15 +228,13 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None,
     else:
         nodes = np.array([0.0, t])
 
-    cums = [accumulate_path(path, s, rtol=rtol) for s in nodes]
+    cums = accumulate_on(path, nodes, rtol=rtol)
     factors = [_sqrt_cov(2.0 * (cb - ca))
                for ca, cb in zip(cums[:-1], cums[1:])]
     u0_coeffs = _spline_coeffs(u0)
     if f is not None:
         f_coeffs = [_spline_coeffs(f(s)) for s in nodes]
-        w = np.zeros(nodes.size)
-        w[:-1] += 0.5 * np.diff(nodes)
-        w[1:] += 0.5 * np.diff(nodes)
+        w = _trapezoid_weights(nodes)
 
     m = points.shape[0]
     total = np.zeros(m)

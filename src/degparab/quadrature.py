@@ -1,10 +1,12 @@
-"""Adaptive panel quadrature for cumulative coefficients on [0, t].
+"""Adaptive panel quadrature for cumulative coefficients on [lower, t].
 
 Integrands may oscillate rapidly near t = 0 (ellipticity floors like
-1 + sin(1/t)), so the initial subdivision is geometric toward the origin:
-panels [t*2^-(m+1), t*2^-m] down to a head panel narrower than 1e-9.
-Panels are then refined worst-first until the error estimate meets the
-requested tolerance or the panel budget runs out.
+1 + sin(1/t)), so an integral from 0 starts from a subdivision that is
+geometric toward the origin: panels [t*2^-(m+1), t*2^-m] down to a head
+panel narrower than 1e-9.  An integral from lower > 0 starts from the one
+panel [lower, t].  Either way breakpoints split the initial panels, which
+are then refined worst-first until the error estimate meets the requested
+tolerance or the panel budget runs out.
 """
 
 from __future__ import annotations
@@ -27,26 +29,39 @@ HEAD_WIDTH = 1e-9
 class QuadratureError(RuntimeError):
     """Raised when adaptive refinement exhausts its budget.
 
-    Carries the best value computed so far and the achieved error estimate.
+    Carries the best value computed so far, the achieved error estimate and
+    the target it missed; `spec` names the profile or path whose integral
+    failed, when a caller knows it.
     """
 
-    def __init__(self, message, value, error_estimate):
+    def __init__(self, message, value, error_estimate, target, spec=""):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+        self.target = target
+        self.spec = spec
 
 
-def geometric_panels(t, breakpoints=()):
-    """Initial panel list for [0, t]: geometric toward 0, split at breakpoints."""
-    if t < 0:
-        raise ValueError(f"integration endpoint must be nonnegative, got {t}")
-    if t == 0:
+def geometric_panels(t, breakpoints=(), lower=0.0):
+    """Initial panel list for [lower, t], split at breakpoints.
+
+    From lower = 0 the panels are geometric toward 0; from lower > 0 there
+    is the single panel [lower, t] before the split.
+    """
+    if lower < 0:
+        raise ValueError(f"integration endpoint must be nonnegative, got {lower}")
+    if t < lower:
+        raise ValueError(f"need lower <= t, got lower={lower}, t={t}")
+    if t == lower:
         return []
-    depth = max(0, math.ceil(math.log2(t / HEAD_WIDTH)))
-    edges = [t * 2.0 ** (-m) for m in range(depth + 1)]
-    edges.append(0.0)
-    edges = sorted(set(edges))
-    cuts = sorted(b for b in breakpoints if 0.0 < b < t)
+    if lower > 0.0:
+        edges = [lower, t]
+    else:
+        depth = max(0, math.ceil(math.log2(t / HEAD_WIDTH)))
+        edges = [t * 2.0 ** (-m) for m in range(depth + 1)]
+        edges.append(0.0)
+        edges = sorted(set(edges))
+    cuts = sorted(b for b in breakpoints if lower < b < t)
     for b in cuts:
         if all(abs(b - e) > 1e-300 for e in edges):
             edges.append(b)
@@ -63,8 +78,9 @@ def _panel_sums(f, lo, hi):
     return half * (vals @ _GL_WEIGHTS)
 
 
-def integrate_to(f, t, breakpoints=(), rtol=1e-10, atol=1e-14, max_panels=4000):
-    """Integral of a vectorized scalar integrand over [0, t].
+def integrate_to(f, t, breakpoints=(), rtol=1e-10, atol=1e-14, max_panels=4000,
+                 lower=0.0):
+    """Integral of a vectorized scalar integrand over [lower, t].
 
     Each panel carries a halved-panel refinement estimate; the reported
     value sums the halved estimates, and refinement bisects the worst
@@ -72,7 +88,7 @@ def integrate_to(f, t, breakpoints=(), rtol=1e-10, atol=1e-14, max_panels=4000):
     Raises QuadratureError once max_panels panels exist and the target is
     still missed.
     """
-    panels = geometric_panels(t, breakpoints)
+    panels = geometric_panels(t, breakpoints, lower)
     if not panels:
         return 0.0
 
@@ -96,11 +112,12 @@ def integrate_to(f, t, breakpoints=(), rtol=1e-10, atol=1e-14, max_panels=4000):
 
     while total_err > max(atol, rtol * abs(total)):
         if n_panels >= max_panels:
+            target = max(atol, rtol * abs(total))
             raise QuadratureError(
                 f"quadrature did not converge within {max_panels} panels: "
                 f"achieved error estimate {total_err:.3e} "
-                f"(target {max(atol, rtol * abs(total)):.3e})",
-                value=total, error_estimate=total_err)
+                f"(target {target:.3e})",
+                value=total, error_estimate=total_err, target=target)
         neg_e, _, a, b, v = heapq.heappop(heap)
         total -= v
         total_err += neg_e  # neg_e = -err of the popped panel
@@ -124,20 +141,22 @@ def integrate_to(f, t, breakpoints=(), rtol=1e-10, atol=1e-14, max_panels=4000):
 
 
 def integrate_matrix_to(a, dim, t, breakpoints=(), rtol=1e-10, atol=1e-14,
-                        max_panels=4000):
-    """Entrywise integral over [0, t] of a matrix path a(t) -> (dim, dim).
+                        max_panels=4000, lower=0.0):
+    """Entrywise integral over [lower, t] of a matrix path a(t) -> (dim, dim).
 
-    The path is evaluated one time point at a time (matrix callables are
-    rarely vectorized); symmetry is used to integrate each entry once.
+    The path is vectorized: a(ts) for ts of shape (m,) is (m, dim, dim), so
+    each panel batch costs one call; symmetry is used to integrate each
+    entry once.
     """
     out = np.zeros((dim, dim))
     for i in range(dim):
         for j in range(i, dim):
             def entry(ts, _i=i, _j=j):
-                return np.array([a(s)[_i, _j] for s in np.atleast_1d(ts)])
+                return np.asarray(a(ts), dtype=float)[:, _i, _j]
 
             val = integrate_to(entry, t, breakpoints=breakpoints,
-                               rtol=rtol, atol=atol, max_panels=max_panels)
+                               rtol=rtol, atol=atol, max_panels=max_panels,
+                               lower=lower)
             out[i, j] = val
             out[j, i] = val
     return out

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degeneracy import (CoefficientPath, accumulate_path, cumulative_delta,
-                         inverse_cumulative)
+from .degeneracy import (CoefficientPath, accumulate_on, accumulate_path,
+                         cumulative_delta, inverse_cumulative)
 from .spectral import (SpectralField, _freq_grids, bessel_norm, gaussian_bump,
                        inner_product, load_field, lp_norm, save_field,
                        second_derivatives)
@@ -175,42 +175,38 @@ def _trapezoid_weights(nodes):
     return w
 
 
+def _trapezoid(values, nodes):
+    """Composite trapezoid of samples over nodes, as numpy's trapezoid sums it."""
+    return float((np.diff(nodes) * (values[1:] + values[:-1]) / 2.0).sum())
+
+
 def solve_homogeneous(u0, path, partition, rtol=1e-10):
     """Exact snapshots of the homogeneous solve at the partition nodes."""
-    grid = u0.grid
-    spec0 = u0.spectrum
-    snapshots = [SpectralField(grid, u0.samples.copy())]
-    for t in partition.nodes[1:]:
-        symbol = propagator_symbol(path, 0.0, t, rtol=rtol)
-        snapshots.append(SpectralField.from_spectrum(
-            grid, spec0 * symbol.evaluate(grid)))
-    return SolveReport(grid, partition, snapshots, path,
-                       diagnostics={"method": "spectral"})
+    return solve_duhamel(u0, None, path, partition, rtol=rtol)
 
 
 def solve_duhamel(u0, f, path, partition, rtol=1e-10):
-    """Snapshots of the inhomogeneous solve.
+    """Snapshots of the solve with forcing f (None for the homogeneous one).
 
     The Duhamel integral is a composite trapezoid over the partition nodes,
     with each forcing slice propagated by the exact symbol; everything is
     accumulated in spectral space, one inverse transform per snapshot.
     """
-    if f is None:
-        return solve_homogeneous(u0, path, partition, rtol=rtol)
     grid = u0.grid
     nodes = partition.nodes
     # quadratic forms of the cumulative coefficients; exp of differences
     # gives every window symbol without re-integrating
-    quads = [quadratic_form(grid, accumulate_path(path, t, rtol=rtol))
-             for t in nodes]
+    quads = [quadratic_form(grid, B)
+             for B in accumulate_on(path, nodes, rtol=rtol)]
     f_specs = _forcing_spectra(f, grid, nodes)
     spec0 = u0.spectrum
     snapshots = [SpectralField(grid, u0.samples.copy())]
     for k in range(1, nodes.size):
-        w = _trapezoid_weights(nodes[:k + 1])
         acc = spec0 * np.exp(quads[0] - quads[k])
-        for i in range(k + 1):
-            acc = acc + w[i] * f_specs[i] * np.exp(quads[i] - quads[k])
+        if f is not None:
+            w = _trapezoid_weights(nodes[:k + 1])
+            for i in range(k + 1):
+                acc = acc + w[i] * f_specs[i] * np.exp(quads[i] - quads[k])
         snapshots.append(SpectralField.from_spectrum(grid, acc))
     return SolveReport(grid, partition, snapshots, path, forcing=f,
                        diagnostics={"method": "spectral"})
@@ -263,8 +259,12 @@ def time_change_solve(u0, f, path, profile, partition, rtol=1e-10):
     base_a, base_delta = path.a, profile.delta
 
     def a_tilde(tau):
-        t = phi(tau)
-        return np.asarray(base_a(t), dtype=float) / float(base_delta(t))
+        if np.ndim(tau) == 0:
+            t = phi(float(tau))
+        else:
+            t = np.array([phi(s) for s in tau])
+        return (np.asarray(base_a(t), dtype=float)
+                / np.asarray(base_delta(t), dtype=float)[..., None, None])
 
     def cumulative_tilde(tau):
         return accumulate_path(path, phi(tau), rtol=rtol)
@@ -337,7 +337,10 @@ def weak_residual(report, t_k, test=None, f=None, rtol=1e-10):
 
 
 def save_report(report, outdir, p=2.0, test=None):
-    """Directory layout: meta (key=value text), snap_<k>.bin, norms.csv."""
+    """Directory layout: meta (key=value text), snap_<k>.bin, norms.csv.
+
+    Returns the weak residual profile written to norms.csv.
+    """
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "meta"), "w") as fh:
         fh.write(f"dim={report.grid.dim}\n")
@@ -353,6 +356,7 @@ def save_report(report, outdir, p=2.0, test=None):
         fh.write("k,t,Lp,H2p,weak_residual\n")
         for (k, t, lp, h2p), r in zip(report.norm_rows(p), residuals):
             fh.write(f"{k},{t!r},{lp!r},{h2p!r},{float(r)!r}\n")
+    return residuals
 
 
 def load_report(outdir):

@@ -1,0 +1,181 @@
+"""One-pass coefficient accumulation against its per-node oracle.
+
+accumulate_on integrates each window between consecutive nodes once and
+sums the windows; accumulate_path integrates from 0 at every node.  The
+per-node route is kept here as the slow oracle for the fast one.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from degparab import (GridSpec, TimePartition, accumulate_on,
+                      accumulate_path, constant_matrix_path, constant_profile,
+                      epsilon_regularize, expr_matrix_path, expr_profile,
+                      gaussian_bump, oscillatory_profile, parse_coefficients,
+                      piecewise_profile, power_profile, propagate, scalar_path,
+                      solve_duhamel, solve_homogeneous)
+from degparab.quadrature import integrate_matrix_to, integrate_to
+
+RTOL, ATOL = 1e-10, 1e-14
+SETTINGS = settings(max_examples=25, deadline=None)
+
+
+def oracle(path, nodes):
+    return np.array([accumulate_path(path, t, rtol=RTOL) for t in nodes])
+
+
+def assert_pinned(path, nodes):
+    """Fast and slow routes agree within their combined error targets.
+
+    Each window meets max(atol, rtol * |window|) and each oracle node
+    max(atol, rtol * |integral|).  For a PSD path |a_ij| is at most
+    (a_ii + a_jj) / 2, so the summed targets stay below
+    rtol * (2 * max diagonal integral) + (windows + 1) * atol per side;
+    the bound below doubles that for both sides.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    slow = oracle(path, nodes)
+    fast = accumulate_on(path, nodes, rtol=RTOL)
+    assert fast.shape == (nodes.size, path.dim, path.dim)
+    assert np.array_equal(fast, np.swapaxes(fast, -1, -2))
+    scale = max(float(np.max(np.diagonal(slow, axis1=1, axis2=2))), 0.0)
+    tol = 4.0 * RTOL * scale + 2.0 * (nodes.size + 1) * ATOL
+    assert np.max(np.abs(fast - slow)) <= tol
+
+
+sorted_nodes = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).map(
+    lambda xs: np.sort(np.array(xs)))
+
+
+@SETTINGS
+@given(cuts=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3,
+                     unique=True),
+       nodes=sorted_nodes)
+def test_piecewise_breakpoints_inside_windows(cuts, nodes):
+    starts = [0.0] + sorted(cuts)
+    texts = ["1 + t", "2 - t", "0.5 + t*t", "3"]
+    profile = piecewise_profile(list(zip(starts, texts)))
+    assert_pinned(scalar_path(profile, 1), nodes)
+
+
+@SETTINGS
+@given(lo=st.floats(0.1, 0.45), width=st.floats(0.05, 0.4),
+       nodes=sorted_nodes)
+def test_plateaus_where_delta_vanishes(lo, width, nodes):
+    profile = piecewise_profile([(0.0, "sqrt(t)"), (lo, "0"),
+                                 (lo + width, "t - 0.01")])
+    path = scalar_path(profile, 2)
+    assert_pinned(path, nodes)
+    fast = accumulate_on(path, [lo, lo + 0.5 * width, lo + width])
+    assert fast[0, 0, 0] == fast[1, 0, 0] == fast[2, 0, 0]
+
+
+@SETTINGS
+@given(shift=st.floats(0.002, 0.05), nodes=sorted_nodes)
+def test_oscillatory_head(shift, nodes):
+    osc = f"sin(1/(t + {shift!r}))"
+    path = expr_matrix_path([[f"2 + {osc}", f"0.5*cos(1/(t + {shift!r}))"],
+                             [f"0.5*cos(1/(t + {shift!r}))", f"2 - {osc}"]])
+    assert_pinned(path, nodes)
+
+
+@SETTINGS
+@given(lo=st.floats(1e-4, 1e-2), count=st.integers(2, 10),
+       perm_seed=st.integers(0, 1000))
+def test_non_partition_node_sets(lo, count, perm_seed):
+    # kernel-decay samples: logspace, no node at 0, in any order
+    ts = np.logspace(np.log10(lo), np.log10(0.5), count)
+    path = parse_coefficients('matrix([["1 + t", "0.5*t"], ["0.5*t", "t"]])', 2)
+    assert_pinned(path, ts)
+    perm = np.random.default_rng(perm_seed).permutation(count)
+    assert np.array_equal(accumulate_on(path, ts[perm]),
+                          accumulate_on(path, ts)[perm])
+
+
+def test_repeated_nodes_and_zero():
+    path = expr_matrix_path([["1 + t"]])
+    out = accumulate_on(path, [0.0, 0.0, 0.3, 0.3, 1.0])
+    assert out[0, 0, 0] == out[1, 0, 0] == 0.0
+    assert out[2, 0, 0] == out[3, 0, 0]
+    assert out[4, 0, 0] == pytest.approx(1.5, abs=1e-13)
+
+
+def test_closed_form_is_evaluated_per_node():
+    path = scalar_path(power_profile(1.0), 2)
+    nodes = TimePartition.geometric(16, 1.0).nodes
+    assert np.array_equal(accumulate_on(path, nodes), oracle(path, nodes))
+
+
+def test_rejects_negative_nodes():
+    with pytest.raises(ValueError):
+        accumulate_on(expr_matrix_path([["1"]]), [0.0, -0.1])
+
+
+PATHS = {
+    "scalar-constant": scalar_path(constant_profile(0.5), 2),
+    "scalar-power": scalar_path(power_profile(0.5), 3),
+    "scalar-oscillatory": scalar_path(oscillatory_profile(), 1),
+    "scalar-expr": scalar_path(expr_profile("exp(-t)*sin(3*t)+1"), 2),
+    "scalar-piecewise": scalar_path(
+        piecewise_profile([(0.0, "t"), (0.4, "0"), (0.7, "2")]), 2),
+    "constant-matrix": constant_matrix_path([[2.0, 0.5], [0.5, 1.0]]),
+    "expr-matrix": expr_matrix_path([["1 + sin(1/(t + 0.01))", "0.5", "t"],
+                                     ["0.5", "sqrt(t)", "0"],
+                                     ["t", "0", "log1p(t)"]]),
+    "regularized": epsilon_regularize(
+        expr_matrix_path([["t", "0.5*t"], ["0.5*t", "t"]]), 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+@settings(max_examples=20, deadline=None)
+@given(ts=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=40))
+def test_vectorized_a_matches_pointwise(name, ts):
+    path = PATHS[name]
+    ts = np.array(ts)
+    batch = path.a(ts)
+    assert batch.shape == (ts.size, path.dim, path.dim)
+    stacked = np.stack([np.asarray(path.a(float(t))) for t in ts])
+    assert stacked.shape == batch.shape
+    assert batch.tobytes() == stacked.tobytes()
+
+
+def test_integrate_to_from_a_lower_end():
+    assert integrate_to(lambda t: 3.0 * t ** 2, 1.7, lower=0.4) == \
+        pytest.approx(1.7 ** 3 - 0.4 ** 3, abs=1e-13)
+    assert integrate_to(np.exp, 0.5, lower=0.5) == 0.0
+    kink = lambda t: np.where(t < 0.6, 1.0, 2.0)
+    assert integrate_to(kink, 1.0, breakpoints=(0.3, 0.6), lower=0.5) == \
+        pytest.approx(0.1 + 0.8, abs=1e-13)
+    with pytest.raises(ValueError):
+        integrate_to(np.exp, 0.4, lower=0.5)
+
+
+def test_integrate_matrix_to_calls_a_once_per_panel_batch():
+    calls = []
+    path = expr_matrix_path([["1 + t", "t"], ["t", "2"]])
+
+    def a(ts):
+        calls.append(np.shape(ts))
+        return path.a(ts)
+
+    B = integrate_matrix_to(a, 2, 1.0, lower=0.5)
+    assert np.allclose(B, [[0.5 + 0.375, 0.375], [0.375, 1.0]], atol=1e-13)
+    assert all(len(shape) == 1 and shape[0] >= 16 for shape in calls)
+
+
+def test_homogeneous_solve_matches_per_node_propagation():
+    grid = GridSpec(dim=2, n=32, length=16.0)
+    u0 = gaussian_bump(grid, width=2.0)
+    path = expr_matrix_path([["t", "0.5*t"], ["0.5*t", "1 + sin(t)"]])
+    part = TimePartition.geometric(12, 1.0)
+    report = solve_homogeneous(u0, path, part)
+    assert report.forcing is None
+    for t, snap in zip(part.nodes, report.snapshots):
+        ref = propagate(u0, path, 0.0, t)
+        assert np.max(np.abs(snap.samples - ref.samples)) <= 1e-12
+    again = solve_duhamel(u0, None, path, part)
+    assert all(np.array_equal(a.samples, b.samples)
+               for a, b in zip(report.snapshots, again.snapshots))

@@ -156,6 +156,52 @@ def test_main_invalid_config(tmp_path, capsys):
     assert "config error" in err and "power of two" in err
 
 
+def test_main_quadrature_budget_is_a_config_error(tmp_path, capsys):
+    # validates, but 1 + sin(1/t) cannot reach the target near t = 0
+    path = write_cfg(tmp_path, """
+[grid]
+n = 64
+
+[partition]
+steps = 4
+
+[profile]
+spec = expr("1+sin(1/t)")
+
+[coefficients]
+spec = scalar(expr("1+sin(1/t)"))
+""")
+    code = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith('quadrature error: scalar(expr("1+sin(1/t)"))')
+    assert "achieved error estimate" in lines[0] and "target" in lines[0]
+
+
+def test_main_summaries_print_plain_floats(tmp_path):
+    path = write_cfg(tmp_path, """
+[grid]
+n = 256
+
+[partition]
+steps = 16
+
+[profile]
+spec = power(1)
+
+[coefficients]
+spec = scalar(power(1))
+""")
+    for command in ("check-thm2", "profile-check"):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "beta_hat" in summary and "np.float64" not in summary
+
+
 def test_main_solve_frozen_dynamics(tmp_path):
     path = write_cfg(tmp_path, """
 [grid]

@@ -14,6 +14,7 @@ from degparab import (DegenerateKernelError, GridSpec, SpectralField,
                       propagate, quadratic_form, save_report, scalar_path,
                       solve_duhamel, solve_homogeneous, time_change_solve,
                       weak_residual, weak_residual_profile, x_grids)
+from degparab.solver import _trapezoid
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -348,3 +349,20 @@ def test_norm_rows():
     assert k == 0 and t == 0.0
     assert abs(lp - lp_norm(u0, 2.0)) < 1e-12
     assert h2p >= lp
+
+
+def test_save_report_returns_the_residuals_it_writes(tmp_path):
+    u0 = gaussian_bump(GRID, width=2.0)
+    report = solve_homogeneous(u0, HEAT, TimePartition.uniform(4, 0.5))
+    residuals = save_report(report, tmp_path / "report", p=2.0)
+    assert np.array_equal(residuals, weak_residual_profile(report))
+    rows = (tmp_path / "report" / "norms.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[4]) for r in rows] == list(residuals)
+
+
+@pytest.mark.skipif(not hasattr(np, "trapezoid"), reason="numpy < 2.0")
+def test_trapezoid_sums_like_numpy():
+    rng = np.random.default_rng(3)
+    nodes = np.sort(rng.random(50)) ** 3
+    values = rng.standard_normal(50) * 1e3
+    assert _trapezoid(values, nodes) == float(np.trapezoid(values, nodes))
