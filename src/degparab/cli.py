@@ -14,7 +14,6 @@ summary.
 from __future__ import annotations
 
 import argparse
-import ast
 import configparser
 import datetime
 import math
@@ -26,17 +25,19 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .degeneracy import (check_domination, compile_expr, cumulative_delta,
+from .degeneracy import (check_domination, cumulative_delta,
                          cumulative_delta_grid, empirical_bound,
                          fit_beta_exponent, levelset_measure,
                          levelset_measure_scan, parse_coefficients,
                          parse_profile)
 from .estimates import (check_classic, check_kernel_decay, check_thm1,
                         check_thm2, epsilon_sweep, reports_to_csv)
-from .oracle import (FDScheme, char_function_check, compare_fields,
-                     convergence_orders, fd_solve, mc_solve)
+from .oracle import (FDScheme, _periodic_interp, _spline_coeffs,
+                     char_function_check, compare_fields, convergence_orders,
+                     fd_solve, mc_solve)
 from .quadrature import QuadratureError
 from .solver import TimePartition, save_report, solve_duhamel
+from .spec import Call, compile_expr, read_call
 from .spectral import (GridSpec, LPFamily, SpectralField, _xi_sq, besov_norm,
                        gaussian_bump, lp_norm, mode_field)
 
@@ -206,7 +207,8 @@ def validate_config(cfg):
             diags.append(f"coefficients.spec: {exc}")
     grid_ok = not any(d.startswith("grid:") for d in diags)
     try:
-        kind, nums = _initial_ast(cfg.initial_spec)
+        kind, nums = _initial(read_call(cfg.initial_spec, "initial"),
+                              cfg.initial_spec)
         if kind == "rough" and grid_ok:
             _check_rough_scales(cfg, diags, "initial.spec")
         if kind == "mode" and len(nums) != cfg.dim:
@@ -215,9 +217,8 @@ def validate_config(cfg):
     except ValueError as exc:
         diags.append(f"initial.spec: {exc}")
     try:
-        parsed = _forcing_ast(cfg.forcing_spec)
-        if parsed is not None and grid_ok \
-                and _initial_ast(parsed[1])[0] == "rough":
+        parsed = _forcing(cfg.forcing_spec)
+        if parsed is not None and grid_ok and parsed[1].name == "rough":
             _check_rough_scales(cfg, diags, "forcing.spec")
     except ValueError as exc:
         diags.append(f"forcing.spec: {exc}")
@@ -255,23 +256,11 @@ def _check_rough_scales(cfg, diags, where):
                      f"j_max = {j_max}; refine n or shrink the period")
 
 
-def _initial_ast(text):
-    try:
-        node = ast.parse(text.strip(), mode="eval").body
-    except SyntaxError as exc:
-        raise ValueError(f"bad initial spec {text!r}: {exc.msg}") from None
-    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
-        raise ValueError(f"initial spec must be a call, got {text!r}")
-    name = node.func.id
-    nums = []
-    for a in node.args:
-        if isinstance(a, ast.Constant) and isinstance(a.value, (int, float)):
-            nums.append(float(a.value))
-        elif isinstance(a, ast.UnaryOp) and isinstance(a.op, ast.USub) \
-                and isinstance(a.operand, ast.Constant):
-            nums.append(-float(a.operand.value))
-        else:
-            raise ValueError(f"initial spec arguments must be numbers: {text!r}")
+def _initial(call, text):
+    """(kind, numbers) of an initial-data spec; ValueError if malformed."""
+    name, nums = call
+    if not all(isinstance(v, float) for v in nums):
+        raise ValueError(f"initial spec arguments must be numbers: {text!r}")
     if name == "gaussian":
         if len(nums) != 1 or nums[0] <= 0:
             raise ValueError(f"gaussian(sigma) needs one positive width: {text!r}")
@@ -283,30 +272,24 @@ def _initial_ast(text):
             raise ValueError(f"rough(s[, variant]) takes 1 or 2 args: {text!r}")
     else:
         raise ValueError(f"unknown initial data kind {name!r} in {text!r}")
-    return name, tuple(nums)
+    return name, nums
 
 
-def _forcing_ast(text):
-    stripped = text.strip()
-    if stripped == "none":
+def _forcing(text):
+    """None, or the compiled time factor and the checked spatial Call."""
+    if text.strip() == "none":
         return None
-    try:
-        node = ast.parse(stripped, mode="eval").body
-    except SyntaxError as exc:
-        raise ValueError(f"bad forcing spec {text!r}: {exc.msg}") from None
-    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name) \
-            or node.func.id != "separable" or len(node.args) != 2:
+    name, args = read_call(text, "forcing")
+    if name != "separable" or len(args) != 2 or not isinstance(args[1], Call):
         raise ValueError(
             f'forcing spec must be none or separable("<expr in t>", '
             f'<spatial spec>): {text!r}')
-    time_node, spatial_node = node.args
-    if not isinstance(time_node, ast.Constant) or \
-            not isinstance(time_node.value, str):
+    time_text, spatial = args
+    if not isinstance(time_text, str):
         raise ValueError(f"separable time factor must be a string: {text!r}")
-    compile_expr(time_node.value)
-    spatial_text = ast.unparse(spatial_node)
-    _initial_ast(spatial_text)
-    return time_node.value, spatial_text
+    coef = compile_expr(time_text)
+    _initial(spatial, text)
+    return coef, spatial
 
 
 def rough_field(grid, s, p, seed, variant=0):
@@ -335,7 +318,12 @@ def rough_field(grid, s, p, seed, variant=0):
 
 
 def build_initial(spec_text, grid, p, seed):
-    name, nums = _initial_ast(spec_text)
+    return _initial_field(read_call(spec_text, "initial"), spec_text, grid, p,
+                          seed)
+
+
+def _initial_field(call, text, grid, p, seed):
+    name, nums = _initial(call, text)
     if name == "gaussian":
         return gaussian_bump(grid, width=nums[0])
     if name == "mode":
@@ -348,12 +336,11 @@ def build_initial(spec_text, grid, p, seed):
 
 
 def build_forcing(spec_text, grid, p, seed):
-    parsed = _forcing_ast(spec_text)
+    parsed = _forcing(spec_text)
     if parsed is None:
         return None
-    time_text, spatial_text = parsed
-    shape = build_initial(spatial_text, grid, p, seed)
-    coef = compile_expr(time_text)
+    coef, spatial = parsed
+    shape = _initial_field(spatial, spec_text, grid, p, seed)
     return lambda t: SpectralField(grid, float(coef(t)) * shape.samples)
 
 
@@ -525,10 +512,9 @@ def run_profile_check(cfg, outdir, workers, tol_scale):
 
     if fit is not None:
         expected = None
-        name = profile.spec.split("(")[0]
+        name, args = read_call(cfg.profile_spec, "profile")
         if name == "power":
-            alpha = float(profile.spec[len("power("):-1])
-            expected, tol = alpha + 1.0, 0.02
+            expected, tol = args[0] + 1.0, 0.02
         elif name == "constant":
             expected, tol = 1.0, 0.02
         elif name == "oscillatory":
@@ -619,7 +605,7 @@ def run_oracle_compare(cfg, outdir, workers, tol_scale):
     est = mc_solve(u0, f, path, cfg.horizon, pts, cfg.mc_samples, cfg.seed,
                    partition=partition if f is not None else None)
     est.to_csv(os.path.join(outdir, "mc_compare.csv"))
-    exact = _sample_field(final, pts)
+    exact = _periodic_interp(_spline_coeffs(final), grid, pts)
     gaps = np.abs(est.mean - exact)
     limit = 3.0 * tol_scale * np.maximum(est.stderr, 1e-30)
     lines.append(f"mc vs spectral at {cfg.mc_probes} probes, "
@@ -645,15 +631,6 @@ def run_oracle_compare(cfg, outdir, workers, tol_scale):
     lines.append(f"result: {'pass' if not failures else 'fail'}")
     _summary(outdir, "oracle-compare", lines)
     return 0 if not failures else 2
-
-
-def _sample_field(field, points):
-    import scipy.ndimage
-    coeffs = scipy.ndimage.spline_filter(field.samples, order=3,
-                                         mode="grid-wrap")
-    frac = (points + 0.5 * field.grid.length) / field.grid.spacing
-    return scipy.ndimage.map_coordinates(coeffs, frac.T, order=3,
-                                         mode="grid-wrap", prefilter=False)
 
 
 RUNNERS = {

@@ -4,13 +4,13 @@ A degeneracy profile is a nonnegative scalar function delta with
 cumulative beta(t) = integral of delta over [0, t].  beta acts as the
 intrinsic clock of the evolution: it may have flat stretches where the
 equation degenerates, and its generalized inverse drives the time-change
-machinery in the solver.  Profiles are built from a small spec grammar
-(constant/power/oscillatory/expr/piecewise) shared with the CLI.
+machinery in the solver.  Profiles and coefficient paths are built from
+specs (constant/power/oscillatory/expr/piecewise, scalar/matrix) read by
+the grammar in degparab.spec, which the CLI shares.
 """
 
 from __future__ import annotations
 
-import ast
 import math
 from dataclasses import dataclass, field
 
@@ -18,66 +18,7 @@ import numpy as np
 from scipy.special import sici
 
 from .quadrature import QuadratureError, integrate_to, integrate_matrix_to
-
-_EXPR_FUNCS = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan,
-    "exp": np.exp, "log": np.log, "log1p": np.log1p,
-    "sqrt": np.sqrt, "abs": np.abs,
-    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
-    "arctan": np.arctan,
-    "min": np.minimum, "max": np.maximum,
-}
-_EXPR_CONSTS = {"pi": np.pi, "e": np.e}
-
-_BINOPS = {
-    ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
-    ast.Div: np.divide, ast.Pow: np.power,
-}
-
-
-def compile_expr(text):
-    """Compile an arithmetic expression in t into a vectorized callable.
-
-    Supported: numbers, t, + - * / **, unary -, pi, e, and the functions
-    sin cos tan exp log log1p sqrt abs sinh cosh tanh arctan min max.
-    """
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"bad expression {text!r}: {exc.msg}") from None
-
-    def ev(node, t):
-        if isinstance(node, ast.Expression):
-            return ev(node.body, t)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)):
-                return float(node.value)
-            raise ValueError(f"bad literal {node.value!r} in {text!r}")
-        if isinstance(node, ast.Name):
-            if node.id == "t":
-                return t
-            if node.id in _EXPR_CONSTS:
-                return _EXPR_CONSTS[node.id]
-            raise ValueError(f"unknown name {node.id!r} in {text!r}")
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            return _BINOPS[type(node.op)](ev(node.left, t), ev(node.right, t))
-        if isinstance(node, ast.UnaryOp):
-            if isinstance(node.op, ast.USub):
-                return -ev(node.operand, t)
-            if isinstance(node.op, ast.UAdd):
-                return ev(node.operand, t)
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.keywords:
-                raise ValueError(f"unsupported call in {text!r}")
-            fn = _EXPR_FUNCS.get(node.func.id)
-            if fn is None:
-                raise ValueError(f"unknown function {node.func.id!r} in {text!r}")
-            args = [ev(a, t) for a in node.args]
-            return fn(*args)
-        raise ValueError(f"unsupported syntax in expression {text!r}")
-
-    ev(tree, 0.0)  # validate eagerly so bad specs fail at parse time
-    return lambda t: ev(tree, t)
+from .spec import Call, compile_expr, number, read_call
 
 
 @dataclass(frozen=True)
@@ -220,55 +161,33 @@ def piecewise_profile(pieces):
 def parse_profile(text):
     """Parse the profile grammar: constant(c) | power(alpha) | oscillatory()
     | expr("...") | piecewise([(t0, "expr0"), ...])."""
-    try:
-        tree = ast.parse(text.strip(), mode="eval").body
-    except SyntaxError as exc:
-        raise ValueError(f"bad profile spec {text!r}: {exc.msg}") from None
-    if not isinstance(tree, ast.Call) or not isinstance(tree.func, ast.Name):
-        raise ValueError(f"profile spec must be a call, got {text!r}")
-    name = tree.func.id
-    args = tree.args
-    if name == "constant":
-        return constant_profile(_num_arg(args, 0, text))
-    if name == "power":
-        return power_profile(_num_arg(args, 0, text))
+    return _profile(read_call(text, "profile"), text)
+
+
+def _profile(call, text):
+    name, args = call
+    if name in ("constant", "power"):
+        if len(args) != 1 or not isinstance(args[0], float):
+            raise ValueError(f"{name}(...) needs one number: {text!r}")
+        make = constant_profile if name == "constant" else power_profile
+        return make(args[0])
     if name == "oscillatory":
         if args:
             raise ValueError(f"oscillatory() takes no arguments: {text!r}")
         return oscillatory_profile()
     if name == "expr":
-        if len(args) != 1 or not isinstance(args[0], ast.Constant) \
-                or not isinstance(args[0].value, str):
+        if len(args) != 1 or not isinstance(args[0], str):
             raise ValueError(f"expr(...) needs one string argument: {text!r}")
-        return expr_profile(args[0].value)
+        return expr_profile(args[0])
     if name == "piecewise":
-        if len(args) != 1 or not isinstance(args[0], (ast.List, ast.Tuple)):
-            raise ValueError(f"piecewise(...) needs a list of pairs: {text!r}")
-        pieces = []
-        for el in args[0].elts:
-            if not isinstance(el, ast.Tuple) or len(el.elts) != 2:
-                raise ValueError(f"piecewise pieces must be (t0, expr): {text!r}")
-            t0_node, ex_node = el.elts
-            t0 = _literal_number(t0_node, text)
-            if not isinstance(ex_node, ast.Constant) or not isinstance(ex_node.value, str):
-                raise ValueError(f"piecewise expressions must be strings: {text!r}")
-            pieces.append((t0, ex_node.value))
+        pieces = args[0] if len(args) == 1 else None
+        if not isinstance(pieces, (list, tuple)) or not all(
+                isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], float)
+                and isinstance(p[1], str) for p in pieces):
+            raise ValueError(
+                f'piecewise(...) needs a list of (t0, "expr") pairs: {text!r}')
         return piecewise_profile(pieces)
     raise ValueError(f"unknown profile kind {name!r} in {text!r}")
-
-
-def _literal_number(node, ctx):
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return float(node.value)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return -_literal_number(node.operand, ctx)
-    raise ValueError(f"expected a number in {ctx!r}")
-
-
-def _num_arg(args, idx, ctx):
-    if len(args) <= idx:
-        raise ValueError(f"missing argument in {ctx!r}")
-    return _literal_number(args[idx], ctx)
 
 
 def eval_delta(profile, t):
@@ -494,49 +413,33 @@ def expr_matrix_path(entries):
 
 
 def parse_coefficients(text, dim):
-    """Parse the coefficient grammar: scalar(<profile>) | matrix([[...], ...])."""
-    stripped = text.strip()
-    try:
-        tree = ast.parse(stripped, mode="eval").body
-    except SyntaxError as exc:
-        raise ValueError(f"bad coefficient spec {text!r}: {exc.msg}") from None
-    if not isinstance(tree, ast.Call) or not isinstance(tree.func, ast.Name):
-        raise ValueError(f"coefficient spec must be a call, got {text!r}")
-    if tree.func.id == "scalar":
-        inner = stripped[stripped.index("(") + 1:stripped.rindex(")")]
-        return scalar_path(parse_profile(inner), dim)
-    if tree.func.id == "matrix":
-        if len(tree.args) != 1 or not isinstance(tree.args[0], ast.List):
-            raise ValueError(f"matrix(...) needs a list of rows: {text!r}")
-        rows = []
-        for row_node in tree.args[0].elts:
-            if not isinstance(row_node, ast.List):
-                raise ValueError(f"matrix rows must be lists: {text!r}")
-            row = []
-            for el in row_node.elts:
-                if isinstance(el, ast.Constant) and isinstance(el.value, str):
-                    row.append(el.value)
-                else:
-                    row.append(repr(_literal_number(el, text)))
-            rows.append(row)
+    """Parse the coefficient grammar: scalar(<profile>) | matrix([[...], ...]).
+    A matrix of numbers is a constant path with a closed-form cumulative."""
+    name, args = read_call(text, "coefficient")
+    if name == "scalar":
+        if len(args) != 1 or not isinstance(args[0], Call):
+            raise ValueError(f"scalar(...) needs one profile spec: {text!r}")
+        return scalar_path(_profile(args[0], text), dim)
+    if name == "matrix":
+        rows = args[0] if len(args) == 1 else None
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list)
+                and all(isinstance(e, (str, float)) for e in row)
+                for row in rows):
+            raise ValueError(f"matrix(...) needs a list of rows of strings "
+                             f"or numbers: {text!r}")
+        rows = [[e if isinstance(e, str) else repr(e) for e in row]
+                for row in rows]
         if len(rows) != dim:
             raise ValueError(
                 f"coefficient matrix is {len(rows)}x{len(rows[0]) if rows else 0} "
                 f"but grid dimension is {dim}")
         path = expr_matrix_path(rows)
-        if all(_is_number(e) for row in rows for e in row):
-            mat = np.array([[float(e) for e in row] for row in rows])
-            return constant_matrix_path(mat)
+        values = [[number(e) for e in row] for row in rows]
+        if all(v is not None for row in values for v in row):
+            return constant_matrix_path(values)
         return path
-    raise ValueError(f"unknown coefficient kind {tree.func.id!r} in {text!r}")
-
-
-def _is_number(text):
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
+    raise ValueError(f"unknown coefficient kind {name!r} in {text!r}")
 
 
 def accumulate_path(path, t, rtol=1e-10, max_panels=4000):

@@ -17,8 +17,9 @@ import scipy.ndimage
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .degeneracy import accumulate_on, accumulate_path
-from .solver import SolveReport, TimePartition, _trapezoid_weights
+from .degeneracy import accumulate_on
+from .solver import (SolveReport, TimePartition, _trapezoid_weights,
+                     accumulate_coefficients)
 from .spectral import SpectralField, lp_norm
 
 DEFAULT_CHUNK = 16384
@@ -157,8 +158,7 @@ def sample_increments(path, s, t, samples, rng, rtol=1e-10):
     """Draws of X_t - X_s: exact Gaussians with covariance 2 int_s^t a dr."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    cov = 2.0 * (accumulate_path(path, t, rtol=rtol)
-                 - accumulate_path(path, s, rtol=rtol))
+    cov = 2.0 * accumulate_coefficients(path, s, t, rtol=rtol)
     factor = _sqrt_cov(cov)
     z = rng.standard_normal((samples, path.dim))
     return z @ factor.T
@@ -283,7 +283,7 @@ def char_function_check(path, s, t, freqs, samples, seed, rtol=1e-10):
     """
     x = sample_increments(path, s, t, samples, np.random.default_rng([seed, 0]),
                           rtol=rtol)
-    b = accumulate_path(path, t, rtol=rtol) - accumulate_path(path, s, rtol=rtol)
+    b = accumulate_coefficients(path, s, t, rtol=rtol)
     rows = []
     for xi in np.atleast_2d(np.asarray(freqs, dtype=float)):
         phase = x @ xi

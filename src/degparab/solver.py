@@ -10,7 +10,6 @@ partition) and the accuracy of B itself.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,18 +76,6 @@ class TimePartition:
             np.array_equal(self.nodes, other.nodes)
 
 
-@dataclass(frozen=True)
-class PropagatorSymbol:
-    """Multiplier exp(-xi^T B xi) with B the coefficients accumulated over [s, t]."""
-
-    s: float
-    t: float
-    B: np.ndarray
-
-    def evaluate(self, grid):
-        return np.exp(-quadratic_form(grid, self.B))
-
-
 def quadratic_form(grid, B):
     """xi^T B xi on the frequency lattice."""
     B = np.asarray(B, dtype=float)
@@ -109,17 +96,11 @@ def accumulate_coefficients(path, s, t, rtol=1e-10):
     return 0.5 * (B + B.T)
 
 
-def propagator_symbol(path, s, t, rtol=1e-10):
-    """Propagator symbol exp(-xi^T B xi) data for the window [s, t]."""
-    B = accumulate_coefficients(path, s, t, rtol=rtol)
-    return PropagatorSymbol(s=float(s), t=float(t), B=B)
-
-
 def propagate(field, path, s, t, rtol=1e-10):
     """Evolve a field from time s to time t (homogeneous equation)."""
-    symbol = propagator_symbol(path, s, t, rtol=rtol)
+    B = accumulate_coefficients(path, s, t, rtol=rtol)
     return SpectralField.from_spectrum(
-        field.grid, field.spectrum * symbol.evaluate(field.grid))
+        field.grid, field.spectrum * np.exp(-quadratic_form(field.grid, B)))
 
 
 def kernel(path, t, grid, rtol=1e-10):
@@ -129,13 +110,13 @@ def kernel(path, t, grid, rtol=1e-10):
     window where they vanish the propagator is a point mass, not a
     function, and DegenerateKernelError is raised.
     """
-    symbol = propagator_symbol(path, 0.0, t, rtol=rtol)
-    eigs = np.linalg.eigvalsh(symbol.B)
+    B = accumulate_coefficients(path, 0.0, t, rtol=rtol)
+    eigs = np.linalg.eigvalsh(B)
     if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
         raise DegenerateKernelError(
             f"kernel at t={t} is degenerate: accumulated coefficients have "
             f"min eigenvalue {eigs[0]:.3e}")
-    values = symbol.evaluate(grid)
+    values = np.exp(-quadratic_form(grid, B))
     samples = np.fft.fftshift(np.fft.ifftn(values).real)
     return SpectralField(grid, samples / grid.cell_volume)
 

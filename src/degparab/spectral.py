@@ -288,11 +288,14 @@ def hessian_lp_norm(field, p, smoothness=0.0):
     spec = field.spectrum
     if smoothness:
         spec = spec * (1.0 + _xi_sq(grid)) ** (0.5 * smoothness)
+    # u_xixj equals u_xjxi bit for bit, so one inverse FFT per unordered
+    # pair; the squares are still summed in (i, j) order
+    squares = {(i, j): np.fft.ifftn(-(comps[i] * comps[j]) * spec).real ** 2
+               for i in range(grid.dim) for j in range(i, grid.dim)}
     acc = np.zeros(grid.shape)
     for i in range(grid.dim):
         for j in range(grid.dim):
-            entry = np.fft.ifftn(-(comps[i] * comps[j]) * spec).real
-            acc += entry ** 2
+            acc += squares[min(i, j), max(i, j)]
     frob = np.sqrt(acc)
     if p == np.inf:
         return float(frob.max())

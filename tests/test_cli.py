@@ -181,6 +181,28 @@ spec = scalar(expr("1+sin(1/t)"))
     assert "achieved error estimate" in lines[0] and "target" in lines[0]
 
 
+@pytest.mark.parametrize("expr", [
+    "sin(t, t)", "sin()", "min(t)", "sin + t",
+    pytest.param("1" + "0" * 400, id="huge-literal"),
+])
+def test_main_bad_expression_is_a_config_error(tmp_path, capsys, expr):
+    path = write_cfg(tmp_path, f"""
+[profile]
+spec = expr("{expr}")
+
+[coefficients]
+spec = scalar(expr("{expr}"))
+""")
+    code = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("config error: profile.spec: ")
+    assert lines[1].startswith("config error: coefficients.spec: ")
+
+
 def test_main_summaries_print_plain_floats(tmp_path):
     path = write_cfg(tmp_path, """
 [grid]
