@@ -27,9 +27,8 @@ import numpy as np
 
 from .degeneracy import (check_domination, cumulative_delta,
                          cumulative_delta_grid, empirical_bound,
-                         fit_beta_exponent, levelset_measure,
-                         levelset_measure_scan, parse_coefficients,
-                         parse_profile)
+                         fit_beta_exponent, levelset_measure_scan,
+                         parse_coefficients, parse_profile)
 from .estimates import (check_classic, check_kernel_decay, check_thm1,
                         check_thm2, epsilon_sweep, reports_to_csv)
 from .oracle import (FDScheme, _periodic_interp, _spline_coeffs,
@@ -484,8 +483,8 @@ def run_profile_check(cfg, outdir, workers, tol_scale):
         h_grid = np.logspace(math.log10(top) - cfg.h_decades,
                              math.log10(top), cfg.h_points)
         fit = fit_beta_exponent(profile, t0, h_grid)
-        measures = [levelset_measure(profile, h, t0) for h in h_grid]
-        scans = [levelset_measure_scan(profile, h, t0) for h in h_grid]
+        measures = fit.measures
+        scans = levelset_measure_scan(profile, h_grid, t0)
         lines.append(f"beta_hat = {float(fit.beta_hat)!r}, "
                      f"N0_hat = {float(fit.n0_hat)!r}, "
                      f"fit residual = {float(fit.residual)!r}")

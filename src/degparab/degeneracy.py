@@ -102,8 +102,10 @@ def oscillatory_profile():
 
     def delta(t):
         t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(t > 0.0, 1.0 + np.sin(1.0 / np.where(t > 0, t, 1.0)), 1.0)
+        # below the smallest normal float 1/t overflows to inf, sin(inf) is nan
+        out = np.where(t > 0.0,
+                       1.0 + np.sin(1.0 / np.maximum(t, np.finfo(float).tiny)),
+                       1.0)
         return float(out) if out.ndim == 0 else out
 
     def cumulative(t):
@@ -125,7 +127,9 @@ def expr_profile(text):
     fn = compile_expr(text)
 
     def delta(t):
-        out = np.asarray(fn(np.asarray(t, dtype=float)), dtype=float)
+        t = np.asarray(t, dtype=float)
+        # an expression without t is a number for any t
+        out = np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
         return float(out) if out.ndim == 0 else out
 
     return DegeneracyProfile(delta=delta, spec=f'expr("{text}")')
@@ -198,15 +202,14 @@ def eval_delta(profile, t):
     return profile.delta(t)
 
 
-def cumulative_delta(profile, t, rtol=1e-10, max_panels=4000):
+def cumulative_delta(profile, t):
     """beta(t): exact closed form when registered, panel quadrature otherwise."""
     if t < 0:
         raise ValueError(f"cumulative is defined for t >= 0, got {t}")
     if profile.closed_form_cumulative is not None:
         return float(profile.closed_form_cumulative(t))
     try:
-        return integrate_to(profile.delta, t, breakpoints=profile.breakpoints,
-                            rtol=rtol, max_panels=max_panels)
+        return integrate_to(profile.delta, t, breakpoints=profile.breakpoints)
     except QuadratureError as exc:
         exc.spec = profile.spec
         raise
@@ -237,7 +240,7 @@ def cumulative_delta_grid(profile, ts, npts=None):
     return np.interp(ts, edges, beta_edges)
 
 
-def inverse_cumulative(profile, h, t_max, rtol=1e-10):
+def inverse_cumulative(profile, h, t_max):
     """Generalized inverse phi(h) = inf{t : beta(t) >= h}, by bisection.
 
     Handles plateaus of beta (stretches where delta = 0).  h <= 0 maps
@@ -245,7 +248,7 @@ def inverse_cumulative(profile, h, t_max, rtol=1e-10):
     """
     if h <= 0:
         return 0.0
-    beta = lambda t: cumulative_delta(profile, t, rtol=rtol)
+    beta = lambda t: cumulative_delta(profile, t)
     top = beta(t_max)
     if h > top:
         raise ValueError(
@@ -260,7 +263,7 @@ def inverse_cumulative(profile, h, t_max, rtol=1e-10):
     return hi
 
 
-def levelset_measure(profile, h, t0, rtol=1e-10):
+def levelset_measure(profile, h, t0):
     """Lebesgue measure of {t in [0, t0] : h <= beta(t) < 4h}.
 
     beta is nondecreasing, so the set is an interval and the measure is
@@ -268,28 +271,30 @@ def levelset_measure(profile, h, t0, rtol=1e-10):
     """
     if h <= 0:
         raise ValueError(f"level h must be positive, got {h}")
-    beta_t0 = cumulative_delta(profile, t0, rtol=rtol)
+    beta_t0 = cumulative_delta(profile, t0)
 
     def clamped_inverse(level):
         if beta_t0 < level:
             return float(t0)
-        return inverse_cumulative(profile, level, t0, rtol=rtol)
+        return inverse_cumulative(profile, level, t0)
 
     return clamped_inverse(4.0 * h) - clamped_inverse(h)
 
 
-def levelset_measure_scan(profile, h, t0, npts=1_000_000):
-    """Direct Riemann scan of the same level set, accurate to ~2*t0/npts.
+def levelset_measure_scan(profile, hs, t0, npts=1_000_000):
+    """Direct Riemann scan of the same level set for every level h in hs,
+    accurate to ~2*t0/npts; one beta scan serves all levels.
 
     Reference implementation used to cross-check levelset_measure.
     """
-    if h <= 0:
-        raise ValueError(f"level h must be positive, got {h}")
+    for h in hs:
+        if h <= 0:
+            raise ValueError(f"level h must be positive, got {h}")
     edges = np.linspace(0.0, t0, npts + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     beta_mid = cumulative_delta_grid(profile, mids, npts=4 * npts)
-    inside = (beta_mid >= h) & (beta_mid < 4.0 * h)
-    return float(np.count_nonzero(inside)) * (t0 / npts)
+    return [float(np.count_nonzero((beta_mid >= h) & (beta_mid < 4.0 * h)))
+            * (t0 / npts) for h in hs]
 
 
 @dataclass(frozen=True)
@@ -297,22 +302,22 @@ class LevelsetFit:
     beta_hat: float
     n0_hat: float
     residual: float
+    measures: tuple  # levelset_measure at each level of the fitted grid
 
 
-def fit_beta_exponent(profile, t0, h_grid, rtol=1e-10):
+def fit_beta_exponent(profile, t0, h_grid):
     """Least-squares fit of log(measure) = log(N0) + (1/beta) * log(h).
 
     h_grid needs at least 4 levels spanning two decades, every level with
     positive measure.  Returns the fitted exponent beta_hat, the constant
-    N0_hat, and the RMS residual of the fit in log space.
+    N0_hat, the RMS residual of the fit in log space, and the measures.
     """
     h_grid = np.asarray(h_grid, dtype=float)
     if h_grid.size < 4:
         raise ValueError(f"need at least 4 levels, got {h_grid.size}")
     if np.max(h_grid) / np.min(h_grid) < 100.0:
         raise ValueError("h_grid must span at least two decades")
-    measures = np.array([levelset_measure(profile, h, t0, rtol=rtol)
-                         for h in h_grid])
+    measures = np.array([levelset_measure(profile, h, t0) for h in h_grid])
     if np.all(measures <= 0):
         raise ValueError("degenerate fit: all level-set measures vanish")
     if np.any(measures <= 0):
@@ -323,7 +328,7 @@ def fit_beta_exponent(profile, t0, h_grid, rtol=1e-10):
     fitted = intercept + slope * np.log(h_grid)
     residual = float(np.sqrt(np.mean((fitted - np.log(measures)) ** 2)))
     return LevelsetFit(beta_hat=1.0 / slope, n0_hat=float(np.exp(intercept)),
-                       residual=residual)
+                       residual=residual, measures=tuple(measures.tolist()))
 
 
 @dataclass(frozen=True)
@@ -442,37 +447,36 @@ def parse_coefficients(text, dim):
     raise ValueError(f"unknown coefficient kind {name!r} in {text!r}")
 
 
-def accumulate_path(path, t, rtol=1e-10, max_panels=4000):
+def accumulate_path(path, t):
     """Entrywise integral of a over [0, t], symmetrized."""
     if t < 0:
         raise ValueError(f"accumulation endpoint must be >= 0, got {t}")
     if path.cumulative is not None:
         mat = np.asarray(path.cumulative(t), dtype=float)
     else:
-        mat = _integrate_window(path, 0.0, t, rtol, max_panels)
+        mat = _integrate_window(path, 0.0, t)
     return 0.5 * (mat + mat.T)
 
 
-def _integrate_window(path, lower, t, rtol, max_panels):
+def _integrate_window(path, lower, t):
     """Entrywise quadrature of a over [lower, t]; a failure names the path."""
     try:
         return integrate_matrix_to(path.a, path.dim, t, lower=lower,
-                                   breakpoints=path.breakpoints,
-                                   rtol=rtol, max_panels=max_panels)
+                                   breakpoints=path.breakpoints)
     except QuadratureError as exc:
         exc.spec = path.spec
         raise
 
 
-def accumulate_on(path, nodes, rtol=1e-10, max_panels=4000):
+def accumulate_on(path, nodes):
     """Entrywise integrals of a over [0, t] for every t in nodes, symmetrized.
 
     Returns an array (len(nodes), dim, dim) in the order of nodes.  A
     registered cumulative is evaluated per node, exactly as accumulate_path
     does.  Otherwise each window [t_(k-1), t_k] between consecutive sorted
-    nodes is integrated once, to max(atol, rtol * |window integral|), and
-    the windows are summed; only the first window starts from 0 and gets
-    the geometric head panels.
+    nodes is integrated once, to integrate_to's target
+    max(atol, rtol * |window integral|), and the windows are summed; only
+    the first window starts from 0 and gets the geometric head panels.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1:
@@ -480,9 +484,8 @@ def accumulate_on(path, nodes, rtol=1e-10, max_panels=4000):
     if np.any(nodes < 0):
         raise ValueError("accumulation endpoints must be >= 0")
     if path.cumulative is not None:
-        return np.array([accumulate_path(path, t, rtol=rtol,
-                                         max_panels=max_panels)
-                         for t in nodes]).reshape(nodes.shape + (path.dim,) * 2)
+        return np.array([accumulate_path(path, t) for t in nodes]
+                        ).reshape(nodes.shape + (path.dim,) * 2)
     order = np.argsort(nodes, kind="stable")
     out = np.empty(nodes.shape + (path.dim, path.dim))
     total = np.zeros((path.dim, path.dim))
@@ -491,11 +494,9 @@ def accumulate_on(path, nodes, rtol=1e-10, max_panels=4000):
         t = float(nodes[idx])
         if t > prev:
             if prev == 0.0:
-                total = accumulate_path(path, t, rtol=rtol,
-                                        max_panels=max_panels)
+                total = accumulate_path(path, t)
             else:
-                total = total + _integrate_window(path, prev, t, rtol,
-                                                  max_panels)
+                total = total + _integrate_window(path, prev, t)
             prev = t
         out[idx] = total
     return 0.5 * (out + np.swapaxes(out, -1, -2))

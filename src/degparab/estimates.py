@@ -103,7 +103,7 @@ def _make_ratio(lhs, rhs_components):
     return lhs / rhs, ()
 
 
-def check_thm1(u0, f, path, profile, smoothness, p, partition, rtol=1e-10):
+def check_thm1(u0, f, path, profile, smoothness, p, partition):
     """Weighted second-derivative estimate:
 
         || u_xx ||_{bH^n_p(T, delta)}
@@ -113,7 +113,7 @@ def check_thm1(u0, f, path, profile, smoothness, p, partition, rtol=1e-10):
     Solves with the exact propagator and reports lhs, both rhs pieces,
     and the observed constant lhs / rhs.
     """
-    report = solve_duhamel(u0, f, path, partition, rtol=rtol)
+    report = solve_duhamel(u0, f, path, partition)
     horizon = partition.horizon
     lhs_spec = WeightedNormSpec(smoothness, p, 1.0, profile, horizon)
     lhs = weighted_norm(report, lhs_spec,
@@ -144,7 +144,7 @@ class _ForcingSnapshots:
 
 
 def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
-               h_grid=None, rtol=1e-10):
+               h_grid=None):
     """Unweighted second-derivative estimate for the homogeneous solve:
 
         || u_xx ||_{bL_p(T)} <= N || u0 ||_{B^{2(1 - 1/(beta p))}_p},
@@ -155,14 +155,14 @@ def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
     """
     horizon = partition.horizon
     t0 = horizon if t0 is None else t0
-    kappa0 = cumulative_delta(profile, t0, rtol=rtol)
+    kappa0 = cumulative_delta(profile, t0)
     flags = []
     fit = None
     try:
         if h_grid is None:
             top = kappa0 / 4.0
             h_grid = np.logspace(math.log10(top) - 2.5, math.log10(top), 9)
-        fit = fit_beta_exponent(profile, t0, h_grid, rtol=rtol)
+        fit = fit_beta_exponent(profile, t0, h_grid)
     except ValueError as exc:
         flags.append("inadmissible-hypothesis:levelset")
         flags.append(str(exc))
@@ -184,7 +184,7 @@ def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
             steps=partition.steps, lhs=math.nan, rhs_components=(),
             ratio=math.nan, flags=tuple(flags), extra=extra)
 
-    report = solve_homogeneous(u0, path, partition, rtol=rtol)
+    report = solve_homogeneous(u0, path, partition)
     lhs_spec = WeightedNormSpec(0.0, p, 0.0, profile, horizon)
     lhs = weighted_norm(report, lhs_spec,
                         spatial_norm=lambda u: hessian_lp_norm(u, p))
@@ -230,19 +230,18 @@ class KernelDecayFit:
     samples: tuple  # rows (k, t, beta, mass_ratio)
 
 
-def check_kernel_decay(path, profile, gamma, k_range, t_samples, grid,
-                       family=None, c_points=60, cap_scale=10.0, rtol=1e-10):
+def check_kernel_decay(path, profile, gamma, k_range, t_samples, grid):
     """Decay of dyadic blocks of the kernel in L_1.
 
     For each block k and time t the mass m(k, t) = || frac-Laplacian^(gamma/2)
     block_k kernel(t) ||_{L_1} is measured on the grid and normalized by
-    2^(k gamma).  c is searched on a logarithmic grid in [1e-3, 10]; for a
-    given c the admissible N is the max of ratio * exp(c beta 4^k) over all
-    samples, and the fit keeps the largest c whose N stays within cap_scale
-    of the undecayed baseline.  Samples that no searched c can bring under
-    the cap are reported as violations.
+    2^(k gamma).  c is searched on a 60-point logarithmic grid in
+    [1e-3, 10]; for a given c the admissible N is the max of
+    ratio * exp(c beta 4^k) over all samples, and the fit keeps the largest
+    c whose N stays within a factor 10 of the undecayed baseline.  Samples
+    that no searched c can bring under the cap are reported as violations.
     """
-    family = family or LPFamily.for_grid(grid)
+    family = LPFamily.for_grid(grid)
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     k_range = [int(k) for k in k_range]
@@ -254,9 +253,9 @@ def check_kernel_decay(path, profile, gamma, k_range, t_samples, grid,
     frac = _xi_sq(grid) ** (0.5 * gamma) if gamma > 0 else 1.0
     t_samples = np.asarray(t_samples, dtype=float)
     rows = []
-    for t, B in zip(t_samples, accumulate_on(path, t_samples, rtol=rtol)):
+    for t, B in zip(t_samples, accumulate_on(path, t_samples)):
         values = np.exp(-quadratic_form(grid, B))
-        beta_t = cumulative_delta(profile, t, rtol=rtol)
+        beta_t = cumulative_delta(profile, t)
         for k in k_range:
             block = _block_multiplier(family, grid, k)
             samples = np.fft.ifftn(values * block * frac).real / grid.cell_volume
@@ -265,7 +264,7 @@ def check_kernel_decay(path, profile, gamma, k_range, t_samples, grid,
 
     z = np.array([beta * 4.0 ** k for k, _, beta, _ in rows])
     y = np.array([ratio for _, _, _, ratio in rows])
-    cs = np.logspace(-3, 1, c_points)
+    cs = np.logspace(-3, 1, 60)
     # zero masses (deep decay underflows to exact 0) constrain nothing;
     # the search runs in log space so that large c*z cannot overflow
     pos = np.nonzero(y > 0.0)[0]
@@ -273,7 +272,7 @@ def check_kernel_decay(path, profile, gamma, k_range, t_samples, grid,
     if logy.size == 0:
         return KernelDecayFit(c=float(cs[-1]), n_const=0.0, gamma=gamma,
                               violations=(), samples=tuple(rows))
-    cap_log = math.log(cap_scale) + float(np.max(logy + cs[0] * zp))
+    cap_log = math.log(10.0) + float(np.max(logy + cs[0] * zp))
     ok = logy + cs[0] * zp <= cap_log + 1e-12
     violations = tuple(rows[pos[i]] for i in range(logy.size) if not ok[i])
     if np.any(ok):
@@ -289,7 +288,7 @@ def check_kernel_decay(path, profile, gamma, k_range, t_samples, grid,
 
 
 def epsilon_sweep(u0, f, path, profile, eps_list, p, partition,
-                  smoothness=0.0, rtol=1e-10, mapper=map):
+                  smoothness=0.0, mapper=map):
     """check_thm1 across regularizations a + eps I, delta + eps.
 
     eps_list must be positive and decreasing; the point of the sweep is
@@ -305,8 +304,7 @@ def epsilon_sweep(u0, f, path, profile, eps_list, p, partition,
 
     def one(eps):
         rep = check_thm1(u0, f, epsilon_regularize(path, eps),
-                         profile.shifted(eps), smoothness, p, partition,
-                         rtol=rtol)
+                         profile.shifted(eps), smoothness, p, partition)
         rep.extra["eps"] = eps
         return rep
 

@@ -29,21 +29,14 @@ DEFAULT_CHUNK = 16384
 class FDScheme:
     """theta in [1/2, 1]: 1/2 is Crank-Nicolson, 1 is backward Euler.
 
-    coefficient_sampling picks how a(t) enters a step: "step-average"
-    integrates the coefficients exactly over the step (robust for
-    oscillatory paths), "theta-point" evaluates at the theta-weighted
-    time.  Both are unconditionally stable for PSD coefficients.
+    Unconditionally stable for PSD coefficients.
     """
 
     theta: float = 0.5
-    coefficient_sampling: str = "step-average"
 
     def __post_init__(self):
         if not 0.5 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [1/2, 1], got {self.theta}")
-        if self.coefficient_sampling not in ("step-average", "theta-point"):
-            raise ValueError(
-                f"unknown coefficient sampling {self.coefficient_sampling!r}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -102,18 +95,19 @@ def _assemble(grid, mat):
     return op
 
 
-def fd_solve(u0, f, path, partition, scheme=None, rtol=1e-10):
+def fd_solve(u0, f, path, partition, scheme=None):
     """Finite-difference solve on the partition nodes.
 
-    Periodic boundary, theta time stepping; the implicit matrix
-    I - theta dt Op is identity plus a PSD operator, so every step is
-    well posed.  Expected accuracy O(h^2 + dt^2) at theta = 1/2.
+    Periodic boundary, theta time stepping; each step uses the
+    coefficients averaged exactly over the step (robust for oscillatory
+    paths).  The implicit matrix I - theta dt Op is identity plus a PSD
+    operator, so every step is well posed.  Expected accuracy
+    O(h^2 + dt^2) at theta = 1/2.
     """
     scheme = scheme or FDScheme()
     grid = u0.grid
     nodes = partition.nodes
-    if scheme.coefficient_sampling == "step-average":
-        cums = accumulate_on(path, nodes, rtol=rtol)
+    cums = accumulate_on(path, nodes)
     size = grid.n ** grid.dim
     eye = scipy.sparse.identity(size, format="csr")
     u = u0.samples.ravel().copy()
@@ -122,11 +116,7 @@ def fd_solve(u0, f, path, partition, scheme=None, rtol=1e-10):
     for k in range(nodes.size - 1):
         t0, t1 = nodes[k], nodes[k + 1]
         dt = t1 - t0
-        if scheme.coefficient_sampling == "step-average":
-            mat = (cums[k + 1] - cums[k]) / dt
-        else:
-            mat = np.asarray(path.a((1.0 - scheme.theta) * t0
-                                    + scheme.theta * t1), dtype=float)
+        mat = (cums[k + 1] - cums[k]) / dt
         op = _assemble(grid, mat)
         rhs = u + (1.0 - scheme.theta) * dt * (op @ u)
         if f is not None:
@@ -140,8 +130,7 @@ def fd_solve(u0, f, path, partition, scheme=None, rtol=1e-10):
         u = cached_lu.solve(rhs)
         snapshots.append(SpectralField(grid, u.reshape(grid.shape).copy()))
     return SolveReport(grid, partition, snapshots, path, forcing=f,
-                       diagnostics={"method": "fd", "theta": scheme.theta,
-                                    "sampling": scheme.coefficient_sampling})
+                       diagnostics={"method": "fd", "theta": scheme.theta})
 
 
 def _sqrt_cov(cov):
@@ -154,11 +143,11 @@ def _sqrt_cov(cov):
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def sample_increments(path, s, t, samples, rng, rtol=1e-10):
+def sample_increments(path, s, t, samples, rng):
     """Draws of X_t - X_s: exact Gaussians with covariance 2 int_s^t a dr."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    cov = 2.0 * accumulate_coefficients(path, s, t, rtol=rtol)
+    cov = 2.0 * accumulate_coefficients(path, s, t)
     factor = _sqrt_cov(cov)
     z = rng.standard_normal((samples, path.dim))
     return z @ factor.T
@@ -198,7 +187,7 @@ def _periodic_interp(coeffs, grid, positions):
 
 
 def mc_solve(u0, f, path, t, points, samples, seed, partition=None,
-             chunk=DEFAULT_CHUNK, rtol=1e-10):
+             chunk=DEFAULT_CHUNK):
     """Stochastic-representation estimate of u(t, x) at probe points.
 
         u(t, x) = E u0(x + X_t) + int_0^t E f(s, x + X_t - X_s) ds
@@ -228,7 +217,7 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None,
     else:
         nodes = np.array([0.0, t])
 
-    cums = accumulate_on(path, nodes, rtol=rtol)
+    cums = accumulate_on(path, nodes)
     factors = [_sqrt_cov(2.0 * (cb - ca))
                for ca, cb in zip(cums[:-1], cums[1:])]
     u0_coeffs = _spline_coeffs(u0)
@@ -274,16 +263,15 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None,
                       samples=samples, seed=seed)
 
 
-def char_function_check(path, s, t, freqs, samples, seed, rtol=1e-10):
+def char_function_check(path, s, t, freqs, samples, seed):
     """Empirical E exp(i xi . (X_t - X_s)) against the propagator symbol.
 
     Returns rows (xi, empirical_re, empirical_im, exact, stderr_re,
     stderr_im); the identity under test is exp(-xi^T B xi) with B the
     accumulated coefficients.
     """
-    x = sample_increments(path, s, t, samples, np.random.default_rng([seed, 0]),
-                          rtol=rtol)
-    b = accumulate_coefficients(path, s, t, rtol=rtol)
+    x = sample_increments(path, s, t, samples, np.random.default_rng([seed, 0]))
+    b = accumulate_coefficients(path, s, t)
     rows = []
     for xi in np.atleast_2d(np.asarray(freqs, dtype=float)):
         phase = x @ xi

@@ -86,7 +86,8 @@ def integrate_to(f, t, breakpoints=(), rtol=1e-10, atol=1e-14, max_panels=4000,
     value sums the halved estimates, and refinement bisects the worst
     panel until the total error estimate passes max(atol, rtol*|value|).
     Raises QuadratureError once max_panels panels exist and the target is
-    still missed.
+    still missed.  The defaults are the package's one accuracy policy:
+    every cumulative above this module is computed with them.
     """
     panels = geometric_panels(t, breakpoints, lower)
     if not panels:

@@ -88,29 +88,29 @@ def quadratic_form(grid, B):
     return out
 
 
-def accumulate_coefficients(path, s, t, rtol=1e-10):
+def accumulate_coefficients(path, s, t):
     """Accumulated matrix B = int_s^t A(r) dr, symmetrized."""
     if not 0 <= s <= t:
         raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-    B = accumulate_path(path, t, rtol=rtol) - accumulate_path(path, s, rtol=rtol)
+    B = accumulate_path(path, t) - accumulate_path(path, s)
     return 0.5 * (B + B.T)
 
 
-def propagate(field, path, s, t, rtol=1e-10):
+def propagate(field, path, s, t):
     """Evolve a field from time s to time t (homogeneous equation)."""
-    B = accumulate_coefficients(path, s, t, rtol=rtol)
+    B = accumulate_coefficients(path, s, t)
     return SpectralField.from_spectrum(
         field.grid, field.spectrum * np.exp(-quadratic_form(field.grid, B)))
 
 
-def kernel(path, t, grid, rtol=1e-10):
+def kernel(path, t, grid):
     """Fundamental solution at time t, sampled with its peak at x = 0.
 
     Requires the accumulated coefficients to be nondegenerate; over a
     window where they vanish the propagator is a point mass, not a
     function, and DegenerateKernelError is raised.
     """
-    B = accumulate_coefficients(path, 0.0, t, rtol=rtol)
+    B = accumulate_coefficients(path, 0.0, t)
     eigs = np.linalg.eigvalsh(B)
     if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
         raise DegenerateKernelError(
@@ -161,12 +161,12 @@ def _trapezoid(values, nodes):
     return float((np.diff(nodes) * (values[1:] + values[:-1]) / 2.0).sum())
 
 
-def solve_homogeneous(u0, path, partition, rtol=1e-10):
+def solve_homogeneous(u0, path, partition):
     """Exact snapshots of the homogeneous solve at the partition nodes."""
-    return solve_duhamel(u0, None, path, partition, rtol=rtol)
+    return solve_duhamel(u0, None, path, partition)
 
 
-def solve_duhamel(u0, f, path, partition, rtol=1e-10):
+def solve_duhamel(u0, f, path, partition):
     """Snapshots of the solve with forcing f (None for the homogeneous one).
 
     The Duhamel integral is a composite trapezoid over the partition nodes,
@@ -177,8 +177,7 @@ def solve_duhamel(u0, f, path, partition, rtol=1e-10):
     nodes = partition.nodes
     # quadratic forms of the cumulative coefficients; exp of differences
     # gives every window symbol without re-integrating
-    quads = [quadratic_form(grid, B)
-             for B in accumulate_on(path, nodes, rtol=rtol)]
+    quads = [quadratic_form(grid, B) for B in accumulate_on(path, nodes)]
     f_specs = _forcing_spectra(f, grid, nodes)
     spec0 = u0.spectrum
     snapshots = [SpectralField(grid, u0.samples.copy())]
@@ -214,7 +213,7 @@ def epsilon_regularize(path, eps):
     )
 
 
-def time_change_solve(u0, f, path, profile, partition, rtol=1e-10):
+def time_change_solve(u0, f, path, profile, partition):
     """Solve by rescaling time with the cumulative floor beta.
 
     Requires delta >= eps > 0 on (0, T].  The transformed path
@@ -230,12 +229,12 @@ def time_change_solve(u0, f, path, profile, partition, rtol=1e-10):
             f"time change requires delta >= eps > 0 on [0, T]; "
             f"sampled min {dmin}")
 
-    tau_nodes = np.array([cumulative_delta(profile, t, rtol=rtol)
+    tau_nodes = np.array([cumulative_delta(profile, t)
                           for t in partition.nodes])
     tau_partition = TimePartition(tau_nodes)
 
     def phi(tau):
-        return inverse_cumulative(profile, tau, horizon, rtol=rtol)
+        return inverse_cumulative(profile, tau, horizon)
 
     base_a, base_delta = path.a, profile.delta
 
@@ -248,7 +247,7 @@ def time_change_solve(u0, f, path, profile, partition, rtol=1e-10):
                 / np.asarray(base_delta(t), dtype=float)[..., None, None])
 
     def cumulative_tilde(tau):
-        return accumulate_path(path, phi(tau), rtol=rtol)
+        return accumulate_path(path, phi(tau))
 
     changed = CoefficientPath(
         dim=path.dim, a=a_tilde, cumulative=cumulative_tilde,
@@ -261,14 +260,14 @@ def time_change_solve(u0, f, path, profile, partition, rtol=1e-10):
             t = phi(tau)
             return f(t) * (1.0 / float(base_delta(t)))
 
-    inner_report = solve_duhamel(u0, f_tilde, changed, tau_partition, rtol=rtol)
+    inner_report = solve_duhamel(u0, f_tilde, changed, tau_partition)
     return SolveReport(u0.grid, partition, inner_report.snapshots, path,
                        forcing=f,
                        diagnostics={"method": "time-change",
                                     "tau_nodes": tau_nodes})
 
 
-def weak_residual_profile(report, test=None, f=None, rtol=1e-10):
+def weak_residual_profile(report, test=None, f=None):
     """Weak-form defect at every partition node against one test function.
 
     The defect at node k is |(u_k, phi) - (u_0, phi)
@@ -311,10 +310,10 @@ def weak_residual_profile(report, test=None, f=None, rtol=1e-10):
     return res
 
 
-def weak_residual(report, t_k, test=None, f=None, rtol=1e-10):
+def weak_residual(report, t_k, test=None, f=None):
     """Weak-form defect at a single node (t_k must be a partition node)."""
     idx = report.partition.index_of(t_k)
-    return float(weak_residual_profile(report, test=test, f=f, rtol=rtol)[idx])
+    return float(weak_residual_profile(report, test=test, f=f)[idx])
 
 
 def save_report(report, outdir, p=2.0, test=None):

@@ -319,6 +319,22 @@ spec = scalar(oscillatory())
     assert len(rows) == 10  # default h_points = 9
 
 
+def test_main_profile_check_on_expression_without_t(tmp_path):
+    path = write_cfg(tmp_path, """
+[grid]
+n = 256
+
+[profile]
+spec = expr("1")
+
+[coefficients]
+spec = scalar(expr("1"))
+""")
+    out = tmp_path / "out"
+    assert main(["profile-check", "--config", path, "--out", str(out)]) == 0
+    assert "result: pass" in (out / "summary.txt").read_text()
+
+
 def test_main_eps_sweep_and_worker_invariance(tmp_path):
     text = """
 [grid]

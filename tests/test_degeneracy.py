@@ -1,6 +1,7 @@
 """Ellipticity floor profiles: cumulative integral, inverse, level sets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from degparab import (CoefficientPath, accumulate_path, check_domination,
                       constant_matrix_path, constant_profile, cumulative_delta,
                       cumulative_delta_grid, empirical_bound, eval_delta,
-                      expr_matrix_path, fit_beta_exponent, inverse_cumulative,
+                      expr_matrix_path, expr_profile, fit_beta_exponent,
+                      inverse_cumulative,
                       levelset_measure, levelset_measure_scan,
                       min_eigenvalue_profile, oscillatory_profile,
                       parse_coefficients, parse_profile, piecewise_profile,
@@ -25,6 +27,22 @@ def test_eval_delta_power_at_zero():
 
 def test_eval_delta_constant():
     assert eval_delta(constant_profile(1.0), 0.37) == 1.0
+
+
+@pytest.mark.parametrize("t", [1e-310, 5e-324])
+def test_oscillatory_delta_at_subnormal_times(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [oscillatory_profile().delta(t),
+                  *oscillatory_profile().delta(np.array([0.0, t, 1.0]))]
+    assert all(0.0 <= v <= 2.0 for v in values)
+
+
+def test_expr_without_t_is_a_constant_profile():
+    prof = expr_profile("1")
+    assert prof.delta(np.linspace(0.0, 1.0, 5)).shape == (5,)
+    assert prof.delta(0.5) == 1.0
+    assert abs(cumulative_delta(prof, 1.0) - 1.0) <= 1e-10
 
 
 def test_eval_delta_oscillatory_closed_value():
@@ -138,10 +156,29 @@ def test_levelset_empty_above_range():
 def test_levelset_matches_scan():
     prof = oscillatory_profile()
     width = 1.0 / 1_000_000
-    for h in (0.01, 0.05, 0.1):
+    hs = (0.01, 0.05, 0.1)
+    for h, scanned in zip(hs, levelset_measure_scan(prof, hs, 1.0)):
         direct = levelset_measure(prof, h, 1.0)
-        scanned = levelset_measure_scan(prof, h, 1.0)
         assert abs(direct - scanned) <= 2.0 * width
+
+
+@pytest.mark.parametrize("prof", [oscillatory_profile(),
+                                  parse_profile('expr("sqrt(t)")')],
+                         ids=["closed-form", "quadrature"])
+def test_levelset_scan_of_a_grid_equals_one_level_scans(prof):
+    hs = [0.003, 0.01, 0.05, 0.2]
+    batch = levelset_measure_scan(prof, hs, 1.0, npts=20_000)
+    assert batch == [levelset_measure_scan(prof, [h], 1.0, npts=20_000)[0]
+                     for h in hs]
+
+
+def test_fit_reports_the_measures_it_fits():
+    prof = parse_profile('expr("sqrt(t)")')
+    top = cumulative_delta(prof, 1.0) / 4.0
+    h_grid = np.logspace(math.log10(top) - 2.5, math.log10(top), 9)
+    fit = fit_beta_exponent(prof, 1.0, h_grid)
+    assert fit.measures == tuple(levelset_measure(prof, h, 1.0)
+                                 for h in h_grid)
 
 
 def test_fit_beta_power_profiles():

@@ -1,0 +1,29 @@
+"""The package's settable values: accuracy is decided in quadrature only."""
+
+import dataclasses
+import inspect
+
+import degparab
+from degparab import FDScheme, check_kernel_decay
+
+
+def test_no_public_function_above_quadrature_takes_a_tolerance():
+    takers = []
+    for name in degparab.__all__:
+        obj = getattr(degparab, name)
+        if (not inspect.isfunction(obj)
+                or obj.__module__ == "degparab.quadrature"):
+            continue
+        params = inspect.signature(obj).parameters
+        takers += [f"{name}({p})" for p in ("rtol", "max_panels")
+                   if p in params]
+    assert takers == []
+
+
+def test_fd_scheme_has_only_theta():
+    assert [f.name for f in dataclasses.fields(FDScheme)] == ["theta"]
+
+
+def test_kernel_decay_fit_has_no_knobs():
+    assert list(inspect.signature(check_kernel_decay).parameters) == [
+        "path", "profile", "gamma", "k_range", "t_samples", "grid"]

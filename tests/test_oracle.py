@@ -29,13 +29,11 @@ def heat_gaussian(grid, width, t):
 
 def test_scheme_validation():
     FDScheme(theta=0.5)
-    FDScheme(theta=1.0, coefficient_sampling="theta-point")
+    FDScheme(theta=1.0)
     with pytest.raises(ValueError):
         FDScheme(theta=0.25)
     with pytest.raises(ValueError):
         FDScheme(theta=1.2)
-    with pytest.raises(ValueError):
-        FDScheme(coefficient_sampling="midpoint")
 
 
 def test_fd_heat_matches_exact():
