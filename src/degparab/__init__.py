@@ -30,8 +30,8 @@ from .quadrature import QuadratureError, integrate_matrix_to, integrate_to
 from .solver import (DegenerateKernelError, SolveReport, TimePartition,
                      accumulate_coefficients, epsilon_regularize, kernel,
                      load_report, propagate, quadratic_form, save_report,
-                     solve_duhamel, solve_homogeneous, time_change_solve,
-                     weak_residual, weak_residual_profile)
+                     solve_duhamel, solve_final, solve_homogeneous,
+                     time_change_solve, weak_residual_profile)
 from .spectral import (GridSpec, LPFamily, SpectralField, besov_norm,
                        bessel_norm, field_to_csv, forward, frac_laplacian,
                        gaussian_bump, hessian_lp_norm, inner_product, inverse,

@@ -35,7 +35,7 @@ from .oracle import (FDScheme, _periodic_interp, _spline_coeffs,
                      char_function_check, compare_fields, convergence_orders,
                      fd_solve, mc_solve)
 from .quadrature import QuadratureError
-from .solver import TimePartition, save_report, solve_duhamel
+from .solver import TimePartition, save_report, solve_duhamel, solve_final
 from .spec import Call, compile_expr, read_call
 from .spectral import (GridSpec, LPFamily, SpectralField, _xi_sq, besov_norm,
                        gaussian_bump, lp_norm, mode_field)
@@ -580,10 +580,9 @@ def run_oracle_compare(cfg, outdir, workers, tol_scale):
         part = TimePartition.uniform(cfg.steps * scale, cfg.horizon)
         u0s = build_initial(cfg.initial_spec, g, cfg.p, cfg.seed)
         fs = build_forcing(cfg.forcing_spec, g, cfg.p, cfg.seed)
-        spectral = solve_duhamel(u0s, fs, path, part)
+        spectral = solve_final(u0s, fs, path, part)
         difference = fd_solve(u0s, fs, path, part, FDScheme())
-        return compare_fields(spectral.snapshots[-1],
-                              difference.snapshots[-1], 2.0)
+        return compare_fields(spectral, difference.snapshots[-1], 2.0)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -597,8 +596,7 @@ def run_oracle_compare(cfg, outdir, workers, tol_scale):
     if order < 1.9:
         failures.append(f"fd order {order!r} below 1.9")
 
-    spectral = solve_duhamel(u0, f, path, partition)
-    final = spectral.snapshots[-1]
+    final = solve_final(u0, f, path, partition)
     probes = np.linspace(-cfg.period / 4.0, cfg.period / 4.0, cfg.mc_probes)
     pts = np.stack([probes] + [np.zeros_like(probes)] * (cfg.dim - 1), axis=1)
     est = mc_solve(u0, f, path, cfg.horizon, pts, cfg.mc_samples, cfg.seed,

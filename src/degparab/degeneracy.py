@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import sici
 
 from .quadrature import QuadratureError, integrate_to, integrate_matrix_to
 from .spec import Call, compile_expr, number, read_call
@@ -109,10 +108,15 @@ def oscillatory_profile():
         return float(out) if out.ndim == 0 else out
 
     def cumulative(t):
+        from scipy.special import sici
         t = np.asarray(t, dtype=float)
-        safe = np.where(t > 0, t, 1.0)
+        # below the smallest normal float 1/t overflows; there
+        # beta(t) = t + t^2 cos(1/t) + O(t^3) rounds to t
+        normal = t >= np.finfo(float).tiny
+        safe = np.where(normal, t, 1.0)
         ci = sici(1.0 / safe)[1]
-        out = np.where(t > 0, t + safe * np.sin(1.0 / safe) - ci, 0.0)
+        out = np.where(normal, t + safe * np.sin(1.0 / safe) - ci,
+                       np.where(t > 0, t, 0.0))
         return float(out) if out.ndim == 0 else out
 
     return DegeneracyProfile(

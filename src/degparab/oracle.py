@@ -13,9 +13,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .degeneracy import accumulate_on
 from .solver import (SolveReport, TimePartition, _trapezoid_weights,
@@ -42,6 +39,7 @@ class FDScheme:
 @functools.lru_cache(maxsize=16)
 def _shift_matrix(grid, offset):
     """Sparse periodic shift: (S u)[x] = u[x + offset * spacing]."""
+    import scipy.sparse
     size = grid.n ** grid.dim
     idx = np.arange(size).reshape(grid.shape)
     cols = np.roll(idx, shift=tuple(-o for o in offset),
@@ -57,6 +55,7 @@ def _stencil_parts(grid):
     axis i: (S_+i + S_-i - 2 I) / h^2;  pair (i, j):
     (S_++ + S_-- - S_+- - S_-+) / (4 h^2), the symmetric four-point cross.
     """
+    import scipy.sparse
     h = grid.spacing
     dim = grid.dim
     eye = scipy.sparse.identity(grid.n ** dim, format="csr")
@@ -104,6 +103,8 @@ def fd_solve(u0, f, path, partition, scheme=None):
     operator, so every step is well posed.  Expected accuracy
     O(h^2 + dt^2) at theta = 1/2.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
     scheme = scheme or FDScheme()
     grid = u0.grid
     nodes = partition.nodes
@@ -175,12 +176,14 @@ class MCEstimate:
 
 
 def _spline_coeffs(field):
+    import scipy.ndimage
     return scipy.ndimage.spline_filter(field.samples, order=3,
                                        mode="grid-wrap")
 
 
 def _periodic_interp(coeffs, grid, positions):
     """Cubic periodic interpolation at absolute positions (m, dim)."""
+    import scipy.ndimage
     frac = (positions + 0.5 * grid.length) / grid.spacing
     return scipy.ndimage.map_coordinates(coeffs, frac.T, order=3,
                                          mode="grid-wrap", prefilter=False)

@@ -38,6 +38,29 @@ def test_oscillatory_delta_at_subnormal_times(t):
     assert all(0.0 <= v <= 2.0 for v in values)
 
 
+@pytest.mark.parametrize("t", [1e-310, 5e-324])
+def test_oscillatory_cumulative_at_subnormal_times(t):
+    cumulative = oscillatory_profile().closed_form_cumulative
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [cumulative(t), *cumulative(np.array([t, t]))]
+    # the bracket t/4 <= beta(t) <= 2t
+    assert all(t / 4.0 <= v <= 2.0 * t for v in values)
+
+
+def test_oscillatory_cumulative_unchanged_at_normal_times():
+    from scipy.special import sici
+
+    ts = np.array([np.finfo(float).tiny, 1e-300, 1e-150, 1e-8, 0.1, 0.5,
+                   1.0, 7.0])
+    # the closed form t + t sin(1/t) - Ci(1/t), evaluated as before the
+    # subnormal guard
+    old = ts + ts * np.sin(1.0 / ts) - sici(1.0 / ts)[1]
+    cumulative = oscillatory_profile().closed_form_cumulative
+    assert np.array_equal(cumulative(ts), old)
+    assert [cumulative(t) for t in ts] == list(old)
+
+
 def test_expr_without_t_is_a_constant_profile():
     prof = expr_profile("1")
     assert prof.delta(np.linspace(0.0, 1.0, 5)).shape == (5,)

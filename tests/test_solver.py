@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degparab import (DegenerateKernelError, GridSpec, SpectralField,
                       TimePartition, accumulate_coefficients, compare_fields,
                       constant_matrix_path, constant_profile, cumulative_delta,
                       epsilon_regularize, eval_delta, gaussian_bump, kernel,
                       inner_product, load_report, lp_norm, mode_field,
-                      oscillatory_profile, parse_profile, power_profile,
-                      propagate, quadratic_form, save_report, scalar_path,
-                      solve_duhamel, solve_homogeneous, time_change_solve,
-                      weak_residual, weak_residual_profile, x_grids)
+                      oscillatory_profile, parse_coefficients, parse_profile,
+                      power_profile, propagate, quadratic_form, save_report,
+                      scalar_path, solve_duhamel, solve_final,
+                      solve_homogeneous, time_change_solve,
+                      weak_residual_profile, x_grids)
 from degparab.solver import _trapezoid
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
@@ -301,11 +304,11 @@ def test_weak_residual_detects_corruption():
     part = TimePartition.uniform(64, 1.0)
     report = solve_homogeneous(u0, HEAT, part)
     test_fn = gaussian_bump(GRID, width=2.0)
-    clean = weak_residual(report, part.nodes[-1], test=test_fn)
+    clean = weak_residual_profile(report, test=test_fn)[-1]
     corrupted = report.snapshots[-1] * 1.01
     pairing = abs(inner_product(corrupted, test_fn))
     report.snapshots[-1] = corrupted
-    dirty = weak_residual(report, part.nodes[-1], test=test_fn)
+    dirty = weak_residual_profile(report, test=test_fn)[-1]
     jump = abs(dirty - clean)
     # linear functional: scaling u by 1.01 moves it by ~ 0.01 (u, phi)
     assert abs(jump - 0.01 * pairing / 1.01) < 0.2 * jump
@@ -366,3 +369,40 @@ def test_trapezoid_sums_like_numpy():
     nodes = np.sort(rng.random(50)) ** 3
     values = rng.standard_normal(50) * 1e3
     assert _trapezoid(values, nodes) == float(np.trapezoid(values, nodes))
+
+
+GRIDS = {1: GridSpec(dim=1, n=64, length=16.0),
+         2: GridSpec(dim=2, n=16, length=8.0),
+         3: GridSpec(dim=3, n=8, length=8.0)}
+
+
+def expr_matrix_text(dim):
+    rows = [[("1 + t" if i == j else "0.1*t") for j in range(dim)]
+            for i in range(dim)]
+    return "matrix([" + ", ".join(
+        "[" + ", ".join(f'"{e}"' for e in row) + "]" for row in rows) + "])"
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]),
+       kind=st.sampled_from(["uniform", "geometric"]),
+       steps=st.integers(2, 12),
+       horizon=st.floats(0.1, 2.0),
+       coefficients=st.sampled_from(["closed-form", "quadrature"]),
+       forced=st.booleans(),
+       width=st.floats(0.5, 2.0))
+def test_solve_final_is_the_last_duhamel_snapshot(dim, kind, steps, horizon,
+                                                  coefficients, forced,
+                                                  width):
+    grid = GRIDS[dim]
+    part = getattr(TimePartition, kind)(steps, horizon)
+    spec = ("scalar(power(1))" if coefficients == "closed-form"
+            else expr_matrix_text(dim))
+    path = parse_coefficients(spec, dim)
+    u0 = gaussian_bump(grid, width=width)
+    shape = gaussian_bump(grid, width=1.5)
+    f = (lambda t: shape * (1.0 + t)) if forced else None
+    final = solve_final(u0, f, path, part)
+    last = solve_duhamel(u0, f, path, part).snapshots[-1]
+    assert np.array_equal(final.samples, last.samples)
+    assert np.array_equal(final.spectrum, last.spectrum)
