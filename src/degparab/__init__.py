@@ -26,7 +26,8 @@ from .estimates import (CSV_HEADER, EstimateReport, KernelDecayFit,
                         weighted_norm)
 from .oracle import (FDScheme, MCEstimate, char_function_check, compare_fields,
                      convergence_orders, fd_solve, mc_solve, sample_increments)
-from .quadrature import QuadratureError, integrate_matrix_to, integrate_to
+from .quadrature import (QuadratureError, integrate_matrix_to, integrate_to,
+                         integrate_windows)
 from .solver import (DegenerateKernelError, SolveReport, TimePartition,
                      accumulate_coefficients, epsilon_regularize, kernel,
                      load_report, propagate, quadratic_form, save_report,

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import QuadratureError, integrate_to, integrate_matrix_to
+from .quadrature import (ATOL, RTOL, QuadratureError, integrate_matrix_to,
+                         integrate_to, integrate_windows)
 from .spec import Call, compile_expr, number, read_call
 
 
@@ -224,8 +225,12 @@ def cumulative_delta_grid(profile, ts, npts=None):
 
     Uses the closed form when present; otherwise a dense midpoint scan with
     npts panels over [0, max(ts)] (default 16 per requested time, at least
-    4096).  Intended for plotting and scan-style diagnostics, not for the
-    tight tolerances of the solver path.
+    4096), linearly interpolated at ts.  The scan runs in fixed-size chunks,
+    each continuing the running total, so its memory stays bounded by the
+    chunk (plus arrays the size of ts) and its values equal one np.cumsum
+    over np.linspace(0, max(ts), npts + 1), bit for bit.  Intended for
+    plotting and scan-style diagnostics, not for the tight tolerances of the
+    solver path.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
@@ -237,59 +242,186 @@ def cumulative_delta_grid(profile, ts, npts=None):
         return np.zeros_like(ts)
     if npts is None:
         npts = max(4096, 16 * ts.size)
-    edges = np.linspace(0.0, hi, npts + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    dt = edges[1] - edges[0]
-    beta_edges = np.concatenate([[0.0], np.cumsum(profile.delta(mids) * dt)])
-    return np.interp(ts, edges, beta_edges)
+    # np.interp over the whole scan, chunk by chunk, at the sorted times
+    flat = ts.ravel()
+    order = (None if np.all(flat[1:] >= flat[:-1])
+             else np.argsort(flat, kind="stable"))
+    q = flat if order is None else flat[order]
+    vals = np.empty(q.size)
+    pos = 0
+    for edges, beta in _scan_chunks(profile, hi, npts):
+        end = pos + int(np.searchsorted(q[pos:], edges[-1], side="right"))
+        vals[pos:end] = np.interp(q[pos:end], edges, beta)
+        pos = end
+    if order is not None:
+        vals[order] = vals.copy()
+    return vals.reshape(ts.shape)[()]
 
 
-def inverse_cumulative(profile, h, t_max):
+# panels per chunk of a midpoint scan: a few MB of temporaries at a time
+_SCAN_CHUNK = 1 << 16
+
+
+def _grid_edges(hi, n, i0, i1):
+    """Edges i0..i1 of np.linspace(0, hi, n + 1), bit for bit."""
+    i = np.arange(i0, i1 + 1, dtype=float)
+    step = hi / n
+    edges = i / n * hi if step == 0 else i * step
+    if i1 == n:
+        edges[-1] = hi
+    return edges
+
+
+def _scan_chunks(profile, hi, npts):
+    """(edges, beta at the edges) of the midpoint scan of delta with npts
+    panels over np.linspace(0, hi, npts + 1), chunk by chunk; each chunk
+    repeats the last edge of the one before.  Each chunk's cumsum continues
+    the running total, and np.cumsum adds sequentially, so the chunks hold
+    one np.cumsum over the whole grid, bit for bit."""
+    total = 0.0
+    for i0 in range(0, npts, _SCAN_CHUNK):
+        edges = _grid_edges(hi, npts, i0, min(i0 + _SCAN_CHUNK, npts))
+        if i0 == 0:
+            dt = edges[1] - edges[0]
+        steps = profile.delta(0.5 * (edges[:-1] + edges[1:])) * dt
+        if i0:
+            steps[0] += total
+        beta = np.empty(edges.size)
+        beta[0] = total
+        np.cumsum(steps, out=beta[1:])
+        total = beta[-1]
+        yield edges, beta
+
+
+# bisection steps of the generalized inverse; its table has one more node
+_BISECTION_STEPS = 60
+
+
+def inverse_cumulative(profile, h, t_max, clamp=False):
     """Generalized inverse phi(h) = inf{t : beta(t) >= h}, by bisection.
 
-    Handles plateaus of beta (stretches where delta = 0).  h <= 0 maps
-    to 0; h above beta(t_max) is a range error.
+    h is a level or an array of levels (float or array out, as delta).
+    Every level runs the same 60 bisection steps on [0, t_max], and one
+    table serves them all: beta on the dyadic nodes t_max * 2^-m,
+    m = 0..60, from one accumulate_on pass.  Those nodes are the midpoints
+    bisection visits while its lower end is 0, so each level starts from
+    its dyadic bracket; each later step takes beta(mid) = beta(lo) plus the
+    window [lo, mid], evaluated for all levels in one batched integrand call
+    (integrate_windows, or integrate_to(..., lower=lo) for a window that
+    misses its target or holds a breakpoint), or from the closed form when
+    one is registered.  After a step moves hi, the next window is the left
+    half of the last one, whose one-panel sum that call already made; a
+    level whose bracket holds no float between its ends stops, as no later
+    step could move its hi.  Handles plateaus of beta (stretches where
+    delta = 0).  h <= 0 maps to 0.  A level above the table's top
+    beta(t_max) gives t_max; unless clamp, it is a range error once it
+    exceeds the top by more than the table's quadrature tolerance (zero for
+    a closed form).
     """
-    if h <= 0:
-        return 0.0
-    beta = lambda t: cumulative_delta(profile, t)
-    top = beta(t_max)
-    if h > top:
-        raise ValueError(
-            f"h={h} exceeds cumulative at t_max={t_max} (beta={top})")
-    lo, hi = 0.0, float(t_max)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if beta(mid) >= h:
-            hi = mid
-        else:
-            lo = mid
+    levels = np.asarray(h, dtype=float)
+    flat = levels.ravel()
+    out = np.zeros(flat.shape)
+    todo = ~(flat <= 0)
+    if np.any(todo):
+        nodes = float(t_max) * 2.0 ** -np.arange(_BISECTION_STEPS + 1)
+        try:
+            betas = accumulate_on(scalar_path(profile, 1), nodes)[:, 0, 0]
+        except QuadratureError as exc:
+            exc.spec = profile.spec
+            raise
+        top = float(betas[0])
+        # the table's windows are each within max(ATOL, RTOL * window), and
+        # a caller's beta(t_max) from 0 within max(ATOL, RTOL * beta)
+        slack = (0.0 if profile.closed_form_cumulative is not None
+                 else 2.0 * RTOL * top + (nodes.size + 1) * ATOL)
+        over = flat > top + slack
+        if not clamp and np.any(over):
+            raise ValueError(
+                f"h={float(flat[over][0])} exceeds cumulative at "
+                f"t_max={t_max} (beta={top})")
+        above = flat > top
+        out[above] = t_max
+        todo &= ~above
+        out[todo] = _bisect(profile, flat[todo], nodes, betas)
+    return float(out[0]) if levels.ndim == 0 else out.reshape(levels.shape)
+
+
+def _bisect(profile, levels, nodes, betas):
+    """The bisection of inverse_cumulative for every level at once."""
+    steps = nodes.size - 1
+    # step s moves hi to nodes[s] while beta(nodes[s]) >= level; k is the
+    # first step that moves lo instead (steps + 1 if none does)
+    moved = ~(betas[None, 1:] >= levels[:, None])
+    k = np.where(moved.any(axis=1), moved.argmax(axis=1) + 1, steps + 1)
+    hi = nodes[k - 1]
+    lo = nodes[np.minimum(k, steps)]
+    beta_lo = betas[np.minimum(k, steps)]
+    # each level's one-panel sum over its next window, where a step has it
+    whole = np.full(levels.size, np.nan)
+    for s in range(int(k.min(initial=steps)) + 1, steps + 1):
+        act = np.flatnonzero(k < s)
+        mid = 0.5 * (lo[act] + hi[act])
+        # a bracket of two adjacent floats keeps its hi in every later step
+        split = (lo[act] < mid) & (mid < hi[act])
+        act, mid = act[split], mid[split]
+        beta_mid, left = _beta_after(profile, lo[act], mid, beta_lo[act],
+                                     whole[act])
+        up = beta_mid >= levels[act]
+        hi[act] = np.where(up, mid, hi[act])
+        lo[act] = np.where(up, lo[act], mid)
+        beta_lo[act] = np.where(up, beta_lo[act], beta_mid)
+        # once hi moves to mid, the next window is this one's left half
+        whole[act] = np.where(up, left, np.nan)
     return hi
+
+
+def _beta_after(profile, lo, t, beta_lo, whole):
+    """beta at each t, from beta at each lo plus the window [lo, t]; the
+    closed form when registered.  Also returns the one-panel sums over the
+    left halves of the windows (NaN for a closed form)."""
+    if profile.closed_form_cumulative is not None:
+        return (np.asarray(profile.closed_form_cumulative(t), dtype=float),
+                np.full(t.size, np.nan))
+    windows, ok, left = integrate_windows(profile.delta, lo, t, whole)
+    cuts = np.asarray(profile.breakpoints, dtype=float)
+    ok &= ~np.any((lo[:, None] < cuts) & (cuts < t[:, None]), axis=1)
+    try:
+        for i in np.flatnonzero(~ok):
+            windows[i] = integrate_to(profile.delta, t[i], lower=lo[i],
+                                      breakpoints=profile.breakpoints)
+    except QuadratureError as exc:
+        exc.spec = profile.spec
+        raise
+    return beta_lo + windows, left
 
 
 def levelset_measure(profile, h, t0):
     """Lebesgue measure of {t in [0, t0] : h <= beta(t) < 4h}.
 
-    beta is nondecreasing, so the set is an interval and the measure is
-    min(phi(4h), t0) - min(phi(h), t0).
+    h is a level or an array of levels (float or array out).  beta is
+    nondecreasing, so the set is an interval and the measure is
+    min(phi(4h), t0) - min(phi(h), t0); all levels share one inversion, and
+    a level above beta(t0), the top of its table, gives t0.
     """
-    if h <= 0:
-        raise ValueError(f"level h must be positive, got {h}")
-    beta_t0 = cumulative_delta(profile, t0)
-
-    def clamped_inverse(level):
-        if beta_t0 < level:
-            return float(t0)
-        return inverse_cumulative(profile, level, t0)
-
-    return clamped_inverse(4.0 * h) - clamped_inverse(h)
+    hs = np.asarray(h, dtype=float)
+    flat = hs.ravel()
+    if np.any(~(flat > 0)):
+        raise ValueError(
+            f"level h must be positive, got {float(flat[~(flat > 0)][0])}")
+    phis = inverse_cumulative(profile, np.concatenate([flat, 4.0 * flat]),
+                              t0, clamp=True)
+    measures = phis[flat.size:] - phis[:flat.size]
+    return float(measures[0]) if hs.ndim == 0 else measures.reshape(hs.shape)
 
 
 def levelset_measure_scan(profile, hs, t0, npts=1_000_000):
     """Direct Riemann scan of the same level set for every level h in hs,
     accurate to ~2*t0/npts; one beta scan serves all levels.
 
-    Reference implementation used to cross-check levelset_measure.
+    beta comes from cumulative_delta_grid's chunked midpoint scan
+    (4*npts panels) at the npts panel midpoints of [0, t0], so memory holds
+    a few arrays of npts values, not of 4*npts.  Reference implementation
+    used to cross-check levelset_measure.
     """
     for h in hs:
         if h <= 0:
@@ -321,7 +453,7 @@ def fit_beta_exponent(profile, t0, h_grid):
         raise ValueError(f"need at least 4 levels, got {h_grid.size}")
     if np.max(h_grid) / np.min(h_grid) < 100.0:
         raise ValueError("h_grid must span at least two decades")
-    measures = np.array([levelset_measure(profile, h, t0) for h in h_grid])
+    measures = levelset_measure(profile, h_grid, t0)
     if np.all(measures <= 0):
         raise ValueError("degenerate fit: all level-set measures vanish")
     if np.any(measures <= 0):
@@ -510,17 +642,17 @@ def check_domination(path, profile, sample_times):
     """Smallest constant with max_ij |a_ij(t)| <= const * delta(t) on samples.
 
     By convention 0/0 counts as 0; a nonzero coefficient over a vanished
-    floor makes the constant infinite.
+    floor makes the constant infinite.  One vectorized call each to path.a
+    and profile.delta covers all samples.
     """
-    worst = 0.0
-    for t in np.asarray(sample_times, dtype=float):
-        amax = float(np.abs(path.a(t)).max())
-        d = float(profile.delta(t))
-        if d > 0.0:
-            worst = max(worst, amax / d)
-        elif amax > 0.0:
-            return math.inf
-    return worst
+    ts = np.asarray(sample_times, dtype=float).ravel()
+    amax = np.abs(np.asarray(path.a(ts), dtype=float)).max(axis=(-2, -1))
+    d = np.asarray(profile.delta(ts), dtype=float)
+    floor = d > 0.0
+    if np.any(~floor & (amax > 0.0)):
+        return math.inf
+    # fmax skips NaN ratios, as a running max(worst, ratio) does
+    return float(np.fmax.reduce(amax[floor] / d[floor], initial=0.0))
 
 
 def min_eigenvalue_profile(path):

@@ -20,6 +20,10 @@ import numpy as np
 GAUSS_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
+# The package's one accuracy policy: every cumulative above this module is
+# computed to max(ATOL, RTOL * |value|) within MAX_PANELS panels.
+RTOL, ATOL, MAX_PANELS = 1e-10, 1e-14, 4000
+
 # Innermost geometric panel is cut below this width; the head panel is still
 # integrated (Gauss nodes are interior, so the integrand is never evaluated
 # at the singular endpoint 0).
@@ -78,8 +82,8 @@ def _panel_sums(f, lo, hi):
     return half * (vals @ _GL_WEIGHTS)
 
 
-def integrate_to(f, t, breakpoints=(), rtol=1e-10, atol=1e-14, max_panels=4000,
-                 lower=0.0):
+def integrate_to(f, t, breakpoints=(), rtol=RTOL, atol=ATOL,
+                 max_panels=MAX_PANELS, lower=0.0):
     """Integral of a vectorized scalar integrand over [lower, t].
 
     Each panel carries a halved-panel refinement estimate; the reported
@@ -141,8 +145,45 @@ def integrate_to(f, t, breakpoints=(), rtol=1e-10, atol=1e-14, max_panels=4000,
     return total
 
 
-def integrate_matrix_to(a, dim, t, breakpoints=(), rtol=1e-10, atol=1e-14,
-                        max_panels=4000, lower=0.0):
+def integrate_windows(f, lower, upper, whole=None):
+    """Integrals of a vectorized scalar integrand over many windows at once.
+
+    Window i is [lower[i], upper[i]], with 0 < lower[i] <= upper[i].  Every
+    window gets the estimate integrate_to starts from on the single panel
+    [lower, upper], all in one integrand call: the two half-panel
+    Gauss-Legendre sums, checked against the whole-panel sum.  whole, when
+    given, holds whole-panel sums a caller already has (NaN where it has
+    none); those panels are not evaluated again.  Returns (values,
+    converged, left): converged[i] says window i met integrate_to's target
+    max(ATOL, RTOL*|value|) without refinement, and left[i] is the sum on
+    the left half, the whole-panel sum of the window [lower[i], mid].
+    Breakpoints are not split here: a caller hands integrate_to(...,
+    lower=) the windows that hold one, and those that did not converge.
+    Each value depends on its own window only, not on which others share
+    the batch.
+    """
+    lo = np.asarray(lower, dtype=float)
+    hi = np.asarray(upper, dtype=float)
+    n = lo.size
+    whole = np.full(n, np.nan) if whole is None else np.array(whole, float)
+    todo = np.isnan(whole)
+    mid = 0.5 * (lo + hi)
+    a = np.concatenate([lo, mid, lo[todo]])
+    b = np.concatenate([mid, hi, hi[todo]])
+    half = 0.5 * (b - a)
+    nodes = 0.5 * (b + a)[:, None] + half[:, None] * _GL_NODES[None, :]
+    vals = f(nodes.ravel()).reshape(nodes.shape)
+    # a row-wise sum, so that no window's rounding depends on the batch
+    sums = half * np.sum(vals * _GL_WEIGHTS, axis=1)
+    left, right = sums[:n], sums[n:2 * n]
+    whole[todo] = sums[2 * n:]
+    fine = left + right
+    converged = np.abs(whole - fine) <= np.maximum(ATOL, RTOL * np.abs(fine))
+    return fine, converged, left
+
+
+def integrate_matrix_to(a, dim, t, breakpoints=(), rtol=RTOL, atol=ATOL,
+                        max_panels=MAX_PANELS, lower=0.0):
     """Entrywise integral over [lower, t] of a matrix path a(t) -> (dim, dim).
 
     The path is vectorized: a(ts) for ts of shape (m,) is (m, dim, dim), so

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .degeneracy import (CoefficientPath, accumulate_on, accumulate_path,
-                         cumulative_delta, inverse_cumulative)
+                         inverse_cumulative, scalar_path)
 from .spectral import (SpectralField, _freq_grids, bessel_norm, gaussian_bump,
                        inner_product, load_field, lp_norm, save_field,
                        second_derivatives)
@@ -242,7 +242,9 @@ def time_change_solve(u0, f, path, profile, partition):
     Requires delta >= eps > 0 on (0, T].  The transformed path
     a(phi(tau)) * phi'(tau) has ellipticity floor >= 1; its cumulative is
     the original cumulative evaluated at phi(tau), with phi found by
-    bisection.  Snapshots are returned at the ORIGINAL partition nodes.
+    bisection (one inverse_cumulative call for an array of tau).  The tau
+    nodes come from one accumulate_on pass.  Snapshots are returned at the
+    ORIGINAL partition nodes.
     """
     horizon = partition.horizon
     probe = np.linspace(0.0, horizon, 2049)
@@ -252,8 +254,8 @@ def time_change_solve(u0, f, path, profile, partition):
             f"time change requires delta >= eps > 0 on [0, T]; "
             f"sampled min {dmin}")
 
-    tau_nodes = np.array([cumulative_delta(profile, t)
-                          for t in partition.nodes])
+    tau_nodes = accumulate_on(scalar_path(profile, 1),
+                              partition.nodes)[:, 0, 0]
     tau_partition = TimePartition(tau_nodes)
 
     def phi(tau):
@@ -262,10 +264,7 @@ def time_change_solve(u0, f, path, profile, partition):
     base_a, base_delta = path.a, profile.delta
 
     def a_tilde(tau):
-        if np.ndim(tau) == 0:
-            t = phi(float(tau))
-        else:
-            t = np.array([phi(s) for s in tau])
+        t = phi(tau)
         return (np.asarray(base_a(t), dtype=float)
                 / np.asarray(base_delta(t), dtype=float)[..., None, None])
 

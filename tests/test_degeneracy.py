@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from degparab import (CoefficientPath, accumulate_path, check_domination,
+                      epsilon_regularize,
                       constant_matrix_path, constant_profile, cumulative_delta,
                       cumulative_delta_grid, empirical_bound, eval_delta,
                       expr_matrix_path, expr_profile, fit_beta_exponent,
@@ -254,6 +255,59 @@ def test_domination_flags_infinity_over_vanishing_floor():
     path = constant_matrix_path(np.eye(1))
     prof = constant_profile(0.0)
     assert math.isinf(check_domination(path, prof, [0.5]))
+
+
+def domination_loop(path, profile, sample_times):
+    """check_domination one sample at a time: the loop it replaced."""
+    worst = 0.0
+    for t in np.asarray(sample_times, dtype=float):
+        amax = float(np.abs(path.a(t)).max())
+        d = float(profile.delta(t))
+        if d > 0.0:
+            worst = max(worst, amax / d)
+        elif amax > 0.0:
+            return math.inf
+    return worst
+
+
+DOMINATION_PATHS = {
+    "scalar": scalar_path(oscillatory_profile(), 2),
+    "scalar power": scalar_path(power_profile(1.0), 1),
+    "constant matrix": constant_matrix_path([[2.0, 0.5], [0.5, 1.0]]),
+    "expr matrix": expr_matrix_path([["1 + t", "0.3*t"], ["0.3*t", "t*t"]]),
+    "parsed": parse_coefficients('matrix([["t", "0.5*t"], ["0.5*t", "t"]])',
+                                 2),
+    "zero": constant_matrix_path([[0.0]]),
+    "regularized": epsilon_regularize(scalar_path(power_profile(1.0), 1), 0.1),
+}
+DOMINATION_PROFILES = {
+    "power": power_profile(1.0),
+    "constant": constant_profile(0.5),
+    "vanishing": constant_profile(0.0),
+    "plateau": piecewise_profile([(0.0, "0"), (0.5, "1")]),
+    "oscillatory": oscillatory_profile(),
+    "min eigenvalue": min_eigenvalue_profile(
+        expr_matrix_path([["1 + t", "0.3*t"], ["0.3*t", "t*t"]])),
+}
+
+
+@pytest.mark.parametrize("path_name", sorted(DOMINATION_PATHS))
+@pytest.mark.parametrize("prof_name", sorted(DOMINATION_PROFILES))
+def test_domination_equals_the_sample_loop(path_name, prof_name):
+    path = DOMINATION_PATHS[path_name]
+    prof = DOMINATION_PROFILES[prof_name]
+    for times in (np.linspace(0.0, 1.0, 1025), np.linspace(0.6, 1.0, 7),
+                  [0.25], []):
+        assert (check_domination(path, prof, times)
+                == domination_loop(path, prof, times))
+
+
+def test_domination_of_the_min_eigenvalue_floor_equals_the_loop():
+    path = expr_matrix_path([["1 + t", "0.3*t"], ["0.3*t", "t*t"]])
+    prof = min_eigenvalue_profile(path)
+    times = np.linspace(0.0, 1.0, 513)
+    assert (check_domination(path, prof, times)
+            == domination_loop(path, prof, times))
 
 
 def test_min_eigenvalue_identity():

@@ -5,6 +5,7 @@ import inspect
 
 import degparab
 from degparab import FDScheme, check_kernel_decay
+from degparab.quadrature import integrate_windows
 
 
 def test_no_public_function_above_quadrature_takes_a_tolerance():
@@ -18,6 +19,13 @@ def test_no_public_function_above_quadrature_takes_a_tolerance():
         takers += [f"{name}({p})" for p in ("rtol", "max_panels")
                    if p in params]
     assert takers == []
+
+
+def test_window_helper_takes_no_tolerance():
+    # integrate_windows applies integrate_to's default target; a tolerance
+    # parameter would open a second accuracy policy
+    params = inspect.signature(integrate_windows).parameters
+    assert [p for p in ("rtol", "atol", "max_panels") if p in params] == []
 
 
 def test_fd_scheme_has_only_theta():

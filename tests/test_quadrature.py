@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from degparab.quadrature import (QuadratureError, geometric_panels,
-                                 integrate_matrix_to, integrate_to)
+from degparab.quadrature import (GAUSS_ORDER, QuadratureError,
+                                 geometric_panels, integrate_matrix_to,
+                                 integrate_to, integrate_windows)
 
 
 def test_polynomial_exact():
@@ -69,3 +70,52 @@ def test_matrix_integration_symmetric():
     expected = np.array([[1.5, 0.5], [0.5, 2.0]])
     assert np.allclose(B, expected, atol=1e-12)
     assert np.array_equal(B, B.T)
+
+
+def test_windows_converged_agree_with_integrate_to():
+    lo = np.array([0.1, 0.5, 0.5, 2.0])
+    hi = np.array([0.2, 0.5, 1.5, 2.25])
+    values, ok, _ = integrate_windows(np.sqrt, lo, hi)
+    assert ok.tolist() == [True, True, True, True]
+    assert values[1] == 0.0
+    for a, b, v in zip(lo, hi, values):
+        assert abs(v - integrate_to(np.sqrt, b, lower=a)) <= 1e-15 * (b - a)
+
+
+def test_windows_flag_the_ones_that_miss_their_target():
+    f = lambda t: np.sin(300.0 / (t + 1e-3))
+    values, ok, _ = integrate_windows(f, np.array([1e-3, 1.0]),
+                                   np.array([1.0, 1.01]))
+    assert ok.tolist() == [False, True]
+
+
+def test_windows_do_not_depend_on_their_batch():
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(0.01, 1.0, 37)
+    hi = lo + rng.uniform(0.0, 0.1, 37)
+    f = lambda t: np.exp(np.sin(7.0 * t)) * np.sqrt(t)
+    values, ok, _ = integrate_windows(f, lo, hi)
+    for i in range(lo.size):
+        one, one_ok, _ = integrate_windows(f, lo[i:i + 1], hi[i:i + 1])
+        assert one[0] == values[i] and one_ok[0] == ok[i]
+
+
+def test_windows_reuse_the_whole_panel_sums_they_are_given():
+    f = lambda t: np.exp(np.sin(7.0 * t)) * np.sqrt(t)
+    lo = np.array([0.1, 0.5, 1.0, 2.0])
+    hi = np.array([0.3, 0.5, 1.6, 2.001])
+    mid = 0.5 * (lo + hi)
+    _, _, left = integrate_windows(f, lo, hi)
+    fresh = integrate_windows(f, lo, mid)
+    points = []
+
+    def counted(t):
+        points.append(t.size)
+        return f(t)
+
+    whole = np.where([True, False, True, True], left, np.nan)
+    reused = integrate_windows(counted, lo, mid, whole)
+    for a, b in zip(fresh, reused):
+        assert np.array_equal(a, b)
+    # two half panels per window, and the whole panel of the one without
+    assert points == [(2 * 4 + 1) * GAUSS_ORDER]
