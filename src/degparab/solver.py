@@ -242,8 +242,9 @@ def time_change_solve(u0, f, path, profile, partition):
     Requires delta >= eps > 0 on (0, T].  The transformed path
     a(phi(tau)) * phi'(tau) has ellipticity floor >= 1; its cumulative is
     the original cumulative evaluated at phi(tau), with phi found by
-    bisection (one inverse_cumulative call for an array of tau).  The tau
-    nodes come from one accumulate_on pass.  Snapshots are returned at the
+    bisection.  The tau nodes come from one accumulate_on pass, phi at all
+    of them from one inverse_cumulative call, and the cumulatives at those
+    phi from one more accumulate_on pass.  Snapshots are returned at the
     ORIGINAL partition nodes.
     """
     horizon = partition.horizon
@@ -257,19 +258,19 @@ def time_change_solve(u0, f, path, profile, partition):
     tau_nodes = accumulate_on(scalar_path(profile, 1),
                               partition.nodes)[:, 0, 0]
     tau_partition = TimePartition(tau_nodes)
-
-    def phi(tau):
-        return inverse_cumulative(profile, tau, horizon)
-
+    phi_nodes = inverse_cumulative(profile, tau_nodes, horizon)
+    cums = accumulate_on(path, phi_nodes)
+    node_index = {tau: k for k, tau in enumerate(tau_nodes.tolist())}
     base_a, base_delta = path.a, profile.delta
 
     def a_tilde(tau):
-        t = phi(tau)
+        t = inverse_cumulative(profile, tau, horizon)
         return (np.asarray(base_a(t), dtype=float)
                 / np.asarray(base_delta(t), dtype=float)[..., None, None])
 
+    # the solve reads the cumulative and the forcing at the tau nodes only
     def cumulative_tilde(tau):
-        return accumulate_path(path, phi(tau))
+        return cums[node_index[float(tau)]]
 
     changed = CoefficientPath(
         dim=path.dim, a=a_tilde, cumulative=cumulative_tilde,
@@ -279,7 +280,7 @@ def time_change_solve(u0, f, path, profile, partition):
         f_tilde = None
     else:
         def f_tilde(tau):
-            t = phi(tau)
+            t = float(phi_nodes[node_index[float(tau)]])
             return f(t) * (1.0 / float(base_delta(t)))
 
     inner_report = solve_duhamel(u0, f_tilde, changed, tau_partition)

@@ -1,20 +1,108 @@
 """Cross-checks between the spectral route and its two independent oracles."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degparab import (FDScheme, GridSpec, SpectralField, TimePartition,
-                      char_function_check, compare_fields,
+                      accumulate_on, char_function_check, compare_fields,
                       constant_matrix_path, constant_profile,
                       convergence_orders, cumulative_delta, fd_solve,
                       gaussian_bump, mc_solve, oscillatory_profile,
-                      sample_increments, scalar_path, solve_duhamel,
-                      solve_homogeneous)
+                      parse_coefficients, sample_increments, scalar_path,
+                      solve_duhamel, solve_homogeneous)
+from degparab.oracle import _stencil_symbol
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
+EPS = np.finfo(float).eps
+
+
+# Reference stepper: the stencils assembled as sparse matrices and every
+# theta-step solved by sparse LU.  fd_solve must reproduce it to rounding.
+
+@functools.lru_cache(maxsize=16)
+def _shift_matrix(grid, offset):
+    """Sparse periodic shift: (S u)[x] = u[x + offset * spacing]."""
+    size = grid.n ** grid.dim
+    idx = np.arange(size).reshape(grid.shape)
+    cols = np.roll(idx, shift=tuple(-o for o in offset),
+                   axis=tuple(range(grid.dim))).ravel()
+    return scipy.sparse.csr_matrix(
+        (np.ones(size), (np.arange(size), cols)), shape=(size, size))
+
+
+@functools.lru_cache(maxsize=16)
+def _stencil_parts(grid):
+    """Second-difference operators per axis and per cross pair.
+
+    axis i: (S_+i + S_-i - 2 I) / h^2;  pair (i, j):
+    (S_++ + S_-- - S_+- - S_-+) / (4 h^2), the symmetric four-point cross.
+    """
+    h = grid.spacing
+    dim = grid.dim
+    eye = scipy.sparse.identity(grid.n ** dim, format="csr")
+
+    def unit(i, sign):
+        off = [0] * dim
+        off[i] = sign
+        return tuple(off)
+
+    def pair(i, j, si, sj):
+        off = [0] * dim
+        off[i], off[j] = si, sj
+        return tuple(off)
+
+    diag = [(_shift_matrix(grid, unit(i, +1)) + _shift_matrix(grid, unit(i, -1))
+             - 2.0 * eye) / h ** 2 for i in range(dim)]
+    cross = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            cross[(i, j)] = (_shift_matrix(grid, pair(i, j, +1, +1))
+                             + _shift_matrix(grid, pair(i, j, -1, -1))
+                             - _shift_matrix(grid, pair(i, j, +1, -1))
+                             - _shift_matrix(grid, pair(i, j, -1, +1))) \
+                / (4.0 * h ** 2)
+    return diag, cross
+
+
+def _assemble(grid, mat):
+    """a^ij u_xixj with Einstein summation: diagonal plus doubled crosses."""
+    diag, cross = _stencil_parts(grid)
+    op = mat[0, 0] * diag[0]
+    for i in range(1, grid.dim):
+        op = op + mat[i, i] * diag[i]
+    for (i, j), stencil in cross.items():
+        op = op + 2.0 * mat[i, j] * stencil
+    return op
+
+
+def _lu_fd_solve(u0, f, path, partition, scheme):
+    """The theta scheme of fd_solve, one sparse LU per step."""
+    grid = u0.grid
+    nodes = partition.nodes
+    cums = accumulate_on(path, nodes)
+    eye = scipy.sparse.identity(grid.n ** grid.dim, format="csr")
+    u = u0.samples.ravel().copy()
+    snapshots = [u0.samples.copy()]
+    for k in range(nodes.size - 1):
+        t0, t1 = nodes[k], nodes[k + 1]
+        dt = t1 - t0
+        op = _assemble(grid, (cums[k + 1] - cums[k]) / dt)
+        rhs = u + (1.0 - scheme.theta) * dt * (op @ u)
+        if f is not None:
+            t_theta = (1.0 - scheme.theta) * t0 + scheme.theta * t1
+            rhs = rhs + dt * f(t_theta).samples.ravel()
+        u = scipy.sparse.linalg.splu(
+            (eye - scheme.theta * dt * op).tocsc()).solve(rhs)
+        snapshots.append(u.reshape(grid.shape).copy())
+    return snapshots
 
 
 def heat_gaussian(grid, width, t):
@@ -107,6 +195,82 @@ def test_fd_dim2_cross_terms():
     ref = solve_homogeneous(u0, path, TimePartition.uniform(2, 0.25))
     assert compare_fields(ref.snapshots[-1], rep.snapshots[-1],
                           math.inf) < 5e-3
+
+
+FD_GRIDS = {1: GridSpec(dim=1, n=128, length=16.0),
+            2: GridSpec(dim=2, n=16, length=8.0),
+            3: GridSpec(dim=3, n=8, length=8.0)}
+
+
+def _random_psd(dim, seed):
+    g = np.random.default_rng(seed).standard_normal((dim, dim))
+    mat = g @ g.T / dim
+    return 0.5 * (mat + mat.T)
+
+
+def _coefficient_path(kind, dim, seed):
+    if kind == "scalar":
+        return parse_coefficients("scalar(power(1))", dim)
+    if kind == "constant":
+        return constant_matrix_path(_random_psd(dim, seed))
+    rows = [[("1 + t" if i == j else "0.1*t") for j in range(dim)]
+            for i in range(dim)]
+    return parse_coefficients("matrix([" + ", ".join(
+        "[" + ", ".join(f'"{e}"' for e in row) + "]" for row in rows)
+        + "])", dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]),
+       theta=st.sampled_from([0.5, 1.0]),
+       kind=st.sampled_from(["uniform", "geometric"]),
+       steps=st.integers(2, 12),
+       horizon=st.floats(0.05, 1.0),
+       coefficients=st.sampled_from(["scalar", "constant", "expr"]),
+       forced=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_fd_solve_matches_sparse_lu_stepper(dim, theta, kind, steps, horizon,
+                                            coefficients, forced, seed):
+    grid = FD_GRIDS[dim]
+    part = getattr(TimePartition, kind)(steps, horizon)
+    path = _coefficient_path(coefficients, dim, seed)
+    scheme = FDScheme(theta=theta)
+    u0 = gaussian_bump(grid, width=1.0)
+    shape = gaussian_bump(grid, width=0.7)
+    f = (lambda t: shape * (1.0 + math.sin(3.0 * t))) if forced else None
+    ref = _lu_fd_solve(u0, f, path, part, scheme)
+    got = fd_solve(u0, f, path, part, scheme).snapshots
+    # each LU step solves a system with condition number up to kappa and
+    # the propagation is contractive, so rounding adds up over K steps
+    nodes = part.nodes
+    cums = accumulate_on(path, nodes)
+    kappa = max(float(np.max(1.0 - theta * dt * _stencil_symbol(
+        grid, (cb - ca) / dt)))
+        for ca, cb, dt in zip(cums[:-1], cums[1:], np.diff(nodes)))
+    scale = max(float(np.max(np.abs(u))) for u in ref)
+    tol = 16.0 * part.steps * kappa * EPS * scale
+    assert len(got) == len(ref)
+    for a, b in zip(ref, got):
+        assert np.max(np.abs(a - b.samples)) <= tol
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stencil_symbol_is_the_assembled_operator_on_plane_waves(dim):
+    grid = FD_GRIDS[dim]
+    mat = _random_psd(dim, 100 + dim)
+    # plane waves exp(i xi . x) at every lattice xi, built from the n-th
+    # roots of unity with an integer phase index, so each entry is within
+    # an ulp of the exact wave and the shift identities hold to rounding
+    idx = np.indices(grid.shape).reshape(dim, -1)
+    roots = np.exp(2j * np.pi * np.arange(grid.n) / grid.n)
+    waves = roots[(idx.T @ idx) % grid.n]  # column q: the wave of mode q
+    # grid point 0 sits at -L/2, so the wave at mode q is this column times
+    # a unit constant, which the eigenvalue relation does not see
+    lam = _stencil_symbol(grid, mat).ravel()
+    applied = _assemble(grid, mat) @ waves
+    err = np.max(np.abs(applied - waves * lam[None, :]))
+    assert err <= 64.0 * EPS * np.max(np.abs(mat)) * dim ** 2 \
+        / grid.spacing ** 2
 
 
 def test_mc_frozen_solution_at_nodes():

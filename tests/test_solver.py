@@ -242,6 +242,45 @@ def test_time_change_affine_profile():
         assert np.max(np.abs(a.samples - b.samples)) < 1e-8
 
 
+def test_time_change_forced_converges_to_direct_solve():
+    # both routes take a trapezoid of the Duhamel integral, in tau and in t,
+    # so they differ at O(dt^2)
+    prof = parse_profile('expr("t + 0.1")')
+    path = scalar_path(prof, 1)
+    u0 = gaussian_bump(GRID, width=2.0)
+    shape = gaussian_bump(GRID, width=1.5)
+    f = lambda t: shape * (1.0 + t)
+    gaps = []
+    for K in (16, 32):
+        part = TimePartition.uniform(K, 1.0)
+        direct = solve_duhamel(u0, f, path, part).snapshots[-1]
+        changed = time_change_solve(u0, f, path, prof, part).snapshots[-1]
+        gaps.append(compare_fields(direct, changed, np.inf))
+    assert gaps[1] < 1e-3
+    assert math.log2(gaps[0] / gaps[1]) > 1.9
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_time_change_inverts_all_nodes_in_one_call(monkeypatch, forced):
+    import degparab.solver as solver_module
+    calls = []
+    inverse = solver_module.inverse_cumulative
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "inverse_cumulative", spy)
+    prof = parse_profile('expr("t + 0.1")')
+    shape = gaussian_bump(GRID, width=1.5)
+    f = (lambda t: shape * (1.0 + t)) if forced else None
+    part = TimePartition.uniform(8, 1.0)
+    time_change_solve(gaussian_bump(GRID, width=2.0), f,
+                      scalar_path(prof, 1), prof, part)
+    assert len(calls) == 1
+    assert np.shape(calls[0][1]) == (part.nodes.size,)
+
+
 def test_time_change_rejects_vanishing_floor():
     prof = power_profile(1.0)  # delta(0) = 0
     path = scalar_path(prof, 1)
