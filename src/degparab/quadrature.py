@@ -5,14 +5,16 @@ Integrands may oscillate rapidly near t = 0 (ellipticity floors like
 geometric toward the origin: panels [t*2^-(m+1), t*2^-m] down to a head
 panel narrower than 1e-9.  An integral from lower > 0 starts from the one
 panel [lower, t].  Either way breakpoints split the initial panels, which
-are then refined worst-first until the error estimate meets the requested
-tolerance or the panel budget runs out.
+are then refined in rounds until the error estimate meets the requested
+tolerance or the panel budget runs out: each round bisects, worst first,
+just enough panels to cover the excess error, and evaluates all their new
+half panels in one integrand call.  An integrand that goes unresolved near
+0 therefore reaches its budget in about log2(budget) calls, not one call
+per panel.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 
 import numpy as np
@@ -31,7 +33,8 @@ HEAD_WIDTH = 1e-9
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive refinement exhausts its budget.
+    """Raised when adaptive refinement exhausts its budget, or as soon as
+    a panel sum is NaN or inf (the error estimate is then not finite).
 
     Carries the best value computed so far, the achieved error estimate and
     the target it missed; `spec` names the profile or path whose integral
@@ -74,75 +77,82 @@ def geometric_panels(t, breakpoints=(), lower=0.0):
 
 
 def _panel_sums(f, lo, hi):
-    """Gauss-Legendre sums over a batch of panels; lo, hi are 1d arrays."""
+    """Gauss-Legendre sums over the panels [lo[i], hi[i]] in one integrand
+    call.  Each sum is taken row by row, so that no panel's rounding
+    depends on which others share the batch."""
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    nodes = 0.5 * (hi + lo)[:, None] + half[:, None] * _GL_NODES[None, :]
     vals = f(nodes.ravel()).reshape(nodes.shape)
-    return half * (vals @ _GL_WEIGHTS)
+    return half * np.sum(vals * _GL_WEIGHTS, axis=1)
 
 
 def integrate_to(f, t, breakpoints=(), rtol=RTOL, atol=ATOL,
                  max_panels=MAX_PANELS, lower=0.0):
     """Integral of a vectorized scalar integrand over [lower, t].
 
-    Each panel carries a halved-panel refinement estimate; the reported
-    value sums the halved estimates, and refinement bisects the worst
-    panel until the total error estimate passes max(atol, rtol*|value|).
-    Raises QuadratureError once max_panels panels exist and the target is
-    still missed.  The defaults are the package's one accuracy policy:
-    every cumulative above this module is computed with them.
+    Each panel carries a halved-panel refinement estimate: its error is
+    |whole - (left + right)|, and the reported value sums left + right.
+    Refinement runs in rounds.  A round bisects, worst first, the fewest
+    panels whose error estimates cover the excess of the total over the
+    target max(atol, rtol*|value|), at most as many as the panel budget
+    has left, and evaluates all their new half panels in one integrand
+    call; a parent's two half-panel sums become its children's
+    whole-panel sums.  Raises QuadratureError once max_panels panels exist
+    and the target is still missed, or as soon as a panel sum is not
+    finite.  The defaults are the package's one accuracy policy: every
+    cumulative above this module is computed with them.
     """
     panels = geometric_panels(t, breakpoints, lower)
     if not panels:
         return 0.0
 
-    lo = np.array([p[0] for p in panels])
-    hi = np.array([p[1] for p in panels])
-    mid = 0.5 * (lo + hi)
-    coarse = _panel_sums(f, lo, hi)
-    left = _panel_sums(f, lo, mid)
-    right = _panel_sums(f, mid, hi)
-    fine = left + right
-    err = np.abs(coarse - fine)
+    n = len(panels)
+    size = max(n, max_panels)
+    # per panel: edges, the two half-panel sums and the error estimate
+    lo, hi, left, right, err = (np.empty(size) for _ in range(5))
+    lo[:n], hi[:n] = np.array(panels).T
+    mid = 0.5 * (lo[:n] + hi[:n])
+    sums = _panel_sums(f, np.concatenate([lo[:n], lo[:n], mid]),
+                       np.concatenate([hi[:n], mid, hi[:n]]))
+    left[:n], right[:n] = sums[n:2 * n], sums[2 * n:]
+    err[:n] = np.abs(sums[:n] - (left[:n] + right[:n]))
 
-    # heap of (-err, tiebreak, a, b, fine_value); counter breaks err ties
-    counter = itertools.count()
-    heap = [(-e, next(counter), a, b, v)
-            for e, a, b, v in zip(err, lo, hi, fine)]
-    heapq.heapify(heap)
-    total = float(np.sum(fine))
-    total_err = float(np.sum(err))
-    n_panels = len(heap)
-
-    while total_err > max(atol, rtol * abs(total)):
-        if n_panels >= max_panels:
-            target = max(atol, rtol * abs(total))
+    while True:
+        total = float(np.sum(left[:n] + right[:n]))
+        total_err = float(np.sum(err[:n]))
+        target = max(atol, rtol * abs(total))
+        excess = total_err - target
+        if excess <= 0.0:
+            return total
+        if n >= max_panels or not math.isfinite(total_err):
+            why = (f"did not converge within {max_panels} panels"
+                   if math.isfinite(total_err) else
+                   f"integrand is not finite on [{lower}, {t}]")
             raise QuadratureError(
-                f"quadrature did not converge within {max_panels} panels: "
-                f"achieved error estimate {total_err:.3e} "
-                f"(target {target:.3e})",
+                f"quadrature {why}: achieved error estimate "
+                f"{total_err:.3e} (target {target:.3e})",
                 value=total, error_estimate=total_err, target=target)
-        neg_e, _, a, b, v = heapq.heappop(heap)
-        total -= v
-        total_err += neg_e  # neg_e = -err of the popped panel
+        worst = int(np.argmax(err[:n]))
+        if err[worst] >= excess:
+            pick = np.array([worst])
+        else:
+            order = np.argsort(-err[:n], kind="stable")
+            k = int(np.searchsorted(np.cumsum(err[order]), excess)) + 1
+            pick = order[:min(k, max_panels - n)]
+        new = slice(n, n + pick.size)
+        a, b = lo[pick], hi[pick]
         m = 0.5 * (a + b)
-        sub_lo = np.array([a, m])
-        sub_hi = np.array([m, b])
-        sub_mid = 0.5 * (sub_lo + sub_hi)
-        c = _panel_sums(f, sub_lo, sub_hi)
-        fl = _panel_sums(f, sub_lo, sub_mid)
-        fr = _panel_sums(f, sub_mid, sub_hi)
-        fn = fl + fr
-        er = np.abs(c - fn)
-        for i in range(2):
-            heapq.heappush(heap, (-er[i], next(counter),
-                                  sub_lo[i], sub_hi[i], fn[i]))
-        total += float(np.sum(fn))
-        total_err += float(np.sum(er))
-        n_panels += 1
-
-    return total
+        qa, qb = 0.5 * (a + m), 0.5 * (m + b)
+        q = _panel_sums(f, np.concatenate([a, qa, m, qb]),
+                        np.concatenate([qa, m, qb, b])).reshape(4, -1)
+        # the left child [a, m] takes the parent's slot, the right child
+        # [m, b] is appended; their whole-panel sums are the parent's halves
+        whole_a, whole_b = left[pick], right[pick]
+        hi[pick], lo[new], hi[new] = m, m, b
+        left[pick], right[pick], left[new], right[new] = q
+        err[pick] = np.abs(whole_a - (q[0] + q[1]))
+        err[new] = np.abs(whole_b - (q[2] + q[3]))
+        n += pick.size
 
 
 def integrate_windows(f, lower, upper, whole=None):
@@ -168,13 +178,8 @@ def integrate_windows(f, lower, upper, whole=None):
     whole = np.full(n, np.nan) if whole is None else np.array(whole, float)
     todo = np.isnan(whole)
     mid = 0.5 * (lo + hi)
-    a = np.concatenate([lo, mid, lo[todo]])
-    b = np.concatenate([mid, hi, hi[todo]])
-    half = 0.5 * (b - a)
-    nodes = 0.5 * (b + a)[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    # a row-wise sum, so that no window's rounding depends on the batch
-    sums = half * np.sum(vals * _GL_WEIGHTS, axis=1)
+    sums = _panel_sums(f, np.concatenate([lo, mid, lo[todo]]),
+                       np.concatenate([mid, hi, hi[todo]]))
     left, right = sums[:n], sums[n:2 * n]
     whole[todo] = sums[2 * n:]
     fine = left + right

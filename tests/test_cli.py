@@ -181,6 +181,33 @@ spec = scalar(expr("1+sin(1/t)"))
     assert "achieved error estimate" in lines[0] and "target" in lines[0]
 
 
+def test_main_non_finite_integrand_is_a_quadrature_error(tmp_path, capsys):
+    # validates, but sqrt(t - 0.5) is NaN below t = 0.5
+    path = write_cfg(tmp_path, """
+[grid]
+n = 64
+
+[partition]
+steps = 4
+
+[profile]
+spec = expr("sqrt(t - 0.5)")
+
+[coefficients]
+spec = scalar(expr("sqrt(t - 0.5)"))
+""")
+    with np.errstate(invalid="ignore"):
+        code = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        'quadrature error: scalar(expr("sqrt(t - 0.5)")): '
+        "achieved error estimate nan")
+
+
 @pytest.mark.parametrize("expr", [
     "sin(t, t)", "sin()", "min(t)", "sin + t",
     pytest.param("1" + "0" * 400, id="huge-literal"),

@@ -5,7 +5,7 @@ import inspect
 
 import degparab
 from degparab import FDScheme, check_kernel_decay
-from degparab.quadrature import integrate_windows
+from degparab.quadrature import integrate_to, integrate_windows
 
 
 def test_no_public_function_above_quadrature_takes_a_tolerance():
@@ -26,6 +26,13 @@ def test_window_helper_takes_no_tolerance():
     # parameter would open a second accuracy policy
     params = inspect.signature(integrate_windows).parameters
     assert [p for p in ("rtol", "atol", "max_panels") if p in params] == []
+
+
+def test_integrate_to_takes_only_the_policy_it_applies():
+    # how many panels a refinement round bisects is a rule of the module,
+    # not a parameter
+    assert list(inspect.signature(integrate_to).parameters) == [
+        "f", "t", "breakpoints", "rtol", "atol", "max_panels", "lower"]
 
 
 def test_fd_scheme_has_only_theta():
