@@ -30,15 +30,14 @@ from .quadrature import (QuadratureError, integrate_matrix_to, integrate_to,
                          integrate_windows)
 from .solver import (DegenerateKernelError, SolveReport, TimePartition,
                      accumulate_coefficients, epsilon_regularize, kernel,
-                     load_report, propagate, quadratic_form, save_report,
+                     load_report, quadratic_form, save_report,
                      solve_duhamel, solve_final, solve_homogeneous,
                      time_change_solve, weak_residual_profile)
 from .spectral import (GridSpec, LPFamily, SpectralField, besov_norm,
-                       bessel_norm, field_to_csv, forward, frac_laplacian,
-                       gaussian_bump, hessian_lp_norm, inner_product, inverse,
-                       load_field, lowpass, lp_block, lp_norm, mode_field,
-                       partition_defect, random_band_limited, s0_block,
-                       save_field, second_derivatives, x_grids)
+                       bessel_norm, frac_laplacian, gaussian_bump,
+                       hessian_lp_norm, inner_product, inverse, lowpass,
+                       lp_block, lp_norm, mode_field, partition_defect,
+                       s0_block, second_derivatives, x_grids)
 from .cli import (ConfigError, ExperimentConfig, build_forcing, build_initial,
                   config_to_text, parse_config, rough_field, run,
                   validate_config)

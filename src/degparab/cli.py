@@ -5,10 +5,10 @@ ExperimentConfig for the schema and defaults).  Every subcommand reads
 one config, writes CSV artifacts plus a plain-text summary into the
 output directory, and exits 0 on pass, 2 when the hypothesis of the
 inequality under test is inadmissible or the check fails, 3 on invalid
-config or when quadrature of the config's coefficients exhausts its
-budget, 1 on internal error.  CSV outputs are byte-identical across
-reruns of the same config and seed; timestamps appear only in the text
-summary.
+config, coefficients whose quadrature exhausts its budget, or NaN/inf
+initial or forcing data, 1 on internal error.  CSV outputs are
+byte-identical across reruns of the same config and seed; timestamps
+appear only in the text summary.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ class ConfigError(ValueError):
     def __init__(self, diagnostics):
         super().__init__("; ".join(diagnostics))
         self.diagnostics = list(diagnostics)
+
+
+class NonFiniteDataError(ValueError):
+    """An initial or forcing field built from a valid spec is NaN or inf."""
 
 
 @dataclass(frozen=True)
@@ -323,15 +327,23 @@ def build_initial(spec_text, grid, p, seed):
 
 def _initial_field(call, text, grid, p, seed):
     name, nums = _initial(call, text)
-    if name == "gaussian":
-        return gaussian_bump(grid, width=nums[0])
-    if name == "mode":
-        if len(nums) != grid.dim:
-            raise ValueError(f"mode(...) needs {grid.dim} indices for this grid")
-        return mode_field(grid, nums)
-    s = nums[0]
-    variant = int(nums[1]) if len(nums) > 1 else 0
-    return rough_field(grid, s, p, seed, variant)
+    if name == "mode" and len(nums) != grid.dim:
+        raise ValueError(f"mode(...) needs {grid.dim} indices for this grid")
+    with np.errstate(all="ignore"):
+        if name == "gaussian":
+            field = gaussian_bump(grid, width=nums[0])
+        elif name == "mode":
+            field = mode_field(grid, nums)
+        else:
+            variant = int(nums[1]) if len(nums) > 1 else 0
+            field = rough_field(grid, nums[0], p, seed, variant)
+    return _finite(field, text)
+
+
+def _finite(field, text, at=""):
+    if not np.all(np.isfinite(field.samples)):
+        raise NonFiniteDataError(f"{text}: field is NaN or inf{at}")
+    return field
 
 
 def build_forcing(spec_text, grid, p, seed):
@@ -340,7 +352,13 @@ def build_forcing(spec_text, grid, p, seed):
         return None
     coef, spatial = parsed
     shape = _initial_field(spatial, spec_text, grid, p, seed)
-    return lambda t: SpectralField(grid, float(coef(t)) * shape.samples)
+
+    def f(t):
+        with np.errstate(all="ignore"):
+            field = SpectralField(grid, float(coef(t)) * shape.samples)
+        return _finite(field, spec_text, f" at t={float(t)!r}")
+
+    return f
 
 
 def _build_all(cfg):
@@ -645,8 +663,9 @@ RUNNERS = {
 def run(subcommand, config, out=None, workers=1, seed=None,
         tolerance_scale=1.0):
     """Load a config, validate it, dispatch one subcommand, return the
-    exit code (0 pass, 2 check failed / inadmissible, 3 bad config or
-    quadrature of its coefficients out of budget, 1 internal error).
+    exit code (0 pass, 2 check failed / inadmissible, 3 bad config, its
+    coefficients' quadrature out of budget or NaN/inf data, 1 internal
+    error).
     `config` is a path to an INI file."""
     if subcommand not in RUNNERS:
         raise ValueError(f"unknown subcommand {subcommand!r}; "
@@ -678,6 +697,9 @@ def run(subcommand, config, out=None, workers=1, seed=None,
         print(f"quadrature error: {exc.spec}: "
               f"achieved error estimate {exc.error_estimate:.3e}, "
               f"target {exc.target:.3e}", file=sys.stderr)
+        return 3
+    except NonFiniteDataError as exc:
+        print(f"non-finite data: {exc}", file=sys.stderr)
         return 3
     except Exception:
         traceback.print_exc()

@@ -383,8 +383,7 @@ def _beta_after(profile, lo, t, beta_lo, whole):
         return (np.asarray(profile.closed_form_cumulative(t), dtype=float),
                 np.full(t.size, np.nan))
     windows, ok, left = integrate_windows(profile.delta, lo, t, whole)
-    cuts = np.asarray(profile.breakpoints, dtype=float)
-    ok &= ~np.any((lo[:, None] < cuts) & (cuts < t[:, None]), axis=1)
+    ok &= ~_holds_breakpoint(lo, t, profile.breakpoints)
     try:
         for i in np.flatnonzero(~ok):
             windows[i] = integrate_to(profile.delta, t[i], lower=lo[i],
@@ -609,10 +608,13 @@ def accumulate_on(path, nodes):
 
     Returns an array (len(nodes), dim, dim) in the order of nodes.  A
     registered cumulative is evaluated per node, exactly as accumulate_path
-    does.  Otherwise each window [t_(k-1), t_k] between consecutive sorted
-    nodes is integrated once, to integrate_to's target
-    max(atol, rtol * |window integral|), and the windows are summed; only
-    the first window starts from 0 and gets the geometric head panels.
+    does.  Otherwise accumulate_path integrates the head [0, t_1] up to the
+    smallest positive node first.  Then one integrate_windows call per entry
+    i <= j sums each window [t_(k-1), t_k] between consecutive distinct
+    nodes on one panel: integrate_to's value, bit for bit, where that meets
+    the target max(atol, rtol * |window|).  A window that misses it in an
+    entry, or holds a breakpoint, goes to integrate_to(..., lower=t_(k-1)),
+    in time order.  The windows are summed left to right.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1:
@@ -622,20 +624,32 @@ def accumulate_on(path, nodes):
     if path.cumulative is not None:
         return np.array([accumulate_path(path, t) for t in nodes]
                         ).reshape(nodes.shape + (path.dim,) * 2)
-    order = np.argsort(nodes, kind="stable")
-    out = np.empty(nodes.shape + (path.dim, path.dim))
-    total = np.zeros((path.dim, path.dim))
-    prev = 0.0
-    for idx in order:
-        t = float(nodes[idx])
-        if t > prev:
-            if prev == 0.0:
-                total = accumulate_path(path, t)
-            else:
-                total = total + _integrate_window(path, prev, t)
-            prev = t
-        out[idx] = total
+    # distinct positive nodes (np.unique's quicksort maps ~1 MB more code)
+    ts = np.sort(nodes[nodes > 0], kind="stable")
+    ts = ts[np.diff(ts, prepend=0.0) > 0]
+    table = np.zeros((ts.size + 1, path.dim, path.dim))  # to 0, ts[0], ...
+    if ts.size:
+        table[1] = accumulate_path(path, float(ts[0]))
+        lo, hi = ts[:-1], ts[1:]
+        windows = np.empty((lo.size, path.dim, path.dim))
+        missed = _holds_breakpoint(lo, hi, path.breakpoints)
+        for i, j in zip(*np.triu_indices(path.dim)):
+            vals, ok, _ = integrate_windows(
+                lambda t, i=i, j=j: np.asarray(path.a(t), dtype=float)[:, i, j],
+                lo, hi, None)
+            windows[:, i, j] = windows[:, j, i] = vals
+            missed |= ~ok
+        for k in np.flatnonzero(missed):
+            windows[k] = _integrate_window(path, float(lo[k]), float(hi[k]))
+        table[1:] = np.cumsum(np.concatenate([table[1:2], windows]), axis=0)
+    out = table[np.searchsorted(ts, nodes, side="right")]
     return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def _holds_breakpoint(lo, hi, breakpoints):
+    """Which windows [lo[i], hi[i]] hold a breakpoint strictly inside."""
+    cuts = np.asarray(breakpoints, dtype=float)
+    return np.any((lo[:, None] < cuts) & (cuts < hi[:, None]), axis=1)
 
 
 def check_domination(path, profile, sample_times):

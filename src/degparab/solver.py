@@ -15,8 +15,8 @@ import numpy as np
 
 from .degeneracy import (CoefficientPath, accumulate_on, accumulate_path,
                          inverse_cumulative, scalar_path)
-from .spectral import (SpectralField, _freq_grids, bessel_norm, gaussian_bump,
-                       inner_product, load_field, lp_norm, save_field,
+from .spectral import (GridSpec, SpectralField, _freq_grids, bessel_norm,
+                       gaussian_bump, inner_product, lp_norm,
                        second_derivatives)
 
 
@@ -94,13 +94,6 @@ def accumulate_coefficients(path, s, t):
         raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
     B = accumulate_path(path, t) - accumulate_path(path, s)
     return 0.5 * (B + B.T)
-
-
-def propagate(field, path, s, t):
-    """Evolve a field from time s to time t (homogeneous equation)."""
-    B = accumulate_coefficients(path, s, t)
-    return SpectralField.from_spectrum(
-        field.grid, field.spectrum * np.exp(-quadratic_form(field.grid, B)))
 
 
 def kernel(path, t, grid):
@@ -334,20 +327,26 @@ def weak_residual_profile(report, test=None, f=None):
 
 
 def save_report(report, outdir, p=2.0, test=None):
-    """Directory layout: meta (key=value text), snap_<k>.bin, norms.csv.
+    """Write meta (key=value text), snapshots.bin and norms.csv to outdir.
 
+    snapshots.bin is a header of int64 dim, n, count and float64 period,
+    then the count = K + 1 fields as row-major float64, written one by one.
     Returns the weak residual profile written to norms.csv.
     """
     os.makedirs(outdir, exist_ok=True)
+    grid = report.grid
     with open(os.path.join(outdir, "meta"), "w") as fh:
-        fh.write(f"dim={report.grid.dim}\n")
-        fh.write(f"n={report.grid.n}\n")
-        fh.write(f"period={report.grid.length!r}\n")
+        fh.write(f"dim={grid.dim}\n")
+        fh.write(f"n={grid.n}\n")
+        fh.write(f"period={grid.length!r}\n")
         fh.write(f"coefficients={report.path.spec}\n")
         fh.write(f"nodes={report.partition.nodes.size}\n")
         fh.write(f"method={report.diagnostics.get('method', 'spectral')}\n")
-    for k, snap in enumerate(report.snapshots):
-        save_field(snap, os.path.join(outdir, f"snap_{k}.bin"))
+    with open(os.path.join(outdir, "snapshots.bin"), "wb") as fh:
+        np.array([grid.dim, grid.n, len(report.snapshots)], np.int64).tofile(fh)
+        np.array([grid.length]).tofile(fh)
+        for snap in report.snapshots:
+            np.ascontiguousarray(snap.samples, dtype=np.float64).tofile(fh)
     residuals = weak_residual_profile(report, test=test)
     with open(os.path.join(outdir, "norms.csv"), "w") as fh:
         fh.write("k,t,Lp,H2p,weak_residual\n")
@@ -357,18 +356,25 @@ def save_report(report, outdir, p=2.0, test=None):
 
 
 def load_report(outdir):
-    """Read back a saved report: (meta dict, node times, snapshot fields)."""
-    meta = {}
+    """Read back a saved report: (meta dict, node times, snapshot fields).
+
+    The fields are views into one np.fromfile read of snapshots.bin.  A cut
+    header, short or long data, or a count that disagrees with meta raises
+    ValueError naming the file.
+    """
     with open(os.path.join(outdir, "meta")) as fh:
-        for line in fh:
-            key, _, value = line.strip().partition("=")
-            meta[key] = value
-    count = int(meta["nodes"])
-    snapshots = [load_field(os.path.join(outdir, f"snap_{k}.bin"))
-                 for k in range(count)]
-    nodes = []
-    with open(os.path.join(outdir, "norms.csv")) as fh:
-        next(fh)
-        for line in fh:
-            nodes.append(float(line.split(",")[1]))
-    return meta, np.array(nodes), snapshots
+        meta = dict(line.strip().partition("=")[::2] for line in fh)
+    path = os.path.join(outdir, "snapshots.bin")
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size < 32:
+        raise ValueError(f"truncated header in snapshot file {path}")
+    dim, n, count = (int(v) for v in raw[:24].view(np.int64))
+    grid = GridSpec(dim=dim, n=n, length=float(raw[24:32].view(np.float64)[0]))
+    if count != int(meta["nodes"]) or raw.size != 32 + 8 * count * n ** dim:
+        raise ValueError(f"snapshot file {path} has {raw.size} bytes for "
+                         f"{count} fields of {n}^{dim} samples "
+                         f"(meta: nodes={meta['nodes']})")
+    fields = raw[32:].view(np.float64).reshape((count,) + grid.shape)
+    nodes = np.loadtxt(os.path.join(outdir, "norms.csv"), delimiter=",",
+                       skiprows=1, usecols=1, ndmin=1)
+    return meta, nodes, [SpectralField(grid, u) for u in fields]

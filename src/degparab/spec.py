@@ -87,14 +87,21 @@ def compile_expr(text):
     Supported: numbers, t, + - * / **, unary - and +, pi, e, the functions
     sin cos tan exp log log1p sqrt abs sinh cosh tanh arctan of one
     argument and min max of two.  Anything else raises ValueError here;
-    the expression is not evaluated until the callable is called.
+    the expression is not evaluated until the callable is called, and then
+    without numpy warnings: NaN and inf are the caller's to check.
     """
     try:
-        return _compile(ast.parse(text, mode="eval").body, text)
+        fn = _compile(ast.parse(text, mode="eval").body, text)
     except SyntaxError as exc:
         raise ValueError(f"bad expression {text!r}: {exc.msg}") from None
     except OverflowError:
         raise ValueError(f"number out of range in {text!r}") from None
+
+    def quiet(t):
+        with np.errstate(all="ignore"):
+            return fn(t)
+
+    return quiet
 
 
 def _compile(node, text):

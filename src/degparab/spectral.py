@@ -123,11 +123,6 @@ class SpectralField:
             raise ValueError(f"grid mismatch: {self.grid} vs {other.grid}")
 
 
-def forward(field):
-    """DFT spectrum of a field (cached; treat as read-only)."""
-    return field.spectrum
-
-
 def inverse(spectrum, grid):
     """Field from a spectrum (real part of the inverse DFT)."""
     return SpectralField.from_spectrum(grid, spectrum)
@@ -326,46 +321,3 @@ def mode_field(grid, k, phase=0.0, amplitude=1.0):
     for x, ki in zip(x_grids(grid), k):
         arg = arg + (2.0 * np.pi * ki / grid.length) * x
     return SpectralField(grid, amplitude * np.cos(arg))
-
-
-def random_band_limited(grid, rng, max_radius=None):
-    """Random real field with spectrum supported in |xi| <= max_radius."""
-    if max_radius is None:
-        max_radius = LPFamily.for_grid(grid).band_limit(grid)
-    raw = rng.standard_normal(grid.shape)
-    mask = _xi_sq(grid) <= max_radius ** 2
-    return SpectralField.from_spectrum(grid, np.fft.fftn(raw) * mask)
-
-
-def save_field(field, path):
-    """Flat binary: int64 dim, int64 n, float64 period, row-major float64 data."""
-    with open(path, "wb") as fh:
-        np.array([field.grid.dim, field.grid.n], dtype=np.int64).tofile(fh)
-        np.array([field.grid.length], dtype=np.float64).tofile(fh)
-        np.ascontiguousarray(field.samples, dtype=np.float64).tofile(fh)
-
-
-def load_field(path):
-    with open(path, "rb") as fh:
-        head = np.fromfile(fh, dtype=np.int64, count=2)
-        if head.size != 2:
-            raise ValueError(f"truncated field file {path}")
-        dim, n = int(head[0]), int(head[1])
-        length = float(np.fromfile(fh, dtype=np.float64, count=1)[0])
-        grid = GridSpec(dim=dim, n=n, length=length)
-        data = np.fromfile(fh, dtype=np.float64, count=n ** dim)
-    if data.size != n ** dim:
-        raise ValueError(f"field file {path} has {data.size} samples, "
-                         f"expected {n ** dim}")
-    return SpectralField(grid, data.reshape(grid.shape))
-
-
-def field_to_csv(field, path):
-    """Two-column x,u dump; only defined for one-dimensional grids."""
-    if field.grid.dim != 1:
-        raise ValueError("CSV export is defined for dim=1 only")
-    x = _axes(field.grid)[0]
-    with open(path, "w") as fh:
-        fh.write("x,u\n")
-        for xi, ui in zip(x, field.samples):
-            fh.write(f"{float(xi)!r},{float(ui)!r}\n")

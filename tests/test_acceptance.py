@@ -16,9 +16,10 @@ from degparab import (FDScheme, GridSpec, SpectralField, TimePartition,
                       cumulative_delta_grid, epsilon_sweep, fd_solve,
                       fit_beta_exponent, gaussian_bump, kernel, lp_norm,
                       mc_solve, oscillatory_profile, parse_profile,
-                      partition_defect, power_profile, random_band_limited,
-                      rough_field, scalar_path, solve_duhamel,
-                      solve_homogeneous, time_change_solve)
+                      partition_defect, power_profile, rough_field,
+                      scalar_path, solve_duhamel, solve_homogeneous,
+                      time_change_solve)
+from references import random_band_limited
 
 GRID_1024 = GridSpec(dim=1, n=1024, length=32.0)
 

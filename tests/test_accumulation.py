@@ -1,8 +1,10 @@
-"""One-pass coefficient accumulation against its per-node oracle.
+"""One-pass coefficient accumulation against the routes it replaced.
 
-accumulate_on integrates each window between consecutive nodes once and
-sums the windows; accumulate_path integrates from 0 at every node.  The
-per-node route is kept here as the slow oracle for the fast one.
+accumulate_on integrates each window between consecutive nodes once, all
+windows of an entry in one integrand call, and sums the windows;
+accumulate_path integrates from 0 at every node.  The per-node route is
+kept here as the slow oracle, and the loop that integrated one window per
+call as the exact one.
 """
 
 import numpy as np
@@ -14,9 +16,13 @@ from degparab import (GridSpec, TimePartition, accumulate_on,
                       accumulate_path, constant_matrix_path, constant_profile,
                       epsilon_regularize, expr_matrix_path, expr_profile,
                       gaussian_bump, oscillatory_profile, parse_coefficients,
-                      piecewise_profile, power_profile, propagate, scalar_path,
+                      piecewise_profile, power_profile, scalar_path,
                       solve_duhamel, solve_homogeneous)
-from degparab.quadrature import integrate_matrix_to, integrate_to
+from degparab import quadrature
+from degparab.degeneracy import _integrate_window
+from degparab.quadrature import (QuadratureError, integrate_matrix_to,
+                                 integrate_to)
+from references import propagate
 
 RTOL, ATOL = 1e-10, 1e-14
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -24,6 +30,25 @@ SETTINGS = settings(max_examples=25, deadline=None)
 
 def oracle(path, nodes):
     return np.array([accumulate_path(path, t) for t in nodes])
+
+
+def window_loop_oracle(path, nodes):
+    """accumulate_on as one integrate_to call per window and entry."""
+    nodes = np.asarray(nodes, dtype=float)
+    order = np.argsort(nodes, kind="stable")
+    out = np.empty(nodes.shape + (path.dim, path.dim))
+    total = np.zeros((path.dim, path.dim))
+    prev = 0.0
+    for idx in order:
+        t = float(nodes[idx])
+        if t > prev:
+            if prev == 0.0:
+                total = accumulate_path(path, t)
+            else:
+                total = total + _integrate_window(path, prev, t)
+            prev = t
+        out[idx] = total
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def assert_pinned(path, nodes):
@@ -100,6 +125,7 @@ def test_repeated_nodes_and_zero():
     assert out[0, 0, 0] == out[1, 0, 0] == 0.0
     assert out[2, 0, 0] == out[3, 0, 0]
     assert out[4, 0, 0] == pytest.approx(1.5, abs=1e-13)
+    assert np.array_equal(accumulate_on(path, [0.0, 0.0]), np.zeros((2, 1, 1)))
 
 
 def test_closed_form_is_evaluated_per_node():
@@ -179,3 +205,79 @@ def test_homogeneous_solve_matches_per_node_propagation():
     again = solve_duhamel(u0, None, path, part)
     assert all(np.array_equal(a.samples, b.samples)
                for a, b in zip(report.snapshots, again.snapshots))
+
+
+EXACT_PATHS = {
+    "scalar-sqrt": scalar_path(expr_profile("sqrt(t)"), 1),
+    "scalar-expr": scalar_path(expr_profile("exp(-t)*sin(3*t)+1"), 2),
+    "scalar-oscillatory-head": scalar_path(
+        expr_profile("2 + sin(1/(t + 0.003))"), 1),
+    "expr-matrix": PATHS["expr-matrix"],
+    "expr-matrix-oscillatory": expr_matrix_path(
+        [["2 + sin(1/(t + 0.01))", "0.5*cos(1/(t + 0.01))"],
+         ["0.5*cos(1/(t + 0.01))", "2 - sin(1/(t + 0.01))"]]),
+    "regularized": PATHS["regularized"],
+}
+
+# node sets as callers pass them: any order, repeated nodes, 0 or not
+node_sets = st.tuples(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    st.integers(0, 3), st.booleans(),
+).flatmap(lambda a: st.permutations(a[0] + a[0][:a[1]] + [0.0] * a[2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(EXACT_PATHS)), nodes=node_sets)
+def test_batched_windows_equal_the_window_loop(name, nodes):
+    path = EXACT_PATHS[name]
+    assert np.array_equal(accumulate_on(path, nodes),
+                          window_loop_oracle(path, nodes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cuts=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3,
+                     unique=True),
+       dim=st.integers(1, 3), nodes=node_sets)
+def test_batched_windows_equal_the_window_loop_across_breakpoints(cuts, dim,
+                                                                  nodes):
+    starts = [0.0] + sorted(cuts)
+    texts = ["1 + t", "0", "0.5 + t*t", "sqrt(t)"]
+    path = scalar_path(piecewise_profile(list(zip(starts, texts))), dim)
+    assert np.array_equal(accumulate_on(path, nodes),
+                          window_loop_oracle(path, nodes))
+
+
+@pytest.mark.parametrize("expr, nodes", [
+    ("1+sin(1/t)", TimePartition.geometric(64, 1.0).nodes),  # the head
+    # two windows miss their budget; the first in time order raises
+    ("1 + sin(1/(t - 0.3)**3) + sin(1/(t - 0.6)**3)",
+     [0.5, 0.0, 0.1, 0.2, 0.4, 0.2, 0.7]),
+])
+def test_batched_windows_raise_as_the_window_loop(expr, nodes):
+    path = scalar_path(expr_profile(expr), 1)
+    with pytest.raises(QuadratureError) as fast:
+        accumulate_on(path, nodes)
+    with pytest.raises(QuadratureError) as slow:
+        window_loop_oracle(path, nodes)
+    assert fast.value.error_estimate == slow.value.error_estimate
+    assert fast.value.target == slow.value.target
+    assert fast.value.spec == slow.value.spec == path.spec
+    assert str(fast.value) == str(slow.value)
+
+
+@pytest.mark.parametrize("nodes", [TimePartition.uniform(64, 1.0).nodes,
+                                   TimePartition.geometric(64, 1.0).nodes])
+def test_smooth_windows_never_reach_integrate_to(monkeypatch, nodes):
+    path = expr_matrix_path([["exp(-t)", "0.5*cos(t)"],
+                             ["0.5*cos(t)", "2 + sin(t)"]])
+    expected = window_loop_oracle(path, nodes)
+    lowers = []
+
+    def spy(f, t, *args, lower=0.0, **kwargs):
+        lowers.append(lower)
+        return integrate_to(f, t, *args, lower=lower, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_to", spy)
+    assert np.array_equal(accumulate_on(path, nodes), expected)
+    # the head [0, t_1], once per entry i <= j, and no window
+    assert lowers == [0.0] * 3

@@ -1,16 +1,21 @@
 """Config parsing, field construction, and the command-line entry point."""
 
 import math
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import degparab
 from degparab import (GridSpec, SpectralField, build_forcing, build_initial,
                       load_report, lp_norm, rough_field)
-from degparab.cli import (ConfigError, ExperimentConfig, config_to_text, main,
-                          parse_config, validate_config)
+from degparab.cli import (ConfigError, ExperimentConfig, NonFiniteDataError,
+                          config_to_text, main, parse_config, validate_config)
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(degparab.__file__)))
 
 
 def write_cfg(tmp_path, text, name="exp.ini"):
@@ -513,3 +518,73 @@ spec = scalar(constant(1.0))
                            "--out", str(out)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.txt").exists()
+
+
+FORCING_NAN = 'separable("sqrt(t - 0.5)", gaussian(1.5))'
+
+
+def run_module(tmp_path, subcommand, text):
+    """python -m degparab in a fresh process, so that stderr holds numpy's
+    warnings too."""
+    path = write_cfg(tmp_path, text)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "degparab", subcommand, "--config", path,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("section, spec, line", [
+    ("forcing", FORCING_NAN,
+     f"non-finite data: {FORCING_NAN}: field is NaN or inf at t=0.0"),
+    ("initial", "mode(1e400)",
+     "non-finite data: mode(1e400): field is NaN or inf"),
+    ("initial", "gaussian(1e-300)",
+     "non-finite data: gaussian(1e-300): field is NaN or inf"),
+])
+def test_non_finite_data_exits_3_with_one_stderr_line(tmp_path, section,
+                                                      spec, line):
+    proc = run_module(tmp_path, "solve", f"""
+[grid]
+n = 64
+
+[partition]
+steps = 4
+
+[{section}]
+spec = {spec}
+""")
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [line]
+    assert not (tmp_path / "out" / "report" / "norms.csv").exists()
+
+
+def test_non_finite_coefficients_print_one_stderr_line(tmp_path):
+    proc = run_module(tmp_path, "solve", """
+[grid]
+n = 64
+
+[partition]
+steps = 4
+
+[profile]
+spec = expr("sqrt(t - 0.5)")
+
+[coefficients]
+spec = scalar(expr("sqrt(t - 0.5)"))
+""")
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith('quadrature error: scalar(expr("sqrt(t - 0.5)")): '
+                               "achieved error estimate nan")
+
+
+def test_built_fields_are_checked_to_be_finite():
+    grid = GridSpec(dim=1, n=64, length=8.0)
+    with pytest.raises(NonFiniteDataError, match="mode"):
+        build_initial("mode(1e400)", grid, 2.0, seed=0)
+    f = build_forcing(FORCING_NAN, grid, 2.0, seed=0)
+    assert np.all(np.isfinite(f(0.75).samples))
+    with pytest.raises(NonFiniteDataError, match=r"at t=0\.25"):
+        f(0.25)

@@ -13,11 +13,12 @@ from degparab import (DegenerateKernelError, GridSpec, SpectralField,
                       epsilon_regularize, eval_delta, gaussian_bump, kernel,
                       inner_product, load_report, lp_norm, mode_field,
                       oscillatory_profile, parse_coefficients, parse_profile,
-                      power_profile, propagate, quadratic_form, save_report,
+                      power_profile, quadratic_form, save_report,
                       scalar_path, solve_duhamel, solve_final,
                       solve_homogeneous, time_change_solve,
                       weak_residual_profile, x_grids)
 from degparab.solver import _trapezoid
+from references import propagate
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -445,3 +446,54 @@ def test_solve_final_is_the_last_duhamel_snapshot(dim, kind, steps, horizon,
     last = solve_duhamel(u0, f, path, part).snapshots[-1]
     assert np.array_equal(final.samples, last.samples)
     assert np.array_equal(final.spectrum, last.spectrum)
+
+
+def saved_report(tmp_path, dim):
+    grid = GRIDS[dim]
+    part = TimePartition.geometric(5, 0.5)
+    path = parse_coefficients(expr_matrix_text(dim), dim)
+    shape = gaussian_bump(grid, width=1.5)
+    report = solve_duhamel(gaussian_bump(grid, width=1.0),
+                           lambda t: shape * (1.0 + t), path, part)
+    outdir = tmp_path / "report"
+    save_report(report, outdir, p=2.0)
+    return report, outdir
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_report_round_trip_is_bit_identical(tmp_path, dim):
+    report, outdir = saved_report(tmp_path, dim)
+    assert sorted(p.name for p in outdir.iterdir()) == \
+        ["meta", "norms.csv", "snapshots.bin"]
+    meta, nodes, snapshots = load_report(outdir)
+    assert meta["nodes"] == str(len(report.snapshots))
+    assert nodes.tolist() == report.partition.nodes.tolist()
+    assert len(snapshots) == len(report.snapshots)
+    for a, b in zip(snapshots, report.snapshots):
+        assert a.grid == report.grid
+        assert a.samples.tobytes() == b.samples.tobytes()
+        assert not a.samples.flags.owndata
+    # header: int64 dim, n, count, float64 period, then the stacked fields
+    raw = (outdir / "snapshots.bin").read_bytes()
+    grid = report.grid
+    assert np.frombuffer(raw[:24], dtype=np.int64).tolist() == \
+        [dim, grid.n, len(report.snapshots)]
+    assert np.frombuffer(raw[24:32], dtype=np.float64)[0] == grid.length
+    assert raw[32:] == b"".join(s.samples.tobytes() for s in report.snapshots)
+
+
+@pytest.mark.parametrize("damage", ["truncated-header", "short", "long",
+                                    "partial-sample", "count"])
+def test_load_report_rejects_a_damaged_snapshot_file(tmp_path, damage):
+    _, outdir = saved_report(tmp_path, 2)
+    snaps = outdir / "snapshots.bin"
+    raw = snaps.read_bytes()
+    if damage == "count":
+        meta = (outdir / "meta").read_text()
+        (outdir / "meta").write_text(meta.replace("nodes=6", "nodes=5"))
+    else:
+        snaps.write_bytes({"truncated-header": raw[:20], "short": raw[:-8],
+                           "long": raw + bytes(8),
+                           "partial-sample": raw[:-3]}[damage])
+    with pytest.raises(ValueError, match="snapshots.bin"):
+        load_report(outdir)
