@@ -13,13 +13,12 @@ from .degeneracy import (CoefficientPath, DegeneracyProfile, LevelsetFit,
                          accumulate_on, accumulate_path, check_domination,
                          compile_expr, constant_matrix_path, constant_profile,
                          cumulative_delta, cumulative_delta_grid,
-                         empirical_bound, eval_delta, expr_matrix_path,
-                         expr_profile,
+                         empirical_bound, expr_matrix_path, expr_profile,
                          fit_beta_exponent, inverse_cumulative,
                          levelset_measure, levelset_measure_scan,
-                         min_eigenvalue_profile, oscillatory_profile,
-                         parse_coefficients, parse_profile, piecewise_profile,
-                         power_profile, scalar_path)
+                         oscillatory_profile, parse_coefficients,
+                         parse_profile, piecewise_profile, power_profile,
+                         scalar_path)
 from .estimates import (CSV_HEADER, EstimateReport, KernelDecayFit,
                         WeightedNormSpec, check_classic, check_kernel_decay,
                         check_thm1, check_thm2, epsilon_sweep, reports_to_csv,
@@ -31,12 +30,10 @@ from .quadrature import (QuadratureError, integrate_matrix_to, integrate_to,
 from .solver import (DegenerateKernelError, SolveReport, TimePartition,
                      accumulate_coefficients, epsilon_regularize, kernel,
                      load_report, quadratic_form, save_report,
-                     solve_duhamel, solve_final, solve_homogeneous,
-                     time_change_solve, weak_residual_profile)
+                     solve_duhamel, solve_final, weak_residual_profile)
 from .spectral import (GridSpec, LPFamily, SpectralField, besov_norm,
-                       bessel_norm, frac_laplacian, gaussian_bump,
-                       hessian_lp_norm, inner_product, inverse, lowpass,
-                       lp_block, lp_norm, mode_field, partition_defect,
+                       bessel_norm, gaussian_bump, hessian_lp_norm,
+                       inner_product, lowpass, lp_block, lp_norm, mode_field,
                        s0_block, second_derivatives, x_grids)
 from .cli import (ConfigError, ExperimentConfig, build_forcing, build_initial,
                   config_to_text, parse_config, rough_field, run,

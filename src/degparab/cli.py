@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .degeneracy import (check_domination, cumulative_delta,
+from .degeneracy import (_level_grid, check_domination, cumulative_delta,
                          cumulative_delta_grid, empirical_bound,
                          fit_beta_exponent, levelset_measure_scan,
                          parse_coefficients, parse_profile)
@@ -336,7 +336,10 @@ def _initial_field(call, text, grid, p, seed):
             field = mode_field(grid, nums)
         else:
             variant = int(nums[1]) if len(nums) > 1 else 0
-            field = rough_field(grid, nums[0], p, seed, variant)
+            try:
+                field = rough_field(grid, nums[0], p, seed, variant)
+            except OverflowError:  # a scale weight 2^(-s j) beyond floats
+                raise NonFiniteDataError(f"{text}: field is NaN or inf") from None
     return _finite(field, text)
 
 
@@ -427,8 +430,10 @@ def run_check_thm1(cfg, outdir, workers, tol_scale):
 def run_check_thm2(cfg, outdir, workers, tol_scale):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     t0 = cfg.t0 if cfg.t0 is not None else partition.horizon
+    h_grid = _level_grid(cumulative_delta(profile, t0), cfg.h_points,
+                         cfg.h_decades)
     rep = check_thm2(u0, path, profile, cfg.p, partition,
-                     beta_hat=cfg.beta_hat, t0=t0)
+                     beta_hat=cfg.beta_hat, t0=t0, h_grid=h_grid)
     reports_to_csv([rep], os.path.join(outdir, "thm2.csv"))
     ex = rep.extra
     _summary(outdir, "check-thm2", [
@@ -491,15 +496,12 @@ def run_profile_check(cfg, outdir, workers, tol_scale):
     lines = [f"profile: {profile.spec}",
              f"t0 = {t0}, beta(t0) = {float(kappa0)!r}"]
 
-    top = kappa0 / 4.0
-    if top <= 0:
+    h_grid = _level_grid(kappa0, cfg.h_points, cfg.h_decades)
+    if h_grid.size == 0:
         failures.append("beta(t0) vanishes; level-set fit impossible")
         fit = None
-        h_grid = []
         measures, scans = [], []
     else:
-        h_grid = np.logspace(math.log10(top) - cfg.h_decades,
-                             math.log10(top), cfg.h_points)
         fit = fit_beta_exponent(profile, t0, h_grid)
         measures = fit.measures
         scans = levelset_measure_scan(profile, h_grid, t0)

@@ -3,10 +3,10 @@
 A degeneracy profile is a nonnegative scalar function delta with
 cumulative beta(t) = integral of delta over [0, t].  beta acts as the
 intrinsic clock of the evolution: it may have flat stretches where the
-equation degenerates, and its generalized inverse drives the time-change
-machinery in the solver.  Profiles and coefficient paths are built from
-specs (constant/power/oscillatory/expr/piecewise, scalar/matrix) read by
-the grammar in degparab.spec, which the CLI shares.
+equation degenerates, and its generalized inverse measures the level sets
+that the beta exponent is fitted from.  Profiles and coefficient paths are
+built from specs (constant/power/oscillatory/expr/piecewise,
+scalar/matrix) read by the grammar in degparab.spec, which the CLI shares.
 """
 
 from __future__ import annotations
@@ -197,14 +197,6 @@ def _profile(call, text):
                 f'piecewise(...) needs a list of (t0, "expr") pairs: {text!r}')
         return piecewise_profile(pieces)
     raise ValueError(f"unknown profile kind {name!r} in {text!r}")
-
-
-def eval_delta(profile, t):
-    """delta at one or many times; negative times are a domain error."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError(f"delta is defined for t >= 0, got {t}")
-    return profile.delta(t)
 
 
 def cumulative_delta(profile, t):
@@ -440,6 +432,15 @@ class LevelsetFit:
     measures: tuple  # levelset_measure at each level of the fitted grid
 
 
+def _level_grid(beta_t0, points=9, decades=2.5):
+    """The levels h of a beta fit: `points` of them, log-spaced over
+    `decades` decades up to beta(t0)/4; empty when beta(t0) vanishes."""
+    top = beta_t0 / 4.0
+    if top <= 0:
+        return np.empty(0)
+    return np.logspace(math.log10(top) - decades, math.log10(top), points)
+
+
 def fit_beta_exponent(profile, t0, h_grid):
     """Least-squares fit of log(measure) = log(N0) + (1/beta) * log(h).
 
@@ -667,35 +668,6 @@ def check_domination(path, profile, sample_times):
         return math.inf
     # fmax skips NaN ratios, as a running max(worst, ratio) does
     return float(np.fmax.reduce(amax[floor] / d[floor], initial=0.0))
-
-
-def min_eigenvalue_profile(path):
-    """Profile tracking the smallest eigenvalue of a(t).
-
-    This is the canonical ellipticity floor of a path: the tightest
-    profile for which a(t) >= delta(t) * I holds.
-    """
-
-    def smallest(t):
-        mat = np.asarray(path.a(t), dtype=float)
-        scale = max(1.0, float(np.abs(mat).max()))
-        if not np.allclose(mat, mat.T, atol=1e-12 * scale):
-            raise ValueError(f"coefficient matrix at t={t} is not symmetric")
-        return float(np.linalg.eigvalsh(mat)[0])
-
-    def delta(t):
-        if np.ndim(t) == 0:
-            return smallest(float(t))
-        return np.array([smallest(float(s)) for s in np.asarray(t).ravel()]
-                        ).reshape(np.shape(t))
-
-    bound = None if path.bound_M is None else path.dim * path.bound_M
-    return DegeneracyProfile(
-        delta=delta,
-        bound_M=bound,
-        spec=f"min_eigenvalue({path.spec})",
-        breakpoints=path.breakpoints,
-    )
 
 
 def empirical_bound(profile, t_max, npts=4096):

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degeneracy import (accumulate_on, check_domination, cumulative_delta,
-                         fit_beta_exponent)
-from .solver import _trapezoid, quadratic_form, solve_duhamel, solve_homogeneous
+from .degeneracy import (_level_grid, accumulate_on, check_domination,
+                         cumulative_delta, fit_beta_exponent)
+from .solver import _trapezoid, quadratic_form, solve_duhamel
 from .spectral import (LPFamily, _block_multiplier, _xi_sq, besov_norm,
                        bessel_norm, hessian_lp_norm, lp_norm)
 
@@ -151,7 +151,9 @@ def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
 
     valid when the profile satisfies the level-set condition
     |{t <= t0 : h <= beta(t) < 4h}| <= N0 h^(1/beta) and the coefficients
-    are dominated by the floor.  beta_hat defaults to the fitted exponent.
+    are dominated by the floor.  beta_hat defaults to the fitted exponent;
+    h_grid, the levels of the fit, defaults to 9 levels log-spaced over 2.5
+    decades up to beta(t0)/4.
     """
     horizon = partition.horizon
     t0 = horizon if t0 is None else t0
@@ -159,10 +161,10 @@ def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
     flags = []
     fit = None
     try:
-        if h_grid is None:
-            top = kappa0 / 4.0
-            h_grid = np.logspace(math.log10(top) - 2.5, math.log10(top), 9)
-        fit = fit_beta_exponent(profile, t0, h_grid)
+        if kappa0 <= 0:
+            raise ValueError(f"beta(t0) = {kappa0!r} vanishes")
+        fit = fit_beta_exponent(
+            profile, t0, _level_grid(kappa0) if h_grid is None else h_grid)
     except ValueError as exc:
         flags.append("inadmissible-hypothesis:levelset")
         flags.append(str(exc))
@@ -184,7 +186,7 @@ def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
             steps=partition.steps, lhs=math.nan, rhs_components=(),
             ratio=math.nan, flags=tuple(flags), extra=extra)
 
-    report = solve_homogeneous(u0, path, partition)
+    report = solve_duhamel(u0, None, path, partition)
     lhs_spec = WeightedNormSpec(0.0, p, 0.0, profile, horizon)
     lhs = weighted_norm(report, lhs_spec,
                         spatial_norm=lambda u: hessian_lp_norm(u, p))

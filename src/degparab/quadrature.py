@@ -187,10 +187,10 @@ def integrate_windows(f, lower, upper, whole=None):
     return fine, converged, left
 
 
-def integrate_matrix_to(a, dim, t, breakpoints=(), rtol=RTOL, atol=ATOL,
-                        max_panels=MAX_PANELS, lower=0.0):
+def integrate_matrix_to(a, dim, t, breakpoints=(), lower=0.0):
     """Entrywise integral over [lower, t] of a matrix path a(t) -> (dim, dim).
 
+    Each entry is computed by integrate_to at the package's accuracy policy.
     The path is vectorized: a(ts) for ts of shape (m,) is (m, dim, dim), so
     each panel batch costs one call; symmetry is used to integrate each
     entry once.
@@ -201,9 +201,7 @@ def integrate_matrix_to(a, dim, t, breakpoints=(), rtol=RTOL, atol=ATOL,
             def entry(ts, _i=i, _j=j):
                 return np.asarray(a(ts), dtype=float)[:, _i, _j]
 
-            val = integrate_to(entry, t, breakpoints=breakpoints,
-                               rtol=rtol, atol=atol, max_panels=max_panels,
-                               lower=lower)
+            val = integrate_to(entry, t, breakpoints=breakpoints, lower=lower)
             out[i, j] = val
             out[j, i] = val
     return out

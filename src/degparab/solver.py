@@ -13,8 +13,7 @@ import os
 
 import numpy as np
 
-from .degeneracy import (CoefficientPath, accumulate_on, accumulate_path,
-                         inverse_cumulative, scalar_path)
+from .degeneracy import CoefficientPath, accumulate_on, accumulate_path
 from .spectral import (GridSpec, SpectralField, _freq_grids, bessel_norm,
                        gaussian_bump, inner_product, lp_norm,
                        second_derivatives)
@@ -149,11 +148,6 @@ def _trapezoid(values, nodes):
     return float((np.diff(nodes) * (values[1:] + values[:-1]) / 2.0).sum())
 
 
-def solve_homogeneous(u0, path, partition):
-    """Exact snapshots of the homogeneous solve at the partition nodes."""
-    return solve_duhamel(u0, None, path, partition)
-
-
 def _duhamel_inputs(u0, f, path, nodes):
     """Quadratic forms of the cumulative coefficients at every node, and
     the forcing spectra (None without forcing)."""
@@ -227,60 +221,6 @@ def epsilon_regularize(path, eps):
         spec=f"regularized({path.spec}, {eps})",
         breakpoints=path.breakpoints,
     )
-
-
-def time_change_solve(u0, f, path, profile, partition):
-    """Solve by rescaling time with the cumulative floor beta.
-
-    Requires delta >= eps > 0 on (0, T].  The transformed path
-    a(phi(tau)) * phi'(tau) has ellipticity floor >= 1; its cumulative is
-    the original cumulative evaluated at phi(tau), with phi found by
-    bisection.  The tau nodes come from one accumulate_on pass, phi at all
-    of them from one inverse_cumulative call, and the cumulatives at those
-    phi from one more accumulate_on pass.  Snapshots are returned at the
-    ORIGINAL partition nodes.
-    """
-    horizon = partition.horizon
-    probe = np.linspace(0.0, horizon, 2049)
-    dmin = float(np.min(profile.delta(probe)))
-    if dmin <= 0.0:
-        raise ValueError(
-            f"time change requires delta >= eps > 0 on [0, T]; "
-            f"sampled min {dmin}")
-
-    tau_nodes = accumulate_on(scalar_path(profile, 1),
-                              partition.nodes)[:, 0, 0]
-    tau_partition = TimePartition(tau_nodes)
-    phi_nodes = inverse_cumulative(profile, tau_nodes, horizon)
-    cums = accumulate_on(path, phi_nodes)
-    node_index = {tau: k for k, tau in enumerate(tau_nodes.tolist())}
-    base_a, base_delta = path.a, profile.delta
-
-    def a_tilde(tau):
-        t = inverse_cumulative(profile, tau, horizon)
-        return (np.asarray(base_a(t), dtype=float)
-                / np.asarray(base_delta(t), dtype=float)[..., None, None])
-
-    # the solve reads the cumulative and the forcing at the tau nodes only
-    def cumulative_tilde(tau):
-        return cums[node_index[float(tau)]]
-
-    changed = CoefficientPath(
-        dim=path.dim, a=a_tilde, cumulative=cumulative_tilde,
-        spec=f"time_changed({path.spec})")
-
-    if f is None:
-        f_tilde = None
-    else:
-        def f_tilde(tau):
-            t = float(phi_nodes[node_index[float(tau)]])
-            return f(t) * (1.0 / float(base_delta(t)))
-
-    inner_report = solve_duhamel(u0, f_tilde, changed, tau_partition)
-    return SolveReport(u0.grid, partition, inner_report.snapshots, path,
-                       forcing=f,
-                       diagnostics={"method": "time-change",
-                                    "tau_nodes": tau_nodes})
 
 
 def weak_residual_profile(report, test=None, f=None):

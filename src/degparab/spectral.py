@@ -4,8 +4,8 @@ Fields live on a uniform grid over the torus [-L/2, L/2)^d with n (a power
 of two) points per axis.  The frequency lattice is {2*pi*k/L}; transforms
 are plain FFTs with the spectrum cached lazily on the field.  All dyadic
 analysis (blocks, Besov norms) and Fourier multipliers (Bessel potential,
-fractional Laplacian, second derivatives) operate on that lattice,
-truncated at the grid Nyquist frequency.
+second derivatives) operate on that lattice, truncated at the grid Nyquist
+frequency.
 """
 
 from __future__ import annotations
@@ -123,11 +123,6 @@ class SpectralField:
             raise ValueError(f"grid mismatch: {self.grid} vs {other.grid}")
 
 
-def inverse(spectrum, grid):
-    """Field from a spectrum (real part of the inverse DFT)."""
-    return SpectralField.from_spectrum(grid, spectrum)
-
-
 def apply_multiplier(field, values):
     """Field with spectrum multiplied by the given lattice values."""
     return SpectralField.from_spectrum(field.grid, field.spectrum * values)
@@ -219,16 +214,6 @@ def s0_block(field, family=None):
     return apply_multiplier(field, _s0_multiplier(field.grid))
 
 
-def partition_defect(grid, family=None):
-    """Max deviation of s0 + sum of blocks from the telescoped cutoff."""
-    family = family or LPFamily.for_grid(grid)
-    r = np.sqrt(_xi_sq(grid))
-    total = lowpass(r)
-    for j in range(1, family.j_max + 1):
-        total = total + family.psi_hat(j, r)
-    return float(np.abs(total - lowpass(r / 2.0 ** family.j_max)).max())
-
-
 def besov_norm(field, s, p, family=None):
     """||s0 u||_p + (sum over j >= 1 of (2^(sj) ||block_j u||_p)^p)^(1/p).
 
@@ -248,16 +233,6 @@ def bessel_norm(field, smoothness, p):
     """L_p norm after the Bessel multiplier (1 + |xi|^2)^(smoothness/2)."""
     mult = (1.0 + _xi_sq(field.grid)) ** (0.5 * smoothness)
     return lp_norm(apply_multiplier(field, mult), p)
-
-
-def frac_laplacian(field, gamma):
-    """Fractional Laplacian |xi|^gamma; only nonnegative orders are defined."""
-    if gamma < 0:
-        raise ValueError(f"fractional order must be >= 0, got {gamma}")
-    if gamma == 0:
-        return SpectralField(field.grid, field.samples.copy())
-    mult = _xi_sq(field.grid) ** (0.5 * gamma)
-    return apply_multiplier(field, mult)
 
 
 def second_derivatives(field):

@@ -1,15 +1,19 @@
-"""Test data and an independent reference that the package does not use.
+"""Test data and independent references that the package does not use.
 
 random_band_limited draws fields the Littlewood-Paley blocks reproduce
-exactly; propagate evolves one field over one window by the exact symbol,
-integrating the coefficients from 0 at both ends, as a per-window check of
-the solver's one-pass accumulation.
+exactly; partition_defect measures how far those blocks are from a
+partition of unity.  propagate evolves one field over one window by the
+exact symbol, integrating the coefficients from 0 at both ends, as a
+per-window check of the solver's one-pass accumulation; time_change_solve
+reaches the same snapshots by the paper's change of clock tau = beta(t).
 """
 
 import numpy as np
 
-from degparab import (LPFamily, SpectralField, accumulate_coefficients,
-                      quadratic_form)
+from degparab import (CoefficientPath, LPFamily, SolveReport, SpectralField,
+                      TimePartition, accumulate_coefficients, accumulate_on,
+                      inverse_cumulative, lowpass, quadratic_form,
+                      scalar_path, solve_duhamel)
 from degparab.spectral import _xi_sq
 
 
@@ -22,8 +26,72 @@ def random_band_limited(grid, rng, max_radius=None):
     return SpectralField.from_spectrum(grid, np.fft.fftn(raw) * mask)
 
 
+def partition_defect(grid, family=None):
+    """Max deviation of s0 + sum of blocks from the telescoped cutoff."""
+    family = family or LPFamily.for_grid(grid)
+    r = np.sqrt(_xi_sq(grid))
+    total = lowpass(r)
+    for j in range(1, family.j_max + 1):
+        total = total + family.psi_hat(j, r)
+    return float(np.abs(total - lowpass(r / 2.0 ** family.j_max)).max())
+
+
 def propagate(field, path, s, t):
     """Evolve a field from time s to time t (homogeneous equation)."""
     B = accumulate_coefficients(path, s, t)
     return SpectralField.from_spectrum(
         field.grid, field.spectrum * np.exp(-quadratic_form(field.grid, B)))
+
+
+def time_change_solve(u0, f, path, profile, partition):
+    """Solve by rescaling time with the cumulative floor beta.
+
+    Requires delta >= eps > 0 on (0, T].  The transformed path
+    a(phi(tau)) * phi'(tau) has ellipticity floor >= 1; its cumulative is
+    the original cumulative evaluated at phi(tau), with phi found by
+    bisection.  The tau nodes come from one accumulate_on pass, phi at all
+    of them from one inverse_cumulative call, and the cumulatives at those
+    phi from one more accumulate_on pass.  Snapshots are returned at the
+    ORIGINAL partition nodes.
+    """
+    horizon = partition.horizon
+    probe = np.linspace(0.0, horizon, 2049)
+    dmin = float(np.min(profile.delta(probe)))
+    if dmin <= 0.0:
+        raise ValueError(
+            f"time change requires delta >= eps > 0 on [0, T]; "
+            f"sampled min {dmin}")
+
+    tau_nodes = accumulate_on(scalar_path(profile, 1),
+                              partition.nodes)[:, 0, 0]
+    tau_partition = TimePartition(tau_nodes)
+    phi_nodes = inverse_cumulative(profile, tau_nodes, horizon)
+    cums = accumulate_on(path, phi_nodes)
+    node_index = {tau: k for k, tau in enumerate(tau_nodes.tolist())}
+    base_a, base_delta = path.a, profile.delta
+
+    def a_tilde(tau):
+        t = inverse_cumulative(profile, tau, horizon)
+        return (np.asarray(base_a(t), dtype=float)
+                / np.asarray(base_delta(t), dtype=float)[..., None, None])
+
+    # the solve reads the cumulative and the forcing at the tau nodes only
+    def cumulative_tilde(tau):
+        return cums[node_index[float(tau)]]
+
+    changed = CoefficientPath(
+        dim=path.dim, a=a_tilde, cumulative=cumulative_tilde,
+        spec=f"time_changed({path.spec})")
+
+    if f is None:
+        f_tilde = None
+    else:
+        def f_tilde(tau):
+            t = float(phi_nodes[node_index[float(tau)]])
+            return f(t) * (1.0 / float(base_delta(t)))
+
+    inner_report = solve_duhamel(u0, f_tilde, changed, tau_partition)
+    return SolveReport(u0.grid, partition, inner_report.snapshots, path,
+                       forcing=f,
+                       diagnostics={"method": "time-change",
+                                    "tau_nodes": tau_nodes})

@@ -17,7 +17,7 @@ from degparab import (GridSpec, TimePartition, accumulate_on,
                       epsilon_regularize, expr_matrix_path, expr_profile,
                       gaussian_bump, oscillatory_profile, parse_coefficients,
                       piecewise_profile, power_profile, scalar_path,
-                      solve_duhamel, solve_homogeneous)
+                      solve_duhamel)
 from degparab import quadrature
 from degparab.degeneracy import _integrate_window
 from degparab.quadrature import (QuadratureError, integrate_matrix_to,
@@ -197,7 +197,7 @@ def test_homogeneous_solve_matches_per_node_propagation():
     u0 = gaussian_bump(grid, width=2.0)
     path = expr_matrix_path([["t", "0.5*t"], ["0.5*t", "1 + sin(t)"]])
     part = TimePartition.geometric(12, 1.0)
-    report = solve_homogeneous(u0, path, part)
+    report = solve_duhamel(u0, None, path, part)
     assert report.forcing is None
     for t, snap in zip(part.nodes, report.snapshots):
         ref = propagate(u0, path, 0.0, t)

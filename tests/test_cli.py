@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -326,7 +327,8 @@ spec = scalar(constant(1.0))
     out = tmp_path / "out"
     assert main(["check-thm2", "--config", path, "--out", str(out)]) == 2
     summary = (out / "summary.txt").read_text()
-    assert "flags" in summary
+    assert "flags: inadmissible-hypothesis:levelset;beta(t0) = 0.0 vanishes;" \
+        in summary
 
 
 def test_main_profile_check_oscillatory(tmp_path):
@@ -349,6 +351,35 @@ spec = scalar(oscillatory())
     rows = (out / "profile_check.csv").read_text().splitlines()
     assert rows[0] == "h,measure,scan_measure"
     assert len(rows) == 10  # default h_points = 9
+
+
+def test_check_thm2_fits_the_configured_levels(tmp_path):
+    # profile-check and check-thm2 fit beta on the same h grid
+    path = write_cfg(tmp_path, """
+[grid]
+n = 256
+
+[partition]
+steps = 32
+
+[profile]
+spec = expr("sqrt(t)")
+
+[coefficients]
+spec = scalar(expr("sqrt(t)"))
+
+[params]
+h_points = 5
+h_decades = 4.0
+""")
+    reported = []
+    for command in ("profile-check", "check-thm2"):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        reported.append([re.search(rf"{key} ?= ?([^,\s]+)", summary).group(1)
+                         for key in ("beta_hat", "N0_hat")])
+    assert reported[0] == reported[1]
 
 
 def test_main_profile_check_on_expression_without_t(tmp_path):
@@ -541,12 +572,15 @@ def run_module(tmp_path, subcommand, text):
      "non-finite data: mode(1e400): field is NaN or inf"),
     ("initial", "gaussian(1e-300)",
      "non-finite data: gaussian(1e-300): field is NaN or inf"),
+    ("initial", "rough(-1100)",
+     "non-finite data: rough(-1100): field is NaN or inf"),
 ])
 def test_non_finite_data_exits_3_with_one_stderr_line(tmp_path, section,
                                                       spec, line):
+    # n = 256 resolves the dyadic scales rough(s) sums
     proc = run_module(tmp_path, "solve", f"""
 [grid]
-n = 64
+n = 256
 
 [partition]
 steps = 4

@@ -9,13 +9,12 @@ import pytest
 from degparab import (CoefficientPath, accumulate_path, check_domination,
                       epsilon_regularize,
                       constant_matrix_path, constant_profile, cumulative_delta,
-                      cumulative_delta_grid, empirical_bound, eval_delta,
+                      cumulative_delta_grid, empirical_bound,
                       expr_matrix_path, expr_profile, fit_beta_exponent,
                       inverse_cumulative,
                       levelset_measure, levelset_measure_scan,
-                      min_eigenvalue_profile, oscillatory_profile,
-                      parse_coefficients, parse_profile, piecewise_profile,
-                      power_profile, scalar_path)
+                      oscillatory_profile, parse_coefficients, parse_profile,
+                      piecewise_profile, power_profile, scalar_path)
 
 # frozen from a 1e7-point midpoint rule for int_0^t (1 + sin(1/s)) ds
 OSC_BETA_01 = 0.09105411361661561
@@ -23,11 +22,11 @@ OSC_BETA_05 = 0.5316680986775717
 
 
 def test_eval_delta_power_at_zero():
-    assert eval_delta(power_profile(1.0), 0.0) == 0.0
+    assert power_profile(1.0).delta(0.0) == 0.0
 
 
 def test_eval_delta_constant():
-    assert eval_delta(constant_profile(1.0), 0.37) == 1.0
+    assert constant_profile(1.0).delta(0.37) == 1.0
 
 
 @pytest.mark.parametrize("t", [1e-310, 5e-324])
@@ -71,12 +70,7 @@ def test_expr_without_t_is_a_constant_profile():
 
 def test_eval_delta_oscillatory_closed_value():
     # 1 + sin(pi/2) = 2
-    assert abs(eval_delta(oscillatory_profile(), 2.0 / math.pi) - 2.0) < 1e-14
-
-
-def test_eval_delta_rejects_negative_time():
-    with pytest.raises(ValueError):
-        eval_delta(constant_profile(1.0), -0.1)
+    assert abs(oscillatory_profile().delta(2.0 / math.pi) - 2.0) < 1e-14
 
 
 def test_cumulative_power_alpha_one():
@@ -270,6 +264,10 @@ def domination_loop(path, profile, sample_times):
     return worst
 
 
+# the smallest eigenvalue of [[1 + t, 0.3 t], [0.3 t, t^2]] in closed form
+MIN_EIGENVALUE = expr_profile(
+    "(1 + t + t*t)/2 - sqrt(((1 + t - t*t)/2)**2 + (0.3*t)**2)")
+
 DOMINATION_PATHS = {
     "scalar": scalar_path(oscillatory_profile(), 2),
     "scalar power": scalar_path(power_profile(1.0), 1),
@@ -286,8 +284,7 @@ DOMINATION_PROFILES = {
     "vanishing": constant_profile(0.0),
     "plateau": piecewise_profile([(0.0, "0"), (0.5, "1")]),
     "oscillatory": oscillatory_profile(),
-    "min eigenvalue": min_eigenvalue_profile(
-        expr_matrix_path([["1 + t", "0.3*t"], ["0.3*t", "t*t"]])),
+    "min eigenvalue": MIN_EIGENVALUE,
 }
 
 
@@ -304,37 +301,19 @@ def test_domination_equals_the_sample_loop(path_name, prof_name):
 
 def test_domination_of_the_min_eigenvalue_floor_equals_the_loop():
     path = expr_matrix_path([["1 + t", "0.3*t"], ["0.3*t", "t*t"]])
-    prof = min_eigenvalue_profile(path)
     times = np.linspace(0.0, 1.0, 513)
-    assert (check_domination(path, prof, times)
-            == domination_loop(path, prof, times))
-
-
-def test_min_eigenvalue_identity():
-    prof = min_eigenvalue_profile(constant_matrix_path(np.eye(2)))
-    assert eval_delta(prof, 0.3) == 1.0
-
-
-def test_min_eigenvalue_diagonal():
-    prof = min_eigenvalue_profile(constant_matrix_path(np.diag([1.0, 2.0])))
-    assert abs(eval_delta(prof, 0.3) - 1.0) < 1e-14
-
-
-def test_min_eigenvalue_coupled():
-    # eigenvalues of [[2,1],[1,2]] are 1 and 3
-    mat = np.array([[2.0, 1.0], [1.0, 2.0]])
-    prof = min_eigenvalue_profile(constant_matrix_path(mat))
-    assert abs(eval_delta(prof, 0.7) - 1.0) < 1e-14
+    assert (check_domination(path, MIN_EIGENVALUE, times)
+            == domination_loop(path, MIN_EIGENVALUE, times))
 
 
 def test_parse_profile_grammar():
-    assert eval_delta(parse_profile("constant(2.5)"), 0.1) == 2.5
-    assert abs(eval_delta(parse_profile("power(2)"), 0.5) - 0.25) < 1e-15
+    assert parse_profile("constant(2.5)").delta(0.1) == 2.5
+    assert abs(parse_profile("power(2)").delta(0.5) - 0.25) < 1e-15
     assert parse_profile("oscillatory()").spec == "oscillatory()"
-    assert eval_delta(parse_profile('expr("2*t + 1")'), 1.0) == 3.0
+    assert parse_profile('expr("2*t + 1")').delta(1.0) == 3.0
     pw = parse_profile('piecewise([(0.0, "0"), (1.0, "1")])')
-    assert eval_delta(pw, 0.5) == 0.0
-    assert eval_delta(pw, 1.5) == 1.0
+    assert pw.delta(0.5) == 0.0
+    assert pw.delta(1.5) == 1.0
 
 
 def test_parse_profile_rejects_garbage():
@@ -345,7 +324,7 @@ def test_parse_profile_rejects_garbage():
 
 def test_shifted_profile():
     prof = power_profile(1.0).shifted(0.5)
-    assert eval_delta(prof, 0.0) == 0.5
+    assert prof.delta(0.0) == 0.5
     assert abs(cumulative_delta(prof, 1.0) - 1.0) < 1e-10
 
 

@@ -12,7 +12,7 @@ from degparab import (CSV_HEADER, GridSpec, SpectralField, TimePartition,
                       gaussian_bump, lp_block, lp_norm, mode_field,
                       oscillatory_profile, parse_profile, power_profile,
                       reports_to_csv, scalar_path, solve_duhamel,
-                      solve_homogeneous, weighted_norm)
+                      weighted_norm)
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -21,7 +21,7 @@ HEAT = scalar_path(constant_profile(1.0), 1)
 def constant_report(u0, profile, K=8, T=1.0):
     # solution frozen in time: propagate with zero coefficients
     path = scalar_path(constant_profile(0.0), 1)
-    return solve_homogeneous(u0, path, TimePartition.uniform(K, T))
+    return solve_duhamel(u0, None, path, TimePartition.uniform(K, T))
 
 
 def test_weighted_norm_unit_profile_constant_solution():
@@ -199,7 +199,7 @@ def test_classic_constant_solution_ratio_one():
 
 def test_classic_heat_contraction():
     u0 = gaussian_bump(GRID, width=2.0)
-    report = solve_homogeneous(u0, HEAT, TimePartition.uniform(16, 1.0))
+    report = solve_duhamel(u0, None, HEAT, TimePartition.uniform(16, 1.0))
     rep = check_classic(report, None, u0, 2.0)
     assert rep.ratio <= 1.0 + 1e-12
 

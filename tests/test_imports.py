@@ -1,4 +1,5 @@
-"""Importing the package loads scipy only where a function calls it."""
+"""The package exports a pinned set of names and loads scipy only where a
+function calls it."""
 
 import os
 import subprocess
@@ -7,6 +8,40 @@ import sys
 import degparab
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(degparab.__file__)))
+
+# every public name, the submodules included; adding or removing one is a
+# change to this list
+PUBLIC_NAMES = [
+    "CSV_HEADER", "CoefficientPath", "ConfigError", "DegeneracyProfile",
+    "DegenerateKernelError", "EstimateReport", "ExperimentConfig",
+    "FDScheme", "GridSpec", "KernelDecayFit", "LPFamily", "LevelsetFit",
+    "MCEstimate", "QuadratureError", "SolveReport", "SpectralField",
+    "TimePartition", "WeightedNormSpec", "accumulate_coefficients",
+    "accumulate_on", "accumulate_path", "besov_norm", "bessel_norm",
+    "build_forcing", "build_initial", "char_function_check",
+    "check_classic", "check_domination", "check_kernel_decay",
+    "check_thm1", "check_thm2", "cli", "compare_fields", "compile_expr",
+    "config_to_text", "constant_matrix_path", "constant_profile",
+    "convergence_orders", "cumulative_delta", "cumulative_delta_grid",
+    "degeneracy", "empirical_bound", "epsilon_regularize", "epsilon_sweep",
+    "estimates", "expr_matrix_path", "expr_profile", "fd_solve",
+    "fit_beta_exponent", "gaussian_bump", "hessian_lp_norm",
+    "inner_product", "integrate_matrix_to", "integrate_to",
+    "integrate_windows", "inverse_cumulative", "kernel",
+    "levelset_measure", "levelset_measure_scan", "load_report", "lowpass",
+    "lp_block", "lp_norm", "mc_solve", "mode_field", "oracle",
+    "oscillatory_profile", "parse_coefficients", "parse_config",
+    "parse_profile", "piecewise_profile", "power_profile",
+    "quadratic_form", "quadrature", "reports_to_csv", "rough_field", "run",
+    "s0_block", "sample_increments", "save_report", "scalar_path",
+    "second_derivatives", "solve_duhamel", "solve_final", "solver", "spec",
+    "spectral", "validate_config", "weak_residual_profile",
+    "weighted_norm", "x_grids",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(degparab.__all__) == PUBLIC_NAMES
 
 
 def test_import_leaves_scipy_unloaded():

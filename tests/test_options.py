@@ -3,9 +3,12 @@
 import dataclasses
 import inspect
 
+import pytest
+
 import degparab
 from degparab import FDScheme, check_kernel_decay
-from degparab.quadrature import integrate_to, integrate_windows
+from degparab.quadrature import (integrate_matrix_to, integrate_to,
+                                 integrate_windows)
 
 
 def test_no_public_function_above_quadrature_takes_a_tolerance():
@@ -21,10 +24,12 @@ def test_no_public_function_above_quadrature_takes_a_tolerance():
     assert takers == []
 
 
-def test_window_helper_takes_no_tolerance():
-    # integrate_windows applies integrate_to's default target; a tolerance
-    # parameter would open a second accuracy policy
-    params = inspect.signature(integrate_windows).parameters
+@pytest.mark.parametrize("helper", [integrate_windows, integrate_matrix_to],
+                         ids=lambda fn: fn.__name__)
+def test_window_helper_takes_no_tolerance(helper):
+    # the helpers built on integrate_to apply its default target; a
+    # tolerance parameter would open a second accuracy policy
+    params = inspect.signature(helper).parameters
     assert [p for p in ("rtol", "atol", "max_panels") if p in params] == []
 
 

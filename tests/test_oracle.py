@@ -16,7 +16,7 @@ from degparab import (FDScheme, GridSpec, SpectralField, TimePartition,
                       convergence_orders, cumulative_delta, fd_solve,
                       gaussian_bump, mc_solve, oscillatory_profile,
                       parse_coefficients, sample_increments, scalar_path,
-                      solve_duhamel, solve_homogeneous)
+                      solve_duhamel)
 from degparab.oracle import _stencil_symbol
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
@@ -192,7 +192,7 @@ def test_fd_dim2_cross_terms():
     path = constant_matrix_path([[2.0, 1.0], [1.0, 2.0]])
     u0 = gaussian_bump(grid, width=2.0)
     rep = fd_solve(u0, None, path, TimePartition.uniform(32, 0.25))
-    ref = solve_homogeneous(u0, path, TimePartition.uniform(2, 0.25))
+    ref = solve_duhamel(u0, None, path, TimePartition.uniform(2, 0.25))
     assert compare_fields(ref.snapshots[-1], rep.snapshots[-1],
                           math.inf) < 5e-3
 

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from degparab import (DegenerateKernelError, GridSpec, SpectralField,
                       TimePartition, accumulate_coefficients, compare_fields,
                       constant_matrix_path, constant_profile, cumulative_delta,
-                      epsilon_regularize, eval_delta, gaussian_bump, kernel,
+                      epsilon_regularize, gaussian_bump, kernel,
                       inner_product, load_report, lp_norm, mode_field,
                       oscillatory_profile, parse_coefficients, parse_profile,
                       power_profile, quadratic_form, save_report,
                       scalar_path, solve_duhamel, solve_final,
-                      solve_homogeneous, time_change_solve,
                       weak_residual_profile, x_grids)
 from degparab.solver import _trapezoid
-from references import propagate
+import references
+from references import propagate, time_change_solve
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -119,7 +119,7 @@ def test_symbol_modulus_bound():
 def test_mass_conservation_and_contraction():
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(16, 1.0)
-    report = solve_homogeneous(u0, HEAT, part)
+    report = solve_duhamel(u0, None, HEAT, part)
     m0 = float(np.sum(u0.samples))
     for snap in report.snapshots:
         assert abs(float(np.sum(snap.samples)) - m0) < 1e-10 * abs(m0)
@@ -160,13 +160,14 @@ def test_kernel_rejects_degenerate_time():
 
 def test_solve_homogeneous_initial_snapshot_exact():
     u0 = gaussian_bump(GRID, width=2.0)
-    report = solve_homogeneous(u0, HEAT, TimePartition.uniform(4, 0.4))
+    report = solve_duhamel(u0, None, HEAT, TimePartition.uniform(4, 0.4))
     assert np.array_equal(report.snapshots[0].samples, u0.samples)
 
 
 def test_solve_homogeneous_zero_path_constant():
     u0 = gaussian_bump(GRID, width=2.0)
-    report = solve_homogeneous(u0, zero_path(), TimePartition.uniform(4, 1.0))
+    report = solve_duhamel(u0, None, zero_path(),
+                           TimePartition.uniform(4, 1.0))
     for snap in report.snapshots:
         assert np.max(np.abs(snap.samples - u0.samples)) < 1e-13
 
@@ -174,8 +175,10 @@ def test_solve_homogeneous_zero_path_constant():
 def test_duhamel_without_forcing_matches_homogeneous():
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.geometric(16, 0.5)
-    a = solve_homogeneous(u0, HEAT, part)
-    b = solve_duhamel(u0, None, HEAT, part)
+    # the homogeneous solve (f=None) adds nothing where a zero forcing adds 0
+    zero = SpectralField(GRID, np.zeros(GRID.shape))
+    a = solve_duhamel(u0, None, HEAT, part)
+    b = solve_duhamel(u0, lambda t: zero, HEAT, part)
     for sa, sb in zip(a.snapshots, b.snapshots):
         assert np.array_equal(sa.samples, sb.samples)
 
@@ -212,7 +215,7 @@ def test_time_change_noop_for_unit_profile():
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(8, 1.0)
     prof = constant_profile(1.0)
-    direct = solve_homogeneous(u0, HEAT, part)
+    direct = solve_duhamel(u0, None, HEAT, part)
     changed = time_change_solve(u0, None, HEAT, prof, part)
     for a, b in zip(direct.snapshots, changed.snapshots):
         assert np.max(np.abs(a.samples - b.samples)) < 1e-12
@@ -227,7 +230,7 @@ def test_time_change_constant_two():
     changed = time_change_solve(u0, None, path, prof, part)
     tau = changed.diagnostics["tau_nodes"]
     assert np.allclose(tau, 2.0 * part.nodes, atol=1e-9)
-    direct = solve_homogeneous(u0, path, part)
+    direct = solve_duhamel(u0, None, path, part)
     gap = compare_fields(direct.snapshots[-1], changed.snapshots[-1], np.inf)
     assert gap < 1e-8
 
@@ -237,7 +240,7 @@ def test_time_change_affine_profile():
     path = scalar_path(prof, 1)
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(8, 1.0)
-    direct = solve_homogeneous(u0, path, part)
+    direct = solve_duhamel(u0, None, path, part)
     changed = time_change_solve(u0, None, path, prof, part)
     for a, b in zip(direct.snapshots, changed.snapshots):
         assert np.max(np.abs(a.samples - b.samples)) < 1e-8
@@ -263,15 +266,14 @@ def test_time_change_forced_converges_to_direct_solve():
 
 @pytest.mark.parametrize("forced", [False, True])
 def test_time_change_inverts_all_nodes_in_one_call(monkeypatch, forced):
-    import degparab.solver as solver_module
     calls = []
-    inverse = solver_module.inverse_cumulative
+    inverse = references.inverse_cumulative
 
     def spy(*args, **kwargs):
         calls.append(args)
         return inverse(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "inverse_cumulative", spy)
+    monkeypatch.setattr(references, "inverse_cumulative", spy)
     prof = parse_profile('expr("t + 0.1")')
     shape = gaussian_bump(GRID, width=1.5)
     f = (lambda t: shape * (1.0 + t)) if forced else None
@@ -298,7 +300,7 @@ def test_epsilon_regularize_zero_path():
 def test_epsilon_regularize_shifts_floor():
     prof = power_profile(1.0)
     reg = epsilon_regularize(scalar_path(prof, 1), 0.5)
-    assert eval_delta(prof.shifted(0.5), 0.0) == 0.5
+    assert prof.shifted(0.5).delta(0.0) == 0.5
     assert np.allclose(reg.a(0.0), [[0.5]])
 
 
@@ -307,10 +309,10 @@ def test_regularized_solve_converges_monotonically():
     path = scalar_path(prof, 1)
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(8, 0.5)
-    base = solve_homogeneous(u0, path, part).snapshots[-1]
+    base = solve_duhamel(u0, None, path, part).snapshots[-1]
     gaps = []
     for eps in (1e-1, 1e-2, 1e-3):
-        reg = solve_homogeneous(u0, epsilon_regularize(path, eps), part)
+        reg = solve_duhamel(u0, None, epsilon_regularize(path, eps), part)
         gaps.append(compare_fields(base, reg.snapshots[-1], 2.0))
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -319,7 +321,7 @@ def test_weak_residual_second_order_decay():
     u0 = gaussian_bump(GRID, width=2.0)
     res = []
     for K in (64, 128):
-        report = solve_homogeneous(u0, HEAT, TimePartition.uniform(K, 1.0))
+        report = solve_duhamel(u0, None, HEAT, TimePartition.uniform(K, 1.0))
         res.append(float(np.max(weak_residual_profile(report))))
     order = math.log2(res[0] / res[1])
     assert order > 1.8
@@ -328,21 +330,22 @@ def test_weak_residual_second_order_decay():
 def test_weak_residual_small_at_reference_resolution():
     grid = GridSpec(dim=1, n=1024, length=32.0)
     u0 = gaussian_bump(grid, width=2.0)
-    report = solve_homogeneous(u0, scalar_path(constant_profile(1.0), 1),
+    report = solve_duhamel(u0, None, scalar_path(constant_profile(1.0), 1),
                                TimePartition.uniform(256, 1.0))
     assert float(np.max(weak_residual_profile(report))) < 1e-6
 
 
 def test_weak_residual_zero_for_constant_solution():
     u0 = gaussian_bump(GRID, width=2.0)
-    report = solve_homogeneous(u0, zero_path(), TimePartition.uniform(8, 1.0))
+    report = solve_duhamel(u0, None, zero_path(),
+                           TimePartition.uniform(8, 1.0))
     assert float(np.max(weak_residual_profile(report))) < 1e-12
 
 
 def test_weak_residual_detects_corruption():
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(64, 1.0)
-    report = solve_homogeneous(u0, HEAT, part)
+    report = solve_duhamel(u0, None, HEAT, part)
     test_fn = gaussian_bump(GRID, width=2.0)
     clean = weak_residual_profile(report, test=test_fn)[-1]
     corrupted = report.snapshots[-1] * 1.01
@@ -369,7 +372,7 @@ def test_duhamel_weak_residual_decays():
 def test_report_roundtrip(tmp_path):
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(4, 0.5)
-    report = solve_homogeneous(u0, HEAT, part)
+    report = solve_duhamel(u0, None, HEAT, part)
     outdir = tmp_path / "report"
     save_report(report, outdir, p=2.0)
     meta, nodes, snapshots = load_report(outdir)
@@ -385,7 +388,7 @@ def test_report_roundtrip(tmp_path):
 def test_norm_rows():
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(4, 0.5)
-    report = solve_homogeneous(u0, HEAT, part)
+    report = solve_duhamel(u0, None, HEAT, part)
     rows = report.norm_rows(2.0)
     assert len(rows) == 5
     k, t, lp, h2p = rows[0]
@@ -396,7 +399,7 @@ def test_norm_rows():
 
 def test_save_report_returns_the_residuals_it_writes(tmp_path):
     u0 = gaussian_bump(GRID, width=2.0)
-    report = solve_homogeneous(u0, HEAT, TimePartition.uniform(4, 0.5))
+    report = solve_duhamel(u0, None, HEAT, TimePartition.uniform(4, 0.5))
     residuals = save_report(report, tmp_path / "report", p=2.0)
     assert np.array_equal(residuals, weak_residual_profile(report))
     rows = (tmp_path / "report" / "norms.csv").read_text().splitlines()[1:]

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from degparab import (GridSpec, LPFamily, SpectralField, besov_norm,
-                      bessel_norm, frac_laplacian, gaussian_bump,
-                      hessian_lp_norm, inner_product, inverse, lowpass,
-                      lp_block, lp_norm, mode_field, partition_defect,
+                      bessel_norm, gaussian_bump, hessian_lp_norm,
+                      inner_product, lowpass, lp_block, lp_norm, mode_field,
                       s0_block, second_derivatives, x_grids)
-from references import random_band_limited
+from references import partition_defect, random_band_limited
 
 # period 8*pi puts the dyadic frequencies 2^j exactly on the lattice
 LATTICE_GRID = GridSpec(dim=1, n=256, length=8.0 * math.pi)
@@ -30,7 +29,7 @@ def test_round_trip():
     rng = np.random.default_rng(0)
     samples = rng.standard_normal(grid.shape)
     field = SpectralField(grid, samples)
-    back = inverse(field.spectrum, grid)
+    back = SpectralField.from_spectrum(grid, field.spectrum)
     assert np.max(np.abs(back.samples - samples)) < 1e-12 * np.max(np.abs(samples))
 
 
@@ -174,17 +173,6 @@ def test_bessel_mode_factor():
     # (1 + |xi|^2)^(n/2) at |xi| = 1, n = 2 gives exactly 2
     u = mode_field(LATTICE_GRID, (4,))
     assert abs(bessel_norm(u, 2.0, 2.0) - 2.0 * lp_norm(u, 2.0)) < 1e-10
-
-
-def test_frac_laplacian_identity_and_modes():
-    u = mode_field(LATTICE_GRID, (8,))  # xi = 2
-    assert np.allclose(frac_laplacian(u, 0.0).samples, u.samples)
-    assert np.allclose(frac_laplacian(u, 1.0).samples, 2.0 * u.samples,
-                       atol=1e-10)
-    assert np.allclose(frac_laplacian(u, 2.0).samples, 4.0 * u.samples,
-                       atol=1e-10)
-    with pytest.raises(ValueError):
-        frac_laplacian(u, -1.0)
 
 
 def test_second_derivatives_mode():
