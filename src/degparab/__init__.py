@@ -10,8 +10,8 @@ checkers, and independent finite-difference / Monte Carlo oracles.
 """
 
 from .degeneracy import (CoefficientPath, DegeneracyProfile, LevelsetFit,
-                         accumulate_on, accumulate_path, check_domination,
-                         compile_expr, constant_matrix_path, constant_profile,
+                         accumulate_on, check_domination, compile_expr,
+                         constant_matrix_path, constant_profile,
                          cumulative_delta, cumulative_delta_grid,
                          empirical_bound, expr_matrix_path, expr_profile,
                          fit_beta_exponent, inverse_cumulative,
@@ -25,12 +25,11 @@ from .estimates import (CSV_HEADER, EstimateReport, KernelDecayFit,
                         weighted_norm)
 from .oracle import (FDScheme, MCEstimate, char_function_check, compare_fields,
                      convergence_orders, fd_solve, mc_solve, sample_increments)
-from .quadrature import (QuadratureError, integrate_matrix_to, integrate_to,
-                         integrate_windows)
+from .quadrature import QuadratureError, integrate_to, integrate_windows
 from .solver import (DegenerateKernelError, SolveReport, TimePartition,
-                     accumulate_coefficients, epsilon_regularize, kernel,
-                     load_report, quadratic_form, save_report,
-                     solve_duhamel, solve_final, weak_residual_profile)
+                     epsilon_regularize, kernel, load_report, quadratic_form,
+                     save_report, solve_duhamel, solve_final,
+                     weak_residual_profile)
 from .spectral import (GridSpec, LPFamily, SpectralField, besov_norm,
                        bessel_norm, gaussian_bump, hessian_lp_norm,
                        inner_product, lowpass, lp_block, lp_norm, mode_field,

@@ -236,6 +236,8 @@ def validate_config(cfg):
     if cfg.k_min < 1 or cfg.k_max < cfg.k_min:
         diags.append(f"params.k_min/k_max: need 1 <= k_min <= k_max, "
                      f"got {cfg.k_min}..{cfg.k_max}")
+    if cfg.t0 is not None and not cfg.t0 >= 0:
+        diags.append(f"params.t0: must be >= 0, got {cfg.t0}")
     if cfg.t_lo <= 0 or (cfg.t_hi is not None and cfg.t_hi <= cfg.t_lo):
         diags.append("params.t_lo/t_hi: need 0 < t_lo < t_hi")
     if cfg.h_points < 4:
@@ -463,11 +465,12 @@ def run_check_classic(cfg, outdir, workers, tol_scale):
 
 def run_kernel_decay(cfg, outdir, workers, tol_scale):
     grid, partition, profile, path, u0, f = _build_all(cfg)
-    j_max = LPFamily.for_grid(grid).j_max
-    if cfg.k_max > j_max:
-        print(f"config error: params.k_max: block {cfg.k_max} is beyond the "
-              f"grid's top dyadic scale j_max = {j_max}; raise n or shrink "
-              f"the period", file=sys.stderr)
+    family = LPFamily.for_grid(grid)
+    if cfg.k_min < family.j_min or cfg.k_max > family.j_max:
+        key = "k_min" if cfg.k_min < family.j_min else "k_max"
+        print(f"config error: params.{key}: blocks {cfg.k_min}..{cfg.k_max} lie "
+              f"outside the grid's dyadic scales j_min = {family.j_min} to "
+              f"j_max = {family.j_max}; change n or the period", file=sys.stderr)
         return 3
     t_hi = cfg.t_hi if cfg.t_hi is not None else cfg.horizon / 2.0
     ts = np.logspace(math.log10(cfg.t_lo), math.log10(t_hi), cfg.t_count)
@@ -720,7 +723,7 @@ def main(argv=None):
         p.add_argument("--out", default=None, help="output directory "
                        "(default: the config's run.out)")
         p.add_argument("--workers", type=int, default=1,
-                       help="thread pool size for sweeps")
+                       help="thread pool for sweeps; pays only on 2D/3D grids")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--tolerance-scale", type=float, default=1.0,

@@ -12,12 +12,13 @@ scalar/matrix) read by the grammar in degparab.spec, which the CLI shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .quadrature import (ATOL, RTOL, QuadratureError, integrate_matrix_to,
-                         integrate_to, integrate_windows)
+from .quadrature import (ATOL, RTOL, QuadratureError, integrate_to,
+                         integrate_windows)
 from .spec import Call, compile_expr, number, read_call
 
 
@@ -200,16 +201,17 @@ def _profile(call, text):
 
 
 def cumulative_delta(profile, t):
-    """beta(t): exact closed form when registered, panel quadrature otherwise."""
-    if t < 0:
+    """beta at a time or an array of times (float or array out, as delta):
+    accumulate_on of scalar_path(profile, 1).  A failure names the profile."""
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0):
         raise ValueError(f"cumulative is defined for t >= 0, got {t}")
-    if profile.closed_form_cumulative is not None:
-        return float(profile.closed_form_cumulative(t))
     try:
-        return integrate_to(profile.delta, t, breakpoints=profile.breakpoints)
+        betas = accumulate_on(scalar_path(profile, 1), ts.ravel())[:, 0, 0]
     except QuadratureError as exc:
         exc.spec = profile.spec
         raise
+    return float(betas[0]) if ts.ndim == 0 else betas.reshape(ts.shape)
 
 
 def cumulative_delta_grid(profile, ts, npts=None):
@@ -295,7 +297,7 @@ def inverse_cumulative(profile, h, t_max, clamp=False):
     h is a level or an array of levels (float or array out, as delta).
     Every level runs the same 60 bisection steps on [0, t_max], and one
     table serves them all: beta on the dyadic nodes t_max * 2^-m,
-    m = 0..60, from one accumulate_on pass.  Those nodes are the midpoints
+    m = 0..60, from one cumulative_delta call.  Those nodes are the midpoints
     bisection visits while its lower end is 0, so each level starts from
     its dyadic bracket; each later step takes beta(mid) = beta(lo) plus the
     window [lo, mid], evaluated for all levels in one batched integrand call
@@ -316,11 +318,7 @@ def inverse_cumulative(profile, h, t_max, clamp=False):
     todo = ~(flat <= 0)
     if np.any(todo):
         nodes = float(t_max) * 2.0 ** -np.arange(_BISECTION_STEPS + 1)
-        try:
-            betas = accumulate_on(scalar_path(profile, 1), nodes)[:, 0, 0]
-        except QuadratureError as exc:
-            exc.spec = profile.spec
-            raise
+        betas = cumulative_delta(profile, nodes)
         top = float(betas[0])
         # the table's windows are each within max(ATOL, RTOL * window), and
         # a caller's beta(t_max) from 0 within max(ATOL, RTOL * beta)
@@ -475,8 +473,7 @@ class CoefficientPath:
     (dim, dim) array, an array ts of shape (m,) gives (m, dim, dim), and
     a(ts)[k] equals a(ts[k]) bit for bit.  cumulative, when present, is
     the exact entrywise integral over [0, t] at one scalar t; otherwise
-    accumulate_on integrates a with the same panel scheme as
-    cumulative_delta.
+    accumulate_on integrates a by panel quadrature.
     """
 
     dim: int
@@ -583,65 +580,63 @@ def parse_coefficients(text, dim):
     raise ValueError(f"unknown coefficient kind {name!r} in {text!r}")
 
 
-def accumulate_path(path, t):
-    """Entrywise integral of a over [0, t], symmetrized."""
-    if t < 0:
-        raise ValueError(f"accumulation endpoint must be >= 0, got {t}")
-    if path.cumulative is not None:
-        mat = np.asarray(path.cumulative(t), dtype=float)
-    else:
-        mat = _integrate_window(path, 0.0, t)
-    return 0.5 * (mat + mat.T)
+def _entry(path, i, j):
+    return lambda t: np.asarray(path.a(t), dtype=float)[:, i, j]
 
 
-def _integrate_window(path, lower, t):
-    """Entrywise quadrature of a over [lower, t]; a failure names the path."""
+def _integrate_entries(path, lower, t):
+    """Entrywise integral of a over [lower, t], by integrate_to per entry
+    i <= j at the package's accuracy policy; a failure names the path."""
+    out = np.zeros((path.dim, path.dim))
     try:
-        return integrate_matrix_to(path.a, path.dim, t, lower=lower,
-                                   breakpoints=path.breakpoints)
+        for i, j in combinations_with_replacement(range(path.dim), 2):
+            out[i, j] = out[j, i] = integrate_to(
+                _entry(path, i, j), t, breakpoints=path.breakpoints,
+                lower=lower)
     except QuadratureError as exc:
         exc.spec = path.spec
         raise
+    return out
 
 
 def accumulate_on(path, nodes):
-    """Entrywise integrals of a over [0, t] for every t in nodes, symmetrized.
+    """Entrywise integrals of a over [0, t] for every t in nodes, symmetrized:
+    the one route from a path, or a profile's scalar_path, to cumulatives.
 
     Returns an array (len(nodes), dim, dim) in the order of nodes.  A
-    registered cumulative is evaluated per node, exactly as accumulate_path
-    does.  Otherwise accumulate_path integrates the head [0, t_1] up to the
-    smallest positive node first.  Then one integrate_windows call per entry
-    i <= j sums each window [t_(k-1), t_k] between consecutive distinct
-    nodes on one panel: integrate_to's value, bit for bit, where that meets
-    the target max(atol, rtol * |window|).  A window that misses it in an
-    entry, or holds a breakpoint, goes to integrate_to(..., lower=t_(k-1)),
-    in time order.  The windows are summed left to right.
+    registered cumulative is evaluated per node.  Otherwise integrate_to
+    takes the head [0, t_1] from 0, per entry i <= j.  Then one
+    integrate_windows call per entry sums each window [t_(k-1), t_k]
+    between consecutive distinct nodes on one panel: integrate_to's value,
+    bit for bit, where that meets the target max(atol, rtol * |window|).  A
+    window that misses it in an entry, or holds a breakpoint, goes to
+    integrate_to(..., lower=t_(k-1)), in time order.  The windows are
+    summed left to right.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1:
         raise ValueError(f"nodes must be one-dimensional, got shape {nodes.shape}")
     if np.any(nodes < 0):
         raise ValueError("accumulation endpoints must be >= 0")
+    shape = nodes.shape + (path.dim,) * 2
     if path.cumulative is not None:
-        return np.array([accumulate_path(path, t) for t in nodes]
-                        ).reshape(nodes.shape + (path.dim,) * 2)
+        out = np.array([path.cumulative(t) for t in nodes], float).reshape(shape)
+        return 0.5 * (out + np.swapaxes(out, -1, -2))
     # distinct positive nodes (np.unique's quicksort maps ~1 MB more code)
     ts = np.sort(nodes[nodes > 0], kind="stable")
     ts = ts[np.diff(ts, prepend=0.0) > 0]
-    table = np.zeros((ts.size + 1, path.dim, path.dim))  # to 0, ts[0], ...
+    table = np.zeros((ts.size + 1,) + shape[1:])  # to 0, ts[0], ...
     if ts.size:
-        table[1] = accumulate_path(path, float(ts[0]))
+        table[1] = _integrate_entries(path, 0.0, float(ts[0]))
         lo, hi = ts[:-1], ts[1:]
-        windows = np.empty((lo.size, path.dim, path.dim))
+        windows = np.empty((lo.size,) + shape[1:])
         missed = _holds_breakpoint(lo, hi, path.breakpoints)
-        for i, j in zip(*np.triu_indices(path.dim)):
-            vals, ok, _ = integrate_windows(
-                lambda t, i=i, j=j: np.asarray(path.a(t), dtype=float)[:, i, j],
-                lo, hi, None)
+        for i, j in combinations_with_replacement(range(path.dim), 2):
+            vals, ok, _ = integrate_windows(_entry(path, i, j), lo, hi, None)
             windows[:, i, j] = windows[:, j, i] = vals
             missed |= ~ok
         for k in np.flatnonzero(missed):
-            windows[k] = _integrate_window(path, float(lo[k]), float(hi[k]))
+            windows[k] = _integrate_entries(path, float(lo[k]), float(hi[k]))
         table[1:] = np.cumsum(np.concatenate([table[1:2], windows]), axis=0)
     out = table[np.searchsorted(ts, nodes, side="right")]
     return 0.5 * (out + np.swapaxes(out, -1, -2))

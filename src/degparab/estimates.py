@@ -255,9 +255,9 @@ def check_kernel_decay(path, profile, gamma, k_range, t_samples, grid):
     frac = _xi_sq(grid) ** (0.5 * gamma) if gamma > 0 else 1.0
     t_samples = np.asarray(t_samples, dtype=float)
     rows = []
-    for t, B in zip(t_samples, accumulate_on(path, t_samples)):
+    betas = cumulative_delta(profile, t_samples).tolist()
+    for t, B, beta_t in zip(t_samples, accumulate_on(path, t_samples), betas):
         values = np.exp(-quadratic_form(grid, B))
-        beta_t = cumulative_delta(profile, t)
         for k in k_range:
             block = _block_multiplier(family, grid, k)
             samples = np.fft.ifftn(values * block * frac).real / grid.cell_volume

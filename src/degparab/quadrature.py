@@ -186,22 +186,3 @@ def integrate_windows(f, lower, upper, whole=None):
     converged = np.abs(whole - fine) <= np.maximum(ATOL, RTOL * np.abs(fine))
     return fine, converged, left
 
-
-def integrate_matrix_to(a, dim, t, breakpoints=(), lower=0.0):
-    """Entrywise integral over [lower, t] of a matrix path a(t) -> (dim, dim).
-
-    Each entry is computed by integrate_to at the package's accuracy policy.
-    The path is vectorized: a(ts) for ts of shape (m,) is (m, dim, dim), so
-    each panel batch costs one call; symmetry is used to integrate each
-    entry once.
-    """
-    out = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            def entry(ts, _i=i, _j=j):
-                return np.asarray(a(ts), dtype=float)[:, _i, _j]
-
-            val = integrate_to(entry, t, breakpoints=breakpoints, lower=lower)
-            out[i, j] = val
-            out[j, i] = val
-    return out

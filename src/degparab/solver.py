@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .degeneracy import CoefficientPath, accumulate_on, accumulate_path
+from .degeneracy import CoefficientPath, accumulate_on
 from .spectral import (GridSpec, SpectralField, _freq_grids, bessel_norm,
                        gaussian_bump, inner_product, lp_norm,
                        second_derivatives)
@@ -61,12 +61,6 @@ class TimePartition:
     def steps(self):
         return self.nodes.size - 1
 
-    def index_of(self, t):
-        idx = int(np.argmin(np.abs(self.nodes - t)))
-        if abs(self.nodes[idx] - t) > 1e-12 * max(1.0, self.horizon):
-            raise ValueError(f"t={t} is not a partition node")
-        return idx
-
     def __len__(self):
         return self.nodes.size
 
@@ -87,14 +81,6 @@ def quadratic_form(grid, B):
     return out
 
 
-def accumulate_coefficients(path, s, t):
-    """Accumulated matrix B = int_s^t A(r) dr, symmetrized."""
-    if not 0 <= s <= t:
-        raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-    B = accumulate_path(path, t) - accumulate_path(path, s)
-    return 0.5 * (B + B.T)
-
-
 def kernel(path, t, grid):
     """Fundamental solution at time t, sampled with its peak at x = 0.
 
@@ -102,7 +88,7 @@ def kernel(path, t, grid):
     window where they vanish the propagator is a point mass, not a
     function, and DegenerateKernelError is raised.
     """
-    B = accumulate_coefficients(path, 0.0, t)
+    B = accumulate_on(path, [t])[0]
     eigs = np.linalg.eigvalsh(B)
     if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
         raise DegenerateKernelError(
@@ -124,9 +110,6 @@ class SolveReport:
         self.path = path
         self.forcing = forcing
         self.diagnostics = dict(diagnostics or {})
-
-    def snapshot_at(self, t):
-        return self.snapshots[self.partition.index_of(t)]
 
     def norm_rows(self, p=2.0):
         """(k, t, L_p norm, H^2_p norm) per snapshot."""

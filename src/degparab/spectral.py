@@ -185,10 +185,6 @@ class LPFamily:
         r = np.asarray(r, dtype=float)
         return lowpass(r / 2.0 ** j) - lowpass(r / 2.0 ** (j - 1))
 
-    def band_limit(self, grid):
-        """Largest |xi| fully reproduced by s0 + blocks 1..j_max."""
-        return 2.0 ** self.j_max
-
 
 @functools.lru_cache(maxsize=512)
 def _block_multiplier(family, grid, j):

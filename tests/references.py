@@ -2,25 +2,30 @@
 
 random_band_limited draws fields the Littlewood-Paley blocks reproduce
 exactly; partition_defect measures how far those blocks are from a
-partition of unity.  propagate evolves one field over one window by the
-exact symbol, integrating the coefficients from 0 at both ends, as a
-per-window check of the solver's one-pass accumulation; time_change_solve
-reaches the same snapshots by the paper's change of clock tau = beta(t).
+partition of unity.  accumulate_path is the per-node route to the
+cumulative coefficients that accumulate_on replaced: the registered
+cumulative, or one integrate_to call from 0 per entry (integrate_entries,
+which also integrates single windows).  propagate evolves one field over
+one window by the exact symbol, integrating the coefficients from 0 at
+both ends, as a per-window check of the solver's one-pass accumulation;
+time_change_solve reaches the same snapshots by the paper's change of
+clock tau = beta(t).
 """
 
 import numpy as np
 
-from degparab import (CoefficientPath, LPFamily, SolveReport, SpectralField,
-                      TimePartition, accumulate_coefficients, accumulate_on,
-                      inverse_cumulative, lowpass, quadratic_form,
-                      scalar_path, solve_duhamel)
+from degparab import (CoefficientPath, LPFamily, QuadratureError,
+                      SolveReport, SpectralField, TimePartition, accumulate_on,
+                      integrate_to, inverse_cumulative, lowpass,
+                      quadratic_form, scalar_path, solve_duhamel)
 from degparab.spectral import _xi_sq
 
 
 def random_band_limited(grid, rng, max_radius=None):
     """Random real field with spectrum supported in |xi| <= max_radius."""
     if max_radius is None:
-        max_radius = LPFamily.for_grid(grid).band_limit(grid)
+        # the largest |xi| that s0 + blocks 1..j_max reproduce in full
+        max_radius = 2.0 ** LPFamily.for_grid(grid).j_max
     raw = rng.standard_normal(grid.shape)
     mask = _xi_sq(grid) <= max_radius ** 2
     return SpectralField.from_spectrum(grid, np.fft.fftn(raw) * mask)
@@ -36,9 +41,39 @@ def partition_defect(grid, family=None):
     return float(np.abs(total - lowpass(r / 2.0 ** family.j_max)).max())
 
 
+def integrate_entries(path, lower, t):
+    """Entrywise integral of a over [lower, t], one integrate_to call per
+    entry i <= j; a failure names the path."""
+    out = np.zeros((path.dim, path.dim))
+    try:
+        for i in range(path.dim):
+            for j in range(i, path.dim):
+                out[i, j] = out[j, i] = integrate_to(
+                    lambda ts, i=i, j=j: np.asarray(path.a(ts),
+                                                    dtype=float)[:, i, j],
+                    t, breakpoints=path.breakpoints, lower=lower)
+    except QuadratureError as exc:
+        exc.spec = path.spec
+        raise
+    return out
+
+
+def accumulate_path(path, t):
+    """Entrywise integral of a over [0, t], symmetrized, from 0 at one node."""
+    if t < 0:
+        raise ValueError(f"accumulation endpoint must be >= 0, got {t}")
+    if path.cumulative is not None:
+        mat = np.asarray(path.cumulative(t), dtype=float)
+    else:
+        mat = integrate_entries(path, 0.0, t)
+    return 0.5 * (mat + mat.T)
+
+
 def propagate(field, path, s, t):
     """Evolve a field from time s to time t (homogeneous equation)."""
-    B = accumulate_coefficients(path, s, t)
+    if not 0 <= s <= t:
+        raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
+    B = accumulate_path(path, t) - accumulate_path(path, s)
     return SpectralField.from_spectrum(
         field.grid, field.spectrum * np.exp(-quadratic_form(field.grid, B)))
 

@@ -1,11 +1,13 @@
 """One-pass coefficient accumulation against the routes it replaced.
 
 accumulate_on integrates each window between consecutive nodes once, all
-windows of an entry in one integrand call, and sums the windows;
-accumulate_path integrates from 0 at every node.  The per-node route is
-kept here as the slow oracle, and the loop that integrated one window per
-call as the exact one.
+windows of an entry in one integrand call, and sums the windows; the
+per-node route that integrates from 0 at every node (references'
+accumulate_path) is the slow oracle, and the loop that integrated one
+window per call the exact one.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,16 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degparab import (GridSpec, TimePartition, accumulate_on,
-                      accumulate_path, constant_matrix_path, constant_profile,
-                      epsilon_regularize, expr_matrix_path, expr_profile,
-                      gaussian_bump, oscillatory_profile, parse_coefficients,
-                      piecewise_profile, power_profile, scalar_path,
-                      solve_duhamel)
-from degparab import quadrature
-from degparab.degeneracy import _integrate_window
-from degparab.quadrature import (QuadratureError, integrate_matrix_to,
-                                 integrate_to)
-from references import propagate
+                      char_function_check, constant_matrix_path,
+                      constant_profile, cumulative_delta, epsilon_regularize,
+                      expr_matrix_path, expr_profile, gaussian_bump, kernel,
+                      oscillatory_profile, parse_coefficients,
+                      piecewise_profile, power_profile, quadratic_form,
+                      sample_increments, scalar_path, solve_duhamel)
+from degparab import degeneracy, solver
+from degparab.degeneracy import _integrate_entries
+from degparab.oracle import _sqrt_cov
+from degparab.quadrature import QuadratureError, integrate_to
+from references import accumulate_path, integrate_entries, propagate
 
 RTOL, ATOL = 1e-10, 1e-14
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -45,7 +48,7 @@ def window_loop_oracle(path, nodes):
             if prev == 0.0:
                 total = accumulate_path(path, t)
             else:
-                total = total + _integrate_window(path, prev, t)
+                total = total + integrate_entries(path, prev, t)
             prev = t
         out[idx] = total
     return 0.5 * (out + np.swapaxes(out, -1, -2))
@@ -179,7 +182,7 @@ def test_integrate_to_from_a_lower_end():
         integrate_to(np.exp, 0.4, lower=0.5)
 
 
-def test_integrate_matrix_to_calls_a_once_per_panel_batch():
+def test_entry_quadrature_calls_a_once_per_panel_batch():
     calls = []
     path = expr_matrix_path([["1 + t", "t"], ["t", "2"]])
 
@@ -187,7 +190,7 @@ def test_integrate_matrix_to_calls_a_once_per_panel_batch():
         calls.append(np.shape(ts))
         return path.a(ts)
 
-    B = integrate_matrix_to(a, 2, 1.0, lower=0.5)
+    B = _integrate_entries(replace(path, a=a), 0.5, 1.0)
     assert np.allclose(B, [[0.5 + 0.375, 0.375], [0.375, 1.0]], atol=1e-13)
     assert all(len(shape) == 1 and shape[0] >= 16 for shape in calls)
 
@@ -277,7 +280,89 @@ def test_smooth_windows_never_reach_integrate_to(monkeypatch, nodes):
         lowers.append(lower)
         return integrate_to(f, t, *args, lower=lower, **kwargs)
 
-    monkeypatch.setattr(quadrature, "integrate_to", spy)
+    monkeypatch.setattr(degeneracy, "integrate_to", spy)
     assert np.array_equal(accumulate_on(path, nodes), expected)
     # the head [0, t_1], once per entry i <= j, and no window
     assert lowers == [0.0] * 3
+
+
+PROFILES = {
+    "constant": constant_profile(0.7),
+    "power": power_profile(0.5),
+    "oscillatory": oscillatory_profile(),
+    "expr": expr_profile("exp(-t)*sin(3*t)+1"),
+    "expr-sqrt": expr_profile("sqrt(t)"),
+    "piecewise": piecewise_profile([(0.0, "1 + t"), (0.3, "0"),
+                                    (0.55, "0.5 + t*t"), (0.8, "sqrt(t)")]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(PROFILES)),
+       ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+def test_cumulative_delta_is_the_per_node_route(name, ts):
+    profile = PROFILES[name]
+    loop = np.array([cumulative_delta(profile, t) for t in ts])
+    path = scalar_path(profile, 1)
+    per_node = np.array([accumulate_path(path, t)[0, 0] for t in ts])
+    assert loop.tobytes() == per_node.tobytes()
+    batch = cumulative_delta(profile, np.array(ts))
+    assert batch.shape == (len(ts),)
+    if profile.closed_form_cumulative is not None:
+        assert batch.tobytes() == loop.tobytes()
+    else:
+        # one pass sums windows, each within max(ATOL, RTOL * |window|)
+        tol = 4.0 * RTOL * float(np.max(loop)) + 2.0 * (len(ts) + 1) * ATOL
+        assert np.max(np.abs(batch - loop)) <= tol
+
+
+def test_cumulative_delta_keeps_the_shape_and_names_the_profile():
+    profile = PROFILES["expr"]
+    ts = np.array([[0.1, 0.2], [0.4, 0.0]])
+    assert np.array_equal(cumulative_delta(profile, ts),
+                          cumulative_delta(profile, ts.ravel()).reshape(2, 2))
+    assert isinstance(cumulative_delta(profile, 0.3), float)
+    with pytest.raises(ValueError):
+        cumulative_delta(profile, [0.5, -0.1])
+    edge = expr_profile("1+sin(1/t)")
+    with pytest.raises(QuadratureError) as info:
+        cumulative_delta(edge, [0.5, 1.0])
+    assert info.value.spec == edge.spec
+
+
+B_PATHS = {
+    "matrix": expr_matrix_path([["1 + sin(3*t)", "0.5*t"],
+                                ["0.5*t", "sqrt(t)"]]),
+    "scalar": scalar_path(expr_profile("exp(-t) + t"), 2),
+    "scalar-closed-form": scalar_path(oscillatory_profile(), 1),
+    "constant": constant_matrix_path([[2.0, 0.5], [0.5, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(B_PATHS))
+def test_callers_at_s_zero_see_the_per_node_b(name, monkeypatch):
+    # B(0, t) as the per-node route made it: B(t) - B(0), symmetrized
+    path, t = B_PATHS[name], 0.37
+    diff = accumulate_path(path, t) - accumulate_path(path, 0.0)
+    expected = 0.5 * (diff + diff.T)
+    seen = []
+
+    def form(grid, B):
+        seen.append(np.array(B))
+        return quadratic_form(grid, B)
+
+    def sqrt_cov(cov):
+        seen.append(np.array(cov))
+        return _sqrt_cov(cov)
+
+    monkeypatch.setattr(solver, "quadratic_form", form)
+    monkeypatch.setattr("degparab.oracle._sqrt_cov", sqrt_cov)
+    kernel(path, t, GridSpec(dim=path.dim, n=16, length=8.0))
+    sample_increments(path, 0.0, t, 10, 0)
+    freqs = np.eye(path.dim)
+    rows = char_function_check(path, 0.0, t, freqs, 10, 0)
+    assert [b.tobytes() for b in seen] == [expected.tobytes(),
+                                           (2.0 * expected).tobytes(),
+                                           (2.0 * expected).tobytes()]
+    assert [row[3] for row in rows] == [float(np.exp(-xi @ expected @ xi))
+                                        for xi in freqs]

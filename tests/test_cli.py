@@ -92,6 +92,36 @@ def test_kernel_decay_rejects_blocks_beyond_grid(tmp_path, capsys):
     assert "k_max" in err and "j_max = 5" in err
 
 
+def test_kernel_decay_rejects_blocks_below_grid(tmp_path, capsys):
+    # period = 0.25 puts the lowest dyadic scale at j_min = 2, above the
+    # default k_min = 1; the config itself validates
+    text = "[grid]\nperiod = 0.25\nn = 256\n"
+    assert validate_config(parse_config(text)) == []
+    code = main(["kernel-decay", "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: params.k_min: ")
+    assert "j_min = 2" in err[0]
+
+
+@pytest.mark.parametrize("command", ["check-thm2", "profile-check"])
+@pytest.mark.parametrize("t0, expected", [(-0.5, 3), (0.0, 2)])
+def test_negative_t0_is_a_config_error(tmp_path, capsys, command, t0,
+                                       expected):
+    # t0 = 0 is valid: beta(0) vanishes, so the level-set fit fails (exit 2)
+    path = write_cfg(tmp_path, f"[grid]\nn = 256\n\n[partition]\nsteps = 16"
+                               f"\n\n[params]\nt0 = {t0}\n")
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == expected
+    err = capsys.readouterr().err.splitlines()
+    if expected == 3:
+        assert err == [f"config error: params.t0: must be >= 0, got {t0}"]
+    else:
+        assert err == []
+
+
 def test_validate_flags_mode_dim_mismatch():
     diags = validate_config(ExperimentConfig(initial_spec="mode(4, 8)"))
     assert any("initial.spec" in d and "mode" in d for d in diags)

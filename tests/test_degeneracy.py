@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from degparab import (CoefficientPath, accumulate_path, check_domination,
+from degparab import (CoefficientPath, accumulate_on, check_domination,
                       epsilon_regularize,
                       constant_matrix_path, constant_profile, cumulative_delta,
                       cumulative_delta_grid, empirical_bound,
@@ -15,6 +15,7 @@ from degparab import (CoefficientPath, accumulate_path, check_domination,
                       levelset_measure, levelset_measure_scan,
                       oscillatory_profile, parse_coefficients, parse_profile,
                       piecewise_profile, power_profile, scalar_path)
+from references import accumulate_path
 
 # frozen from a 1e7-point midpoint rule for int_0^t (1 + sin(1/s)) ds
 OSC_BETA_01 = 0.09105411361661561
@@ -341,8 +342,11 @@ def test_parse_coefficients_rejects_asymmetric():
 
 
 def test_accumulate_path_identity():
+    # the per-node oracle and accumulate_on agree on a closed form
     path = constant_matrix_path(np.eye(2))
     assert np.allclose(accumulate_path(path, 0.5), 0.5 * np.eye(2), atol=1e-13)
+    assert np.array_equal(accumulate_on(path, [0.5])[0],
+                          accumulate_path(path, 0.5))
 
 
 def test_accumulate_path_oscillatory_matches_cumulative():
@@ -350,12 +354,13 @@ def test_accumulate_path_oscillatory_matches_cumulative():
     path = scalar_path(prof, 1)
     B = accumulate_path(path, 0.1)
     assert abs(B[0, 0] - cumulative_delta(prof, 0.1)) < 1e-12
+    assert np.array_equal(accumulate_on(path, [0.1])[0], B)
 
 
 def test_expr_matrix_path_time_dependent():
     path = expr_matrix_path([["1 + t", "0"], ["0", "1"]])
     assert np.allclose(path.a(1.0), np.diag([2.0, 1.0]))
-    B = accumulate_path(path, 1.0)
+    B = accumulate_on(path, [1.0])[0]
     assert np.allclose(B, np.diag([1.5, 1.0]), atol=1e-12)
 
 

@@ -193,13 +193,14 @@ def test_smooth_windows_pass_without_integrate_to(text, monkeypatch):
     levels = np.linspace(0.0, cumulative_delta(profile, 1.0), 9)
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return integrate_to(*args, **kwargs)
+    def spy(f, t, *args, lower=0.0, **kwargs):
+        calls.append((t, lower))
+        return integrate_to(f, t, *args, lower=lower, **kwargs)
 
     monkeypatch.setattr(degeneracy, "integrate_to", spy)
     inverse_cumulative(profile, levels, 1.0)
-    assert calls == []
+    # only the table's head [0, 2^-60] from 0; no step window
+    assert calls == [(2.0 ** -60, 0.0)]
 
 
 @pytest.mark.parametrize("name", sorted(QUADRATURE))

@@ -7,8 +7,8 @@ import pytest
 
 import degparab
 from degparab import FDScheme, check_kernel_decay
-from degparab.quadrature import (integrate_matrix_to, integrate_to,
-                                 integrate_windows)
+from degparab.degeneracy import _integrate_entries
+from degparab.quadrature import integrate_to, integrate_windows
 
 
 def test_no_public_function_above_quadrature_takes_a_tolerance():
@@ -24,7 +24,7 @@ def test_no_public_function_above_quadrature_takes_a_tolerance():
     assert takers == []
 
 
-@pytest.mark.parametrize("helper", [integrate_windows, integrate_matrix_to],
+@pytest.mark.parametrize("helper", [integrate_windows, _integrate_entries],
                          ids=lambda fn: fn.__name__)
 def test_window_helper_takes_no_tolerance(helper):
     # the helpers built on integrate_to apply its default target; a

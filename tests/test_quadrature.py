@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degparab import CoefficientPath, accumulate_on
 from degparab.quadrature import (ATOL, GAUSS_ORDER, MAX_PANELS, RTOL,
                                  QuadratureError, _panel_sums,
-                                 geometric_panels, integrate_matrix_to,
-                                 integrate_to, integrate_windows)
+                                 geometric_panels, integrate_to,
+                                 integrate_windows)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
@@ -168,7 +169,7 @@ def test_matrix_integration_symmetric():
         out[..., 0, 1] = out[..., 1, 0] = t
         return out
 
-    B = integrate_matrix_to(a, 2, 1.0)
+    B = accumulate_on(CoefficientPath(dim=2, a=a), [1.0])[0]
     expected = np.array([[1.5, 0.5], [0.5, 2.0]])
     assert np.allclose(B, expected, atol=1e-12)
     assert np.array_equal(B, B.T)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degparab import (DegenerateKernelError, GridSpec, SpectralField,
-                      TimePartition, accumulate_coefficients, compare_fields,
+                      TimePartition, accumulate_on, compare_fields,
                       constant_matrix_path, constant_profile, cumulative_delta,
                       epsilon_regularize, gaussian_bump, kernel,
                       inner_product, load_report, lp_norm, mode_field,
@@ -22,6 +22,12 @@ from references import propagate, time_change_solve
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
+
+
+def accumulated(path, s, t):
+    """B = int_s^t a dr from one accumulate_on pass."""
+    b_s, b_t = accumulate_on(path, [s, t])
+    return b_t - b_s
 
 
 def zero_path(dim=1):
@@ -51,19 +57,19 @@ def test_geometric_partition_smallest_node():
 
 
 def test_accumulate_identity():
-    B = accumulate_coefficients(constant_matrix_path(np.eye(2)), 0.0, 0.5)
+    B = accumulated(constant_matrix_path(np.eye(2)), 0.0, 0.5)
     assert np.allclose(B, 0.5 * np.eye(2), atol=1e-13)
 
 
 def test_accumulate_empty_interval():
-    B = accumulate_coefficients(HEAT, 0.3, 0.3)
+    B = accumulated(HEAT, 0.3, 0.3)
     assert np.all(B == 0.0)
 
 
 def test_accumulate_oscillatory_matches_cumulative():
     prof = oscillatory_profile()
     path = scalar_path(prof, 1)
-    B = accumulate_coefficients(path, 0.0, 0.1)
+    B = accumulated(path, 0.0, 0.1)
     assert abs(B[0, 0] - cumulative_delta(prof, 0.1)) < 1e-12
 
 
@@ -108,7 +114,7 @@ def test_symbol_modulus_bound():
     prof = oscillatory_profile()
     path = scalar_path(prof, 1)
     s, t = 0.05, 0.4
-    B = accumulate_coefficients(path, s, t)
+    B = accumulated(path, s, t)
     values = np.exp(-quadratic_form(GRID, B))
     gap = cumulative_delta(prof, t) - cumulative_delta(prof, s)
     from degparab.spectral import _xi_sq
