@@ -628,6 +628,7 @@ def accumulate_on(path, nodes):
     table = np.zeros((ts.size + 1,) + shape[1:])  # to 0, ts[0], ...
     if ts.size:
         table[1] = _integrate_entries(path, 0.0, float(ts[0]))
+    if ts.size > 1:  # one distinct positive node leaves no window
         lo, hi = ts[:-1], ts[1:]
         windows = np.empty((lo.size,) + shape[1:])
         missed = _holds_breakpoint(lo, hi, path.breakpoints)

@@ -2,10 +2,12 @@
 
 Fields live on a uniform grid over the torus [-L/2, L/2)^d with n (a power
 of two) points per axis.  The frequency lattice is {2*pi*k/L}; transforms
-are plain FFTs with the spectrum cached lazily on the field.  All dyadic
-analysis (blocks, Besov norms) and Fourier multipliers (Bessel potential,
-second derivatives) operate on that lattice, truncated at the grid Nyquist
-frequency.
+are plain FFTs: a field made from samples computes its spectrum on first
+use, and a field made from a spectrum computes its samples on first use.
+All dyadic analysis (blocks, Besov norms) and Fourier multipliers (Bessel
+potential, second derivatives) operate on that lattice, truncated at the
+grid Nyquist frequency.  At p = 2 the norms of multiplier images come from
+the spectrum by Plancherel, with no inverse transform.
 """
 
 from __future__ import annotations
@@ -81,18 +83,25 @@ def x_grids(grid):
 
 
 class SpectralField:
-    """Real samples on a GridSpec, with the DFT spectrum cached lazily."""
+    """Real samples on a GridSpec and their DFT spectrum, each computed from
+    the other on first read and then cached."""
 
-    __slots__ = ("grid", "samples", "_spectrum")
+    __slots__ = ("grid", "_samples", "_spectrum")
 
-    def __init__(self, grid, samples, spectrum=None):
+    def __init__(self, grid, samples):
         samples = np.asarray(samples, dtype=float)
         if samples.shape != grid.shape:
             raise ValueError(
                 f"samples shape {samples.shape} does not match grid {grid.shape}")
         self.grid = grid
-        self.samples = samples
-        self._spectrum = spectrum
+        self._samples = samples
+        self._spectrum = None
+
+    @property
+    def samples(self):
+        if self._samples is None:
+            self._samples = np.fft.ifftn(self._spectrum).real
+        return self._samples
 
     @property
     def spectrum(self):
@@ -102,8 +111,15 @@ class SpectralField:
 
     @classmethod
     def from_spectrum(cls, grid, spectrum):
-        samples = np.fft.ifftn(spectrum).real
-        return cls(grid, samples, spectrum=np.asarray(spectrum, dtype=complex))
+        """Field whose samples are ifftn(spectrum).real, transformed when
+        first read."""
+        spectrum = np.asarray(spectrum, dtype=complex)
+        if spectrum.shape != grid.shape:
+            raise ValueError(f"spectrum shape {spectrum.shape} does not match "
+                             f"grid {grid.shape}")
+        field = cls.__new__(cls)
+        field.grid, field._samples, field._spectrum = grid, None, spectrum
+        return field
 
     def __add__(self, other):
         self._check_same_grid(other)
@@ -126,6 +142,34 @@ class SpectralField:
 def apply_multiplier(field, values):
     """Field with spectrum multiplied by the given lattice values."""
     return SpectralField.from_spectrum(field.grid, field.spectrum * values)
+
+
+def _parseval_norm(field, weight, odd=None):
+    """L_2 norm of ifftn(m * u^).real by Plancherel, for a real multiplier m
+    given as weight = m^2 where m is even under xi -> -xi on the lattice
+    (0 elsewhere) and odd = (flat indices, m^2 there) where it is odd.
+
+    The real part has the spectrum (m u^(xi) + conj(m u^(-xi))) / 2: m times
+    the Hermitian part (u^(xi) + conj u^(-xi)) / 2 where m is even, m times
+    the anti-Hermitian part where it is odd.  A plain sum of m^2 |u^|^2
+    would count what the real part drops: a propagator with mixed
+    coefficients is odd on the Nyquist plane of one axis, so the spectrum
+    of a solve is not conjugate-symmetric there.
+    """
+    spec = field.spectrum
+    axes = tuple(range(spec.ndim))
+    herm = np.roll(np.flip(spec, axes), 1, axes)  # u^(-xi) on the lattice
+    np.conj(herm, out=herm)
+    herm += spec
+    herm *= 0.5  # the Hermitian part, built in place of the mirror copy
+    energy = herm.real ** 2
+    energy += herm.imag ** 2
+    total = float(np.vdot(weight, energy))
+    if odd is not None:
+        where, odd_weight = odd
+        anti = spec.flat[where] - herm.flat[where]
+        total += float(np.vdot(odd_weight, anti.real ** 2 + anti.imag ** 2))
+    return math.sqrt(total * field.grid.cell_volume / spec.size)
 
 
 def lp_norm(field, p):
@@ -196,6 +240,46 @@ def _s0_multiplier(grid):
     return lowpass(np.sqrt(_xi_sq(grid)))
 
 
+@functools.lru_cache(maxsize=64)
+def _besov_weights(family, grid, s):
+    # squared multipliers of the s0 part and of the dyadic sum at p = 2
+    tail = np.zeros(grid.shape)
+    for j in range(1, family.j_max + 1):
+        tail += (2.0 ** (s * j)) ** 2 * _block_multiplier(family, grid, j) ** 2
+    return _s0_multiplier(grid) ** 2, tail
+
+
+@functools.lru_cache(maxsize=64)
+def _bessel_weight(grid, smoothness):
+    return (1.0 + _xi_sq(grid)) ** smoothness
+
+
+@functools.lru_cache(maxsize=64)
+def _hessian_weights(grid, smoothness):
+    """sum_ij (xi_i xi_j)^2 (1 + |xi|^2)^smoothness, the squared Frobenius
+    multiplier, split into its even part and its odd part under xi -> -xi
+    on the lattice, the latter as (flat indices, values) for _parseval_norm.
+    The index n/2 is its own mirror, so a mixed term i != j is odd where
+    exactly one of the two axes is at its Nyquist index."""
+    comps = _freq_grids(grid)
+    nyq = np.meshgrid(*(np.arange(grid.n) == grid.n // 2,) * grid.dim,
+                      indexing="ij")
+    even, odd = np.zeros(grid.shape), np.zeros(grid.shape)
+    for i in range(grid.dim):
+        for j in range(grid.dim):
+            term = (comps[i] * comps[j]) ** 2
+            if i != j:
+                one_nyquist = nyq[i] != nyq[j]
+                odd[one_nyquist] += term[one_nyquist]
+                term[one_nyquist] = 0.0
+            even += term
+    if smoothness:
+        bessel = _bessel_weight(grid, smoothness)
+        even, odd = even * bessel, odd * bessel
+    where = np.flatnonzero(odd)
+    return even, (where, odd.ravel()[where])
+
+
 def lp_block(field, j, family=None):
     """Dyadic block j of a field."""
     family = family or LPFamily.for_grid(field.grid)
@@ -218,6 +302,10 @@ def besov_norm(field, s, p, family=None):
     if not (1 <= p < np.inf):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     family = family or LPFamily.for_grid(field.grid)
+    if p == 2:
+        head_weight, tail_weight = _besov_weights(family, field.grid, s)
+        return (_parseval_norm(field, head_weight)
+                + _parseval_norm(field, tail_weight))
     head = lp_norm(s0_block(field, family), p)
     tail = 0.0
     for j in range(1, family.j_max + 1):
@@ -227,6 +315,8 @@ def besov_norm(field, s, p, family=None):
 
 def bessel_norm(field, smoothness, p):
     """L_p norm after the Bessel multiplier (1 + |xi|^2)^(smoothness/2)."""
+    if p == 2:
+        return _parseval_norm(field, _bessel_weight(field.grid, smoothness))
     mult = (1.0 + _xi_sq(field.grid)) ** (0.5 * smoothness)
     return lp_norm(apply_multiplier(field, mult), p)
 
@@ -247,9 +337,12 @@ def hessian_lp_norm(field, p, smoothness=0.0):
     """L_p norm of the Frobenius norm of the (Bessel-filtered) Hessian.
 
     This is the norm in which second-derivative bounds are measured:
-    for smoothness n it equals || |(1-Lap)^(n/2) u_xx|_F ||_Lp.
+    for smoothness n it equals || |(1-Lap)^(n/2) u_xx|_F ||_Lp.  At p = 2
+    it is computed from the spectrum, with no inverse transform.
     """
     grid = field.grid
+    if p == 2:
+        return _parseval_norm(field, *_hessian_weights(grid, smoothness))
     comps = _freq_grids(grid)
     spec = field.spectrum
     if smoothness:

@@ -2,7 +2,10 @@
 
 random_band_limited draws fields the Littlewood-Paley blocks reproduce
 exactly; partition_defect measures how far those blocks are from a
-partition of unity.  accumulate_path is the per-node route to the
+partition of unity.  hessian_lp_norm_every_pair, bessel_norm_by_ifft and
+besov_norm_by_ifft take every norm from inverse-transformed samples, the
+route the package keeps for p != 2 and replaces at p = 2 by Plancherel on
+the spectrum.  accumulate_path is the per-node route to the
 cumulative coefficients that accumulate_on replaced: the registered
 cumulative, or one integrate_to call from 0 per entry (integrate_entries,
 which also integrates single windows).  propagate evolves one field over
@@ -16,9 +19,10 @@ import numpy as np
 
 from degparab import (CoefficientPath, LPFamily, QuadratureError,
                       SolveReport, SpectralField, TimePartition, accumulate_on,
-                      integrate_to, inverse_cumulative, lowpass,
-                      quadratic_form, scalar_path, solve_duhamel)
-from degparab.spectral import _xi_sq
+                      integrate_to, inverse_cumulative, lowpass, lp_block,
+                      lp_norm, quadratic_form, s0_block, scalar_path,
+                      solve_duhamel)
+from degparab.spectral import _freq_grids, _xi_sq
 
 
 def random_band_limited(grid, rng, max_radius=None):
@@ -39,6 +43,40 @@ def partition_defect(grid, family=None):
     for j in range(1, family.j_max + 1):
         total = total + family.psi_hat(j, r)
     return float(np.abs(total - lowpass(r / 2.0 ** family.j_max)).max())
+
+
+def hessian_lp_norm_every_pair(field, p, smoothness):
+    """hessian_lp_norm with one inverse FFT per ordered pair (i, j)."""
+    grid = field.grid
+    comps = _freq_grids(grid)
+    spec = field.spectrum
+    if smoothness:
+        spec = spec * (1.0 + _xi_sq(grid)) ** (0.5 * smoothness)
+    acc = np.zeros(grid.shape)
+    for i in range(grid.dim):
+        for j in range(grid.dim):
+            acc += np.fft.ifftn(-(comps[i] * comps[j]) * spec).real ** 2
+    frob = np.sqrt(acc)
+    if p == np.inf:
+        return float(frob.max())
+    return float((np.sum(frob ** p) * grid.cell_volume) ** (1.0 / p))
+
+
+def bessel_norm_by_ifft(field, smoothness, p):
+    """bessel_norm as the L_p norm of the inverse-transformed image."""
+    mult = (1.0 + _xi_sq(field.grid)) ** (0.5 * smoothness)
+    return lp_norm(SpectralField.from_spectrum(field.grid,
+                                               field.spectrum * mult), p)
+
+
+def besov_norm_by_ifft(field, s, p):
+    """besov_norm from the L_p norms of the inverse-transformed blocks."""
+    family = LPFamily.for_grid(field.grid)
+    head = lp_norm(s0_block(field, family), p)
+    tail = 0.0
+    for j in range(1, family.j_max + 1):
+        tail += (2.0 ** (s * j) * lp_norm(lp_block(field, j, family), p)) ** p
+    return head + tail ** (1.0 / p)
 
 
 def integrate_entries(path, lower, t):

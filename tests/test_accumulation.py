@@ -286,6 +286,21 @@ def test_smooth_windows_never_reach_integrate_to(monkeypatch, nodes):
     assert lowers == [0.0] * 3
 
 
+def test_one_positive_node_runs_no_window_pass(monkeypatch):
+    # a single distinct positive node has no window between nodes
+    profile = expr_profile("sqrt(t)")
+    expected = cumulative_delta(profile, 1.0)
+    calls = []
+    monkeypatch.setattr(degeneracy, "integrate_windows",
+                        lambda *args, **kwargs: calls.append(args))
+    assert cumulative_delta(profile, 1.0) == expected
+    assert np.array_equal(accumulate_on(scalar_path(profile, 1),
+                                        [0.0, 1.0, 1.0, 0.0]),
+                          accumulate_path(scalar_path(profile, 1), 1.0)
+                          * np.array([0, 1, 1, 0])[:, None, None])
+    assert calls == []
+
+
 PROFILES = {
     "constant": constant_profile(0.7),
     "power": power_profile(0.5),

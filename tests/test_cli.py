@@ -313,6 +313,42 @@ spec = constant(0.0)
     assert (out / "summary.txt").read_text().startswith("command: solve")
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_transforms_each_snapshot_once(tmp_path, monkeypatch, dim):
+    # K inverse transforms for snapshots 1..K (snapshot 0 is the initial
+    # samples), read once by save_report and the norm rows, plus dim^2 for
+    # the weak residual's test-function derivatives: K + 1 in 1D
+    path = write_cfg(tmp_path, f"""
+[grid]
+dim = {dim}
+n = 32
+period = 16.0
+
+[partition]
+kind = geometric
+steps = 8
+
+[profile]
+spec = power(1)
+
+[coefficients]
+spec = scalar(power(1))
+
+[forcing]
+spec = separable("t", gaussian(1.5))
+""")
+    calls = []
+    ifftn = np.fft.ifftn
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return ifftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", spy)
+    assert degparab.run("solve", path, out=str(tmp_path / "out")) == 0
+    assert len(calls) == 8 + dim ** 2
+
+
 def test_main_check_thm1_degenerate(tmp_path):
     path = write_cfg(tmp_path, """
 [grid]

@@ -9,10 +9,10 @@ from degparab import (CSV_HEADER, GridSpec, SpectralField, TimePartition,
                       WeightedNormSpec, bessel_norm, check_classic,
                       check_kernel_decay, check_thm1, check_thm2,
                       constant_profile, cumulative_delta, epsilon_sweep,
-                      gaussian_bump, lp_block, lp_norm, mode_field,
-                      oscillatory_profile, parse_profile, power_profile,
-                      reports_to_csv, scalar_path, solve_duhamel,
-                      weighted_norm)
+                      expr_matrix_path, expr_profile, gaussian_bump, lp_block,
+                      lp_norm, mode_field, oscillatory_profile, parse_profile,
+                      power_profile, reports_to_csv, scalar_path,
+                      solve_duhamel, weighted_norm)
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -307,6 +307,31 @@ def test_eps_sweep_single_mode_closed_form():
         decay = 1.0 - math.exp(-p * eps * xi2 * T)
         expected = xi2 * base * (decay / (p * xi2)) ** (1.0 / p)
         assert abs(rep.lhs - expected) < 1e-4 * expected
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_p2_checks_make_no_inverse_transform(dim, monkeypatch):
+    # at p = 2 every norm comes from the spectrum and no sample is read
+    grid = GridSpec(dim=dim, n=32, length=16.0)
+    u0 = gaussian_bump(grid, width=2.0)
+    shape = gaussian_bump(grid, width=1.5)
+    f = lambda t: SpectralField(grid, t * shape.samples)
+    prof = expr_profile("0.5*t")
+    path = (scalar_path(prof, 1) if dim == 1 else
+            expr_matrix_path([["t", "0.5*t"], ["0.5*t", "t"]]))
+    partition = TimePartition.geometric(8, 1.0)
+    calls = []
+    ifftn = np.fft.ifftn
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return ifftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", spy)
+    check_thm1(u0, f, path, prof, 1.0, 2.0, partition)
+    epsilon_sweep(u0, f, path, prof, [1e-1, 1e-2], 2.0, partition,
+                  smoothness=1.0)
+    assert calls == []
 
 
 def test_eps_sweep_validates_ordering():

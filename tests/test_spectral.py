@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degparab import (GridSpec, LPFamily, SpectralField, besov_norm,
                       bessel_norm, gaussian_bump, hessian_lp_norm,
                       inner_product, lowpass, lp_block, lp_norm, mode_field,
-                      s0_block, second_derivatives, x_grids)
-from references import partition_defect, random_band_limited
+                      quadratic_form, s0_block, second_derivatives, x_grids)
+from references import (besov_norm_by_ifft, bessel_norm_by_ifft,
+                        hessian_lp_norm_every_pair, partition_defect,
+                        random_band_limited)
 
 # period 8*pi puts the dyadic frequencies 2^j exactly on the lattice
 LATTICE_GRID = GridSpec(dim=1, n=256, length=8.0 * math.pi)
@@ -206,32 +210,111 @@ def test_hessian_lp_norm_is_uxx_norm_in_1d():
     assert abs(hessian_lp_norm(u, 2.0) - direct) < 1e-12
 
 
-def _hessian_lp_norm_every_pair(field, p, smoothness):
-    """hessian_lp_norm with one inverse FFT per ordered pair (the oracle)."""
-    from degparab.spectral import _freq_grids, _xi_sq
-    grid = field.grid
-    comps = _freq_grids(grid)
-    spec = field.spectrum
-    if smoothness:
-        spec = spec * (1.0 + _xi_sq(grid)) ** (0.5 * smoothness)
-    acc = np.zeros(grid.shape)
-    for i in range(grid.dim):
-        for j in range(grid.dim):
-            acc += np.fft.ifftn(-(comps[i] * comps[j]) * spec).real ** 2
-    frob = np.sqrt(acc)
-    if p == np.inf:
-        return float(frob.max())
-    return float((np.sum(frob ** p) * grid.cell_volume) ** (1.0 / p))
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_hessian_lp_norm_matches_every_pair_loop(dim):
     grid = GridSpec(dim=dim, n=16, length=8.0)
     u = random_band_limited(grid, np.random.default_rng(dim))
     for smoothness in (0.0, 1.5):
-        for p in (2.0, 3.0, np.inf):
+        # p = 2 sums the spectrum (Plancherel), not the samples
+        ref = hessian_lp_norm_every_pair(u, 2.0, smoothness)
+        assert abs(hessian_lp_norm(u, 2.0, smoothness) - ref) <= 1e-12 * ref
+        for p in (3.0, np.inf):
             assert hessian_lp_norm(u, p, smoothness) == \
-                _hessian_lp_norm_every_pair(u, p, smoothness)
+                hessian_lp_norm_every_pair(u, p, smoothness)
+
+
+def _evolved(bump, top, rho):
+    # bump under the propagator exp(-xi^T B xi), B with 1 on the diagonal
+    # and rho off it, scaled so that xi^T B xi = top at the Nyquist index
+    # of one axis: top = 1000 underflows to 0 there.  On the Nyquist plane
+    # of one axis, xi_i xi_j is odd under xi -> -xi, so with rho != 0 the
+    # spectrum is not conjugate-symmetric
+    grid = bump.grid
+    B = (top / grid.nyquist ** 2) * ((1.0 - rho) * np.eye(grid.dim) + rho)
+    return SpectralField.from_spectrum(
+        grid, bump.spectrum * np.exp(-quadratic_form(grid, B)))
+
+
+def _field(kind, grid, rng):
+    if kind == "white":  # no band limit: the Nyquist planes carry content
+        return SpectralField(grid, rng.standard_normal(grid.shape))
+    bump = gaussian_bump(grid, width=grid.length * rng.uniform(0.04, 0.2),
+                         center=rng.uniform(-1.0, 1.0, grid.dim))
+    if kind == "gaussian":
+        return bump
+    return _evolved(bump, 10.0 ** rng.uniform(0.0, 3.0),
+                    rng.uniform(-0.45, 0.9))
+
+
+def _close(value, ref):
+    return abs(value - ref) <= 1e-12 * abs(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), n=st.sampled_from([4, 8, 16, 32]),
+       kind=st.sampled_from(["white", "gaussian", "evolved"]),
+       smoothness=st.sampled_from([0.0, 1.5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_p2_norms_match_the_inverse_transform(dim, n, kind, smoothness, seed):
+    grid = GridSpec(dim=dim, n=n, length=8.0)
+    u = _field(kind, grid, np.random.default_rng(seed))
+    assert _close(hessian_lp_norm(u, 2.0, smoothness),
+                  hessian_lp_norm_every_pair(u, 2.0, smoothness))
+    assert _close(bessel_norm(u, smoothness, 2.0),
+                  bessel_norm_by_ifft(u, smoothness, 2.0))
+    assert _close(besov_norm(u, smoothness + 1.0, 2.0),
+                  besov_norm_by_ifft(u, smoothness + 1.0, 2.0))
+
+
+def test_hessian_mode_on_one_nyquist_plane():
+    # cos(pi x / h) cos(y): the mixed derivative sin(pi x / h) sin(y) * pi / h
+    # vanishes on the grid, so only u_xx and u_yy count
+    grid = GridSpec(dim=2, n=32, length=2.0 * math.pi)
+    x, y = x_grids(grid)
+    u = SpectralField(grid, np.cos(math.pi * x / grid.spacing) * np.cos(y))
+    exact = math.sqrt(((math.pi / grid.spacing) ** 4 + 1.0)
+                      * grid.length ** 2 / 2.0)
+    for smoothness in (0.0, 1.5):
+        ref = hessian_lp_norm_every_pair(u, 2.0, smoothness)
+        assert _close(hessian_lp_norm(u, 2.0, smoothness), ref)
+    assert abs(hessian_lp_norm(u, 2.0) - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_hessian_under_resolved_3d_gaussian(rho):
+    # width below the spacing: the spectrum is still large at Nyquist; with
+    # rho != 0 the mixed terms on a one-axis Nyquist plane keep the
+    # anti-Hermitian part of the spectrum, which the real part leaves in
+    grid = GridSpec(dim=3, n=16, length=8.0)
+    u = _evolved(gaussian_bump(grid, width=0.3), 1.0, rho)
+    for smoothness in (0.0, 1.5):
+        assert _close(hessian_lp_norm(u, 2.0, smoothness),
+                      hessian_lp_norm_every_pair(u, 2.0, smoothness))
+
+
+def test_from_spectrum_transforms_on_first_read_only(monkeypatch):
+    grid = GridSpec(dim=2, n=16, length=8.0)
+    spec = np.fft.fftn(np.random.default_rng(4).standard_normal(grid.shape))
+    expected = np.fft.ifftn(spec).real
+    calls = []
+    ifftn = np.fft.ifftn
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return ifftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", spy)
+    field = SpectralField.from_spectrum(grid, spec)
+    assert calls == []
+    first = field.samples
+    assert np.array_equal(first, expected) and len(calls) == 1
+    assert field.samples is first and len(calls) == 1
+
+
+def test_from_spectrum_checks_the_shape():
+    with pytest.raises(ValueError):
+        SpectralField.from_spectrum(GridSpec(dim=2, n=16, length=8.0),
+                                    np.zeros((16, 8), complex))
 
 
 def test_gaussian_bump_shape():
