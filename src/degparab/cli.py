@@ -398,7 +398,7 @@ def _report_lines(rep):
     return lines
 
 
-def run_solve(cfg, outdir, workers, tol_scale):
+def run_solve(cfg, outdir, workers):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     report = solve_duhamel(u0, f, path, partition)
     residuals = save_report(report, os.path.join(outdir, "report"), p=cfg.p)
@@ -414,7 +414,7 @@ def run_solve(cfg, outdir, workers, tol_scale):
     return 0
 
 
-def run_check_thm1(cfg, outdir, workers, tol_scale):
+def run_check_thm1(cfg, outdir, workers):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     rep = check_thm1(u0, f, path, profile, cfg.smoothness, cfg.p, partition)
     reports_to_csv([rep], os.path.join(outdir, "thm1.csv"))
@@ -429,7 +429,7 @@ def run_check_thm1(cfg, outdir, workers, tol_scale):
     return 0 if rep.admissible else 2
 
 
-def run_check_thm2(cfg, outdir, workers, tol_scale):
+def run_check_thm2(cfg, outdir, workers):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     t0 = cfg.t0 if cfg.t0 is not None else partition.horizon
     h_grid = _level_grid(cumulative_delta(profile, t0), cfg.h_points,
@@ -451,7 +451,7 @@ def run_check_thm2(cfg, outdir, workers, tol_scale):
     return 0 if rep.admissible else 2
 
 
-def run_check_classic(cfg, outdir, workers, tol_scale):
+def run_check_classic(cfg, outdir, workers):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     report = solve_duhamel(u0, f, path, partition)
     rep = check_classic(report, f, u0, cfg.p)
@@ -463,7 +463,7 @@ def run_check_classic(cfg, outdir, workers, tol_scale):
     return 0 if rep.admissible else 2
 
 
-def run_kernel_decay(cfg, outdir, workers, tol_scale):
+def run_kernel_decay(cfg, outdir, workers):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     family = LPFamily.for_grid(grid)
     if cfg.k_min < family.j_min or cfg.k_max > family.j_max:
@@ -491,7 +491,7 @@ def run_kernel_decay(cfg, outdir, workers, tol_scale):
     return 0 if not fit.violations else 2
 
 
-def run_profile_check(cfg, outdir, workers, tol_scale):
+def run_profile_check(cfg, outdir, workers):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     t0 = cfg.t0 if cfg.t0 is not None else cfg.horizon
     kappa0 = cumulative_delta(profile, t0)
@@ -513,7 +513,7 @@ def run_profile_check(cfg, outdir, workers, tol_scale):
                      f"fit residual = {float(fit.residual)!r}")
         width = t0 / 1_000_000
         for h, m, sc in zip(h_grid, measures, scans):
-            if abs(m - sc) > 2.0 * width * tol_scale + 1e-12:
+            if abs(m - sc) > 2.0 * width + 1e-12:
                 failures.append(
                     f"level-set measure at h={float(h)!r} disagrees with scan: "
                     f"{m!r} vs {sc!r}")
@@ -545,7 +545,7 @@ def run_profile_check(cfg, outdir, workers, tol_scale):
             rel = abs(fit.beta_hat - expected) / expected
             lines.append(f"expected beta = {expected}, "
                          f"relative gap = {float(rel)!r}")
-            if rel > tol * tol_scale:
+            if rel > tol:
                 failures.append(
                     f"fitted beta_hat {float(fit.beta_hat)!r} is {rel:.2%} "
                     f"from the expected {expected} (tolerance {tol:.0%})")
@@ -569,7 +569,7 @@ def run_profile_check(cfg, outdir, workers, tol_scale):
     return 0 if not failures else 2
 
 
-def run_eps_sweep(cfg, outdir, workers, tol_scale):
+def run_eps_sweep(cfg, outdir, workers):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -593,7 +593,7 @@ def run_eps_sweep(cfg, outdir, workers, tol_scale):
     return 0 if all(r.admissible for r in reports) else 2
 
 
-def run_oracle_compare(cfg, outdir, workers, tol_scale):
+def run_oracle_compare(cfg, outdir, workers):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     failures = []
     lines = []
@@ -627,7 +627,7 @@ def run_oracle_compare(cfg, outdir, workers, tol_scale):
     est.to_csv(os.path.join(outdir, "mc_compare.csv"))
     exact = _periodic_interp(_spline_coeffs(final), grid, pts)
     gaps = np.abs(est.mean - exact)
-    limit = 3.0 * tol_scale * np.maximum(est.stderr, 1e-30)
+    limit = 3.0 * np.maximum(est.stderr, 1e-30)
     lines.append(f"mc vs spectral at {cfg.mc_probes} probes, "
                  f"{cfg.mc_samples} samples: max |gap|/stderr = "
                  f"{float(np.max(gaps / np.maximum(est.stderr, 1e-30)))!r}")
@@ -643,7 +643,7 @@ def run_oracle_compare(cfg, outdir, workers, tol_scale):
         worst = max(worst, abs(re - exact_cf) / max(se_re, 1e-30))
     lines.append(f"characteristic function identity exp(-xi^T B xi): "
                  f"max |gap|/stderr = {worst!r} over {len(rows)} frequencies")
-    if worst > 4.0 * tol_scale:
+    if worst > 4.0:
         failures.append("characteristic function outside 4 standard errors")
 
     for fail in failures:
@@ -665,8 +665,7 @@ RUNNERS = {
 }
 
 
-def run(subcommand, config, out=None, workers=1, seed=None,
-        tolerance_scale=1.0):
+def run(subcommand, config, out=None, workers=1, seed=None):
     """Load a config, validate it, dispatch one subcommand, return the
     exit code (0 pass, 2 check failed / inadmissible, 3 bad config, its
     coefficients' quadrature out of budget or NaN/inf data, 1 internal
@@ -697,7 +696,7 @@ def run(subcommand, config, out=None, workers=1, seed=None,
     outdir = out if out is not None else cfg.out
     os.makedirs(outdir, exist_ok=True)
     try:
-        return RUNNERS[subcommand](cfg, outdir, workers, tolerance_scale)
+        return RUNNERS[subcommand](cfg, outdir, workers)
     except QuadratureError as exc:
         print(f"quadrature error: {exc.spec}: "
               f"achieved error estimate {exc.error_estimate:.3e}, "
@@ -726,12 +725,9 @@ def main(argv=None):
                        help="thread pool for sweeps; pays only on 2D/3D grids")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--tolerance-scale", type=float, default=1.0,
-                       dest="tolerance_scale",
-                       help="multiply pass/fail tolerances")
     args = parser.parse_args(argv)
     return run(args.command, args.config, out=args.out, workers=args.workers,
-               seed=args.seed, tolerance_scale=args.tolerance_scale)
+               seed=args.seed)
 
 
 if __name__ == "__main__":

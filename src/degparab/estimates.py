@@ -29,13 +29,10 @@ class WeightedNormSpec:
     p: float
     weight_power: float
     profile: object
-    horizon: float
 
     def __post_init__(self):
         if not 1 < self.p < math.inf:
             raise ValueError(f"p must lie in (1, inf), got {self.p}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
 
 
 def weighted_norm(report, spec, spatial_norm=None):
@@ -114,17 +111,15 @@ def check_thm1(u0, f, path, profile, smoothness, p, partition):
     and the observed constant lhs / rhs.
     """
     report = solve_duhamel(u0, f, path, partition)
-    horizon = partition.horizon
-    lhs_spec = WeightedNormSpec(smoothness, p, 1.0, profile, horizon)
+    lhs_spec = WeightedNormSpec(smoothness, p, 1.0, profile)
     lhs = weighted_norm(report, lhs_spec,
                         spatial_norm=lambda u: hessian_lp_norm(u, p, smoothness))
     if f is None:
         rhs_f = 0.0
     else:
         f_report = _ForcingSnapshots(report.partition, f)
-        rhs_f = weighted_norm(f_report,
-                              WeightedNormSpec(smoothness, p, 1.0 - p,
-                                               profile, horizon))
+        rhs_spec = WeightedNormSpec(smoothness, p, 1.0 - p, profile)
+        rhs_f = weighted_norm(f_report, rhs_spec)
     rhs_u0 = besov_norm(u0, smoothness + 2.0 - 2.0 / p, p)
     components = (("forcing", rhs_f), ("initial", rhs_u0))
     ratio, flags = _make_ratio(lhs, components)
@@ -132,7 +127,7 @@ def check_thm1(u0, f, path, profile, smoothness, p, partition):
         theorem="thm1", smoothness=smoothness, p=p, weight_power=1.0,
         profile_spec=profile.spec, grid_n=u0.grid.n, steps=partition.steps,
         lhs=lhs, rhs_components=components, ratio=ratio, flags=flags,
-        extra={"dim": u0.grid.dim, "horizon": horizon})
+        extra={"dim": u0.grid.dim, "horizon": partition.horizon})
 
 
 class _ForcingSnapshots:
@@ -187,7 +182,7 @@ def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
             ratio=math.nan, flags=tuple(flags), extra=extra)
 
     report = solve_duhamel(u0, None, path, partition)
-    lhs_spec = WeightedNormSpec(0.0, p, 0.0, profile, horizon)
+    lhs_spec = WeightedNormSpec(0.0, p, 0.0, profile)
     lhs = weighted_norm(report, lhs_spec,
                         spatial_norm=lambda u: hessian_lp_norm(u, p))
     s = 2.0 * (1.0 - 1.0 / (beta_hat * p))

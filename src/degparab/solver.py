@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .degeneracy import CoefficientPath, accumulate_on
-from .spectral import (GridSpec, SpectralField, _freq_grids, bessel_norm,
+from .spectral import (GridSpec, SpectralField, _mixed, bessel_norm,
                        gaussian_bump, inner_product, lp_norm,
                        second_derivatives)
 
@@ -61,23 +61,16 @@ class TimePartition:
     def steps(self):
         return self.nodes.size - 1
 
-    def __len__(self):
-        return self.nodes.size
-
-    def __eq__(self, other):
-        return isinstance(other, TimePartition) and \
-            np.array_equal(self.nodes, other.nodes)
-
 
 def quadratic_form(grid, B):
-    """xi^T B xi on the frequency lattice."""
+    """xi^T B xi on the frequency lattice, even under xi -> -xi: the mixed
+    terms follow the Nyquist rule of spectral._mixed."""
     B = np.asarray(B, dtype=float)
-    comps = _freq_grids(grid)
     out = np.zeros(grid.shape)
     for i in range(grid.dim):
-        out += B[i, i] * comps[i] ** 2
+        out += B[i, i] * _mixed(grid, i, i)
         for j in range(i + 1, grid.dim):
-            out += 2.0 * B[i, j] * comps[i] * comps[j]
+            out += 2.0 * B[i, j] * _mixed(grid, i, j)
     return out
 
 

@@ -77,6 +77,21 @@ def _xi_sq(grid):
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _mixed(grid, i, j):
+    """xi_i xi_j on the lattice, 0 where exactly one of the axes i and j is
+    at its Nyquist index n/2.  That index is its own mirror under
+    xi -> -xi, so an odd factor xi_i has no partner there; zeroing it keeps
+    every symbol built from these products even, and so keeps real fields
+    real.  For i == j no point is zeroed."""
+    comps = _freq_grids(grid)
+    out = comps[i] * comps[j]
+    if i != j:
+        nyq = _freq_axes(grid)[0][grid.n // 2]
+        out[(comps[i] == nyq) != (comps[j] == nyq)] = 0.0
+    return out
+
+
 def x_grids(grid):
     """Coordinate arrays of shape grid.shape, one per axis."""
     return np.meshgrid(*_axes(grid), indexing="ij")
@@ -111,8 +126,10 @@ class SpectralField:
 
     @classmethod
     def from_spectrum(cls, grid, spectrum):
-        """Field whose samples are ifftn(spectrum).real, transformed when
-        first read."""
+        """Field with the spectrum of a real field, conjugate-symmetric as
+        every spectrum the package makes is; its samples are
+        ifftn(spectrum).real, transformed when first read.  The p = 2
+        norms read the spectrum itself."""
         spectrum = np.asarray(spectrum, dtype=complex)
         if spectrum.shape != grid.shape:
             raise ValueError(f"spectrum shape {spectrum.shape} does not match "
@@ -144,32 +161,19 @@ def apply_multiplier(field, values):
     return SpectralField.from_spectrum(field.grid, field.spectrum * values)
 
 
-def _parseval_norm(field, weight, odd=None):
+def _parseval_norm(field, weight):
     """L_2 norm of ifftn(m * u^).real by Plancherel, for a real multiplier m
-    given as weight = m^2 where m is even under xi -> -xi on the lattice
-    (0 elsewhere) and odd = (flat indices, m^2 there) where it is odd.
+    even under xi -> -xi on the lattice, given as weight = m^2.
 
-    The real part has the spectrum (m u^(xi) + conj(m u^(-xi))) / 2: m times
-    the Hermitian part (u^(xi) + conj u^(-xi)) / 2 where m is even, m times
-    the anti-Hermitian part where it is odd.  A plain sum of m^2 |u^|^2
-    would count what the real part drops: a propagator with mixed
-    coefficients is odd on the Nyquist plane of one axis, so the spectrum
-    of a solve is not conjugate-symmetric there.
+    Every spectrum the package makes is conjugate-symmetric to rounding
+    (see _mixed), so the image is real and its energy is the plain sum of
+    m^2 |u^|^2.
     """
     spec = field.spectrum
-    axes = tuple(range(spec.ndim))
-    herm = np.roll(np.flip(spec, axes), 1, axes)  # u^(-xi) on the lattice
-    np.conj(herm, out=herm)
-    herm += spec
-    herm *= 0.5  # the Hermitian part, built in place of the mirror copy
-    energy = herm.real ** 2
-    energy += herm.imag ** 2
-    total = float(np.vdot(weight, energy))
-    if odd is not None:
-        where, odd_weight = odd
-        anti = spec.flat[where] - herm.flat[where]
-        total += float(np.vdot(odd_weight, anti.real ** 2 + anti.imag ** 2))
-    return math.sqrt(total * field.grid.cell_volume / spec.size)
+    energy = spec.real ** 2
+    energy += spec.imag ** 2
+    return math.sqrt(float(np.vdot(weight, energy))
+                     * field.grid.cell_volume / spec.size)
 
 
 def lp_norm(field, p):
@@ -257,27 +261,14 @@ def _bessel_weight(grid, smoothness):
 @functools.lru_cache(maxsize=64)
 def _hessian_weights(grid, smoothness):
     """sum_ij (xi_i xi_j)^2 (1 + |xi|^2)^smoothness, the squared Frobenius
-    multiplier, split into its even part and its odd part under xi -> -xi
-    on the lattice, the latter as (flat indices, values) for _parseval_norm.
-    The index n/2 is its own mirror, so a mixed term i != j is odd where
-    exactly one of the two axes is at its Nyquist index."""
-    comps = _freq_grids(grid)
-    nyq = np.meshgrid(*(np.arange(grid.n) == grid.n // 2,) * grid.dim,
-                      indexing="ij")
-    even, odd = np.zeros(grid.shape), np.zeros(grid.shape)
+    multiplier of the second derivatives."""
+    out = np.zeros(grid.shape)
     for i in range(grid.dim):
         for j in range(grid.dim):
-            term = (comps[i] * comps[j]) ** 2
-            if i != j:
-                one_nyquist = nyq[i] != nyq[j]
-                odd[one_nyquist] += term[one_nyquist]
-                term[one_nyquist] = 0.0
-            even += term
+            out += _mixed(grid, i, j) ** 2
     if smoothness:
-        bessel = _bessel_weight(grid, smoothness)
-        even, odd = even * bessel, odd * bessel
-    where = np.flatnonzero(odd)
-    return even, (where, odd.ravel()[where])
+        out *= _bessel_weight(grid, smoothness)
+    return out
 
 
 def lp_block(field, j, family=None):
@@ -323,14 +314,10 @@ def bessel_norm(field, smoothness, p):
 
 def second_derivatives(field):
     """All dim^2 second partials as fields, row-major in (i, j)."""
-    comps = _freq_grids(field.grid)
+    grid = field.grid
     spec = field.spectrum
-    out = []
-    for xi_i in comps:
-        for xi_j in comps:
-            out.append(SpectralField.from_spectrum(
-                field.grid, -(xi_i * xi_j) * spec))
-    return out
+    return [SpectralField.from_spectrum(grid, -_mixed(grid, i, j) * spec)
+            for i in range(grid.dim) for j in range(grid.dim)]
 
 
 def hessian_lp_norm(field, p, smoothness=0.0):
@@ -342,7 +329,7 @@ def hessian_lp_norm(field, p, smoothness=0.0):
     """
     grid = field.grid
     if p == 2:
-        return _parseval_norm(field, *_hessian_weights(grid, smoothness))
+        return _parseval_norm(field, _hessian_weights(grid, smoothness))
     comps = _freq_grids(grid)
     spec = field.spectrum
     if smoothness:

@@ -28,7 +28,7 @@ def test_weighted_norm_unit_profile_constant_solution():
     u0 = gaussian_bump(GRID, width=2.0)
     report = constant_report(u0, constant_profile(1.0), T=2.0)
     spec = WeightedNormSpec(smoothness=0.0, p=2.0, weight_power=0.0,
-                            profile=constant_profile(1.0), horizon=2.0)
+                            profile=constant_profile(1.0))
     expected = 2.0 ** 0.5 * lp_norm(u0, 2.0)
     assert abs(weighted_norm(report, spec) - expected) < 1e-10 * expected
 
@@ -38,7 +38,7 @@ def test_weighted_norm_linear_weight_closed_form():
     u0 = gaussian_bump(GRID, width=2.0)
     report = constant_report(u0, power_profile(1.0), T=1.0)
     spec = WeightedNormSpec(smoothness=0.0, p=2.0, weight_power=1.0,
-                            profile=power_profile(1.0), horizon=1.0)
+                            profile=power_profile(1.0))
     expected = math.sqrt(0.5) * lp_norm(u0, 2.0)
     assert abs(weighted_norm(report, spec) - expected) < 1e-10 * expected
 
@@ -47,7 +47,7 @@ def test_weighted_norm_smoothness_uses_bessel():
     u0 = mode_field(GridSpec(dim=1, n=256, length=8.0 * math.pi), (4,))
     report = constant_report(u0, constant_profile(1.0), T=1.0)
     spec = WeightedNormSpec(smoothness=2.0, p=2.0, weight_power=0.0,
-                            profile=constant_profile(1.0), horizon=1.0)
+                            profile=constant_profile(1.0))
     expected = bessel_norm(u0, 2.0, 2.0)  # T = 1 so the time factor is 1
     assert abs(weighted_norm(report, spec) - expected) < 1e-10 * expected
 
@@ -56,7 +56,7 @@ def test_weighted_norm_zero_floor_positive_power_vanishes():
     u0 = gaussian_bump(GRID, width=2.0)
     report = constant_report(u0, constant_profile(0.0))
     spec = WeightedNormSpec(smoothness=0.0, p=2.0, weight_power=1.0,
-                            profile=constant_profile(0.0), horizon=1.0)
+                            profile=constant_profile(0.0))
     assert weighted_norm(report, spec) == 0.0
 
 
@@ -64,7 +64,7 @@ def test_weighted_norm_zero_floor_negative_power_is_infinite():
     u0 = gaussian_bump(GRID, width=2.0)
     report = constant_report(u0, constant_profile(0.0))
     spec = WeightedNormSpec(smoothness=0.0, p=2.0, weight_power=-1.0,
-                            profile=constant_profile(0.0), horizon=1.0)
+                            profile=constant_profile(0.0))
     assert math.isinf(weighted_norm(report, spec))
 
 
@@ -76,7 +76,7 @@ def test_weighted_norm_monotone_in_weight_power():
     vals = []
     for m in (0.0, 1.0, 2.0):
         spec = WeightedNormSpec(smoothness=0.0, p=2.0, weight_power=m,
-                                profile=prof, horizon=1.0)
+                                profile=prof)
         vals.append(weighted_norm(report, spec))
     assert vals[0] >= vals[1] >= vals[2]
 
@@ -84,10 +84,7 @@ def test_weighted_norm_monotone_in_weight_power():
 def test_weighted_norm_spec_validation():
     with pytest.raises(ValueError):
         WeightedNormSpec(smoothness=0.0, p=1.0, weight_power=0.0,
-                         profile=constant_profile(1.0), horizon=1.0)
-    with pytest.raises(ValueError):
-        WeightedNormSpec(smoothness=0.0, p=2.0, weight_power=0.0,
-                         profile=constant_profile(1.0), horizon=0.0)
+                         profile=constant_profile(1.0))
 
 
 def test_thm1_zero_equation_zero_lhs():

@@ -1,12 +1,13 @@
 """The package's settable values: accuracy is decided in quadrature only."""
 
+import argparse
 import dataclasses
 import inspect
 
 import pytest
 
 import degparab
-from degparab import FDScheme, check_kernel_decay
+from degparab import FDScheme, check_kernel_decay, cli
 from degparab.degeneracy import _integrate_entries
 from degparab.quadrature import integrate_to, integrate_windows
 
@@ -47,3 +48,27 @@ def test_fd_scheme_has_only_theta():
 def test_kernel_decay_fit_has_no_knobs():
     assert list(inspect.signature(check_kernel_decay).parameters) == [
         "path", "profile", "gamma", "k_range", "t_samples", "grid"]
+
+
+def test_cli_takes_exactly_the_pinned_options(monkeypatch):
+    # adding or removing a command-line knob means editing these lists
+    assert list(inspect.signature(cli.run).parameters) == [
+        "subcommand", "config", "out", "workers", "seed"]
+    for runner in cli.RUNNERS.values():
+        assert list(inspect.signature(runner).parameters) == [
+            "cfg", "outdir", "workers"]
+    options = {}
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(parser, *names, **kwargs):
+        options.setdefault(parser.prog, []).extend(
+            name for name in names if name not in ("-h", "--help"))
+        return add_argument(parser, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: 0)
+    assert cli.main(["solve", "--config", "unused.ini"]) == 0
+    expected = {"degparab": []}
+    expected.update({f"degparab {name}": ["--config", "--out", "--workers",
+                                          "--seed"] for name in cli.RUNNERS})
+    assert options == expected

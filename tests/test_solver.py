@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degparab import (DegenerateKernelError, GridSpec, SpectralField,
-                      TimePartition, accumulate_on, compare_fields,
-                      constant_matrix_path, constant_profile, cumulative_delta,
-                      epsilon_regularize, gaussian_bump, kernel,
-                      inner_product, load_report, lp_norm, mode_field,
+                      TimePartition, accumulate_on, bessel_norm,
+                      compare_fields, constant_matrix_path, constant_profile,
+                      cumulative_delta, epsilon_regularize, gaussian_bump,
+                      hessian_lp_norm, kernel, inner_product, load_report,
+                      lp_norm, mode_field,
                       oscillatory_profile, parse_coefficients, parse_profile,
                       power_profile, quadratic_form, save_report,
                       scalar_path, solve_duhamel, solve_final,
@@ -120,6 +121,40 @@ def test_symbol_modulus_bound():
     from degparab.spectral import _xi_sq
     bound = np.exp(-gap * _xi_sq(GRID))
     assert np.all(values <= bound + 1e-15)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_quadratic_form_is_even_on_the_lattice(dim, n):
+    # xi -> -xi maps index k to (n - k) mod n on every axis, and the Nyquist
+    # index n/2 to itself: the mixed terms there must not change sign
+    grid = GridSpec(dim=dim, n=n, length=8.0)
+    rng = np.random.default_rng(10 * dim + n)
+    root = rng.standard_normal((dim, dim))
+    B = root @ root.T + 0.1 * np.eye(dim)
+    assert np.all(B[~np.eye(dim, dtype=bool)] != 0.0)
+    q = quadratic_form(grid, B)
+    axes = tuple(range(dim))
+    assert np.array_equal(q, np.roll(np.flip(q), (1,) * dim, axes))
+
+
+def test_mixed_snapshot_spectrum_and_samples_agree():
+    # a Gaussian under B = [[1, .5], [.5, 1]] / nyquist^2: the p = 2 norms
+    # read the snapshot's spectrum, the re-made field reads its samples
+    grid = GridSpec(dim=2, n=8, length=8.0)
+    path = constant_matrix_path(
+        np.array([[1.0, 0.5], [0.5, 1.0]]) / grid.nyquist ** 2)
+    report = solve_duhamel(gaussian_bump(grid, width=0.5), None, path,
+                           TimePartition.uniform(4, 1.0))
+    last = report.snapshots[-1]
+    again = SpectralField(grid, last.samples)
+    for smoothness in (0.0, 1.5):
+        pairs = ((hessian_lp_norm(last, 2.0, smoothness),
+                  hessian_lp_norm(again, 2.0, smoothness)),
+                 (bessel_norm(last, smoothness, 2.0),
+                  bessel_norm(again, smoothness, 2.0)))
+        for value, ref in pairs:
+            assert abs(value - ref) <= 1e-12 * ref
 
 
 def test_mass_conservation_and_contraction():

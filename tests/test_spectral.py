@@ -226,9 +226,9 @@ def test_hessian_lp_norm_matches_every_pair_loop(dim):
 def _evolved(bump, top, rho):
     # bump under the propagator exp(-xi^T B xi), B with 1 on the diagonal
     # and rho off it, scaled so that xi^T B xi = top at the Nyquist index
-    # of one axis: top = 1000 underflows to 0 there.  On the Nyquist plane
-    # of one axis, xi_i xi_j is odd under xi -> -xi, so with rho != 0 the
-    # spectrum is not conjugate-symmetric
+    # of one axis: top = 1000 underflows to 0 there.  The mixed terms
+    # follow the Nyquist rule, so the symbol is even and the spectrum stays
+    # conjugate-symmetric for any rho
     grid = bump.grid
     B = (top / grid.nyquist ** 2) * ((1.0 - rho) * np.eye(grid.dim) + rho)
     return SpectralField.from_spectrum(
@@ -282,9 +282,9 @@ def test_hessian_mode_on_one_nyquist_plane():
 
 @pytest.mark.parametrize("rho", [0.0, 0.5])
 def test_hessian_under_resolved_3d_gaussian(rho):
-    # width below the spacing: the spectrum is still large at Nyquist; with
-    # rho != 0 the mixed terms on a one-axis Nyquist plane keep the
-    # anti-Hermitian part of the spectrum, which the real part leaves in
+    # width below the spacing: the spectrum is still large at Nyquist, and
+    # with rho != 0 the mixed terms of both the propagator and the Hessian
+    # weight meet the Nyquist rule there
     grid = GridSpec(dim=3, n=16, length=8.0)
     u = _evolved(gaussian_bump(grid, width=0.3), 1.0, rho)
     for smoothness in (0.0, 1.5):
