@@ -12,7 +12,9 @@ which also integrates single windows).  propagate evolves one field over
 one window by the exact symbol, integrating the coefficients from 0 at
 both ends, as a per-window check of the solver's one-pass accumulation;
 time_change_solve reaches the same snapshots by the paper's change of
-clock tau = beta(t).
+clock tau = beta(t).  duhamel_spectrum_per_node is the per-node Duhamel sum
+that solver._duhamel_spectra replaced: one numpy call per (i, k) pair, with
+the weights of nodes[:k + 1], which the blocked sum must match bit for bit.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from degparab import (CoefficientPath, LPFamily, QuadratureError,
                       integrate_to, inverse_cumulative, lowpass, lp_block,
                       lp_norm, quadratic_form, s0_block, scalar_path,
                       solve_duhamel)
+from degparab.solver import _trapezoid_weights
 from degparab.spectral import _freq_grids, _xi_sq
 
 
@@ -114,6 +117,17 @@ def propagate(field, path, s, t):
     B = accumulate_path(path, t) - accumulate_path(path, s)
     return SpectralField.from_spectrum(
         field.grid, field.spectrum * np.exp(-quadratic_form(field.grid, B)))
+
+
+def duhamel_spectrum_per_node(spec0, quads, f_specs, nodes, k):
+    """Spectrum of the solve at node k >= 1: the propagated initial data
+    plus the trapezoid over nodes[:k + 1] of the propagated forcing."""
+    acc = spec0 * np.exp(quads[0] - quads[k])
+    if f_specs is not None:
+        w = _trapezoid_weights(nodes[:k + 1])
+        for i in range(k + 1):
+            acc = acc + w[i] * f_specs[i] * np.exp(quads[i] - quads[k])
+    return acc
 
 
 def time_change_solve(u0, f, path, profile, partition):

@@ -1,6 +1,7 @@
 """Exact Fourier propagator, Duhamel forcing, time change, weak residual."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from degparab import (DegenerateKernelError, GridSpec, SpectralField,
                       power_profile, quadratic_form, save_report,
                       scalar_path, solve_duhamel, solve_final,
                       weak_residual_profile, x_grids)
-from degparab.solver import _trapezoid
+from degparab import solver
+from degparab.solver import _duhamel_inputs, _duhamel_spectra, _trapezoid
 import references
 from references import propagate, time_change_solve
 
@@ -490,6 +492,83 @@ def test_solve_final_is_the_last_duhamel_snapshot(dim, kind, steps, horizon,
     last = solve_duhamel(u0, f, path, part).snapshots[-1]
     assert np.array_equal(final.samples, last.samples)
     assert np.array_equal(final.spectrum, last.spectrum)
+
+
+def duhamel_case(dim, kind, steps, horizon, coefficients, forced, n=None):
+    """Inputs of a Duhamel sum: spec0, quads, f_specs, nodes."""
+    grid = GRIDS[dim] if n is None else GridSpec(dim=dim, n=n, length=16.0)
+    nodes = getattr(TimePartition, kind)(steps, horizon).nodes
+    spec = ("scalar(power(1))" if coefficients == "closed-form"
+            else expr_matrix_text(dim))
+    shape = gaussian_bump(grid, width=1.5)
+    f = (lambda t: shape * (1.0 + t)) if forced else None
+    u0 = gaussian_bump(grid, width=1.0)
+    quads, f_specs = _duhamel_inputs(u0, f, parse_coefficients(spec, dim),
+                                     nodes)
+    return u0.spectrum, quads, f_specs, nodes
+
+
+def ragged_rows(steps):
+    """The least block row count >= 2 that does not divide steps."""
+    return next(r for r in range(2, steps) if steps % r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]),
+       kind=st.sampled_from(["uniform", "geometric"]),
+       steps=st.integers(3, 12),
+       horizon=st.floats(0.1, 2.0),
+       coefficients=st.sampled_from(["closed-form", "quadrature"]),
+       forced=st.booleans(),
+       first=st.sampled_from(["one", "half", "last"]),
+       block=st.sampled_from(["one row", "ragged", "all rows"]))
+def test_blocked_duhamel_sum_is_the_per_node_sum_bit_for_bit(
+        dim, kind, steps, horizon, coefficients, forced, first, block):
+    spec0, quads, f_specs, nodes = duhamel_case(dim, kind, steps, horizon,
+                                                coefficients, forced)
+    first = {"one": 1, "half": steps // 2, "last": steps}[first]
+    rows = {"one row": 1, "ragged": ragged_rows(steps),
+            "all rows": steps}[block]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_BLOCK_BYTES", rows * spec0.nbytes)
+        spectra = _duhamel_spectra(spec0, quads, f_specs, nodes, first=first)
+    assert spectra.shape == (steps + 1 - first,) + spec0.shape
+    for k, row in enumerate(spectra, start=first):
+        expected = references.duhamel_spectrum_per_node(spec0, quads, f_specs,
+                                                        nodes, k)
+        assert row.tobytes() == expected.tobytes(), k
+
+
+def test_duhamel_sum_memory_is_the_output_plus_two_blocks():
+    spec0, quads, f_specs, nodes = duhamel_case(2, "geometric", 32, 1.0,
+                                                "quadrature", True, n=128)
+    field = spec0.nbytes
+    rows = max(1, solver._BLOCK_BYTES // field)
+    # output, the complex term block and the real exponential block, plus
+    # four complex fields: the weighted forcing, the endpoint term with its
+    # operands, and numpy's casting buffers
+    bound = 32 * field + rows * field + rows * field // 2 + 4 * field
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spectra = _duhamel_spectra(spec0, quads, f_specs, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectra.nbytes == 32 * field
+    assert peak - base <= bound
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_duhamel_sum_writes_only_into_its_output(forced):
+    spec0, quads, f_specs, nodes = duhamel_case(2, "geometric", 6, 1.0,
+                                                "quadrature", forced)
+    inputs = [spec0, quads, nodes] + (f_specs or [])
+    before = [x.copy() for x in inputs]
+    spectra = _duhamel_spectra(spec0, quads, f_specs, nodes)
+    for x, y in zip(inputs, before):
+        assert x.tobytes() == y.tobytes()
+        assert not np.shares_memory(spectra, x)
 
 
 def saved_report(tmp_path, dim):
