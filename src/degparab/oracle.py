@@ -21,6 +21,7 @@ from .solver import SolveReport, TimePartition, _trapezoid_weights
 from .spectral import SpectralField, _freq_grids, lp_norm
 
 DEFAULT_CHUNK = 16384
+_MC_BLOCK = 4096  # samples per block of a chunk
 
 
 @dataclass(frozen=True)
@@ -154,11 +155,12 @@ def _spline_coeffs(field):
 
 
 def _periodic_interp(coeffs, grid, positions):
-    """Cubic periodic interpolation at absolute positions (m, dim)."""
+    """Cubic periodic interpolation at absolute positions (..., dim)."""
     import scipy.ndimage
     frac = (positions + 0.5 * grid.length) / grid.spacing
-    return scipy.ndimage.map_coordinates(coeffs, frac.T, order=3,
-                                         mode="grid-wrap", prefilter=False)
+    return scipy.ndimage.map_coordinates(
+        coeffs, frac.reshape(-1, grid.dim).T, order=3, mode="grid-wrap",
+        prefilter=False).reshape(frac.shape[:-1])
 
 
 def mc_solve(u0, f, path, t, points, samples, seed, partition=None,
@@ -172,7 +174,11 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None,
     randomness as the endpoint).  The forcing integral is a trapezoid
     over the partition nodes.  Chunked, deterministically seeded: chunk c
     uses default_rng([seed, c]), and chunk sums are reduced in index
-    order, so results do not depend on execution interleaving.
+    order, so results do not depend on execution interleaving.  A chunk
+    is walked in blocks of _MC_BLOCK samples that continue its stream, so
+    the RNG key (seed, c) does not depend on the block, and its values are
+    summed whole: results equal a walk of whole chunks bit for bit, in
+    O(block K dim + probes chunk) memory, not O(chunk K dim).
     """
     grid = u0.grid
     points = np.atleast_1d(np.asarray(points, dtype=float))
@@ -182,6 +188,8 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None,
         raise ValueError(f"probe points must have {grid.dim} coordinates")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
 
     if f is not None:
         if partition is None:
@@ -204,28 +212,35 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None,
     total = np.zeros(m)
     total_sq = np.zeros(m)
     n_intervals = len(factors)
+    # block buffers, reused; the last suffix column S[:, K] stays 0
+    z_buf = np.zeros((max(2, min(_MC_BLOCK, chunk, samples)), n_intervals,
+                      path.dim))
+    suffix_buf = np.zeros((len(z_buf), n_intervals + 1, path.dim))
     done = 0
     chunk_index = 0
     while done < samples:
         size = min(chunk, samples - done)
         rng = np.random.default_rng([seed, chunk_index])
-        z = rng.standard_normal((size, n_intervals, path.dim))
-        # per-interval covariances differ, apply one factor at a time
-        incs = np.empty((size, n_intervals, path.dim))
-        for i, fac in enumerate(factors):
-            incs[:, i, :] = z[:, i, :] @ fac.T
-        # suffix sums: S[:, i] = X_t - X_{t_i}
-        suffix = np.zeros((size, n_intervals + 1, path.dim))
-        suffix[:, :-1, :] = np.cumsum(incs[:, ::-1, :], axis=1)[:, ::-1, :]
-        vals = np.zeros((m, size))
-        for j in range(m):
-            vals[j] = _periodic_interp(u0_coeffs, grid,
-                                       points[j] + suffix[:, 0, :])
-        if f is not None:
-            for i in range(nodes.size):
-                for j in range(m):
-                    vals[j] += w[i] * _periodic_interp(
-                        f_coeffs[i], grid, points[j] + suffix[:, i, :])
+        vals = np.empty((m, size))
+        for lo in range(0, size, _MC_BLOCK):
+            # consecutive draws continue the chunk's stream
+            z = rng.standard_normal(out=z_buf[:min(_MC_BLOCK, size - lo)])
+            # per-interval covariances differ, apply one factor at a time;
+            # matmul sends a lone row to gemv, whose rounding is not the
+            # gemm of a chunk's rows, so pad it with a row never read
+            rows = z_buf[:max(len(z), min(size, 2))]
+            for i, fac in enumerate(factors):
+                rows[:, i, :] = rows[:, i, :] @ fac.T
+            # suffix sums: S[:, i] = X_t - X_{t_i}
+            suffix = suffix_buf[:len(z)]
+            np.cumsum(z[:, ::-1, :], axis=1, out=suffix[:, -2::-1, :])
+            block = vals[:, lo:lo + len(z)]
+            block[:] = _periodic_interp(u0_coeffs, grid,
+                                        points[:, None] + suffix[:, 0])
+            if f is not None:
+                for i in range(nodes.size):
+                    block += w[i] * _periodic_interp(
+                        f_coeffs[i], grid, points[:, None] + suffix[:, i])
         total += vals.sum(axis=1)
         total_sq += (vals ** 2).sum(axis=1)
         done += size

@@ -15,6 +15,9 @@ time_change_solve reaches the same snapshots by the paper's change of
 clock tau = beta(t).  duhamel_spectrum_per_node is the per-node Duhamel sum
 that solver._duhamel_spectra replaced: one numpy call per (i, k) pair, with
 the weights of nodes[:k + 1], which the blocked sum must match bit for bit.
+mc_solve_per_chunk is the Monte Carlo walk that mc_solve's block walk
+replaced: each RNG chunk drawn, transformed and interpolated whole, one
+interpolation call per probe, which the block walk must match bit for bit.
 """
 
 import numpy as np
@@ -24,6 +27,8 @@ from degparab import (CoefficientPath, LPFamily, QuadratureError,
                       integrate_to, inverse_cumulative, lowpass, lp_block,
                       lp_norm, quadratic_form, s0_block, scalar_path,
                       solve_duhamel)
+from degparab.oracle import (DEFAULT_CHUNK, MCEstimate, _periodic_interp,
+                             _spline_coeffs, _sqrt_cov)
 from degparab.solver import _trapezoid_weights
 from degparab.spectral import _freq_grids, _xi_sq
 
@@ -182,3 +187,62 @@ def time_change_solve(u0, f, path, profile, partition):
                        forcing=f,
                        diagnostics={"method": "time-change",
                                     "tau_nodes": tau_nodes})
+
+
+def mc_solve_per_chunk(u0, f, path, t, points, samples, seed, partition=None,
+                       chunk=DEFAULT_CHUNK):
+    """mc_solve holding each chunk's draws, increments and suffix sums whole:
+    four (chunk, K, dim) arrays at once."""
+    grid = u0.grid
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    if points.ndim == 1:
+        points = points[:, None]
+    if f is not None:
+        if partition is None:
+            partition = TimePartition.uniform(64, t)
+        nodes = partition.nodes
+    else:
+        nodes = np.array([0.0, t])
+
+    cums = accumulate_on(path, nodes)
+    factors = [_sqrt_cov(2.0 * (cb - ca))
+               for ca, cb in zip(cums[:-1], cums[1:])]
+    u0_coeffs = _spline_coeffs(u0)
+    if f is not None:
+        f_coeffs = [_spline_coeffs(f(s)) for s in nodes]
+        w = _trapezoid_weights(nodes)
+
+    m = points.shape[0]
+    total = np.zeros(m)
+    total_sq = np.zeros(m)
+    n_intervals = len(factors)
+    done = 0
+    chunk_index = 0
+    while done < samples:
+        size = min(chunk, samples - done)
+        rng = np.random.default_rng([seed, chunk_index])
+        z = rng.standard_normal((size, n_intervals, path.dim))
+        incs = np.empty((size, n_intervals, path.dim))
+        for i, fac in enumerate(factors):
+            incs[:, i, :] = z[:, i, :] @ fac.T
+        suffix = np.zeros((size, n_intervals + 1, path.dim))
+        suffix[:, :-1, :] = np.cumsum(incs[:, ::-1, :], axis=1)[:, ::-1, :]
+        vals = np.zeros((m, size))
+        for j in range(m):
+            vals[j] = _periodic_interp(u0_coeffs, grid,
+                                       points[j] + suffix[:, 0, :])
+        if f is not None:
+            for i in range(nodes.size):
+                for j in range(m):
+                    vals[j] += w[i] * _periodic_interp(
+                        f_coeffs[i], grid, points[j] + suffix[:, i, :])
+        total += vals.sum(axis=1)
+        total_sq += (vals ** 2).sum(axis=1)
+        done += size
+        chunk_index += 1
+
+    mean = total / samples
+    var = np.maximum(total_sq - samples * mean ** 2, 0.0) / (samples - 1)
+    return MCEstimate(points=points, mean=mean,
+                      stderr=np.sqrt(var / samples),
+                      samples=samples, seed=seed)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from degparab import (FDScheme, GridSpec, SpectralField, TimePartition,
                       gaussian_bump, mc_solve, oscillatory_profile,
                       parse_coefficients, sample_increments, scalar_path,
                       solve_duhamel)
+from degparab import oracle
 from degparab.oracle import _stencil_symbol
+from references import mc_solve_per_chunk
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -346,6 +349,13 @@ def test_mc_rejects_insufficient_samples():
         mc_solve(u0, None, HEAT, 0.2, [0.0], 10, seed=0)
 
 
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_mc_rejects_nonpositive_chunk(chunk):
+    u0 = gaussian_bump(GRID, width=2.0)
+    with pytest.raises(ValueError, match="chunk"):
+        mc_solve(u0, None, HEAT, 0.2, [0.0], 2000, seed=0, chunk=chunk)
+
+
 def test_mc_rejects_wrong_point_dim():
     grid = GridSpec(dim=2, n=32, length=16.0)
     u0 = gaussian_bump(grid, width=2.0)
@@ -365,6 +375,106 @@ def test_mc_forcing_matches_duhamel():
     idx = np.round((pts + GRID.length / 2) / GRID.spacing).astype(int)
     gaps = np.abs(est.mean - ref.snapshots[-1].samples[idx])
     assert np.all(gaps <= 3.0 * est.stderr + 1e-3)
+
+
+MC_GRIDS = {1: GridSpec(dim=1, n=64, length=16.0),
+            2: GridSpec(dim=2, n=16, length=8.0)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]),
+       forced=st.booleans(),
+       kind=st.sampled_from(["uniform", "geometric"]),
+       steps=st.integers(2, 6),
+       coefficients=st.sampled_from(["scalar", "constant"]),
+       probes=st.integers(1, 5),
+       block_kind=st.sampled_from(["one", "uneven", "whole"]),
+       seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_mc_block_walk_matches_per_chunk_walk(dim, forced, kind, steps,
+                                              coefficients, probes,
+                                              block_kind, seed, data):
+    # chunks that divide samples (extra == 0) and chunks that do not
+    chunk = data.draw(st.integers(300, 1200), label="chunk")
+    least = -(-1000 // chunk)
+    full = data.draw(st.integers(least, least + 2), label="full")
+    extra = data.draw(st.integers(0, chunk - 1), label="extra")
+    samples = chunk * full + extra
+    if block_kind == "one":
+        block = 1
+    elif block_kind == "uneven":
+        block = data.draw(st.integers(2, chunk - 1).filter(
+            lambda b: chunk % b), label="block")
+    else:
+        block = chunk + data.draw(st.integers(0, 500), label="over")
+    grid = MC_GRIDS[dim]
+    t = 0.3
+    part = getattr(TimePartition, kind)(steps, t)
+    path = _coefficient_path(coefficients, dim, seed)
+    u0 = gaussian_bump(grid, width=1.5)
+    shape = gaussian_bump(grid, width=1.0)
+    f = (lambda s: shape * (1.0 + math.sin(3.0 * s))) if forced else None
+    pts = np.random.default_rng(seed).uniform(
+        -grid.length / 2, grid.length / 2, (probes, dim))
+    args = (u0, f, path, t, pts, samples, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_MC_BLOCK", block)
+        got = mc_solve(*args, partition=part, chunk=chunk)
+    ref = mc_solve_per_chunk(*args, partition=part, chunk=chunk)
+    assert got.mean.tobytes() == ref.mean.tobytes()
+    assert got.stderr.tobytes() == ref.stderr.tobytes()
+
+
+def test_mc_memory_is_set_by_the_block_not_the_chunk():
+    grid = GridSpec(dim=1, n=64, length=16.0)
+    steps, probes, samples, word = 64, 3, oracle.DEFAULT_CHUNK, 8
+    block = min(oracle._MC_BLOCK, samples)
+    u0 = gaussian_bump(grid, width=1.5)
+    shape = gaussian_bump(grid, width=1.0)
+    f = lambda s: shape * (1.0 + s)
+    part = TimePartition.uniform(steps, 0.3)
+    pts = np.linspace(-4.0, 4.0, probes)
+    # draws, suffix sums and a cumsum temporary per block; vals and its
+    # square per chunk; K + 1 forcing and one initial spline coefficient
+    # array; the probe positions, their grid coordinates, the
+    # interpolated values and their weighted copy per block; 64 KiB for
+    # Python objects
+    bound = word * (block * steps + block * (steps + 1) + block * steps
+                    + 2 * probes * samples + (steps + 2) * grid.n
+                    + 4 * probes * block) + 64 * 1024
+    import scipy.ndimage  # loaded before tracing: its import is not a buffer
+    tracemalloc.start()
+    try:
+        mc_solve(u0, f, HEAT, 0.3, pts, samples, seed=1, partition=part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+def test_standard_normal_blocks_continue_one_draw():
+    # mc_solve draws each chunk in blocks from one generator; numpy must
+    # give the blocks the stream of a single draw of the whole chunk
+    whole = np.random.default_rng([7, 2]).standard_normal((1000, 5, 2))
+    rng = np.random.default_rng([7, 2])
+    parts = [rng.standard_normal((n, 5, 2)) for n in (1, 333, 4, 600)]
+    buf = np.empty((62, 5, 2))
+    parts.append(rng.standard_normal(out=buf))
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_matmul_rows_do_not_depend_on_the_row_count(dim):
+    # mc_solve applies a factor to a block of rows, never to a lone row of
+    # a larger chunk, and needs each row of the product to be the one a
+    # product of the whole chunk gives
+    rng = np.random.default_rng(dim)
+    fac = rng.standard_normal((dim, dim))
+    z = rng.standard_normal((5000, 3, dim))[:, 1, :]
+    whole = z @ fac.T
+    for lo, rows in ((0, 2), (7, 3), (100, 700), (901, 4099)):
+        part = z[lo:lo + rows] @ fac.T
+        assert part.tobytes() == whole[lo:lo + rows].tobytes()
 
 
 def test_sample_increments_covariance():
