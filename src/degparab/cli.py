@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -240,6 +239,11 @@ def validate_config(cfg):
         diags.append(f"params.t0: must be >= 0, got {cfg.t0}")
     if cfg.t_lo <= 0 or (cfg.t_hi is not None and cfg.t_hi <= cfg.t_lo):
         diags.append("params.t_lo/t_hi: need 0 < t_lo < t_hi")
+    if cfg.t_count < 1:
+        diags.append(f"params.t_count: need >= 1, got {cfg.t_count}")
+    if cfg.beta_hat is not None and not 0.0 < cfg.beta_hat < math.inf:
+        diags.append(f"params.beta_hat: must be finite and > 0, "
+                     f"got {cfg.beta_hat}")
     if cfg.h_points < 4:
         diags.append(f"params.h_points: need >= 4 for a fit, got {cfg.h_points}")
     if cfg.h_decades < 2.0:
@@ -398,7 +402,7 @@ def _report_lines(rep):
     return lines
 
 
-def run_solve(cfg, outdir, workers):
+def run_solve(cfg, outdir):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     report = solve_duhamel(u0, f, path, partition)
     residuals = save_report(report, os.path.join(outdir, "report"), p=cfg.p)
@@ -414,7 +418,7 @@ def run_solve(cfg, outdir, workers):
     return 0
 
 
-def run_check_thm1(cfg, outdir, workers):
+def run_check_thm1(cfg, outdir):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     rep = check_thm1(u0, f, path, profile, cfg.smoothness, cfg.p, partition)
     reports_to_csv([rep], os.path.join(outdir, "thm1.csv"))
@@ -429,7 +433,7 @@ def run_check_thm1(cfg, outdir, workers):
     return 0 if rep.admissible else 2
 
 
-def run_check_thm2(cfg, outdir, workers):
+def run_check_thm2(cfg, outdir):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     t0 = cfg.t0 if cfg.t0 is not None else partition.horizon
     h_grid = _level_grid(cumulative_delta(profile, t0), cfg.h_points,
@@ -451,7 +455,7 @@ def run_check_thm2(cfg, outdir, workers):
     return 0 if rep.admissible else 2
 
 
-def run_check_classic(cfg, outdir, workers):
+def run_check_classic(cfg, outdir):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     report = solve_duhamel(u0, f, path, partition)
     rep = check_classic(report, f, u0, cfg.p)
@@ -463,7 +467,7 @@ def run_check_classic(cfg, outdir, workers):
     return 0 if rep.admissible else 2
 
 
-def run_kernel_decay(cfg, outdir, workers):
+def run_kernel_decay(cfg, outdir):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     family = LPFamily.for_grid(grid)
     if cfg.k_min < family.j_min or cfg.k_max > family.j_max:
@@ -491,7 +495,7 @@ def run_kernel_decay(cfg, outdir, workers):
     return 0 if not fit.violations else 2
 
 
-def run_profile_check(cfg, outdir, workers):
+def run_profile_check(cfg, outdir):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     t0 = cfg.t0 if cfg.t0 is not None else cfg.horizon
     kappa0 = cumulative_delta(profile, t0)
@@ -569,16 +573,10 @@ def run_profile_check(cfg, outdir, workers):
     return 0 if not failures else 2
 
 
-def run_eps_sweep(cfg, outdir, workers):
+def run_eps_sweep(cfg, outdir):
     grid, partition, profile, path, u0, f = _build_all(cfg)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = epsilon_sweep(u0, f, path, profile, cfg.eps_list, cfg.p,
-                                    partition, smoothness=cfg.smoothness,
-                                    mapper=lambda fn, it: list(pool.map(fn, it)))
-    else:
-        reports = epsilon_sweep(u0, f, path, profile, cfg.eps_list, cfg.p,
-                                partition, smoothness=cfg.smoothness)
+    reports = epsilon_sweep(u0, f, path, profile, cfg.eps_list, cfg.p,
+                            partition, smoothness=cfg.smoothness)
     reports_to_csv(reports, os.path.join(outdir, "eps_sweep.csv"))
     ratios = [r.ratio for r in reports if r.admissible]
     lines = [f"inequality: {THM1_TEXT}",
@@ -593,7 +591,7 @@ def run_eps_sweep(cfg, outdir, workers):
     return 0 if all(r.admissible for r in reports) else 2
 
 
-def run_oracle_compare(cfg, outdir, workers):
+def run_oracle_compare(cfg, outdir):
     grid, partition, profile, path, u0, f = _build_all(cfg)
     failures = []
     lines = []
@@ -607,11 +605,7 @@ def run_oracle_compare(cfg, outdir, workers):
         difference = fd_solve(u0s, fs, path, part, FDScheme())
         return compare_fields(spectral, difference.snapshots[-1], 2.0)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(fd_gap, [1, 2]))
-    else:
-        errors = [fd_gap(1), fd_gap(2)]
+    errors = [fd_gap(1), fd_gap(2)]
     order = float(convergence_orders(errors)[0])
     lines.append(f"fd vs spectral relative L2 gaps: {float(errors[0])!r} "
                  f"(base), {float(errors[1])!r} (doubled)")
@@ -665,7 +659,7 @@ RUNNERS = {
 }
 
 
-def run(subcommand, config, out=None, workers=1, seed=None):
+def run(subcommand, config, out=None, seed=None):
     """Load a config, validate it, dispatch one subcommand, return the
     exit code (0 pass, 2 check failed / inadmissible, 3 bad config, its
     coefficients' quadrature out of budget or NaN/inf data, 1 internal
@@ -696,7 +690,7 @@ def run(subcommand, config, out=None, workers=1, seed=None):
     outdir = out if out is not None else cfg.out
     os.makedirs(outdir, exist_ok=True)
     try:
-        return RUNNERS[subcommand](cfg, outdir, workers)
+        return RUNNERS[subcommand](cfg, outdir)
     except QuadratureError as exc:
         print(f"quadrature error: {exc.spec}: "
               f"achieved error estimate {exc.error_estimate:.3e}, "
@@ -721,13 +715,10 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="path to an INI config")
         p.add_argument("--out", default=None, help="output directory "
                        "(default: the config's run.out)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="thread pool for sweeps; pays only on 2D/3D grids")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     args = parser.parse_args(argv)
-    return run(args.command, args.config, out=args.out, workers=args.workers,
-               seed=args.seed)
+    return run(args.command, args.config, out=args.out, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -236,17 +236,10 @@ def cumulative_delta_grid(profile, ts, npts=None):
         return np.zeros_like(ts)
     if npts is None:
         npts = max(4096, 16 * ts.size)
-    # np.interp over the whole scan, chunk by chunk, at the sorted times
     flat = ts.ravel()
     order = (None if np.all(flat[1:] >= flat[:-1])
              else np.argsort(flat, kind="stable"))
-    q = flat if order is None else flat[order]
-    vals = np.empty(q.size)
-    pos = 0
-    for edges, beta in _scan_chunks(profile, hi, npts):
-        end = pos + int(np.searchsorted(q[pos:], edges[-1], side="right"))
-        vals[pos:end] = np.interp(q[pos:end], edges, beta)
-        pos = end
+    vals, = _scan_at(profile, hi, npts, [flat if order is None else flat[order]])
     if order is not None:
         vals[order] = vals.copy()
     return vals.reshape(ts.shape)[()]
@@ -285,6 +278,24 @@ def _scan_chunks(profile, hi, npts):
         np.cumsum(steps, out=beta[1:])
         total = beta[-1]
         yield edges, beta
+
+
+def _scan_at(profile, hi, npts, times):
+    """cumulative_delta_grid's values at sorted times ending at hi, given
+    and returned in chunks: each time is interpolated in the first scan
+    chunk whose last edge is >= it, as one np.interp would, bit for bit."""
+    scan = _scan_chunks(profile, hi, npts)
+    edges, beta = next(scan)
+    for q in times:
+        vals = np.empty(q.size)
+        pos = int(np.searchsorted(q, edges[-1], side="right"))
+        vals[:pos] = np.interp(q[:pos], edges, beta)
+        while pos < q.size:
+            edges, beta = next(scan)
+            end = pos + int(np.searchsorted(q[pos:], edges[-1], side="right"))
+            vals[pos:end] = np.interp(q[pos:end], edges, beta)
+            pos = end
+        yield vals
 
 
 # bisection steps of the generalized inverse; its table has one more node
@@ -407,19 +418,26 @@ def levelset_measure_scan(profile, hs, t0, npts=1_000_000):
     """Direct Riemann scan of the same level set for every level h in hs,
     accurate to ~2*t0/npts; one beta scan serves all levels.
 
-    beta comes from cumulative_delta_grid's chunked midpoint scan
-    (4*npts panels) at the npts panel midpoints of [0, t0], so memory holds
-    a few arrays of npts values, not of 4*npts.  Reference implementation
-    used to cross-check levelset_measure.
+    beta is cumulative_delta_grid(profile, mids, npts=4*npts) at the npts
+    panel midpoints of [0, t0], bit for bit, read _SCAN_CHUNK midpoints at
+    a time alongside the chunked scan, so memory holds a few arrays of
+    _SCAN_CHUNK values whatever npts is.  Reference implementation used to
+    cross-check levelset_measure.
     """
     for h in hs:
         if h <= 0:
             raise ValueError(f"level h must be positive, got {h}")
-    edges = np.linspace(0.0, t0, npts + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    beta_mid = cumulative_delta_grid(profile, mids, npts=4 * npts)
-    return [float(np.count_nonzero((beta_mid >= h) & (beta_mid < 4.0 * h)))
-            * (t0 / npts) for h in hs]
+    # the midpoints increase, so the last one is the top of the scan
+    hi = float(np.mean(_grid_edges(t0, npts, npts - 1, npts)))
+    mids = (0.5 * (e[:-1] + e[1:]) for e in
+            (_grid_edges(t0, npts, i0, min(i0 + _SCAN_CHUNK, npts))
+             for i0 in range(0, npts, _SCAN_CHUNK)))
+    betas = ((cumulative_delta_grid(profile, q) for q in mids)
+             if profile.closed_form_cumulative is not None or hi <= 0.0
+             else _scan_at(profile, hi, 4 * npts, mids))
+    counts = sum(np.array([np.count_nonzero((beta >= h) & (beta < 4.0 * h))
+                           for h in hs]) for beta in betas)
+    return [float(c) * (t0 / npts) for c in counts]
 
 
 @dataclass(frozen=True)

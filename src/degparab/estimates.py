@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .degeneracy import (_level_grid, accumulate_on, check_domination,
                          cumulative_delta, fit_beta_exponent)
-from .solver import _trapezoid, quadratic_form, solve_duhamel
+from .solver import (_trapezoid, epsilon_regularize, quadratic_form,
+                     solve_duhamel)
 from .spectral import (LPFamily, _block_multiplier, _xi_sq, besov_norm,
                        bessel_norm, hessian_lp_norm, lp_norm)
 
@@ -117,7 +119,8 @@ def check_thm1(u0, f, path, profile, smoothness, p, partition):
     if f is None:
         rhs_f = 0.0
     else:
-        f_report = _ForcingSnapshots(report.partition, f)
+        f_report = SimpleNamespace(partition=partition,
+                                   snapshots=map(f, partition.nodes))
         rhs_spec = WeightedNormSpec(smoothness, p, 1.0 - p, profile)
         rhs_f = weighted_norm(f_report, rhs_spec)
     rhs_u0 = besov_norm(u0, smoothness + 2.0 - 2.0 / p, p)
@@ -128,14 +131,6 @@ def check_thm1(u0, f, path, profile, smoothness, p, partition):
         profile_spec=profile.spec, grid_n=u0.grid.n, steps=partition.steps,
         lhs=lhs, rhs_components=components, ratio=ratio, flags=flags,
         extra={"dim": u0.grid.dim, "horizon": partition.horizon})
-
-
-class _ForcingSnapshots:
-    """Adapter presenting a forcing map as a snapshot family for weighted_norm."""
-
-    def __init__(self, partition, f):
-        self.partition = partition
-        self.snapshots = [f(t) for t in partition.nodes]
 
 
 def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
@@ -285,27 +280,23 @@ def check_kernel_decay(path, profile, gamma, k_range, t_samples, grid):
 
 
 def epsilon_sweep(u0, f, path, profile, eps_list, p, partition,
-                  smoothness=0.0, mapper=map):
+                  smoothness=0.0):
     """check_thm1 across regularizations a + eps I, delta + eps.
 
     eps_list must be positive and decreasing; the point of the sweep is
-    that the observed constant stays bounded as eps -> 0.  mapper allows a
-    thread-pool map for the independent per-eps checks.
+    that the observed constant stays bounded as eps -> 0.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list):
         raise ValueError(f"eps values must be positive, got {eps_list}")
     if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
         raise ValueError(f"eps values must be decreasing, got {eps_list}")
-    from .solver import epsilon_regularize
-
-    def one(eps):
-        rep = check_thm1(u0, f, epsilon_regularize(path, eps),
-                         profile.shifted(eps), smoothness, p, partition)
+    reports = [check_thm1(u0, f, epsilon_regularize(path, eps),
+                          profile.shifted(eps), smoothness, p, partition)
+               for eps in eps_list]
+    for eps, rep in zip(eps_list, reports):
         rep.extra["eps"] = eps
-        return rep
-
-    return list(mapper(one, eps_list))
+    return reports
 
 
 CSV_HEADER = "theorem,n,p,m,profile_spec,grid_n,K,lhs,rhs_1,rhs_2,ratio,flags"

@@ -95,7 +95,7 @@ def fd_solve(u0, f, path, partition, scheme=None):
             t_theta = (1.0 - theta) * t0 + theta * t1
             spec = spec + dt * np.fft.fftn(f(t_theta).samples)
         spec = spec / (1.0 - theta * dt * lam)
-        snapshots.append(SpectralField(grid, np.fft.ifftn(spec).real))
+        snapshots.append(SpectralField(grid, np.fft.ifftn(spec).real.copy()))
     return SolveReport(grid, partition, snapshots, path, forcing=f,
                        diagnostics={"method": "fd", "theta": theta})
 

@@ -131,15 +131,15 @@ _BLOCK_BYTES = 256 * 1024
 
 def _duhamel_inputs(u0, f, path, nodes):
     """Quadratic forms of the cumulative coefficients at every node, as one
-    (K + 1, *shape) array, and the forcing spectra (None without forcing)."""
+    (K + 1, *shape) array, and the forcing spectra (None without forcing)
+    as a one-shot generator in node order, each transformed as it is read."""
     # exp of differences of the quadratic forms gives every window symbol
     # without re-integrating
     quads = np.empty((nodes.size,) + u0.grid.shape)
     for q, B in zip(quads, accumulate_on(path, nodes)):
         q[...] = quadratic_form(u0.grid, B)
-    if f is None:
-        return quads, None
-    return quads, [np.fft.fftn(f(t).samples) for t in nodes]
+    return quads, (None if f is None else
+                   (np.fft.fftn(f(t).samples) for t in nodes))
 
 
 def _duhamel_spectra(spec0, quads, f_specs, nodes, first=1):
@@ -152,7 +152,8 @@ def _duhamel_spectra(spec0, quads, f_specs, nodes, first=1):
     by element and in this order, spec0 exp(q_0 - q_k), then
     (w_i f_i) exp(q_i - q_k) for i < k (the interior weights of nodes[:k + 1]
     are those of nodes), then (dt_k / 2 f_k) exp(q_k - q_k): the per-node
-    sum bit for bit."""
+    sum bit for bit.  f_specs (None without forcing) is read once, in node
+    order, so working memory is the output and quads plus O(1) fields."""
     last = len(quads) - 1
     out = np.empty((last + 1 - first,) + spec0.shape, dtype=complex)
     rows = max(1, _BLOCK_BYTES // out[0].nbytes)
@@ -160,11 +161,10 @@ def _duhamel_spectra(spec0, quads, f_specs, nodes, first=1):
     term = np.empty_like(out[:rows])
     weights = _trapezoid_weights(nodes)
     half = 0.5 * np.diff(nodes)
-    for i in range(last + 1 if f_specs is not None else 1):
+    for i, f_i in enumerate([None] if f_specs is None else f_specs):
         if i >= first:
-            out[i - first] += ((half[i - 1] * f_specs[i])
-                               * np.exp(quads[i] - quads[i]))
-        wf = None if f_specs is None else weights[i] * f_specs[i]
+            out[i - first] += (half[i - 1] * f_i) * np.exp(quads[i] - quads[i])
+        wf = None if f_i is None else weights[i] * f_i
         for lo in range(max(first, i + 1), last + 1, rows):
             m = min(rows, last + 1 - lo)
             e, o = expo[:m], out[lo - first:lo - first + m]
@@ -182,7 +182,8 @@ def solve_duhamel(u0, f, path, partition):
     The Duhamel integral is a composite trapezoid over the partition nodes,
     with each forcing slice propagated by the exact symbol; everything is
     accumulated in spectral space, and a snapshot is inverse-transformed
-    only when its samples are first read.
+    only when its samples are first read.  The forcing is transformed one
+    node at a time: working memory is the output and quads plus O(1) fields.
     """
     grid = u0.grid
     nodes = partition.nodes
@@ -252,10 +253,8 @@ def weak_residual_profile(report, test=None, f=None):
             for j in range(dim):
                 val += a_t[i, j] * inner_product(u, phi_xx[i * dim + j])
         g[k] = val
-    fg = np.zeros(nodes.size)
-    if f is not None:
-        for k, t in enumerate(nodes):
-            fg[k] = inner_product(f(t), test)
+    fg = (np.zeros(nodes.size) if f is None
+          else np.array([inner_product(f(t), test) for t in nodes]))
 
     base = inner_product(report.snapshots[0], test)
     res = np.zeros(nodes.size)

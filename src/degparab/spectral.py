@@ -99,7 +99,7 @@ def x_grids(grid):
 
 class SpectralField:
     """Real samples on a GridSpec and their DFT spectrum, each computed from
-    the other on first read and then cached."""
+    the other on first read and then cached (samples as an owned copy)."""
 
     __slots__ = ("grid", "_samples", "_spectrum")
 
@@ -115,7 +115,7 @@ class SpectralField:
     @property
     def samples(self):
         if self._samples is None:
-            self._samples = np.fft.ifftn(self._spectrum).real
+            self._samples = np.fft.ifftn(self._spectrum).real.copy()
         return self._samples
 
     @property
@@ -127,7 +127,7 @@ class SpectralField:
     @classmethod
     def from_spectrum(cls, grid, spectrum):
         """Field with the spectrum of a real field, conjugate-symmetric as
-        every spectrum the package makes is; its samples are
+        every spectrum the package makes is; its samples are a copy of
         ifftn(spectrum).real, transformed when first read.  The p = 2
         norms read the spectrum itself."""
         spectrum = np.asarray(spectrum, dtype=complex)

@@ -82,6 +82,31 @@ def test_validate_flags_k_range_ordering():
     assert any("k_min" in d for d in diags)
 
 
+@pytest.mark.parametrize("t_count", [0, -1])
+def test_validate_flags_t_count_below_one(t_count):
+    assert validate_config(ExperimentConfig(t_count=t_count)) == [
+        f"params.t_count: need >= 1, got {t_count}"]
+
+
+@pytest.mark.parametrize("beta_hat", [0.0, -0.5, math.inf, math.nan])
+def test_validate_flags_beta_hat_outside_the_positive_reals(beta_hat):
+    assert validate_config(ExperimentConfig(beta_hat=beta_hat)) == [
+        f"params.beta_hat: must be finite and > 0, got {beta_hat}"]
+
+
+@pytest.mark.parametrize("command, params", [
+    ("kernel-decay", "t_count = -1"), ("kernel-decay", "t_count = 0"),
+    ("check-thm2", "beta_hat = 0"), ("check-thm2", "beta_hat = -1.5")])
+def test_out_of_range_counts_and_exponents_exit_3(tmp_path, capsys, command,
+                                                  params):
+    path = write_cfg(tmp_path, f"[params]\n{params}\n")
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: params.{params.split()[0]}: ")
+
+
 def test_kernel_decay_rejects_blocks_beyond_grid(tmp_path, capsys):
     # n=1024, period=32 resolves dyadic scales up to j_max = 5
     path = write_cfg(tmp_path, "[params]\nk_max = 9\n")
@@ -464,7 +489,7 @@ spec = scalar(expr("1"))
     assert "result: pass" in (out / "summary.txt").read_text()
 
 
-def test_main_eps_sweep_and_worker_invariance(tmp_path):
+def test_main_eps_sweep_reruns_byte_identical(tmp_path):
     text = """
 [grid]
 n = 256
@@ -486,10 +511,9 @@ spec = separable("t", gaussian(1.5))
 eps_list = 0.1,0.01
 """
     path = write_cfg(tmp_path, text)
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert main(["eps-sweep", "--config", path, "--out", str(out1)]) == 0
-    assert main(["eps-sweep", "--config", path, "--out", str(out2),
-                 "--workers", "2"]) == 0
+    assert main(["eps-sweep", "--config", path, "--out", str(out2)]) == 0
     assert (out1 / "eps_sweep.csv").read_bytes() == \
         (out2 / "eps_sweep.csv").read_bytes()
 

@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import degparab
-from degparab import FDScheme, check_kernel_decay, cli
+from degparab import FDScheme, check_kernel_decay, cli, epsilon_sweep
 from degparab.degeneracy import _integrate_entries
 from degparab.quadrature import integrate_to, integrate_windows
 
@@ -50,13 +50,20 @@ def test_kernel_decay_fit_has_no_knobs():
         "path", "profile", "gamma", "k_range", "t_samples", "grid"]
 
 
+def test_epsilon_sweep_runs_its_checks_in_turn():
+    # one check per eps, in turn: a pool would hold several solves at once
+    assert list(inspect.signature(epsilon_sweep).parameters) == [
+        "u0", "f", "path", "profile", "eps_list", "p", "partition",
+        "smoothness"]
+
+
 def test_cli_takes_exactly_the_pinned_options(monkeypatch):
     # adding or removing a command-line knob means editing these lists
     assert list(inspect.signature(cli.run).parameters) == [
-        "subcommand", "config", "out", "workers", "seed"]
+        "subcommand", "config", "out", "seed"]
     for runner in cli.RUNNERS.values():
         assert list(inspect.signature(runner).parameters) == [
-            "cfg", "outdir", "workers"]
+            "cfg", "outdir"]
     options = {}
     add_argument = argparse.ArgumentParser.add_argument
 
@@ -69,6 +76,6 @@ def test_cli_takes_exactly_the_pinned_options(monkeypatch):
     monkeypatch.setattr(cli, "run", lambda *args, **kwargs: 0)
     assert cli.main(["solve", "--config", "unused.ini"]) == 0
     expected = {"degparab": []}
-    expected.update({f"degparab {name}": ["--config", "--out", "--workers",
-                                          "--seed"] for name in cli.RUNNERS})
+    expected.update({f"degparab {name}": ["--config", "--out", "--seed"]
+                     for name in cli.RUNNERS})
     assert options == expected

@@ -452,6 +452,30 @@ def test_mc_memory_is_set_by_the_block_not_the_chunk():
     assert peak <= bound
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fd_snapshots_own_their_samples(dim, monkeypatch):
+    # each step's samples are the real part of its inverse transform, bit
+    # for bit, held without the complex transform
+    grid = GridSpec(dim=dim, n=32, length=16.0)
+    shape = gaussian_bump(grid, width=1.0)
+    transforms = []
+    ifftn = np.fft.ifftn
+
+    def spy(*args, **kwargs):
+        transforms.append(ifftn(*args, **kwargs))
+        return transforms[-1]
+
+    monkeypatch.setattr(np.fft, "ifftn", spy)
+    rep = fd_solve(gaussian_bump(grid, width=1.5), lambda s: shape * (1.0 + s),
+                   scalar_path(constant_profile(1.0), dim),
+                   TimePartition.uniform(6, 0.3))
+    assert len(transforms) == 6
+    for snap, full in zip(rep.snapshots[1:], transforms):
+        assert snap.samples.flags.owndata
+        assert not np.shares_memory(snap.samples, full)
+        assert snap.samples.tobytes() == full.real.tobytes()
+
+
 def test_standard_normal_blocks_continue_one_draw():
     # mc_solve draws each chunk in blocks from one generator; numpy must
     # give the blocks the stream of a single draw of the whole chunk

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degparab import (DegenerateKernelError, GridSpec, SpectralField,
-                      TimePartition, accumulate_on, bessel_norm,
+                      TimePartition, accumulate_on, bessel_norm, check_thm1,
                       compare_fields, constant_matrix_path, constant_profile,
                       cumulative_delta, epsilon_regularize, gaussian_bump,
                       hessian_lp_norm, kernel, inner_product, load_report,
@@ -495,7 +495,9 @@ def test_solve_final_is_the_last_duhamel_snapshot(dim, kind, steps, horizon,
 
 
 def duhamel_case(dim, kind, steps, horizon, coefficients, forced, n=None):
-    """Inputs of a Duhamel sum: spec0, quads, f_specs, nodes."""
+    """Inputs of a Duhamel sum: spec0, quads, f_specs, nodes, with the
+    forcing spectra as a list (None without forcing) for the per-node
+    oracle, which indexes them."""
     grid = GRIDS[dim] if n is None else GridSpec(dim=dim, n=n, length=16.0)
     nodes = getattr(TimePartition, kind)(steps, horizon).nodes
     spec = ("scalar(power(1))" if coefficients == "closed-form"
@@ -505,7 +507,8 @@ def duhamel_case(dim, kind, steps, horizon, coefficients, forced, n=None):
     u0 = gaussian_bump(grid, width=1.0)
     quads, f_specs = _duhamel_inputs(u0, f, parse_coefficients(spec, dim),
                                      nodes)
-    return u0.spectrum, quads, f_specs, nodes
+    return (u0.spectrum, quads, None if f_specs is None else list(f_specs),
+            nodes)
 
 
 def ragged_rows(steps):
@@ -521,17 +524,21 @@ def ragged_rows(steps):
        coefficients=st.sampled_from(["closed-form", "quadrature"]),
        forced=st.booleans(),
        first=st.sampled_from(["one", "half", "last"]),
-       block=st.sampled_from(["one row", "ragged", "all rows"]))
+       block=st.sampled_from(["one row", "ragged", "all rows"]),
+       one_shot=st.booleans())
 def test_blocked_duhamel_sum_is_the_per_node_sum_bit_for_bit(
-        dim, kind, steps, horizon, coefficients, forced, first, block):
+        dim, kind, steps, horizon, coefficients, forced, first, block,
+        one_shot):
     spec0, quads, f_specs, nodes = duhamel_case(dim, kind, steps, horizon,
                                                 coefficients, forced)
     first = {"one": 1, "half": steps // 2, "last": steps}[first]
     rows = {"one row": 1, "ragged": ragged_rows(steps),
             "all rows": steps}[block]
+    # the sum reads the forcing spectra once, in order: an iterator will do
+    inputs = iter(f_specs) if one_shot and forced else f_specs
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_BLOCK_BYTES", rows * spec0.nbytes)
-        spectra = _duhamel_spectra(spec0, quads, f_specs, nodes, first=first)
+        spectra = _duhamel_spectra(spec0, quads, inputs, nodes, first=first)
     assert spectra.shape == (steps + 1 - first,) + spec0.shape
     for k, row in enumerate(spectra, start=first):
         expected = references.duhamel_spectrum_per_node(spec0, quads, f_specs,
@@ -556,6 +563,34 @@ def test_duhamel_sum_memory_is_the_output_plus_two_blocks():
     finally:
         tracemalloc.stop()
     assert spectra.nbytes == 32 * field
+    assert peak - base <= bound
+
+
+@pytest.mark.parametrize("call", ["solve_duhamel", "check_thm1"])
+def test_forced_solve_holds_one_forcing_field_at_a_time(call):
+    # n = 128, K = 32: all forcing spectra would take as much as the output
+    grid = GridSpec(dim=2, n=128, length=16.0)
+    shape = gaussian_bump(grid, width=1.5)
+    u0, f = gaussian_bump(grid, width=1.0), lambda t: shape * (1.0 + t)
+    path = parse_coefficients(expr_matrix_text(2), 2)
+    part = TimePartition.geometric(32, 1.0)
+    run = {"solve_duhamel": lambda: solve_duhamel(u0, f, path, part),
+           "check_thm1": lambda: check_thm1(u0, f, path, power_profile(1.0),
+                                            0.0, 2.0, part)}[call]
+    run()  # fills the lattice caches before tracing
+    field = u0.spectrum.nbytes
+    # the 32 snapshot spectra and the 33 real quadratic forms, plus eight
+    # complex fields: the initial snapshot, the two block buffers, the
+    # previous and the current forcing spectrum with its samples, its
+    # weighted copy and the endpoint term with its operands
+    bound = 32 * field + 33 * field // 2 + 8 * field
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak - base <= bound
 
 

@@ -311,6 +311,16 @@ def test_from_spectrum_transforms_on_first_read_only(monkeypatch):
     assert field.samples is first and len(calls) == 1
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_from_spectrum_samples_own_their_memory(dim):
+    # a view into the complex transform would keep twice the samples alive
+    grid = GridSpec(dim=dim, n=16, length=8.0)
+    spec = np.fft.fftn(np.random.default_rng(dim).standard_normal(grid.shape))
+    samples = SpectralField.from_spectrum(grid, spec).samples
+    assert samples.flags.owndata and samples.flags.c_contiguous
+    assert samples.tobytes() == np.fft.ifftn(spec).real.tobytes()
+
+
 def test_from_spectrum_checks_the_shape():
     with pytest.raises(ValueError):
         SpectralField.from_spectrum(GridSpec(dim=2, n=16, length=8.0),
