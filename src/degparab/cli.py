@@ -194,10 +194,16 @@ def validate_config(cfg):
                      f"got {cfg.partition_kind!r}")
     if cfg.steps < 2:
         diags.append(f"partition.steps: need >= 2, got {cfg.steps}")
-    if cfg.horizon <= 0:
-        diags.append(f"partition.horizon: must be positive, got {cfg.horizon}")
+    if not 0.0 < cfg.horizon < math.inf:
+        diags.append(f"partition.horizon: must be positive and finite, "
+                     f"got {cfg.horizon}")
     if cfg.ratio is not None and not 0.0 < cfg.ratio < 1.0:
         diags.append(f"partition.ratio: must lie in (0, 1), got {cfg.ratio}")
+    if not any(d.startswith("partition.") for d in diags):
+        try:
+            _partition(cfg)
+        except ValueError as exc:
+            diags.append(f"partition: {exc}")
     try:
         parse_profile(cfg.profile_spec)
     except ValueError as exc:
@@ -235,8 +241,9 @@ def validate_config(cfg):
     if cfg.k_min < 1 or cfg.k_max < cfg.k_min:
         diags.append(f"params.k_min/k_max: need 1 <= k_min <= k_max, "
                      f"got {cfg.k_min}..{cfg.k_max}")
-    if cfg.t0 is not None and not cfg.t0 >= 0:
-        diags.append(f"params.t0: must be >= 0, got {cfg.t0}")
+    if cfg.t0 is not None and not 0 <= cfg.t0 < math.inf:
+        diags.append(f"params.t0: must be "
+                     f"{'finite' if cfg.t0 >= 0 else '>= 0'}, got {cfg.t0}")
     if cfg.t_lo <= 0 or (cfg.t_hi is not None and cfg.t_hi <= cfg.t_lo):
         diags.append("params.t_lo/t_hi: need 0 < t_lo < t_hi")
     if cfg.t_count < 1:
@@ -246,8 +253,8 @@ def validate_config(cfg):
                      f"got {cfg.beta_hat}")
     if cfg.h_points < 4:
         diags.append(f"params.h_points: need >= 4 for a fit, got {cfg.h_points}")
-    if cfg.h_decades < 2.0:
-        diags.append(f"params.h_decades: fit needs >= 2 decades, "
+    if not 2.0 <= cfg.h_decades < math.inf:
+        diags.append(f"params.h_decades: fit needs a finite >= 2 decades, "
                      f"got {cfg.h_decades}")
     if cfg.mc_samples < 1000:
         diags.append(f"params.mc_samples: need >= 1000, got {cfg.mc_samples}")
@@ -370,12 +377,15 @@ def build_forcing(spec_text, grid, p, seed):
     return f
 
 
+def _partition(cfg):
+    if cfg.partition_kind == "uniform":
+        return TimePartition.uniform(cfg.steps, cfg.horizon)
+    return TimePartition.geometric(cfg.steps, cfg.horizon, cfg.ratio)
+
+
 def _build_all(cfg):
     grid = GridSpec(dim=cfg.dim, n=cfg.n, length=cfg.period)
-    if cfg.partition_kind == "uniform":
-        partition = TimePartition.uniform(cfg.steps, cfg.horizon)
-    else:
-        partition = TimePartition.geometric(cfg.steps, cfg.horizon, cfg.ratio)
+    partition = _partition(cfg)
     profile = parse_profile(cfg.profile_spec)
     path = parse_coefficients(cfg.coefficients_spec, cfg.dim)
     u0 = build_initial(cfg.initial_spec, grid, cfg.p, cfg.seed)
@@ -504,12 +514,15 @@ def run_profile_check(cfg, outdir):
              f"t0 = {t0}, beta(t0) = {float(kappa0)!r}"]
 
     h_grid = _level_grid(kappa0, cfg.h_points, cfg.h_decades)
+    fit, measures, scans = None, [], []
     if h_grid.size == 0:
         failures.append("beta(t0) vanishes; level-set fit impossible")
-        fit = None
-        measures, scans = [], []
     else:
-        fit = fit_beta_exponent(profile, t0, h_grid)
+        try:
+            fit = fit_beta_exponent(profile, t0, h_grid)
+        except ValueError as exc:
+            failures.append(f"level-set fit impossible: {exc}")
+    if fit is not None:
         measures = fit.measures
         scans = levelset_measure_scan(profile, h_grid, t0)
         lines.append(f"beta_hat = {float(fit.beta_hat)!r}, "

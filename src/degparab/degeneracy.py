@@ -81,7 +81,8 @@ def power_profile(alpha):
 
     def cumulative(t):
         t = np.asarray(t, dtype=float)
-        out = np.power(t, alpha + 1.0) / (alpha + 1.0)
+        with np.errstate(over="ignore"):
+            out = np.power(t, alpha + 1.0) / (alpha + 1.0)
         return float(out) if out.ndim == 0 else out
 
     return DegeneracyProfile(
@@ -454,7 +455,8 @@ def _level_grid(beta_t0, points=9, decades=2.5):
     top = beta_t0 / 4.0
     if top <= 0:
         return np.empty(0)
-    return np.logspace(math.log10(top) - decades, math.log10(top), points)
+    with np.errstate(invalid="ignore"):
+        return np.logspace(math.log10(top) - decades, math.log10(top), points)
 
 
 def fit_beta_exponent(profile, t0, h_grid):

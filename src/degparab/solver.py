@@ -9,6 +9,7 @@ partition) and the accuracy of B itself.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -128,16 +129,22 @@ def _trapezoid(values, nodes):
 # cache; 256 KB was the fastest of 64 KB to 1 MB on the 1D benchmark sum
 _BLOCK_BYTES = 256 * 1024
 
+# np.exp(x) is +0.0 for every x <= _UNDERFLOW, at ten times a normal cost
+_UNDERFLOW = -746.0
+
 
 def _duhamel_inputs(u0, f, path, nodes):
-    """Quadratic forms of the cumulative coefficients at every node, as one
-    (K + 1, *shape) array, and the forcing spectra (None without forcing)
-    as a one-shot generator in node order, each transformed as it is read."""
+    """Quadratic forms of the cumulative coefficients at every node on the
+    half lattice (last-axis indices 0..n/2; the forms are even, so they fix
+    the rest) as one (K + 1, ..., n/2 + 1) array, and the forcing spectra
+    (None without forcing) as a one-shot generator in node order, each
+    transformed as it is read."""
     # exp of differences of the quadratic forms gives every window symbol
     # without re-integrating
-    quads = np.empty((nodes.size,) + u0.grid.shape)
+    grid = u0.grid
+    quads = np.empty((nodes.size,) + grid.shape[:-1] + (grid.n // 2 + 1,))
     for q, B in zip(quads, accumulate_on(path, nodes)):
-        q[...] = quadratic_form(u0.grid, B)
+        q[...] = quadratic_form(grid, B)[..., :grid.n // 2 + 1]
     return quads, (None if f is None else
                    (np.fft.fftn(f(t).samples) for t in nodes))
 
@@ -152,27 +159,50 @@ def _duhamel_spectra(spec0, quads, f_specs, nodes, first=1):
     by element and in this order, spec0 exp(q_0 - q_k), then
     (w_i f_i) exp(q_i - q_k) for i < k (the interior weights of nodes[:k + 1]
     are those of nodes), then (dt_k / 2 f_k) exp(q_k - q_k): the per-node
-    sum bit for bit.  f_specs (None without forcing) is read once, in node
-    order, so working memory is the output and quads plus O(1) fields."""
+    sum bit for bit.  exp runs on the half lattice of quads, and in a block
+    that can reach _UNDERFLOW it sets the factors at or below it to +0.0
+    without exp.  The factors are copied to -xi in the real part of a
+    complex block whose imaginary part stays +0, as numpy casts a real
+    factor.  f_specs (None without forcing) is read once, in node order, so
+    working memory is the output and quads plus O(1) fields."""
     last = len(quads) - 1
+    # the blocks before the output: freed after it, they fragment the heap
+    rows = min(last + 1 - first, max(1, _BLOCK_BYTES // spec0.nbytes))
+    expo, keep = np.empty((2, rows) + quads.shape[1:])
+    factor, term = np.zeros((2, rows) + spec0.shape, dtype=complex)
     out = np.empty((last + 1 - first,) + spec0.shape, dtype=complex)
-    rows = max(1, _BLOCK_BYTES // out[0].nbytes)
-    expo = np.empty((rows,) + spec0.shape)
-    term = np.empty_like(out[:rows])
+    flat = quads.reshape(last + 1, -1)
+    low, high = flat.min(axis=1), flat.max(axis=1)
+    # xi -> -xi maps index j to (n - j) mod n on every axis
+    n = spec0.shape[-1]
+    lead = ((slice(0, 1),) * 2, (slice(1, n), slice(n - 1, 0, -1)))
+    tail = (slice(n // 2 + 1, n), slice(n // 2 - 1, 0, -1))
+    copies = [(np.s_[..., :n // 2 + 1], np.s_[...])] + [
+        tuple((slice(None),) + ax for ax in zip(*pieces, tail))
+        for pieces in itertools.product(lead, repeat=spec0.ndim - 1)]
     weights = _trapezoid_weights(nodes)
     half = 0.5 * np.diff(nodes)
     for i, f_i in enumerate([None] if f_specs is None else f_specs):
         if i >= first:
-            out[i - first] += (half[i - 1] * f_i) * np.exp(quads[i] - quads[i])
+            out[i - first] += (half[i - 1] * f_i) * 1.0  # exp(q_i - q_i)
         wf = None if f_i is None else weights[i] * f_i
         for lo in range(max(first, i + 1), last + 1, rows):
             m = min(rows, last + 1 - lo)
-            e, o = expo[:m], out[lo - first:lo - first + m]
-            np.exp(np.subtract(quads[i], quads[lo:lo + m], out=e), out=e)
+            e, c, o = expo[:m], factor[:m], out[lo - first:lo - first + m]
+            np.subtract(quads[i], quads[lo:lo + m], out=e)
+            # exp(x * 0.0) * 0.0 = +0.0 where x <= _UNDERFLOW, else exp(x),
+            # all at normal speed; not if x can be -inf: -inf * 0.0 is nan
+            if -np.inf < low[i] - high[lo:lo + m].max() <= _UNDERFLOW:
+                k = np.greater(e, _UNDERFLOW, out=keep[:m])
+                np.multiply(np.exp(np.multiply(e, k, out=e), out=e), k, out=e)
+            else:
+                np.exp(e, out=e)
+            for target, source in copies:
+                c.real[target] = e[source]
             if i == 0:
-                np.multiply(spec0, e, out=o)
+                np.multiply(spec0, c, out=o)
             if wf is not None:
-                o += np.multiply(wf, e, out=term[:m])
+                o += np.multiply(wf, c, out=term[:m])
     return out
 
 

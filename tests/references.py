@@ -13,8 +13,10 @@ one window by the exact symbol, integrating the coefficients from 0 at
 both ends, as a per-window check of the solver's one-pass accumulation;
 time_change_solve reaches the same snapshots by the paper's change of
 clock tau = beta(t).  duhamel_spectrum_per_node is the per-node Duhamel sum
-that solver._duhamel_spectra replaced: one numpy call per (i, k) pair, with
-the weights of nodes[:k + 1], which the blocked sum must match bit for bit.
+that solver._duhamel_spectra replaced: one numpy call per (i, k) pair on
+the full frequency lattice, with the weights of nodes[:k + 1], which the
+blocked half-lattice sum must match bit for bit; quadratic_forms builds
+its full-lattice forms without solver._duhamel_inputs.
 mc_solve_per_chunk is the Monte Carlo walk that mc_solve's block walk
 replaced: each RNG chunk drawn, transformed and interpolated whole, one
 interpolation call per probe, which the block walk must match bit for bit.
@@ -124,9 +126,17 @@ def propagate(field, path, s, t):
         field.grid, field.spectrum * np.exp(-quadratic_form(field.grid, B)))
 
 
+def quadratic_forms(grid, path, nodes):
+    """xi^T B xi on the full lattice at every node, one (K + 1, *shape)
+    array."""
+    return np.array([quadratic_form(grid, B)
+                     for B in accumulate_on(path, nodes)])
+
+
 def duhamel_spectrum_per_node(spec0, quads, f_specs, nodes, k):
     """Spectrum of the solve at node k >= 1: the propagated initial data
-    plus the trapezoid over nodes[:k + 1] of the propagated forcing."""
+    plus the trapezoid over nodes[:k + 1] of the propagated forcing, with
+    quads on the full lattice (quadratic_forms)."""
     acc = spec0 * np.exp(quads[0] - quads[k])
     if f_specs is not None:
         w = _trapezoid_weights(nodes[:k + 1])

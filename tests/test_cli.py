@@ -13,8 +13,9 @@ import pytest
 import degparab
 from degparab import (GridSpec, SpectralField, build_forcing, build_initial,
                       load_report, lp_norm, rough_field)
-from degparab.cli import (ConfigError, ExperimentConfig, NonFiniteDataError,
-                          config_to_text, main, parse_config, validate_config)
+from degparab.cli import (RUNNERS, ConfigError, ExperimentConfig,
+                          NonFiniteDataError, config_to_text, main,
+                          parse_config, validate_config)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(degparab.__file__)))
 
@@ -145,6 +146,47 @@ def test_negative_t0_is_a_config_error(tmp_path, capsys, command, t0,
         assert err == [f"config error: params.t0: must be >= 0, got {t0}"]
     else:
         assert err == []
+
+
+@pytest.mark.parametrize("section, setting, diag", [
+    ("partition", "ratio = 1e-320",
+     "partition: partition nodes must be strictly increasing"),
+    ("partition", "horizon = 1e-320",
+     "partition: partition nodes must be strictly increasing"),
+    ("partition", "horizon = nan",
+     "partition.horizon: must be positive and finite, got nan"),
+    ("partition", "horizon = inf",
+     "partition.horizon: must be positive and finite, got inf"),
+    ("params", "t0 = inf", "params.t0: must be finite, got inf"),
+    ("params", "h_decades = nan",
+     "params.h_decades: fit needs a finite >= 2 decades, got nan"),
+    ("params", "h_decades = inf",
+     "params.h_decades: fit needs a finite >= 2 decades, got inf")])
+def test_configs_that_cannot_run_fail_validation(tmp_path, capsys, section,
+                                                 setting, diag):
+    # each of these used to pass validation and then exit 1 in some or all
+    # subcommands
+    path = write_cfg(tmp_path, f"[grid]\nn = 64\n\n[{section}]\n{setting}\n")
+    for command in sorted(RUNNERS):
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "o")]) == 3, command
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {diag}"], command
+
+
+def test_profile_check_reports_an_impossible_level_set_fit(tmp_path):
+    # beta(t0) = t0^2 / 2 overflows, so every level is nan: a failed check,
+    # not an internal error
+    path = write_cfg(tmp_path, "[grid]\nn = 64\n\n[partition]\nsteps = 8\n"
+                               "horizon = 1e300\n\n[profile]\n"
+                               "spec = power(1)\n")
+    out = tmp_path / "o"
+    assert main(["profile-check", "--config", path, "--out", str(out)]) == 2
+    summary = (out / "summary.txt").read_text()
+    assert ("FAIL: level-set fit impossible: level h must be positive, "
+            "got nan") in summary
+    csv = (out / "profile_check.csv").read_text()
+    assert csv == "h,measure,scan_measure\n"
 
 
 def test_validate_flags_mode_dim_mismatch():

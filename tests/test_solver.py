@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -494,21 +495,30 @@ def test_solve_final_is_the_last_duhamel_snapshot(dim, kind, steps, horizon,
     assert np.array_equal(final.spectrum, last.spectrum)
 
 
-def duhamel_case(dim, kind, steps, horizon, coefficients, forced, n=None):
-    """Inputs of a Duhamel sum: spec0, quads, f_specs, nodes, with the
-    forcing spectra as a list (None without forcing) for the per-node
-    oracle, which indexes them."""
+def scaled(path, scale):
+    """path with a and its cumulative multiplied by scale."""
+    a, cum = path.a, path.cumulative
+    return replace(path, a=lambda t: scale * np.asarray(a(t)),
+                   cumulative=cum and (lambda t: scale * np.asarray(cum(t))))
+
+
+def duhamel_case(dim, kind, steps, horizon, coefficients, forced, n=None,
+                 scale=1.0):
+    """Inputs of a Duhamel sum: spec0, the half-lattice quads of
+    _duhamel_inputs, f_specs and nodes, then the full-lattice quads of the
+    per-node oracle, built on their own.  The forcing spectra come as a
+    list (None without forcing), which the oracle indexes."""
     grid = GRIDS[dim] if n is None else GridSpec(dim=dim, n=n, length=16.0)
     nodes = getattr(TimePartition, kind)(steps, horizon).nodes
     spec = ("scalar(power(1))" if coefficients == "closed-form"
             else expr_matrix_text(dim))
+    path = scaled(parse_coefficients(spec, dim), scale)
     shape = gaussian_bump(grid, width=1.5)
     f = (lambda t: shape * (1.0 + t)) if forced else None
     u0 = gaussian_bump(grid, width=1.0)
-    quads, f_specs = _duhamel_inputs(u0, f, parse_coefficients(spec, dim),
-                                     nodes)
+    quads, f_specs = _duhamel_inputs(u0, f, path, nodes)
     return (u0.spectrum, quads, None if f_specs is None else list(f_specs),
-            nodes)
+            nodes, references.quadratic_forms(grid, path, nodes))
 
 
 def ragged_rows(steps):
@@ -525,12 +535,23 @@ def ragged_rows(steps):
        forced=st.booleans(),
        first=st.sampled_from(["one", "half", "last"]),
        block=st.sampled_from(["one row", "ragged", "all rows"]),
-       one_shot=st.booleans())
+       one_shot=st.booleans(),
+       scale=st.sampled_from([1.0, 50.0, 300.0, 3000.0, "band"]))
 def test_blocked_duhamel_sum_is_the_per_node_sum_bit_for_bit(
         dim, kind, steps, horizon, coefficients, forced, first, block,
-        one_shot):
-    spec0, quads, f_specs, nodes = duhamel_case(dim, kind, steps, horizon,
-                                                coefficients, forced)
+        one_shot, scale):
+    # at scale 1 no exponent reaches the underflow mask (1D: xi_max^2 = 158
+    # and int (1 + t) dt <= 4); the larger scales reach the mask and the
+    # subnormal band below -708.  "band" puts the exponent of target K at
+    # the least nonzero frequency at -745.05, where exp is the least
+    # subnormal: unforced, that is the whole of the sum there
+    if scale == "band":
+        full = duhamel_case(dim, kind, steps, horizon, coefficients,
+                            forced)[-1]
+        least = (0,) * (dim - 1) + (1,)
+        scale = 745.05 / (full[-1][least] - full[0][least])
+    spec0, quads, f_specs, nodes, full = duhamel_case(
+        dim, kind, steps, horizon, coefficients, forced, scale=scale)
     first = {"one": 1, "half": steps // 2, "last": steps}[first]
     rows = {"one row": 1, "ragged": ragged_rows(steps),
             "all rows": steps}[block]
@@ -541,19 +562,23 @@ def test_blocked_duhamel_sum_is_the_per_node_sum_bit_for_bit(
         spectra = _duhamel_spectra(spec0, quads, inputs, nodes, first=first)
     assert spectra.shape == (steps + 1 - first,) + spec0.shape
     for k, row in enumerate(spectra, start=first):
-        expected = references.duhamel_spectrum_per_node(spec0, quads, f_specs,
+        expected = references.duhamel_spectrum_per_node(spec0, full, f_specs,
                                                         nodes, k)
         assert row.tobytes() == expected.tobytes(), k
 
 
 def test_duhamel_sum_memory_is_the_output_plus_two_blocks():
-    spec0, quads, f_specs, nodes = duhamel_case(2, "geometric", 32, 1.0,
-                                                "quadrature", True, n=128)
+    spec0, quads, f_specs, nodes, _ = duhamel_case(2, "geometric", 32, 1.0,
+                                                   "quadrature", True, n=128)
+    # the forms on the half lattice: last-axis indices 0..n/2
+    assert quads.shape == (33, 128, 65)
     field = spec0.nbytes
     rows = max(1, solver._BLOCK_BYTES // field)
-    # output, the complex term block and the real exponential block, plus
-    # four complex fields: the weighted forcing, the endpoint term with its
-    # operands, and numpy's casting buffers
+    # output plus one row of blocks (rows = 1 here): the complex factor and
+    # term blocks and the real exponent and mask blocks on the half lattice,
+    # 2.5 fields; then the weighted forcing and the endpoint term with its
+    # operands.  The complex factors need no casting buffer.
+    assert rows == 1
     bound = 32 * field + rows * field + rows * field // 2 + 4 * field
     tracemalloc.start()
     try:
@@ -564,6 +589,41 @@ def test_duhamel_sum_memory_is_the_output_plus_two_blocks():
         tracemalloc.stop()
     assert spectra.nbytes == 32 * field
     assert peak - base <= bound
+
+
+def test_exp_is_plus_zero_from_the_underflow_mask_down():
+    # _duhamel_spectra sets the factors of exponents <= solver._UNDERFLOW
+    # to +0.0 without calling exp; exp must give exactly that there
+    assert solver._UNDERFLOW == -746.0
+    x = np.concatenate([np.linspace(-1e6, -746.0, 1_000_001),
+                        -746.0 - 1e-4 * np.arange(100_000)])
+    y = np.exp(x)
+    assert not y.any() and not np.signbit(y).any()
+    # exp(-745.0) is a nonzero subnormal: the mask cannot move up to it
+    assert 0.0 < np.exp(-745.0) < np.finfo(float).tiny
+
+
+def test_complex_times_real_is_complex_times_real_plus_zero_i():
+    # _duhamel_spectra multiplies by complex(e, +0) blocks where the
+    # per-node sum multiplies by real e; numpy must cast e that way
+    parts = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 1.0,
+                      -2.5, 1e-300, 7e150, np.pi])
+    re, im = np.meshgrid(parts, parts, indexing="ij")
+    c = np.empty(re.size, dtype=complex)
+    c.real, c.imag = re.ravel(), im.ravel()
+    r = np.concatenate([parts, np.exp(-np.linspace(700.0, 745.0, 10))])
+    cc, rr = np.meshgrid(c, r, indexing="ij")
+    as_complex = np.zeros(rr.shape, dtype=complex)
+    as_complex.real = rr
+    assert (np.multiply(cc, rr).tobytes()
+            == np.multiply(cc, as_complex).tobytes())
+    # broadcast over a block with out=, as the sum does
+    block = np.empty((2,) + cc.shape, dtype=complex)
+    expected = np.multiply(cc, np.stack([rr, rr[::-1]]))
+    np.multiply(cc, np.stack([as_complex, as_complex[::-1]]), out=block)
+    assert block.tobytes() == expected.tobytes()
+    # the endpoint factor exp(q_k - q_k) as the scalar 1.0
+    assert (cc * 1.0).tobytes() == (cc * np.exp(np.zeros(cc.shape))).tobytes()
 
 
 @pytest.mark.parametrize("call", ["solve_duhamel", "check_thm1"])
@@ -579,8 +639,9 @@ def test_forced_solve_holds_one_forcing_field_at_a_time(call):
                                             0.0, 2.0, part)}[call]
     run()  # fills the lattice caches before tracing
     field = u0.spectrum.nbytes
-    # the 32 snapshot spectra and the 33 real quadratic forms, plus eight
-    # complex fields: the initial snapshot, the two block buffers, the
+    # the 32 snapshot spectra and the 33 real quadratic forms (half of this
+    # on the half lattice), plus eight complex fields: the initial
+    # snapshot, the two block buffers (and the exponent and mask blocks), the
     # previous and the current forcing spectrum with its samples, its
     # weighted copy and the endpoint term with its operands
     bound = 32 * field + 33 * field // 2 + 8 * field
@@ -596,8 +657,8 @@ def test_forced_solve_holds_one_forcing_field_at_a_time(call):
 
 @pytest.mark.parametrize("forced", [False, True])
 def test_duhamel_sum_writes_only_into_its_output(forced):
-    spec0, quads, f_specs, nodes = duhamel_case(2, "geometric", 6, 1.0,
-                                                "quadrature", forced)
+    spec0, quads, f_specs, nodes, _ = duhamel_case(2, "geometric", 6, 1.0,
+                                                   "quadrature", forced)
     inputs = [spec0, quads, nodes] + (f_specs or [])
     before = [x.copy() for x in inputs]
     spectra = _duhamel_spectra(spec0, quads, f_specs, nodes)
