@@ -23,7 +23,7 @@ from .estimates import (CSV_HEADER, EstimateReport, KernelDecayFit,
                         WeightedNormSpec, check_classic, check_kernel_decay,
                         check_thm1, check_thm2, epsilon_sweep, reports_to_csv,
                         weighted_norm)
-from .oracle import (FDScheme, MCEstimate, char_function_check, compare_fields,
+from .oracle import (MCEstimate, char_function_check, compare_fields,
                      convergence_orders, fd_solve, mc_solve, sample_increments)
 from .quadrature import QuadratureError, integrate_to, integrate_windows
 from .solver import (DegenerateKernelError, SolveReport, TimePartition,
@@ -35,8 +35,7 @@ from .spectral import (GridSpec, LPFamily, SpectralField, besov_norm,
                        inner_product, lowpass, lp_block, lp_norm, mode_field,
                        s0_block, second_derivatives, x_grids)
 from .cli import (ConfigError, ExperimentConfig, build_forcing, build_initial,
-                  config_to_text, parse_config, rough_field, run,
-                  validate_config)
+                  parse_config, rough_field, run, validate_config)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,9 +30,8 @@ from .degeneracy import (_level_grid, check_domination, cumulative_delta,
                          parse_coefficients, parse_profile)
 from .estimates import (check_classic, check_kernel_decay, check_thm1,
                         check_thm2, epsilon_sweep, reports_to_csv)
-from .oracle import (FDScheme, _periodic_interp, _spline_coeffs,
-                     char_function_check, compare_fields, convergence_orders,
-                     fd_solve, mc_solve)
+from .oracle import (_periodic_interp, _spline_coeffs, char_function_check,
+                     compare_fields, convergence_orders, fd_solve, mc_solve)
 from .quadrature import QuadratureError
 from .solver import TimePartition, save_report, solve_duhamel, solve_final
 from .spec import Call, compile_expr, read_call
@@ -128,9 +127,6 @@ _FIELD_MAP = {
     ("run", "out"): ("out", str),
 }
 
-_FIELD_TO_KEY = {f: (s, k) for (s, k), (f, _) in _FIELD_MAP.items()}
-
-
 def parse_config(text):
     """ExperimentConfig from INI text; raises ConfigError with diagnostics."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -160,35 +156,16 @@ def parse_config(text):
     return ExperimentConfig(**values)
 
 
-def config_to_text(cfg):
-    """Canonical INI serialization; parse_config(config_to_text(c)) == c."""
-    lines = []
-    current = None
-    for f in fields(ExperimentConfig):
-        section, key = _FIELD_TO_KEY[f.name]
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if section != current:
-            if current is not None:
-                lines.append("")
-            lines.append(f"[{section}]")
-            current = section
-        if isinstance(value, tuple):
-            value = ",".join(repr(v) for v in value)
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 def validate_config(cfg):
     """Semantic diagnostics ('section.key: problem'); empty means valid."""
     diags = []
     try:
-        GridSpec(dim=cfg.dim, n=cfg.n, length=cfg.period)
+        grid = GridSpec(dim=cfg.dim, n=cfg.n, length=cfg.period)
     except ValueError as exc:
         diags.append(f"grid: {exc}")
+    else:
+        if math.isfinite(cfg.smoothness):
+            _check_frequencies(grid, cfg.smoothness + 2.0, diags)
     if cfg.partition_kind not in ("uniform", "geometric"):
         diags.append(f"partition.kind: must be uniform or geometric, "
                      f"got {cfg.partition_kind!r}")
@@ -232,6 +209,9 @@ def validate_config(cfg):
         diags.append(f"forcing.spec: {exc}")
     if not 1.0 < cfg.p < math.inf:
         diags.append(f"params.p: must lie in (1, inf), got {cfg.p}")
+    if not math.isfinite(cfg.smoothness):
+        diags.append(f"params.smoothness: must be finite, "
+                     f"got {cfg.smoothness}")
     if cfg.gamma < 0:
         diags.append(f"params.gamma: must be >= 0, got {cfg.gamma}")
     if any(e <= 0 for e in cfg.eps_list) or \
@@ -261,6 +241,21 @@ def validate_config(cfg):
     if cfg.mc_probes < 1:
         diags.append(f"params.mc_probes: need >= 1, got {cfg.mc_probes}")
     return diags
+
+
+def _check_frequencies(grid, s, diags):
+    """The largest |xi|^4 (Hessian and H^2 weights) and Besov weight
+    2^(2sj) of the grid must be floats; s = smoothness + 2 bounds every
+    Besov order a check uses."""
+    try:
+        top = max((grid.dim * grid.nyquist ** 2) ** 2,
+                  (2.0 ** (s * LPFamily.for_grid(grid).j_max)) ** 2)
+    except OverflowError:
+        top = math.inf
+    if top == math.inf:
+        diags.append(f"grid: frequencies up to {grid.nyquist:.3e} overflow "
+                     f"|xi|^4 or the Besov weights 2^(2sj) at s = {s}; "
+                     f"enlarge the period or lower n")
 
 
 def _check_rough_scales(cfg, diags, where):
@@ -615,7 +610,7 @@ def run_oracle_compare(cfg, outdir):
         u0s = build_initial(cfg.initial_spec, g, cfg.p, cfg.seed)
         fs = build_forcing(cfg.forcing_spec, g, cfg.p, cfg.seed)
         spectral = solve_final(u0s, fs, path, part)
-        difference = fd_solve(u0s, fs, path, part, FDScheme())
+        difference = fd_solve(u0s, fs, path, part)
         return compare_fields(spectral, difference.snapshots[-1], 2.0)
 
     errors = [fd_gap(1), fd_gap(2)]

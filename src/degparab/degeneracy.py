@@ -17,8 +17,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .quadrature import (ATOL, RTOL, QuadratureError, integrate_to,
-                         integrate_windows)
+from .quadrature import ATOL, RTOL, QuadratureError, integrate_windows
 from .spec import Call, compile_expr, number, read_call
 
 
@@ -311,14 +310,11 @@ def inverse_cumulative(profile, h, t_max, clamp=False):
     table serves them all: beta on the dyadic nodes t_max * 2^-m,
     m = 0..60, from one cumulative_delta call.  Those nodes are the midpoints
     bisection visits while its lower end is 0, so each level starts from
-    its dyadic bracket; each later step takes beta(mid) = beta(lo) plus the
-    window [lo, mid], evaluated for all levels in one batched integrand call
-    (integrate_windows, or integrate_to(..., lower=lo) for a window that
-    misses its target or holds a breakpoint), or from the closed form when
-    one is registered.  After a step moves hi, the next window is the left
-    half of the last one, whose one-panel sum that call already made; a
-    level whose bracket holds no float between its ends stops, as no later
-    step could move its hi.  Handles plateaus of beta (stretches where
+    its dyadic bracket; each later step takes beta(mid) from the closed
+    form when one is registered, else as beta(lo) plus the windows
+    [lo, mid] of all levels in one integrate_windows call.  A level whose
+    bracket holds no float between its ends stops, as no later step could
+    move its hi.  Handles plateaus of beta (stretches where
     delta = 0).  h <= 0 maps to 0.  A level above the table's top
     beta(t_max) gives t_max; unless clamp, it is a range error once it
     exceeds the top by more than the table's quadrature tolerance (zero for
@@ -344,7 +340,11 @@ def inverse_cumulative(profile, h, t_max, clamp=False):
         above = flat > top
         out[above] = t_max
         todo &= ~above
-        out[todo] = _bisect(profile, flat[todo], nodes, betas)
+        try:
+            out[todo] = _bisect(profile, flat[todo], nodes, betas)
+        except QuadratureError as exc:
+            exc.spec = profile.spec
+            raise
     return float(out[0]) if levels.ndim == 0 else out.reshape(levels.shape)
 
 
@@ -358,42 +358,23 @@ def _bisect(profile, levels, nodes, betas):
     hi = nodes[k - 1]
     lo = nodes[np.minimum(k, steps)]
     beta_lo = betas[np.minimum(k, steps)]
-    # each level's one-panel sum over its next window, where a step has it
-    whole = np.full(levels.size, np.nan)
+    closed = profile.closed_form_cumulative
     for s in range(int(k.min(initial=steps)) + 1, steps + 1):
         act = np.flatnonzero(k < s)
         mid = 0.5 * (lo[act] + hi[act])
         # a bracket of two adjacent floats keeps its hi in every later step
         split = (lo[act] < mid) & (mid < hi[act])
         act, mid = act[split], mid[split]
-        beta_mid, left = _beta_after(profile, lo[act], mid, beta_lo[act],
-                                     whole[act])
+        if closed is not None:
+            beta_mid = np.asarray(closed(mid), dtype=float)
+        else:
+            beta_mid = beta_lo[act] + integrate_windows(
+                profile.delta, lo[act], mid, profile.breakpoints)
         up = beta_mid >= levels[act]
         hi[act] = np.where(up, mid, hi[act])
         lo[act] = np.where(up, lo[act], mid)
         beta_lo[act] = np.where(up, beta_lo[act], beta_mid)
-        # once hi moves to mid, the next window is this one's left half
-        whole[act] = np.where(up, left, np.nan)
     return hi
-
-
-def _beta_after(profile, lo, t, beta_lo, whole):
-    """beta at each t, from beta at each lo plus the window [lo, t]; the
-    closed form when registered.  Also returns the one-panel sums over the
-    left halves of the windows (NaN for a closed form)."""
-    if profile.closed_form_cumulative is not None:
-        return (np.asarray(profile.closed_form_cumulative(t), dtype=float),
-                np.full(t.size, np.nan))
-    windows, ok, left = integrate_windows(profile.delta, lo, t, whole)
-    ok &= ~_holds_breakpoint(lo, t, profile.breakpoints)
-    try:
-        for i in np.flatnonzero(~ok):
-            windows[i] = integrate_to(profile.delta, t[i], lower=lo[i],
-                                      breakpoints=profile.breakpoints)
-    except QuadratureError as exc:
-        exc.spec = profile.spec
-        raise
-    return beta_lo + windows, left
 
 
 def levelset_measure(profile, h, t0):
@@ -604,34 +585,16 @@ def _entry(path, i, j):
     return lambda t: np.asarray(path.a(t), dtype=float)[:, i, j]
 
 
-def _integrate_entries(path, lower, t):
-    """Entrywise integral of a over [lower, t], by integrate_to per entry
-    i <= j at the package's accuracy policy; a failure names the path."""
-    out = np.zeros((path.dim, path.dim))
-    try:
-        for i, j in combinations_with_replacement(range(path.dim), 2):
-            out[i, j] = out[j, i] = integrate_to(
-                _entry(path, i, j), t, breakpoints=path.breakpoints,
-                lower=lower)
-    except QuadratureError as exc:
-        exc.spec = path.spec
-        raise
-    return out
-
-
 def accumulate_on(path, nodes):
     """Entrywise integrals of a over [0, t] for every t in nodes, symmetrized:
     the one route from a path, or a profile's scalar_path, to cumulatives.
 
     Returns an array (len(nodes), dim, dim) in the order of nodes.  A
-    registered cumulative is evaluated per node.  Otherwise integrate_to
-    takes the head [0, t_1] from 0, per entry i <= j.  Then one
-    integrate_windows call per entry sums each window [t_(k-1), t_k]
-    between consecutive distinct nodes on one panel: integrate_to's value,
-    bit for bit, where that meets the target max(atol, rtol * |window|).  A
-    window that misses it in an entry, or holds a breakpoint, goes to
-    integrate_to(..., lower=t_(k-1)), in time order.  The windows are
-    summed left to right.
+    registered cumulative is evaluated per node.  Otherwise, per entry
+    i <= j, one integrate_windows call integrates the windows
+    [0, t_1], [t_1, t_2], ... between consecutive distinct positive nodes,
+    each to the package's accuracy policy, and np.cumsum sums them left to
+    right.  A failure names the path.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1:
@@ -645,28 +608,18 @@ def accumulate_on(path, nodes):
     # distinct positive nodes (np.unique's quicksort maps ~1 MB more code)
     ts = np.sort(nodes[nodes > 0], kind="stable")
     ts = ts[np.diff(ts, prepend=0.0) > 0]
+    lo = np.concatenate([[0.0], ts])[:ts.size]
     table = np.zeros((ts.size + 1,) + shape[1:])  # to 0, ts[0], ...
-    if ts.size:
-        table[1] = _integrate_entries(path, 0.0, float(ts[0]))
-    if ts.size > 1:  # one distinct positive node leaves no window
-        lo, hi = ts[:-1], ts[1:]
-        windows = np.empty((lo.size,) + shape[1:])
-        missed = _holds_breakpoint(lo, hi, path.breakpoints)
+    try:
         for i, j in combinations_with_replacement(range(path.dim), 2):
-            vals, ok, _ = integrate_windows(_entry(path, i, j), lo, hi, None)
-            windows[:, i, j] = windows[:, j, i] = vals
-            missed |= ~ok
-        for k in np.flatnonzero(missed):
-            windows[k] = _integrate_entries(path, float(lo[k]), float(hi[k]))
-        table[1:] = np.cumsum(np.concatenate([table[1:2], windows]), axis=0)
+            windows = integrate_windows(_entry(path, i, j), lo, ts,
+                                        path.breakpoints)
+            table[1:, i, j] = table[1:, j, i] = np.cumsum(windows)
+    except QuadratureError as exc:
+        exc.spec = path.spec
+        raise
     out = table[np.searchsorted(ts, nodes, side="right")]
     return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
-def _holds_breakpoint(lo, hi, breakpoints):
-    """Which windows [lo[i], hi[i]] hold a breakpoint strictly inside."""
-    cuts = np.asarray(breakpoints, dtype=float)
-    return np.any((lo[:, None] < cuts) & (cuts < hi[:, None]), axis=1)
 
 
 def check_domination(path, profile, sample_times):

@@ -1,7 +1,7 @@
 """Independent cross-checks for the spectral solver.
 
 Two routes that share nothing with the Fourier-multiplier evolution's
-propagator, exact time integration or quadratic form: a theta-scheme
+propagator, exact time integration or quadratic form: a Crank-Nicolson
 finite-difference solve on the same periodic grid (central second
 differences, four-point cross stencils, each step solved mode by mode in
 the DFT basis that diagonalizes the circulant stencils, so it shares the
@@ -22,20 +22,6 @@ from .spectral import SpectralField, _freq_grids, lp_norm
 
 DEFAULT_CHUNK = 16384
 _MC_BLOCK = 4096  # samples per block of a chunk
-
-
-@dataclass(frozen=True)
-class FDScheme:
-    """theta in [1/2, 1]: 1/2 is Crank-Nicolson, 1 is backward Euler.
-
-    Unconditionally stable for PSD coefficients.
-    """
-
-    theta: float = 0.5
-
-    def __post_init__(self):
-        if not 0.5 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [1/2, 1], got {self.theta}")
 
 
 def _stencil_symbol(grid, mat):
@@ -60,27 +46,23 @@ def _stencil_symbol(grid, mat):
     return out / h ** 2
 
 
-def fd_solve(u0, f, path, partition, scheme=None):
-    """Finite-difference solve on the partition nodes.
+def fd_solve(u0, f, path, partition):
+    """Crank-Nicolson finite-difference solve on the partition nodes.
 
     Periodic boundary, central second differences and four-point cross
-    stencils, theta time stepping; each step uses the coefficients
-    averaged exactly over the step (robust for oscillatory paths) and the
-    forcing sampled at t_theta = (1 - theta) t_k + theta t_(k+1).  The
-    stencils are circulant, so each step is solved mode by mode in the
-    DFT basis with the scheme's symbol lam:
+    stencils; each step uses the coefficients averaged exactly over the
+    step (robust for oscillatory paths) and the forcing sampled at the
+    step midpoint t_m = 0.5 t_k + 0.5 t_(k+1).  The stencils are
+    circulant, so each step is solved mode by mode in the DFT basis with
+    the scheme's symbol lam:
 
-        u_hat <- (u_hat (1 + (1 - theta) dt lam) + dt fft(f(t_theta)))
-                 / (1 - theta dt lam)
+        u_hat <- (u_hat (1 + 0.5 dt lam) + dt fft(f(t_m))) / (1 - 0.5 dt lam)
 
     The denominator is >= 1 (lam <= 0 for PSD coefficients), so every
     step is well posed.  This shares the FFT and the frequency lattice
     with the spectral solver, not its propagator, its exact time
-    integration or its quadratic form.  Expected accuracy O(h^2 + dt^2)
-    at theta = 1/2.
+    integration or its quadratic form.  Expected accuracy O(h^2 + dt^2).
     """
-    scheme = scheme or FDScheme()
-    theta = scheme.theta
     grid = u0.grid
     nodes = partition.nodes
     cums = accumulate_on(path, nodes)
@@ -90,14 +72,13 @@ def fd_solve(u0, f, path, partition, scheme=None):
         t0, t1 = nodes[k], nodes[k + 1]
         dt = t1 - t0
         lam = _stencil_symbol(grid, (cums[k + 1] - cums[k]) / dt)
-        spec = spec * (1.0 + (1.0 - theta) * dt * lam)
+        spec = spec * (1.0 + 0.5 * dt * lam)
         if f is not None:
-            t_theta = (1.0 - theta) * t0 + theta * t1
-            spec = spec + dt * np.fft.fftn(f(t_theta).samples)
-        spec = spec / (1.0 - theta * dt * lam)
+            spec = spec + dt * np.fft.fftn(f(0.5 * t0 + 0.5 * t1).samples)
+        spec = spec / (1.0 - 0.5 * dt * lam)
         snapshots.append(SpectralField(grid, np.fft.ifftn(spec).real.copy()))
     return SolveReport(grid, partition, snapshots, path, forcing=f,
-                       diagnostics={"method": "fd", "theta": theta})
+                       diagnostics={"method": "fd"})
 
 
 def _sqrt_cov(cov):

@@ -86,28 +86,26 @@ def _panel_sums(f, lo, hi):
     return half * np.sum(vals * _GL_WEIGHTS, axis=1)
 
 
-def integrate_to(f, t, breakpoints=(), rtol=RTOL, atol=ATOL,
-                 max_panels=MAX_PANELS, lower=0.0):
+def integrate_to(f, t, breakpoints=(), lower=0.0):
     """Integral of a vectorized scalar integrand over [lower, t].
 
     Each panel carries a halved-panel refinement estimate: its error is
     |whole - (left + right)|, and the reported value sums left + right.
     Refinement runs in rounds.  A round bisects, worst first, the fewest
     panels whose error estimates cover the excess of the total over the
-    target max(atol, rtol*|value|), at most as many as the panel budget
+    target max(ATOL, RTOL*|value|), at most as many as the panel budget
     has left, and evaluates all their new half panels in one integrand
     call; a parent's two half-panel sums become its children's
-    whole-panel sums.  Raises QuadratureError once max_panels panels exist
+    whole-panel sums.  Raises QuadratureError once MAX_PANELS panels exist
     and the target is still missed, or as soon as a panel sum is not
-    finite.  The defaults are the package's one accuracy policy: every
-    cumulative above this module is computed with them.
+    finite.  RTOL, ATOL and MAX_PANELS are read at call time.
     """
     panels = geometric_panels(t, breakpoints, lower)
     if not panels:
         return 0.0
 
     n = len(panels)
-    size = max(n, max_panels)
+    size = max(n, MAX_PANELS)
     # per panel: edges, the two half-panel sums and the error estimate
     lo, hi, left, right, err = (np.empty(size) for _ in range(5))
     lo[:n], hi[:n] = np.array(panels).T
@@ -120,12 +118,12 @@ def integrate_to(f, t, breakpoints=(), rtol=RTOL, atol=ATOL,
     while True:
         total = float(np.sum(left[:n] + right[:n]))
         total_err = float(np.sum(err[:n]))
-        target = max(atol, rtol * abs(total))
+        target = max(ATOL, RTOL * abs(total))
         excess = total_err - target
         if excess <= 0.0:
             return total
-        if n >= max_panels or not math.isfinite(total_err):
-            why = (f"did not converge within {max_panels} panels"
+        if n >= MAX_PANELS or not math.isfinite(total_err):
+            why = (f"did not converge within {MAX_PANELS} panels"
                    if math.isfinite(total_err) else
                    f"integrand is not finite on [{lower}, {t}]")
             raise QuadratureError(
@@ -138,7 +136,7 @@ def integrate_to(f, t, breakpoints=(), rtol=RTOL, atol=ATOL,
         else:
             order = np.argsort(-err[:n], kind="stable")
             k = int(np.searchsorted(np.cumsum(err[order]), excess)) + 1
-            pick = order[:min(k, max_panels - n)]
+            pick = order[:min(k, MAX_PANELS - n)]
         new = slice(n, n + pick.size)
         a, b = lo[pick], hi[pick]
         m = 0.5 * (a + b)
@@ -155,34 +153,38 @@ def integrate_to(f, t, breakpoints=(), rtol=RTOL, atol=ATOL,
         n += pick.size
 
 
-def integrate_windows(f, lower, upper, whole=None):
-    """Integrals of a vectorized scalar integrand over many windows at once.
+def integrate_windows(f, lower, upper, breakpoints=()):
+    """integrate_to(f, upper[i], breakpoints, lower=lower[i]) for every
+    window i, bit for bit.
 
-    Window i is [lower[i], upper[i]], with 0 < lower[i] <= upper[i].  Every
-    window gets the estimate integrate_to starts from on the single panel
-    [lower, upper], all in one integrand call: the two half-panel
-    Gauss-Legendre sums, checked against the whole-panel sum.  whole, when
-    given, holds whole-panel sums a caller already has (NaN where it has
-    none); those panels are not evaluated again.  Returns (values,
-    converged, left): converged[i] says window i met integrate_to's target
-    max(ATOL, RTOL*|value|) without refinement, and left[i] is the sum on
-    the left half, the whole-panel sum of the window [lower[i], mid].
-    Breakpoints are not split here: a caller hands integrate_to(...,
-    lower=) the windows that hold one, and those that did not converge.
-    Each value depends on its own window only, not on which others share
-    the batch.
+    A window with 0 < lower < upper and no breakpoint strictly inside gets
+    the estimate integrate_to starts from, on the single panel
+    [lower, upper], all such windows in one integrand call: the two
+    half-panel Gauss-Legendre sums, checked against the whole-panel sum
+    with integrate_to's target.  Windows that start at 0, hold a
+    breakpoint, miss that target or are empty go to integrate_to, in
+    window order, so the first of them that fails raises.  A panel sum is
+    row-wise (_panel_sums), so no value depends on the batch it shares.
     """
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
-    n = lo.size
-    whole = np.full(n, np.nan) if whole is None else np.array(whole, float)
-    todo = np.isnan(whole)
-    mid = 0.5 * (lo + hi)
-    sums = _panel_sums(f, np.concatenate([lo, mid, lo[todo]]),
-                       np.concatenate([mid, hi, hi[todo]]))
-    left, right = sums[:n], sums[n:2 * n]
-    whole[todo] = sums[2 * n:]
-    fine = left + right
-    converged = np.abs(whole - fine) <= np.maximum(ATOL, RTOL * np.abs(fine))
-    return fine, converged, left
-
+    cuts = np.asarray(breakpoints, dtype=float)
+    values = np.empty(lo.size)
+    done = (0.0 < lo) & (lo < hi) & ~np.any(
+        (lo[:, None] < cuts) & (cuts < hi[:, None]), axis=1)
+    if np.any(done):
+        a, b = lo[done], hi[done]
+        m = 0.5 * (a + b)
+        whole, left, right = _panel_sums(
+            f, np.concatenate([a, a, m]), np.concatenate([b, m, b])
+        ).reshape(3, -1)
+        fine = left + right
+        # integrate_to's total is np.sum over one panel, which starts
+        # from +0.0, and it converges where error less target is <= 0
+        values[done] = 0.0 + fine
+        done[done] = (np.abs(whole - fine)
+                      - np.maximum(ATOL, RTOL * np.abs(fine))) <= 0.0
+    for i in np.flatnonzero(~done):
+        values[i] = integrate_to(f, float(hi[i]), breakpoints,
+                                 lower=float(lo[i]))
+    return values

@@ -259,7 +259,7 @@ def epsilon_regularize(path, eps):
     )
 
 
-def weak_residual_profile(report, test=None, f=None):
+def weak_residual_profile(report, test=None):
     """Weak-form defect at every partition node against one test function.
 
     The defect at node k is |(u_k, phi) - (u_0, phi)
@@ -269,8 +269,7 @@ def weak_residual_profile(report, test=None, f=None):
     grid = report.grid
     if test is None:
         test = gaussian_bump(grid, width=grid.length / 16.0)
-    if f is None:
-        f = report.forcing
+    f = report.forcing
     nodes = report.partition.nodes
     phi_xx = second_derivatives(test)
     dim = grid.dim
@@ -300,7 +299,7 @@ def weak_residual_profile(report, test=None, f=None):
     return res
 
 
-def save_report(report, outdir, p=2.0, test=None):
+def save_report(report, outdir, p=2.0):
     """Write meta (key=value text), snapshots.bin and norms.csv to outdir.
 
     snapshots.bin is a header of int64 dim, n, count and float64 period,
@@ -321,7 +320,7 @@ def save_report(report, outdir, p=2.0, test=None):
         np.array([grid.length]).tofile(fh)
         for snap in report.snapshots:
             np.ascontiguousarray(snap.samples, dtype=np.float64).tofile(fh)
-    residuals = weak_residual_profile(report, test=test)
+    residuals = weak_residual_profile(report)
     with open(os.path.join(outdir, "norms.csv"), "w") as fh:
         fh.write("k,t,Lp,H2p,weak_residual\n")
         for (k, t, lp, h2p), r in zip(report.norm_rows(p), residuals):

@@ -32,8 +32,9 @@ class GridSpec:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of two >= 2, got {self.n}")
-        if self.length <= 0:
-            raise ValueError(f"period must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise ValueError(
+                f"period must be positive and finite, got {self.length}")
 
     @property
     def spacing(self):
@@ -280,7 +281,7 @@ def lp_block(field, j, family=None):
     return apply_multiplier(field, _block_multiplier(family, field.grid, j))
 
 
-def s0_block(field, family=None):
+def s0_block(field):
     """Low-frequency part (cutoff at |xi| ~ 1, includes the mean)."""
     return apply_multiplier(field, _s0_multiplier(field.grid))
 
@@ -297,7 +298,7 @@ def besov_norm(field, s, p, family=None):
         head_weight, tail_weight = _besov_weights(family, field.grid, s)
         return (_parseval_norm(field, head_weight)
                 + _parseval_norm(field, tail_weight))
-    head = lp_norm(s0_block(field, family), p)
+    head = lp_norm(s0_block(field), p)
     tail = 0.0
     for j in range(1, family.j_max + 1):
         tail += (2.0 ** (s * j) * lp_norm(lp_block(field, j, family), p)) ** p

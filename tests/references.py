@@ -82,7 +82,7 @@ def bessel_norm_by_ifft(field, smoothness, p):
 def besov_norm_by_ifft(field, s, p):
     """besov_norm from the L_p norms of the inverse-transformed blocks."""
     family = LPFamily.for_grid(field.grid)
-    head = lp_norm(s0_block(field, family), p)
+    head = lp_norm(s0_block(field), p)
     tail = 0.0
     for j in range(1, family.j_max + 1):
         tail += (2.0 ** (s * j) * lp_norm(lp_block(field, j, family), p)) ** p

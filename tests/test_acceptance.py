@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from degparab import (FDScheme, GridSpec, SpectralField, TimePartition,
+from degparab import (GridSpec, SpectralField, TimePartition,
                       char_function_check, check_kernel_decay, check_thm1,
                       check_thm2, compare_fields, constant_profile,
                       convergence_orders, cumulative_delta,
@@ -97,7 +97,7 @@ def test_criterion_05_oracle_triangle():
         u0 = gaussian_bump(grid, width=2.0)
         part = TimePartition.uniform(steps, 0.5)
         spectral = solve_duhamel(u0, None, path, part)
-        difference = fd_solve(u0, None, path, part, FDScheme())
+        difference = fd_solve(u0, None, path, part)
         gaps.append(compare_fields(spectral.snapshots[-1],
                                    difference.snapshots[-1], 2.0))
     order = float(convergence_orders(gaps)[0])

@@ -1,7 +1,7 @@
 """One-pass coefficient accumulation against the routes it replaced.
 
-accumulate_on integrates each window between consecutive nodes once, all
-windows of an entry in one integrand call, and sums the windows; the
+accumulate_on integrates each window between consecutive nodes once, one
+integrate_windows call per entry, and sums the windows; the
 per-node route that integrates from 0 at every node (references'
 accumulate_path) is the slow oracle, and the loop that integrated one
 window per call the exact one.
@@ -21,8 +21,7 @@ from degparab import (GridSpec, TimePartition, accumulate_on,
                       oscillatory_profile, parse_coefficients,
                       piecewise_profile, power_profile, quadratic_form,
                       sample_increments, scalar_path, solve_duhamel)
-from degparab import degeneracy, solver
-from degparab.degeneracy import _integrate_entries
+from degparab import quadrature, solver
 from degparab.oracle import _sqrt_cov
 from degparab.quadrature import QuadratureError, integrate_to
 from references import accumulate_path, integrate_entries, propagate
@@ -190,8 +189,9 @@ def test_entry_quadrature_calls_a_once_per_panel_batch():
         calls.append(np.shape(ts))
         return path.a(ts)
 
-    B = _integrate_entries(replace(path, a=a), 0.5, 1.0)
-    assert np.allclose(B, [[0.5 + 0.375, 0.375], [0.375, 1.0]], atol=1e-13)
+    B = accumulate_on(replace(path, a=a), [0.5, 1.0])
+    assert np.allclose(B[1] - B[0], [[0.5 + 0.375, 0.375], [0.375, 1.0]],
+                       atol=1e-13)
     assert all(len(shape) == 1 and shape[0] >= 16 for shape in calls)
 
 
@@ -280,24 +280,26 @@ def test_smooth_windows_never_reach_integrate_to(monkeypatch, nodes):
         lowers.append(lower)
         return integrate_to(f, t, *args, lower=lower, **kwargs)
 
-    monkeypatch.setattr(degeneracy, "integrate_to", spy)
+    monkeypatch.setattr(quadrature, "integrate_to", spy)
     assert np.array_equal(accumulate_on(path, nodes), expected)
     # the head [0, t_1], once per entry i <= j, and no window
     assert lowers == [0.0] * 3
 
 
 def test_one_positive_node_runs_no_window_pass(monkeypatch):
-    # a single distinct positive node has no window between nodes
+    # a single distinct positive node has no window between nodes: its one
+    # window [0, t] goes to integrate_to, and no one-panel pass runs
     profile = expr_profile("sqrt(t)")
     expected = cumulative_delta(profile, 1.0)
     calls = []
-    monkeypatch.setattr(degeneracy, "integrate_windows",
-                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(quadrature, "_panel_sums",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(quadrature, "integrate_to",
+                        lambda f, t, breakpoints=(), lower=0.0: expected)
     assert cumulative_delta(profile, 1.0) == expected
     assert np.array_equal(accumulate_on(scalar_path(profile, 1),
                                         [0.0, 1.0, 1.0, 0.0]),
-                          accumulate_path(scalar_path(profile, 1), 1.0)
-                          * np.array([0, 1, 1, 0])[:, None, None])
+                          expected * np.array([0, 1, 1, 0])[:, None, None])
     assert calls == []
 
 

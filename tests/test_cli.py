@@ -14,8 +14,8 @@ import degparab
 from degparab import (GridSpec, SpectralField, build_forcing, build_initial,
                       load_report, lp_norm, rough_field)
 from degparab.cli import (RUNNERS, ConfigError, ExperimentConfig,
-                          NonFiniteDataError, config_to_text, main,
-                          parse_config, validate_config)
+                          NonFiniteDataError, main, parse_config,
+                          validate_config)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(degparab.__file__)))
 
@@ -28,13 +28,6 @@ def write_cfg(tmp_path, text, name="exp.ini"):
 
 def test_defaults_are_valid():
     assert validate_config(ExperimentConfig()) == []
-
-
-def test_config_round_trip():
-    cfg = ExperimentConfig(dim=2, n=64, period=16.0, steps=32,
-                           profile_spec="power(1)", p=4.0,
-                           eps_list=(0.5, 0.05), seed=7)
-    assert parse_config(config_to_text(cfg)) == cfg
 
 
 def test_parse_reports_unknown_key():
@@ -158,6 +151,10 @@ def test_negative_t0_is_a_config_error(tmp_path, capsys, command, t0,
     ("partition", "horizon = inf",
      "partition.horizon: must be positive and finite, got inf"),
     ("params", "t0 = inf", "params.t0: must be finite, got inf"),
+    ("params", "smoothness = nan",
+     "params.smoothness: must be finite, got nan"),
+    ("params", "smoothness = inf",
+     "params.smoothness: must be finite, got inf"),
     ("params", "h_decades = nan",
      "params.h_decades: fit needs a finite >= 2 decades, got nan"),
     ("params", "h_decades = inf",
@@ -172,6 +169,31 @@ def test_configs_that_cannot_run_fail_validation(tmp_path, capsys, section,
                      "--out", str(tmp_path / "o")]) == 3, command
         assert capsys.readouterr().err.splitlines() == [
             f"config error: {diag}"], command
+
+
+@pytest.mark.parametrize("setting, diag", [
+    # 1e-300: |xi|^2 and the Besov weights 2^(2sj) overflow; 1e-100: the
+    # Hessian weights |xi|^4 and the Besov weights; smoothness = -2 leaves
+    # only |xi|^4, which made check-thm1 report N_hat = nan with exit 0
+    ("period = 1e-300", "frequencies up to 2.011e+302 overflow |xi|^4 or "
+     "the Besov weights 2^(2sj) at s = 2.0; enlarge the period or lower n"),
+    ("period = 1e-100", "frequencies up to 2.011e+102 overflow |xi|^4 or "
+     "the Besov weights 2^(2sj) at s = 2.0; enlarge the period or lower n"),
+    ("period = 1e-100\n\n[params]\nsmoothness = -2",
+     "frequencies up to 2.011e+102 overflow |xi|^4 or the Besov weights "
+     "2^(2sj) at s = 0.0; enlarge the period or lower n"),
+    ("period = nan", "period must be positive and finite, got nan"),
+    ("period = inf", "period must be positive and finite, got inf")])
+def test_grids_beyond_the_float_range_fail_validation(tmp_path, capsys,
+                                                      setting, diag):
+    # a tiny period used to pass validation and then exit 1 in check-thm1
+    # and eps-sweep (OverflowError) or run on infinite weights elsewhere
+    path = write_cfg(tmp_path, f"[grid]\nn = 64\n{setting}\n")
+    for command in sorted(RUNNERS):
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "o")]) == 3, command
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: grid: {diag}"], command
 
 
 def test_profile_check_reports_an_impossible_level_set_fit(tmp_path):

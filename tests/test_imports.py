@@ -15,12 +15,12 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(degparab.__file__)))
 PUBLIC_NAMES = [
     "CSV_HEADER", "CoefficientPath", "ConfigError", "DegeneracyProfile",
     "DegenerateKernelError", "EstimateReport", "ExperimentConfig",
-    "FDScheme", "GridSpec", "KernelDecayFit", "LPFamily", "LevelsetFit",
+    "GridSpec", "KernelDecayFit", "LPFamily", "LevelsetFit",
     "MCEstimate", "QuadratureError", "SolveReport", "SpectralField",
     "TimePartition", "WeightedNormSpec", "accumulate_on", "besov_norm",
     "bessel_norm", "build_forcing", "build_initial", "char_function_check",
     "check_classic", "check_domination", "check_kernel_decay", "check_thm1",
-    "check_thm2", "cli", "compare_fields", "compile_expr", "config_to_text",
+    "check_thm2", "cli", "compare_fields", "compile_expr",
     "constant_matrix_path", "constant_profile", "convergence_orders",
     "cumulative_delta", "cumulative_delta_grid", "degeneracy",
     "empirical_bound", "epsilon_regularize", "epsilon_sweep", "estimates",

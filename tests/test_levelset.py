@@ -20,8 +20,7 @@ from degparab import (constant_profile, cumulative_delta,
                       levelset_measure, levelset_measure_scan,
                       oscillatory_profile, piecewise_profile, power_profile)
 from degparab.degeneracy import _SCAN_CHUNK
-from degparab.quadrature import (ATOL, RTOL, QuadratureError, integrate_to,
-                                 integrate_windows)
+from degparab.quadrature import ATOL, RTOL, QuadratureError, integrate_to
 
 SETTINGS = settings(max_examples=15, deadline=None)
 EPS = np.finfo(float).eps
@@ -167,7 +166,7 @@ def test_breakpoints_inside_windows(cuts, fractions):
 def test_a_window_holding_a_breakpoint_goes_to_integrate_to(monkeypatch):
     # a kink at 0.3: narrow windows across it pass the one-panel error
     # check, but only integrate_to splits them at the breakpoint
-    from degparab import degeneracy
+    from degparab import quadrature
 
     profile = piecewise_profile([(0.0, "1"), (0.3, "1 + 3*(t - 0.3)")])
     split = []
@@ -177,7 +176,7 @@ def test_a_window_holding_a_breakpoint_goes_to_integrate_to(monkeypatch):
             split.append(t - lower)
         return integrate_to(f, t, breakpoints=breakpoints, lower=lower, **kw)
 
-    monkeypatch.setattr(degeneracy, "integrate_to", spy)
+    monkeypatch.setattr(quadrature, "integrate_to", spy)
     t = inverse_cumulative(profile, 0.3, 1.0)
     assert abs(t - 0.3) <= 4.0 * EPS
     assert min(split) < 1e-12
@@ -185,9 +184,8 @@ def test_a_window_holding_a_breakpoint_goes_to_integrate_to(monkeypatch):
 
 @pytest.mark.parametrize("text", ["1 + t*t", "sqrt(t)", "exp(t)"])
 def test_smooth_windows_pass_without_integrate_to(text, monkeypatch):
-    # every step window of a smooth profile meets its target on one panel;
-    # a wrong reused one-panel sum would send windows to integrate_to
-    from degparab import degeneracy
+    # every step window of a smooth profile meets its target on one panel
+    from degparab import quadrature
 
     profile = expr_profile(text)
     levels = np.linspace(0.0, cumulative_delta(profile, 1.0), 9)
@@ -197,26 +195,10 @@ def test_smooth_windows_pass_without_integrate_to(text, monkeypatch):
         calls.append((t, lower))
         return integrate_to(f, t, *args, lower=lower, **kwargs)
 
-    monkeypatch.setattr(degeneracy, "integrate_to", spy)
+    monkeypatch.setattr(quadrature, "integrate_to", spy)
     inverse_cumulative(profile, levels, 1.0)
     # only the table's head [0, 2^-60] from 0; no step window
     assert calls == [(2.0 ** -60, 0.0)]
-
-
-@pytest.mark.parametrize("name", sorted(QUADRATURE))
-def test_reused_half_window_sums_change_no_level(name, monkeypatch):
-    # after a step moves hi, the bisection hands the left-half sum of its
-    # window on as the next window's one-panel sum; without it, every
-    # window is evaluated afresh, and each level must come out the same
-    from degparab import degeneracy
-
-    profile = QUADRATURE[name]
-    levels = levels_for(profile, 1.0, [0.003, 0.1, 0.37, 0.8], 9)
-    reused = inverse_cumulative(profile, levels, 1.0)
-    monkeypatch.setattr(degeneracy, "integrate_windows",
-                        lambda f, lo, hi, whole: integrate_windows(f, lo, hi))
-    assert reused.tolist() == inverse_cumulative(profile, levels,
-                                                 1.0).tolist()
 
 
 @SETTINGS

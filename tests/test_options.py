@@ -1,14 +1,13 @@
 """The package's settable values: accuracy is decided in quadrature only."""
 
 import argparse
-import dataclasses
 import inspect
 
 import pytest
 
 import degparab
-from degparab import FDScheme, check_kernel_decay, cli, epsilon_sweep
-from degparab.degeneracy import _integrate_entries
+from degparab import (check_kernel_decay, cli, epsilon_sweep, fd_solve,
+                      s0_block, save_report, weak_residual_profile)
 from degparab.quadrature import integrate_to, integrate_windows
 
 
@@ -25,24 +24,32 @@ def test_no_public_function_above_quadrature_takes_a_tolerance():
     assert takers == []
 
 
-@pytest.mark.parametrize("helper", [integrate_windows, _integrate_entries],
+@pytest.mark.parametrize("helper", [integrate_windows],
                          ids=lambda fn: fn.__name__)
 def test_window_helper_takes_no_tolerance(helper):
-    # the helpers built on integrate_to apply its default target; a
-    # tolerance parameter would open a second accuracy policy
-    params = inspect.signature(helper).parameters
-    assert [p for p in ("rtol", "atol", "max_panels") if p in params] == []
+    # the helpers built on integrate_to apply its target; a tolerance
+    # parameter would open a second accuracy policy
+    assert list(inspect.signature(helper).parameters) == [
+        "f", "lower", "upper", "breakpoints"]
 
 
 def test_integrate_to_takes_only_the_policy_it_applies():
-    # how many panels a refinement round bisects is a rule of the module,
-    # not a parameter
+    # RTOL, ATOL and MAX_PANELS are module constants read at call time;
+    # how many panels a refinement round bisects is a rule of the module
     assert list(inspect.signature(integrate_to).parameters) == [
-        "f", "t", "breakpoints", "rtol", "atol", "max_panels", "lower"]
+        "f", "t", "breakpoints", "lower"]
 
 
-def test_fd_scheme_has_only_theta():
-    assert [f.name for f in dataclasses.fields(FDScheme)] == ["theta"]
+def test_no_function_takes_a_parameter_no_caller_sets():
+    # the finite-difference oracle is Crank-Nicolson only; the residual's
+    # forcing is the report's, and the low-pass block needs no family
+    assert list(inspect.signature(fd_solve).parameters) == [
+        "u0", "f", "path", "partition"]
+    assert list(inspect.signature(save_report).parameters) == [
+        "report", "outdir", "p"]
+    assert list(inspect.signature(weak_residual_profile).parameters) == [
+        "report", "test"]
+    assert list(inspect.signature(s0_block).parameters) == ["field"]
 
 
 def test_kernel_decay_fit_has_no_knobs():

@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degparab import (FDScheme, GridSpec, SpectralField, TimePartition,
+from degparab import (GridSpec, SpectralField, TimePartition,
                       accumulate_on, char_function_check, compare_fields,
                       constant_matrix_path, constant_profile,
                       convergence_orders, cumulative_delta, fd_solve,
@@ -28,7 +28,8 @@ EPS = np.finfo(float).eps
 
 
 # Reference stepper: the stencils assembled as sparse matrices and every
-# theta-step solved by sparse LU.  fd_solve must reproduce it to rounding.
+# Crank-Nicolson step solved by sparse LU.  fd_solve must reproduce it to
+# rounding.
 
 @functools.lru_cache(maxsize=16)
 def _shift_matrix(grid, offset):
@@ -86,8 +87,8 @@ def _assemble(grid, mat):
     return op
 
 
-def _lu_fd_solve(u0, f, path, partition, scheme):
-    """The theta scheme of fd_solve, one sparse LU per step."""
+def _lu_fd_solve(u0, f, path, partition):
+    """The Crank-Nicolson scheme of fd_solve, one sparse LU per step."""
     grid = u0.grid
     nodes = partition.nodes
     cums = accumulate_on(path, nodes)
@@ -98,12 +99,11 @@ def _lu_fd_solve(u0, f, path, partition, scheme):
         t0, t1 = nodes[k], nodes[k + 1]
         dt = t1 - t0
         op = _assemble(grid, (cums[k + 1] - cums[k]) / dt)
-        rhs = u + (1.0 - scheme.theta) * dt * (op @ u)
+        rhs = u + 0.5 * dt * (op @ u)
         if f is not None:
-            t_theta = (1.0 - scheme.theta) * t0 + scheme.theta * t1
-            rhs = rhs + dt * f(t_theta).samples.ravel()
+            rhs = rhs + dt * f(0.5 * t0 + 0.5 * t1).samples.ravel()
         u = scipy.sparse.linalg.splu(
-            (eye - scheme.theta * dt * op).tocsc()).solve(rhs)
+            (eye - 0.5 * dt * op).tocsc()).solve(rhs)
         snapshots.append(u.reshape(grid.shape).copy())
     return snapshots
 
@@ -116,15 +116,6 @@ def heat_gaussian(grid, width, t):
     amp = (width ** 2 / var) ** (grid.dim / 2.0)
     r2 = np.sum(x ** 2, axis=-1)
     return SpectralField(grid, amp * np.exp(-r2 / (2.0 * var)))
-
-
-def test_scheme_validation():
-    FDScheme(theta=0.5)
-    FDScheme(theta=1.0)
-    with pytest.raises(ValueError):
-        FDScheme(theta=0.25)
-    with pytest.raises(ValueError):
-        FDScheme(theta=1.2)
 
 
 def test_fd_heat_matches_exact():
@@ -162,25 +153,9 @@ def test_fd_oscillatory_step_average_keeps_order():
     assert convergence_orders(errs)[0] > 1.9
 
 
-def test_fd_backward_euler_converges():
-    # theta = 1 is first order: halving dt should roughly halve the
-    # self-convergence error
-    u0 = gaussian_bump(GRID, width=2.0)
-    scheme = FDScheme(theta=1.0)
-    ref = fd_solve(u0, None, HEAT, TimePartition.uniform(2048, 0.5),
-                   scheme=scheme)
-    errs = []
-    for K in (64, 128):
-        rep = fd_solve(u0, None, HEAT, TimePartition.uniform(K, 0.5),
-                       scheme=scheme)
-        errs.append(compare_fields(ref.snapshots[-1], rep.snapshots[-1],
-                                   math.inf))
-    assert 0.8 < convergence_orders(errs)[0] < 1.3
-
-
 def test_fd_zero_coefficients_affine_forcing_exact():
-    # A = 0, f = (1 + 2t) g: theta-point forcing quadrature is exact
-    # for affine integrands at theta = 1/2
+    # A = 0, f = (1 + 2t) g: midpoint forcing quadrature is exact
+    # for affine integrands
     g = gaussian_bump(GRID, width=1.5)
     u0 = gaussian_bump(GRID, width=2.0)
     f = lambda t: SpectralField(GRID, (1.0 + 2.0 * t) * g.samples)
@@ -225,29 +200,27 @@ def _coefficient_path(kind, dim, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(dim=st.sampled_from([1, 2, 3]),
-       theta=st.sampled_from([0.5, 1.0]),
        kind=st.sampled_from(["uniform", "geometric"]),
        steps=st.integers(2, 12),
        horizon=st.floats(0.05, 1.0),
        coefficients=st.sampled_from(["scalar", "constant", "expr"]),
        forced=st.booleans(),
        seed=st.integers(0, 2 ** 16))
-def test_fd_solve_matches_sparse_lu_stepper(dim, theta, kind, steps, horizon,
+def test_fd_solve_matches_sparse_lu_stepper(dim, kind, steps, horizon,
                                             coefficients, forced, seed):
     grid = FD_GRIDS[dim]
     part = getattr(TimePartition, kind)(steps, horizon)
     path = _coefficient_path(coefficients, dim, seed)
-    scheme = FDScheme(theta=theta)
     u0 = gaussian_bump(grid, width=1.0)
     shape = gaussian_bump(grid, width=0.7)
     f = (lambda t: shape * (1.0 + math.sin(3.0 * t))) if forced else None
-    ref = _lu_fd_solve(u0, f, path, part, scheme)
-    got = fd_solve(u0, f, path, part, scheme).snapshots
+    ref = _lu_fd_solve(u0, f, path, part)
+    got = fd_solve(u0, f, path, part).snapshots
     # each LU step solves a system with condition number up to kappa and
     # the propagation is contractive, so rounding adds up over K steps
     nodes = part.nodes
     cums = accumulate_on(path, nodes)
-    kappa = max(float(np.max(1.0 - theta * dt * _stencil_symbol(
+    kappa = max(float(np.max(1.0 - 0.5 * dt * _stencil_symbol(
         grid, (cb - ca) / dt)))
         for ca, cb, dt in zip(cums[:-1], cums[1:], np.diff(nodes)))
     scale = max(float(np.max(np.abs(u))) for u in ref)

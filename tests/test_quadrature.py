@@ -10,10 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degparab import CoefficientPath, accumulate_on
+from degparab import CoefficientPath, accumulate_on, quadrature
 from degparab.quadrature import (ATOL, GAUSS_ORDER, MAX_PANELS, RTOL,
                                  QuadratureError, _panel_sums,
                                  geometric_panels, integrate_to,
@@ -150,11 +150,16 @@ def test_breakpoints_become_panel_edges():
     assert abs(val - (0.3 + 1.4)) < 1e-12
 
 
-def test_budget_exhaustion_reports_achieved_estimate():
-    # highly oscillatory integrand with a tiny panel budget
+def test_budget_exhaustion_reports_achieved_estimate(monkeypatch):
+    # highly oscillatory integrand with a tiny panel budget; integrate_to
+    # reads the policy constants when it is called
     f = lambda t: np.sin(300.0 / (t + 1e-3))
+    monkeypatch.setattr(quadrature, "RTOL", 1e-14)
+    monkeypatch.setattr(quadrature, "ATOL", 1e-16)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
     with pytest.raises(QuadratureError) as info:
-        integrate_to(f, 1.0, rtol=1e-14, atol=1e-16, max_panels=8)
+        integrate_to(f, 1.0)
+    assert "within 8 panels" in str(info.value)
     err = info.value
     assert err.error_estimate > 0.0
     assert math.isfinite(err.value)
@@ -178,18 +183,32 @@ def test_matrix_integration_symmetric():
 def test_windows_converged_agree_with_integrate_to():
     lo = np.array([0.1, 0.5, 0.5, 2.0])
     hi = np.array([0.2, 0.5, 1.5, 2.25])
-    values, ok, _ = integrate_windows(np.sqrt, lo, hi)
-    assert ok.tolist() == [True, True, True, True]
+    points = []
+
+    def counted(t):
+        points.append(t.size)
+        return np.sqrt(t)
+
+    values = integrate_windows(counted, lo, hi)
     assert values[1] == 0.0
     for a, b, v in zip(lo, hi, values):
         assert v == integrate_to(np.sqrt, b, lower=a)
+    # one call: whole and half panels of the three nonempty windows
+    assert points == [3 * 3 * GAUSS_ORDER]
 
 
-def test_windows_flag_the_ones_that_miss_their_target():
-    f = lambda t: np.sin(300.0 / (t + 1e-3))
-    values, ok, _ = integrate_windows(f, np.array([1e-3, 1.0]),
-                                   np.array([1.0, 1.01]))
-    assert ok.tolist() == [False, True]
+def test_windows_flag_the_ones_that_miss_their_target(monkeypatch):
+    # only the window that misses its target on one panel is handed on
+    f = lambda t: np.sin(30.0 / (t + 1e-2))
+    handed = []
+
+    def spy(f, t, breakpoints=(), lower=0.0):
+        handed.append((lower, t))
+        return integrate_to(f, t, breakpoints, lower=lower)
+
+    monkeypatch.setattr(quadrature, "integrate_to", spy)
+    integrate_windows(f, np.array([1e-2, 1.0]), np.array([1.0, 1.01]))
+    assert handed == [(1e-2, 1.0)]
 
 
 def test_windows_do_not_depend_on_their_batch():
@@ -197,31 +216,71 @@ def test_windows_do_not_depend_on_their_batch():
     lo = rng.uniform(0.01, 1.0, 37)
     hi = lo + rng.uniform(0.0, 0.1, 37)
     f = lambda t: np.exp(np.sin(7.0 * t)) * np.sqrt(t)
-    values, ok, _ = integrate_windows(f, lo, hi)
+    values = integrate_windows(f, lo, hi)
     for i in range(lo.size):
-        one, one_ok, _ = integrate_windows(f, lo[i:i + 1], hi[i:i + 1])
-        assert one[0] == values[i] and one_ok[0] == ok[i]
+        one = integrate_windows(f, lo[i:i + 1], hi[i:i + 1])
+        assert one.tobytes() == values[i:i + 1].tobytes()
 
 
-def test_windows_reuse_the_whole_panel_sums_they_are_given():
-    f = lambda t: np.exp(np.sin(7.0 * t)) * np.sqrt(t)
-    lo = np.array([0.1, 0.5, 1.0, 2.0])
-    hi = np.array([0.3, 0.5, 1.6, 2.001])
-    mid = 0.5 * (lo + hi)
-    _, _, left = integrate_windows(f, lo, hi)
-    fresh = integrate_windows(f, lo, mid)
-    points = []
+# integrands for the windows: a cubic (one panel is exact, from 0 too),
+# smooth, kinked at 0.3 (a breakpoint), one that misses the target on one
+# panel, one singular at 0, and one so tiny and negative that the Gauss
+# sums of a narrow window round to -0.0
+WINDOW_INTEGRANDS = {
+    "cubic": lambda t: 1.0 + t ** 3,
+    "smooth": lambda t: np.exp(np.sin(7.0 * t)) * np.sqrt(t),
+    "kink": lambda t: np.where(t < 0.3, 1.0 + t, 3.0 - t),
+    "oscillating": lambda t: np.sin(30.0 / (t + 1e-2)),
+    "singular": lambda t: 1.0 / np.sqrt(t),
+    "negative": lambda t: -1e-322 * (1.0 + t),
+}
 
-    def counted(t):
-        points.append(t.size)
-        return f(t)
+# (start, width): from 0, from the breakpoint 0.3, just below it, or
+# anywhere; empty, narrow or wide
+windows = st.lists(st.tuples(
+    st.one_of(st.just(0.0), st.just(0.3), st.floats(0.29, 0.3),
+              st.floats(1e-9, 1.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, 1.0))),
+    max_size=8)
 
-    whole = np.where([True, False, True, True], left, np.nan)
-    reused = integrate_windows(counted, lo, mid, whole)
-    for a, b in zip(fresh, reused):
-        assert np.array_equal(a, b)
-    # two half panels per window, and the whole panel of the one without
-    assert points == [(2 * 4 + 1) * GAUSS_ORDER]
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(WINDOW_INTEGRANDS)),
+       windows=windows,
+       breakpoints=st.sampled_from([(), (0.3,), (0.3, 0.7)]))
+@example(name="cubic", windows=[(0.0, 0.2)], breakpoints=())
+@example(name="smooth", windows=[(0.295, 0.01)], breakpoints=(0.3,))
+@example(name="negative", windows=[(0.5, 0.01)], breakpoints=())
+def test_windows_are_integrate_to_bit_for_bit(name, windows, breakpoints):
+    # windows from 0, across breakpoints, missing the target on one panel,
+    # and of zero width: each value is integrate_to's, to the byte, and the
+    # first window whose integrate_to fails is the error raised
+    f = WINDOW_INTEGRANDS[name]
+    lo = np.array([start for start, _ in windows])
+    hi = np.array([start + width for start, width in windows])
+    expected = []
+    for a, b in zip(lo, hi):
+        try:
+            alone = integrate_to(f, float(b), breakpoints, lower=float(a))
+        except QuadratureError as exc:
+            with pytest.raises(QuadratureError) as batch:
+                integrate_windows(f, lo, hi, breakpoints)
+            assert str(batch.value) == str(exc)
+            return
+        expected.append(np.float64(alone).tobytes())
+    values = integrate_windows(f, lo, hi, breakpoints)
+    assert values.shape == lo.shape
+    assert [v.tobytes() for v in values] == expected
+
+
+def test_windows_raise_as_the_first_failing_integrate_to():
+    f = lambda t: np.sin(300.0 / (t + 1e-3))
+    lo, hi = np.array([1.0, 1e-3, 1e-4]), np.array([1.01, 1.0, 1.0])
+    with pytest.raises(QuadratureError) as batch:
+        integrate_windows(f, lo, hi)
+    with pytest.raises(QuadratureError) as alone:
+        integrate_to(f, 1.0, lower=1e-3)
+    assert str(batch.value) == str(alone.value)
 
 
 def test_panel_sums_do_not_depend_on_their_batch():

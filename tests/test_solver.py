@@ -409,7 +409,7 @@ def test_duhamel_weak_residual_decays():
     for K in (64, 128):
         part = TimePartition.uniform(K, 1.0)
         report = solve_duhamel(u0, f, HEAT, part)
-        res.append(float(np.max(weak_residual_profile(report, f=f))))
+        res.append(float(np.max(weak_residual_profile(report))))
     assert math.log2(res[0] / res[1]) > 1.8
 
 
