@@ -20,8 +20,8 @@ from .degeneracy import (CoefficientPath, DegeneracyProfile, LevelsetFit,
                          parse_profile, piecewise_profile, power_profile,
                          scalar_path)
 from .estimates import (CSV_HEADER, EstimateReport, KernelDecayFit,
-                        WeightedNormSpec, check_classic, check_kernel_decay,
-                        check_thm1, check_thm2, epsilon_sweep, reports_to_csv,
+                        check_classic, check_kernel_decay, check_thm1,
+                        check_thm2, epsilon_sweep, reports_to_csv,
                         weighted_norm)
 from .oracle import (MCEstimate, char_function_check, compare_fields,
                      convergence_orders, fd_solve, mc_solve, sample_increments)

@@ -20,14 +20,15 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .degeneracy import (_level_grid, check_domination, cumulative_delta,
-                         cumulative_delta_grid, empirical_bound,
-                         fit_beta_exponent, levelset_measure_scan,
-                         parse_coefficients, parse_profile)
+from .degeneracy import (_SCAN_POINTS, _level_grid, check_domination,
+                         cumulative_delta, cumulative_delta_grid,
+                         empirical_bound, fit_beta_exponent,
+                         levelset_measure_scan, parse_coefficients,
+                         parse_profile)
 from .estimates import (check_classic, check_kernel_decay, check_thm1,
                         check_thm2, epsilon_sweep, reports_to_csv)
 from .oracle import (_periodic_interp, _spline_coeffs, char_function_check,
@@ -96,36 +97,21 @@ def _parse_eps(text):
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+# the section of every field outside [params]; a key is its field name
+# without the "<section>_" prefix, read by the converter of its annotation
+_SECTIONS = {"grid": "dim n period",
+             "partition": "partition_kind steps horizon ratio",
+             "profile": "profile_spec", "coefficients": "coefficients_spec",
+             "initial": "initial_spec", "forcing": "forcing_spec",
+             "run": "seed out"}
+_SECTION_OF = {name: section for section, names in _SECTIONS.items()
+               for name in names.split()}
+_CONVERTERS = {"int": int, "float": float, "str": str, "tuple": _parse_eps}
 _FIELD_MAP = {
-    ("grid", "dim"): ("dim", int),
-    ("grid", "n"): ("n", int),
-    ("grid", "period"): ("period", float),
-    ("partition", "kind"): ("partition_kind", str),
-    ("partition", "steps"): ("steps", int),
-    ("partition", "horizon"): ("horizon", float),
-    ("partition", "ratio"): ("ratio", float),
-    ("profile", "spec"): ("profile_spec", str),
-    ("coefficients", "spec"): ("coefficients_spec", str),
-    ("initial", "spec"): ("initial_spec", str),
-    ("forcing", "spec"): ("forcing_spec", str),
-    ("params", "p"): ("p", float),
-    ("params", "smoothness"): ("smoothness", float),
-    ("params", "gamma"): ("gamma", float),
-    ("params", "eps_list"): ("eps_list", _parse_eps),
-    ("params", "k_min"): ("k_min", int),
-    ("params", "k_max"): ("k_max", int),
-    ("params", "t_count"): ("t_count", int),
-    ("params", "t_lo"): ("t_lo", float),
-    ("params", "t_hi"): ("t_hi", float),
-    ("params", "t0"): ("t0", float),
-    ("params", "h_points"): ("h_points", int),
-    ("params", "h_decades"): ("h_decades", float),
-    ("params", "beta_hat"): ("beta_hat", float),
-    ("params", "mc_samples"): ("mc_samples", int),
-    ("params", "mc_probes"): ("mc_probes", int),
-    ("run", "seed"): ("seed", int),
-    ("run", "out"): ("out", str),
-}
+    (section, f.name.removeprefix(section + "_")): (f.name,
+                                                    _CONVERTERS[f.type])
+    for f in fields(ExperimentConfig)
+    for section in [_SECTION_OF.get(f.name, "params")]}
 
 def parse_config(text):
     """ExperimentConfig from INI text; raises ConfigError with diagnostics."""
@@ -212,20 +198,22 @@ def validate_config(cfg):
     if not math.isfinite(cfg.smoothness):
         diags.append(f"params.smoothness: must be finite, "
                      f"got {cfg.smoothness}")
-    if cfg.gamma < 0:
-        diags.append(f"params.gamma: must be >= 0, got {cfg.gamma}")
-    if any(e <= 0 for e in cfg.eps_list) or \
+    if not 0.0 <= cfg.gamma < math.inf:
+        diags.append(f"params.gamma: must be finite and >= 0, got {cfg.gamma}")
+    if not all(0.0 < e < math.inf for e in cfg.eps_list) or \
             any(b >= a for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
-        diags.append(f"params.eps_list: must be positive and decreasing, "
-                     f"got {list(cfg.eps_list)}")
+        diags.append(f"params.eps_list: must be positive, finite and "
+                     f"decreasing, got {list(cfg.eps_list)}")
     if cfg.k_min < 1 or cfg.k_max < cfg.k_min:
         diags.append(f"params.k_min/k_max: need 1 <= k_min <= k_max, "
                      f"got {cfg.k_min}..{cfg.k_max}")
     if cfg.t0 is not None and not 0 <= cfg.t0 < math.inf:
         diags.append(f"params.t0: must be "
                      f"{'finite' if cfg.t0 >= 0 else '>= 0'}, got {cfg.t0}")
-    if cfg.t_lo <= 0 or (cfg.t_hi is not None and cfg.t_hi <= cfg.t_lo):
-        diags.append("params.t_lo/t_hi: need 0 < t_lo < t_hi")
+    if not 0.0 < cfg.t_lo < math.inf:
+        diags.append(f"params.t_lo: must be finite and > 0, got {cfg.t_lo}")
+    elif cfg.t_hi is not None and not cfg.t_lo < cfg.t_hi < math.inf:
+        diags.append(f"params.t_hi: must be finite and > t_lo, got {cfg.t_hi}")
     if cfg.t_count < 1:
         diags.append(f"params.t_count: need >= 1, got {cfg.t_count}")
     if cfg.beta_hat is not None and not 0.0 < cfg.beta_hat < math.inf:
@@ -523,7 +511,7 @@ def run_profile_check(cfg, outdir):
         lines.append(f"beta_hat = {float(fit.beta_hat)!r}, "
                      f"N0_hat = {float(fit.n0_hat)!r}, "
                      f"fit residual = {float(fit.residual)!r}")
-        width = t0 / 1_000_000
+        width = t0 / _SCAN_POINTS
         for h, m, sc in zip(h_grid, measures, scans):
             if abs(m - sc) > 2.0 * width + 1e-12:
                 failures.append(

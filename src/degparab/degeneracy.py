@@ -248,6 +248,9 @@ def cumulative_delta_grid(profile, ts, npts=None):
 # panels per chunk of a midpoint scan: a few MB of temporaries at a time
 _SCAN_CHUNK = 1 << 16
 
+# panels of levelset_measure_scan over [0, t0]; the CLI reads it too
+_SCAN_POINTS = 1_000_000
+
 
 def _grid_edges(hi, n, i0, i1):
     """Edges i0..i1 of np.linspace(0, hi, n + 1), bit for bit."""
@@ -396,9 +399,9 @@ def levelset_measure(profile, h, t0):
     return float(measures[0]) if hs.ndim == 0 else measures.reshape(hs.shape)
 
 
-def levelset_measure_scan(profile, hs, t0, npts=1_000_000):
+def levelset_measure_scan(profile, hs, t0):
     """Direct Riemann scan of the same level set for every level h in hs,
-    accurate to ~2*t0/npts; one beta scan serves all levels.
+    accurate to ~2*t0/npts, npts = _SCAN_POINTS; one scan serves all levels.
 
     beta is cumulative_delta_grid(profile, mids, npts=4*npts) at the npts
     panel midpoints of [0, t0], bit for bit, read _SCAN_CHUNK midpoints at
@@ -406,6 +409,7 @@ def levelset_measure_scan(profile, hs, t0, npts=1_000_000):
     _SCAN_CHUNK values whatever npts is.  Reference implementation used to
     cross-check levelset_measure.
     """
+    npts = _SCAN_POINTS
     for h in hs:
         if h <= 0:
             raise ValueError(f"level h must be positive, got {h}")
@@ -639,7 +643,8 @@ def check_domination(path, profile, sample_times):
     return float(np.fmax.reduce(amax[floor] / d[floor], initial=0.0))
 
 
-def empirical_bound(profile, t_max, npts=4096):
-    """Observed sup of delta on (0, t_max]; complements bound_M when unset."""
-    ts = np.linspace(0.0, t_max, npts + 1)[1:]
+def empirical_bound(profile, t_max):
+    """Observed sup of delta on 4096 points of (0, t_max]; complements
+    bound_M when unset."""
+    ts = np.linspace(0.0, t_max, 4097)[1:]
     return float(np.max(profile.delta(ts)))

@@ -11,58 +11,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
 from .degeneracy import (_level_grid, accumulate_on, check_domination,
                          cumulative_delta, fit_beta_exponent)
-from .solver import (_trapezoid, epsilon_regularize, quadratic_form,
-                     solve_duhamel)
+from .solver import epsilon_regularize, quadratic_form, solve_duhamel
 from .spectral import (LPFamily, _block_multiplier, _xi_sq, besov_norm,
                        bessel_norm, hessian_lp_norm, lp_norm)
 
 
-@dataclass(frozen=True)
-class WeightedNormSpec:
-    """Time-weighted Bessel norm: (int ||u(t)||^p_{H^n_p} delta(t)^m dt)^(1/p)."""
-
-    smoothness: float
-    p: float
-    weight_power: float
-    profile: object
-
-    def __post_init__(self):
-        if not 1 < self.p < math.inf:
-            raise ValueError(f"p must lie in (1, inf), got {self.p}")
+def _trapezoid(values, nodes):
+    """Composite trapezoid of samples over nodes, as numpy's trapezoid sums it."""
+    return float((np.diff(nodes) * (values[1:] + values[:-1]) / 2.0).sum())
 
 
-def weighted_norm(report, spec, spatial_norm=None):
-    """Weighted norm of a snapshot family over its partition.
-
-    spatial_norm(field) defaults to the H^n_p norm that `spec` describes;
-    pass a different evaluator for derived quantities (e.g. the Hessian).
-    Returns inf when the weight diverges against a nonvanishing norm.
-    """
-    if spatial_norm is None:
-        spatial_norm = lambda u: bessel_norm(u, spec.smoothness, spec.p)
-    nodes = report.partition.nodes
-    m = spec.weight_power
-    values = np.zeros(nodes.size)
-    for k, (t, u) in enumerate(zip(nodes, report.snapshots)):
-        nrm = spatial_norm(u)
-        d = float(spec.profile.delta(t))
-        if d > 0.0:
-            values[k] = nrm ** spec.p * d ** m
-        elif m > 0.0:
-            values[k] = 0.0
-        elif m == 0.0:
-            values[k] = nrm ** spec.p
-        elif nrm > 0.0:
-            return math.inf
-        # else 0 * inf := 0
-    total = _trapezoid(values, nodes)
-    return total ** (1.0 / spec.p)
+def weighted_norm(nodes, norms, profile, p, weight_power):
+    """(int ||u(t)||^p delta(t)^m dt)^(1/p), m = weight_power, by trapezoid
+    over nodes of the spatial norms ||u(t_k)||, read in node order; delta is
+    not read at m = 0.  inf when the weight diverges against a nonvanishing
+    norm or a power leaves the float range."""
+    if not 1 < p < math.inf:
+        raise ValueError(f"p must lie in (1, inf), got {p}")
+    m = weight_power
+    values = np.zeros(len(nodes))
+    try:
+        for k, (t, nrm) in enumerate(zip(nodes, norms)):
+            d = float(profile.delta(t)) if m else 1.0
+            if d > 0.0:
+                values[k] = nrm ** p * d ** m
+            elif m < 0.0 and nrm > 0.0:
+                return math.inf
+            # else 0 * inf := 0
+    except OverflowError:
+        return math.inf
+    return _trapezoid(values, nodes) ** (1.0 / p)
 
 
 @dataclass
@@ -112,17 +95,13 @@ def check_thm1(u0, f, path, profile, smoothness, p, partition):
     Solves with the exact propagator and reports lhs, both rhs pieces,
     and the observed constant lhs / rhs.
     """
+    nodes = partition.nodes
     report = solve_duhamel(u0, f, path, partition)
-    lhs_spec = WeightedNormSpec(smoothness, p, 1.0, profile)
-    lhs = weighted_norm(report, lhs_spec,
-                        spatial_norm=lambda u: hessian_lp_norm(u, p, smoothness))
-    if f is None:
-        rhs_f = 0.0
-    else:
-        f_report = SimpleNamespace(partition=partition,
-                                   snapshots=map(f, partition.nodes))
-        rhs_spec = WeightedNormSpec(smoothness, p, 1.0 - p, profile)
-        rhs_f = weighted_norm(f_report, rhs_spec)
+    lhs = weighted_norm(nodes, (hessian_lp_norm(u, p, smoothness)
+                                for u in report.snapshots), profile, p, 1.0)
+    rhs_f = 0.0 if f is None else weighted_norm(
+        nodes, (bessel_norm(f(t), smoothness, p) for t in nodes), profile, p,
+        1.0 - p)
     rhs_u0 = besov_norm(u0, smoothness + 2.0 - 2.0 / p, p)
     components = (("forcing", rhs_f), ("initial", rhs_u0))
     ratio, flags = _make_ratio(lhs, components)
@@ -177,9 +156,9 @@ def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
             ratio=math.nan, flags=tuple(flags), extra=extra)
 
     report = solve_duhamel(u0, None, path, partition)
-    lhs_spec = WeightedNormSpec(0.0, p, 0.0, profile)
-    lhs = weighted_norm(report, lhs_spec,
-                        spatial_norm=lambda u: hessian_lp_norm(u, p))
+    lhs = weighted_norm(partition.nodes, (hessian_lp_norm(u, p)
+                                          for u in report.snapshots),
+                        profile, p, 0.0)
     s = 2.0 * (1.0 - 1.0 / (beta_hat * p))
     rhs = besov_norm(u0, s, p)
     components = (("initial", rhs),)
@@ -196,11 +175,8 @@ def check_classic(report, f, u0, p):
     """Supremum-in-time bound || u ||_{C([0,T]; L_p)} <= N (||f||_{bL_p} + ||u0||_p)."""
     lhs = max(lp_norm(u, p) for u in report.snapshots)
     nodes = report.partition.nodes
-    if f is None:
-        rhs_f = 0.0
-    else:
-        vals = np.array([lp_norm(f(t), p) ** p for t in nodes])
-        rhs_f = _trapezoid(vals, nodes) ** (1.0 / p)
+    rhs_f = 0.0 if f is None else weighted_norm(
+        nodes, (lp_norm(f(t), p) for t in nodes), None, p, 0.0)
     rhs_u0 = lp_norm(u0, p)
     components = (("forcing", rhs_f), ("initial", rhs_u0))
     ratio, flags = _make_ratio(lhs, components)

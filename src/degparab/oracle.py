@@ -20,7 +20,7 @@ from .degeneracy import accumulate_on
 from .solver import SolveReport, TimePartition, _trapezoid_weights
 from .spectral import SpectralField, _freq_grids, lp_norm
 
-DEFAULT_CHUNK = 16384
+DEFAULT_CHUNK = 16384  # samples per RNG chunk of mc_solve
 _MC_BLOCK = 4096  # samples per block of a chunk
 
 
@@ -144,8 +144,7 @@ def _periodic_interp(coeffs, grid, positions):
         prefilter=False).reshape(frac.shape[:-1])
 
 
-def mc_solve(u0, f, path, t, points, samples, seed, partition=None,
-             chunk=DEFAULT_CHUNK):
+def mc_solve(u0, f, path, t, points, samples, seed, partition=None):
     """Stochastic-representation estimate of u(t, x) at probe points.
 
         u(t, x) = E u0(x + X_t) + int_0^t E f(s, x + X_t - X_s) ds
@@ -153,13 +152,14 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None,
     with X built from exact Gaussian increments over the partition (one
     consistent path per sample, so the forcing term sees the same
     randomness as the endpoint).  The forcing integral is a trapezoid
-    over the partition nodes.  Chunked, deterministically seeded: chunk c
-    uses default_rng([seed, c]), and chunk sums are reduced in index
-    order, so results do not depend on execution interleaving.  A chunk
-    is walked in blocks of _MC_BLOCK samples that continue its stream, so
-    the RNG key (seed, c) does not depend on the block, and its values are
-    summed whole: results equal a walk of whole chunks bit for bit, in
-    O(block K dim + probes chunk) memory, not O(chunk K dim).
+    over the partition nodes.  Chunks of DEFAULT_CHUNK samples are
+    deterministically seeded: chunk c uses default_rng([seed, c]), and chunk
+    sums are reduced in index order, so results do not depend on execution
+    interleaving.  A chunk is walked in blocks of _MC_BLOCK samples that
+    continue its stream, so the RNG key (seed, c) does not depend on the
+    block, and its values are summed whole: results equal a walk of whole
+    chunks bit for bit, in O(block K dim + probes chunk) memory, not
+    O(chunk K dim).
     """
     grid = u0.grid
     points = np.atleast_1d(np.asarray(points, dtype=float))
@@ -169,8 +169,6 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None,
         raise ValueError(f"probe points must have {grid.dim} coordinates")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
 
     if f is not None:
         if partition is None:
@@ -190,6 +188,7 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None,
         w = _trapezoid_weights(nodes)
 
     m = points.shape[0]
+    chunk = DEFAULT_CHUNK
     total = np.zeros(m)
     total_sq = np.zeros(m)
     n_intervals = len(factors)

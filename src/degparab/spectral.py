@@ -286,14 +286,14 @@ def s0_block(field):
     return apply_multiplier(field, _s0_multiplier(field.grid))
 
 
-def besov_norm(field, s, p, family=None):
+def besov_norm(field, s, p):
     """||s0 u||_p + (sum over j >= 1 of (2^(sj) ||block_j u||_p)^p)^(1/p).
 
     The dyadic sum is truncated at the family's top block (grid Nyquist).
     """
     if not (1 <= p < np.inf):
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    family = family or LPFamily.for_grid(field.grid)
+    family = LPFamily.for_grid(field.grid)
     if p == 2:
         head_weight, tail_weight = _besov_weights(family, field.grid, s)
         return (_parseval_norm(field, head_weight)

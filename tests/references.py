@@ -17,6 +17,10 @@ that solver._duhamel_spectra replaced: one numpy call per (i, k) pair on
 the full frequency lattice, with the weights of nodes[:k + 1], which the
 blocked half-lattice sum must match bit for bit; quadratic_forms builds
 its full-lattice forms without solver._duhamel_inputs.
+weak_residual_per_node is the node-by-node loop that
+solver.weak_residual_profile replaced: path.a at one node at a time and
+both running trapezoids added in a Python loop, which the vectorized
+profile must match bit for bit.
 mc_solve_per_chunk is the Monte Carlo walk that mc_solve's block walk
 replaced: each RNG chunk drawn, transformed and interpolated whole, one
 interpolation call per probe, which the block walk must match bit for bit.
@@ -26,9 +30,10 @@ import numpy as np
 
 from degparab import (CoefficientPath, LPFamily, QuadratureError,
                       SolveReport, SpectralField, TimePartition, accumulate_on,
-                      integrate_to, inverse_cumulative, lowpass, lp_block,
-                      lp_norm, quadratic_form, s0_block, scalar_path,
-                      solve_duhamel)
+                      gaussian_bump, inner_product, integrate_to,
+                      inverse_cumulative, lowpass, lp_block, lp_norm,
+                      quadratic_form, s0_block, scalar_path,
+                      second_derivatives, solve_duhamel)
 from degparab.oracle import (DEFAULT_CHUNK, MCEstimate, _periodic_interp,
                              _spline_coeffs, _sqrt_cov)
 from degparab.solver import _trapezoid_weights
@@ -143,6 +148,41 @@ def duhamel_spectrum_per_node(spec0, quads, f_specs, nodes, k):
         for i in range(k + 1):
             acc = acc + w[i] * f_specs[i] * np.exp(quads[i] - quads[k])
     return acc
+
+
+def weak_residual_per_node(report, test=None):
+    """weak_residual_profile node by node."""
+    grid = report.grid
+    if test is None:
+        test = gaussian_bump(grid, width=grid.length / 16.0)
+    f = report.forcing
+    nodes = report.partition.nodes
+    phi_xx = second_derivatives(test)
+    dim = grid.dim
+
+    g = np.zeros(nodes.size)
+    for k, (t, u) in enumerate(zip(nodes, report.snapshots)):
+        a_t = np.asarray(report.path.a(t), dtype=float)
+        val = 0.0
+        for i in range(dim):
+            for j in range(dim):
+                val += a_t[i, j] * inner_product(u, phi_xx[i * dim + j])
+        g[k] = val
+    fg = (np.zeros(nodes.size) if f is None
+          else np.array([inner_product(f(t), test) for t in nodes]))
+
+    base = inner_product(report.snapshots[0], test)
+    res = np.zeros(nodes.size)
+    integral = 0.0
+    f_integral = 0.0
+    for k in range(nodes.size):
+        if k > 0:
+            dt = nodes[k] - nodes[k - 1]
+            integral += 0.5 * dt * (g[k] + g[k - 1])
+            f_integral += 0.5 * dt * (fg[k] + fg[k - 1])
+        res[k] = abs(inner_product(report.snapshots[k], test)
+                     - base - integral - f_integral)
+    return res
 
 
 def time_change_solve(u0, f, path, profile, partition):

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ import pytest
 import degparab
 from degparab import (GridSpec, SpectralField, build_forcing, build_initial,
                       load_report, lp_norm, rough_field)
-from degparab.cli import (RUNNERS, ConfigError, ExperimentConfig,
-                          NonFiniteDataError, main, parse_config,
-                          validate_config)
+from degparab.cli import (_FIELD_MAP, RUNNERS, ConfigError,
+                          ExperimentConfig, NonFiniteDataError, main,
+                          parse_config, validate_config)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(degparab.__file__)))
 
@@ -158,7 +159,23 @@ def test_negative_t0_is_a_config_error(tmp_path, capsys, command, t0,
     ("params", "h_decades = nan",
      "params.h_decades: fit needs a finite >= 2 decades, got nan"),
     ("params", "h_decades = inf",
-     "params.h_decades: fit needs a finite >= 2 decades, got inf")])
+     "params.h_decades: fit needs a finite >= 2 decades, got inf"),
+    # kernel-decay wrote NaN rows or warned and exited 0 on these, and
+    # eps-sweep exited 0 or 2
+    ("params", "gamma = nan",
+     "params.gamma: must be finite and >= 0, got nan"),
+    ("params", "gamma = inf",
+     "params.gamma: must be finite and >= 0, got inf"),
+    ("params", "t_lo = nan", "params.t_lo: must be finite and > 0, got nan"),
+    ("params", "t_lo = inf", "params.t_lo: must be finite and > 0, got inf"),
+    ("params", "t_hi = nan",
+     "params.t_hi: must be finite and > t_lo, got nan"),
+    ("params", "t_hi = inf",
+     "params.t_hi: must be finite and > t_lo, got inf"),
+    ("params", "eps_list = 0.1,nan", "params.eps_list: must be positive, "
+     "finite and decreasing, got [0.1, nan]"),
+    ("params", "eps_list = inf,0.1", "params.eps_list: must be positive, "
+     "finite and decreasing, got [inf, 0.1]")])
 def test_configs_that_cannot_run_fail_validation(tmp_path, capsys, section,
                                                  setting, diag):
     # each of these used to pass validation and then exit 1 in some or all
@@ -169,6 +186,46 @@ def test_configs_that_cannot_run_fail_validation(tmp_path, capsys, section,
                      "--out", str(tmp_path / "o")]) == 3, command
         assert capsys.readouterr().err.splitlines() == [
             f"config error: {diag}"], command
+
+
+def test_every_config_field_has_exactly_one_key():
+    names = [name for name, _ in _FIELD_MAP.values()]
+    assert sorted(names) == sorted(f.name for f in fields(ExperimentConfig))
+    assert _FIELD_MAP["partition", "kind"] == ("partition_kind", str)
+
+
+OVERFLOW_CONFIG = """
+[grid]
+n = 256
+
+[partition]
+steps = 16
+
+[profile]
+spec = power(1)
+
+[coefficients]
+spec = scalar(power(1))
+
+[forcing]
+spec = separable("t", gaussian(1.5))
+
+[params]
+p = {p}
+"""
+
+
+@pytest.mark.parametrize("command, p", [("check-thm1", "400"),
+                                        ("eps-sweep", "1e308")])
+def test_weighted_norms_beyond_the_float_range_are_inadmissible(
+        tmp_path, capsys, command, p):
+    # delta^(1-p) of the forcing norm used to raise OverflowError: exit 1
+    path = write_cfg(tmp_path, OVERFLOW_CONFIG.format(p=p))
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ""
+    rows = next((tmp_path / "o").glob("*.csv")).read_text().splitlines()[1:]
+    assert rows and all(r.endswith(',"inadmissible-weight"') for r in rows)
 
 
 @pytest.mark.parametrize("setting, diag", [

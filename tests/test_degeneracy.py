@@ -15,6 +15,7 @@ from degparab import (CoefficientPath, accumulate_on, check_domination,
                       levelset_measure, levelset_measure_scan,
                       oscillatory_profile, parse_coefficients, parse_profile,
                       piecewise_profile, power_profile, scalar_path)
+from degparab import degeneracy
 from references import accumulate_path
 
 # frozen from a 1e7-point midpoint rule for int_0^t (1 + sin(1/s)) ds
@@ -174,7 +175,7 @@ def test_levelset_empty_above_range():
 
 def test_levelset_matches_scan():
     prof = oscillatory_profile()
-    width = 1.0 / 1_000_000
+    width = 1.0 / degeneracy._SCAN_POINTS
     hs = (0.01, 0.05, 0.1)
     for h, scanned in zip(hs, levelset_measure_scan(prof, hs, 1.0)):
         direct = levelset_measure(prof, h, 1.0)
@@ -184,11 +185,11 @@ def test_levelset_matches_scan():
 @pytest.mark.parametrize("prof", [oscillatory_profile(),
                                   parse_profile('expr("sqrt(t)")')],
                          ids=["closed-form", "quadrature"])
-def test_levelset_scan_of_a_grid_equals_one_level_scans(prof):
+def test_levelset_scan_of_a_grid_equals_one_level_scans(monkeypatch, prof):
     hs = [0.003, 0.01, 0.05, 0.2]
-    batch = levelset_measure_scan(prof, hs, 1.0, npts=20_000)
-    assert batch == [levelset_measure_scan(prof, [h], 1.0, npts=20_000)[0]
-                     for h in hs]
+    monkeypatch.setattr(degeneracy, "_SCAN_POINTS", 20_000)
+    batch = levelset_measure_scan(prof, hs, 1.0)
+    assert batch == [levelset_measure_scan(prof, [h], 1.0)[0] for h in hs]
 
 
 def test_fit_reports_the_measures_it_fits():

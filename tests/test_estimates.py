@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from degparab import (CSV_HEADER, GridSpec, SpectralField, TimePartition,
-                      WeightedNormSpec, bessel_norm, check_classic,
-                      check_kernel_decay, check_thm1, check_thm2,
+                      bessel_norm, check_classic, check_kernel_decay,
+                      check_thm1, check_thm2,
                       constant_profile, cumulative_delta, epsilon_sweep,
                       expr_matrix_path, expr_profile, gaussian_bump, lp_block,
                       lp_norm, mode_field, oscillatory_profile, parse_profile,
@@ -24,48 +24,51 @@ def constant_report(u0, profile, K=8, T=1.0):
     return solve_duhamel(u0, None, path, TimePartition.uniform(K, T))
 
 
+def lp_norms(report, p=2.0):
+    return (lp_norm(u, p) for u in report.snapshots)
+
+
 def test_weighted_norm_unit_profile_constant_solution():
     u0 = gaussian_bump(GRID, width=2.0)
     report = constant_report(u0, constant_profile(1.0), T=2.0)
-    spec = WeightedNormSpec(smoothness=0.0, p=2.0, weight_power=0.0,
-                            profile=constant_profile(1.0))
     expected = 2.0 ** 0.5 * lp_norm(u0, 2.0)
-    assert abs(weighted_norm(report, spec) - expected) < 1e-10 * expected
+    got = weighted_norm(report.partition.nodes, lp_norms(report),
+                        constant_profile(1.0), 2.0, 0.0)
+    assert abs(got - expected) < 1e-10 * expected
 
 
 def test_weighted_norm_linear_weight_closed_form():
     # delta = t, m = 1: (int_0^T t dt)^(1/p) ||u0||; trapezoid exact for t
     u0 = gaussian_bump(GRID, width=2.0)
     report = constant_report(u0, power_profile(1.0), T=1.0)
-    spec = WeightedNormSpec(smoothness=0.0, p=2.0, weight_power=1.0,
-                            profile=power_profile(1.0))
     expected = math.sqrt(0.5) * lp_norm(u0, 2.0)
-    assert abs(weighted_norm(report, spec) - expected) < 1e-10 * expected
+    got = weighted_norm(report.partition.nodes, lp_norms(report),
+                        power_profile(1.0), 2.0, 1.0)
+    assert abs(got - expected) < 1e-10 * expected
 
 
 def test_weighted_norm_smoothness_uses_bessel():
     u0 = mode_field(GridSpec(dim=1, n=256, length=8.0 * math.pi), (4,))
     report = constant_report(u0, constant_profile(1.0), T=1.0)
-    spec = WeightedNormSpec(smoothness=2.0, p=2.0, weight_power=0.0,
-                            profile=constant_profile(1.0))
     expected = bessel_norm(u0, 2.0, 2.0)  # T = 1 so the time factor is 1
-    assert abs(weighted_norm(report, spec) - expected) < 1e-10 * expected
+    got = weighted_norm(report.partition.nodes,
+                        (bessel_norm(u, 2.0, 2.0) for u in report.snapshots),
+                        constant_profile(1.0), 2.0, 0.0)
+    assert abs(got - expected) < 1e-10 * expected
 
 
 def test_weighted_norm_zero_floor_positive_power_vanishes():
     u0 = gaussian_bump(GRID, width=2.0)
     report = constant_report(u0, constant_profile(0.0))
-    spec = WeightedNormSpec(smoothness=0.0, p=2.0, weight_power=1.0,
-                            profile=constant_profile(0.0))
-    assert weighted_norm(report, spec) == 0.0
+    assert weighted_norm(report.partition.nodes, lp_norms(report),
+                         constant_profile(0.0), 2.0, 1.0) == 0.0
 
 
 def test_weighted_norm_zero_floor_negative_power_is_infinite():
     u0 = gaussian_bump(GRID, width=2.0)
     report = constant_report(u0, constant_profile(0.0))
-    spec = WeightedNormSpec(smoothness=0.0, p=2.0, weight_power=-1.0,
-                            profile=constant_profile(0.0))
-    assert math.isinf(weighted_norm(report, spec))
+    assert math.isinf(weighted_norm(report.partition.nodes, lp_norms(report),
+                                    constant_profile(0.0), 2.0, -1.0))
 
 
 def test_weighted_norm_monotone_in_weight_power():
@@ -73,18 +76,29 @@ def test_weighted_norm_monotone_in_weight_power():
     u0 = gaussian_bump(GRID, width=2.0)
     prof = parse_profile('expr("0.5 + 0.25 * t")')
     report = constant_report(u0, prof)
-    vals = []
-    for m in (0.0, 1.0, 2.0):
-        spec = WeightedNormSpec(smoothness=0.0, p=2.0, weight_power=m,
-                                profile=prof)
-        vals.append(weighted_norm(report, spec))
+    vals = [weighted_norm(report.partition.nodes, lp_norms(report), prof,
+                          2.0, m) for m in (0.0, 1.0, 2.0)]
     assert vals[0] >= vals[1] >= vals[2]
 
 
-def test_weighted_norm_spec_validation():
+def test_weighted_norm_rejects_p_outside_one_to_inf():
     with pytest.raises(ValueError):
-        WeightedNormSpec(smoothness=0.0, p=1.0, weight_power=0.0,
-                         profile=constant_profile(1.0))
+        weighted_norm(np.array([0.0, 1.0]), [1.0, 1.0],
+                      constant_profile(1.0), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("norm, delta, m", [
+    (1e200, 1.0, 1.0),    # ||u||^p beyond the float range
+    (1.0, 1e-300, -2.0),  # delta^m beyond the float range
+])
+def test_weighted_norm_is_infinite_when_a_power_overflows(norm, delta, m):
+    assert weighted_norm(np.array([0.0, 1.0]), [norm, norm],
+                         constant_profile(delta), 2.0, m) == math.inf
+
+
+def test_weighted_norm_reads_no_floor_at_weight_power_zero():
+    assert weighted_norm(np.array([0.0, 2.0]), [3.0, 3.0], None, 2.0,
+                         0.0) == math.sqrt(18.0)
 
 
 def test_thm1_zero_equation_zero_lhs():

@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "DegenerateKernelError", "EstimateReport", "ExperimentConfig",
     "GridSpec", "KernelDecayFit", "LPFamily", "LevelsetFit",
     "MCEstimate", "QuadratureError", "SolveReport", "SpectralField",
-    "TimePartition", "WeightedNormSpec", "accumulate_on", "besov_norm",
+    "TimePartition", "accumulate_on", "besov_norm",
     "bessel_norm", "build_forcing", "build_initial", "char_function_check",
     "check_classic", "check_domination", "check_kernel_decay", "check_thm1",
     "check_thm2", "cli", "compare_fields", "compile_expr",

@@ -19,6 +19,7 @@ from degparab import (constant_profile, cumulative_delta,
                       cumulative_delta_grid, expr_profile, inverse_cumulative,
                       levelset_measure, levelset_measure_scan,
                       oscillatory_profile, piecewise_profile, power_profile)
+from degparab import degeneracy
 from degparab.degeneracy import _SCAN_CHUNK
 from degparab.quadrature import ATOL, RTOL, QuadratureError, integrate_to
 
@@ -310,15 +311,17 @@ def test_grid_scan_keeps_the_shape_of_ts(prof):
 
 @pytest.mark.parametrize("prof", SCAN_PROFILES, ids=SCAN_IDS)
 @pytest.mark.parametrize("npts", [3, _SCAN_CHUNK, 3 * _SCAN_CHUNK + 11])
-def test_levelset_scan_equals_the_one_array_scan(prof, npts):
+def test_levelset_scan_equals_the_one_array_scan(monkeypatch, prof, npts):
     hs = [0.003, 0.01, 0.05, 0.2]
-    assert (levelset_measure_scan(prof, hs, 1.0, npts=npts)
+    monkeypatch.setattr(degeneracy, "_SCAN_POINTS", npts)
+    assert (levelset_measure_scan(prof, hs, 1.0)
             == scan_oracle(prof, hs, 1.0, npts=npts))
 
 
-def test_levelset_scan_at_zero_horizon():
+def test_levelset_scan_at_zero_horizon(monkeypatch):
     prof = expr_profile("sqrt(t)")
-    assert levelset_measure_scan(prof, [0.1], 0.0, npts=10) == [0.0]
+    monkeypatch.setattr(degeneracy, "_SCAN_POINTS", 10)
+    assert levelset_measure_scan(prof, [0.1], 0.0) == [0.0]
 
 
 @pytest.mark.parametrize("prof", [expr_profile("sqrt(t)"), power_profile(0.5)],

@@ -6,8 +6,10 @@ import inspect
 import pytest
 
 import degparab
-from degparab import (check_kernel_decay, cli, epsilon_sweep, fd_solve,
-                      s0_block, save_report, weak_residual_profile)
+from degparab import (besov_norm, check_kernel_decay, cli, empirical_bound,
+                      epsilon_sweep, fd_solve, levelset_measure_scan,
+                      mc_solve, s0_block, save_report, weak_residual_profile,
+                      weighted_norm)
 from degparab.quadrature import integrate_to, integrate_windows
 
 
@@ -42,9 +44,22 @@ def test_integrate_to_takes_only_the_policy_it_applies():
 
 def test_no_function_takes_a_parameter_no_caller_sets():
     # the finite-difference oracle is Crank-Nicolson only; the residual's
-    # forcing is the report's, and the low-pass block needs no family
+    # forcing is the report's, and the low-pass block and the Besov norm
+    # need no family; the Monte Carlo chunk, the scan resolution and the
+    # sampled sup of delta are module constants or fixed counts
     assert list(inspect.signature(fd_solve).parameters) == [
         "u0", "f", "path", "partition"]
+    assert list(inspect.signature(mc_solve).parameters) == [
+        "u0", "f", "path", "t", "points", "samples", "seed", "partition"]
+    assert list(inspect.signature(besov_norm).parameters) == [
+        "field", "s", "p"]
+    assert list(inspect.signature(levelset_measure_scan).parameters) == [
+        "profile", "hs", "t0"]
+    assert list(inspect.signature(empirical_bound).parameters) == [
+        "profile", "t_max"]
+    # the caller evaluates the spatial norms: no spec object, no callback
+    assert list(inspect.signature(weighted_norm).parameters) == [
+        "nodes", "norms", "profile", "p", "weight_power"]
     assert list(inspect.signature(save_report).parameters) == [
         "report", "outdir", "p"]
     assert list(inspect.signature(weak_residual_profile).parameters) == [

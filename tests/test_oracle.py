@@ -294,12 +294,14 @@ def test_mc_deterministic_replay():
     assert np.array_equal(a.stderr, b.stderr)
 
 
-def test_mc_chunking_consistency():
+def test_mc_chunking_consistency(monkeypatch):
     # the chunk layout is part of the RNG key, so different layouts give
     # different draws; they must still agree statistically
     u0 = gaussian_bump(GRID, width=2.0)
-    a = mc_solve(u0, None, HEAT, 0.2, [0.5], 20000, seed=9, chunk=20000)
-    b = mc_solve(u0, None, HEAT, 0.2, [0.5], 20000, seed=9, chunk=1024)
+    monkeypatch.setattr(oracle, "DEFAULT_CHUNK", 20000)
+    a = mc_solve(u0, None, HEAT, 0.2, [0.5], 20000, seed=9)
+    monkeypatch.setattr(oracle, "DEFAULT_CHUNK", 1024)
+    b = mc_solve(u0, None, HEAT, 0.2, [0.5], 20000, seed=9)
     gap = abs(float(a.mean[0]) - float(b.mean[0]))
     assert gap <= 4.0 * (float(a.stderr[0]) + float(b.stderr[0]))
 
@@ -320,13 +322,6 @@ def test_mc_rejects_insufficient_samples():
     u0 = gaussian_bump(GRID, width=2.0)
     with pytest.raises(ValueError):
         mc_solve(u0, None, HEAT, 0.2, [0.0], 10, seed=0)
-
-
-@pytest.mark.parametrize("chunk", [0, -1])
-def test_mc_rejects_nonpositive_chunk(chunk):
-    u0 = gaussian_bump(GRID, width=2.0)
-    with pytest.raises(ValueError, match="chunk"):
-        mc_solve(u0, None, HEAT, 0.2, [0.0], 2000, seed=0, chunk=chunk)
 
 
 def test_mc_rejects_wrong_point_dim():
@@ -392,7 +387,8 @@ def test_mc_block_walk_matches_per_chunk_walk(dim, forced, kind, steps,
     args = (u0, f, path, t, pts, samples, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_MC_BLOCK", block)
-        got = mc_solve(*args, partition=part, chunk=chunk)
+        mp.setattr(oracle, "DEFAULT_CHUNK", chunk)
+        got = mc_solve(*args, partition=part)
     ref = mc_solve_per_chunk(*args, partition=part, chunk=chunk)
     assert got.mean.tobytes() == ref.mean.tobytes()
     assert got.stderr.tobytes() == ref.stderr.tobytes()

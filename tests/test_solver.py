@@ -20,9 +20,10 @@ from degparab import (DegenerateKernelError, GridSpec, SpectralField,
                       scalar_path, solve_duhamel, solve_final,
                       weak_residual_profile, x_grids)
 from degparab import solver
-from degparab.solver import _duhamel_inputs, _duhamel_spectra, _trapezoid
+from degparab.estimates import _trapezoid
+from degparab.solver import _duhamel_inputs, _duhamel_spectra
 import references
-from references import propagate, time_change_solve
+from references import propagate, time_change_solve, weak_residual_per_node
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -411,6 +412,25 @@ def test_duhamel_weak_residual_decays():
         report = solve_duhamel(u0, f, HEAT, part)
         res.append(float(np.max(weak_residual_profile(report))))
     assert math.log2(res[0] / res[1]) > 1.8
+
+
+@pytest.mark.parametrize("kind", ["uniform", "geometric"])
+@pytest.mark.parametrize("coefficients", ["closed-form", "quadrature"])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_weak_residual_is_the_per_node_loop_bit_for_bit(dim, forced,
+                                                        coefficients, kind):
+    # the quadrature path of dims 2 and 3 has off-diagonal entries 0.1 t
+    grid = GRIDS[dim]
+    spec = ("scalar(power(1))" if coefficients == "closed-form"
+            else expr_matrix_text(dim))
+    path = parse_coefficients(spec, dim)
+    shape = gaussian_bump(grid, width=1.5)
+    f = (lambda t: shape * (1.0 + t)) if forced else None
+    report = solve_duhamel(gaussian_bump(grid, width=1.0), f, path,
+                           getattr(TimePartition, kind)(11, 0.7))
+    assert (weak_residual_profile(report).tobytes()
+            == weak_residual_per_node(report).tobytes())
 
 
 def test_report_roundtrip(tmp_path):
