@@ -12,6 +12,7 @@ Gaussian increments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .solver import SolveReport, TimePartition, _trapezoid_weights
 from .spectral import SpectralField, _freq_grids, lp_norm
 
 DEFAULT_CHUNK = 16384  # samples per RNG chunk of mc_solve
-_MC_BLOCK = 4096  # samples per block of a chunk
+_MC_NODES = 4  # stratified forcing nodes per Monte Carlo path
 
 
 def _stencil_symbol(grid, mat):
@@ -35,15 +36,21 @@ def _stencil_symbol(grid, mat):
     is circulant on the periodic grid, so the DFT diagonalizes it exactly.
     The symbol is <= 0 for PSD mat, since sin^2(a) <= 4 sin^2(a / 2).
     """
-    h = grid.spacing
-    comps = _freq_grids(grid)
+    halves, wholes = _stencil_sines(grid)
     out = np.zeros(grid.shape)
     for i in range(grid.dim):
-        out -= 4.0 * mat[i, i] * np.sin(0.5 * h * comps[i]) ** 2
+        out -= (4.0 * mat[i, i]) * halves[i]
         for j in range(i + 1, grid.dim):
-            out -= (2.0 * mat[i, j] * np.sin(h * comps[i])
-                    * np.sin(h * comps[j]))
-    return out / h ** 2
+            out -= ((2.0 * mat[i, j]) * wholes[i]) * wholes[j]
+    return out / grid.spacing ** 2
+
+
+@functools.lru_cache(maxsize=64)
+def _stencil_sines(grid):
+    """sin^2(xi_i h / 2) and sin(xi_i h) on the lattice, one per axis."""
+    h, comps = grid.spacing, _freq_grids(grid)
+    return (tuple(np.sin(0.5 * h * c) ** 2 for c in comps),
+            tuple(np.sin(h * c) for c in comps))
 
 
 def fd_solve(u0, f, path, partition):
@@ -149,17 +156,18 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None):
 
         u(t, x) = E u0(x + X_t) + int_0^t E f(s, x + X_t - X_s) ds
 
-    with X built from exact Gaussian increments over the partition (one
-    consistent path per sample, so the forcing term sees the same
-    randomness as the endpoint).  The forcing integral is a trapezoid
-    over the partition nodes.  Chunks of DEFAULT_CHUNK samples are
-    deterministically seeded: chunk c uses default_rng([seed, c]), and chunk
-    sums are reduced in index order, so results do not depend on execution
-    interleaving.  A chunk is walked in blocks of _MC_BLOCK samples that
-    continue its stream, so the RNG key (seed, c) does not depend on the
-    block, and its values are summed whole: results equal a walk of whole
-    chunks bit for bit, in O(block K dim + probes chunk) memory, not
-    O(chunk K dim).
+    with exact Gaussian increments: X_t has covariance 2 B(0, t), where
+    B(s, t) = int_s^t a dr.  The forcing term is the trapezoid sum over
+    the partition nodes, sampled at _MC_NODES stratified nodes per path:
+    node j is I_j, the first i with cdf_i > (j + U_j) / _MC_NODES over
+    the cumulative weights cdf = cumsum(w) / sum(w), U_j uniform, and
+    Y_j = X_t - X_(t_i) at i = I_j is drawn directly, with covariance
+    2 B(t_i, t).  The path's value u0(x + X_t) + sum(w) / _MC_NODES *
+    sum_j f(t_(I_j), x + Y_j) is unbiased for the trapezoid sum.  Chunks
+    of DEFAULT_CHUNK samples are deterministically seeded: chunk c uses
+    default_rng([seed, c]) and draws X_t first, and chunk sums are reduced
+    in index order, so results do not depend on execution interleaving.
+    Memory is O(probes chunk (_MC_NODES + dim) + K dim^2 + K n^dim).
     """
     grid = u0.grid
     points = np.atleast_1d(np.asarray(points, dtype=float))
@@ -180,51 +188,38 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None):
         nodes = np.array([0.0, t])
 
     cums = accumulate_on(path, nodes)
-    factors = [_sqrt_cov(2.0 * (cb - ca))
-               for ca, cb in zip(cums[:-1], cums[1:])]
+    # covariance factors of X_t - X_(t_i) at every node i, X_t at i = 0
+    factors = np.array([_sqrt_cov(2.0 * (cums[-1] - c)) for c in cums])
     u0_coeffs = _spline_coeffs(u0)
     if f is not None:
         f_coeffs = [_spline_coeffs(f(s)) for s in nodes]
-        w = _trapezoid_weights(nodes)
+        cdf = np.cumsum(_trapezoid_weights(nodes))
+        scale = cdf[-1] / _MC_NODES
+        cdf = cdf / cdf[-1]
+        cdf[-1] = np.inf  # (j + U) / 4 can round to 1.0: the last node
 
     m = points.shape[0]
-    chunk = DEFAULT_CHUNK
-    total = np.zeros(m)
-    total_sq = np.zeros(m)
-    n_intervals = len(factors)
-    # block buffers, reused; the last suffix column S[:, K] stays 0
-    z_buf = np.zeros((max(2, min(_MC_BLOCK, chunk, samples)), n_intervals,
-                      path.dim))
-    suffix_buf = np.zeros((len(z_buf), n_intervals + 1, path.dim))
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        size = min(chunk, samples - done)
+    total = total_sq = 0.0
+    for chunk_index, done in enumerate(range(0, samples, DEFAULT_CHUNK)):
+        size = min(DEFAULT_CHUNK, samples - done)
         rng = np.random.default_rng([seed, chunk_index])
-        vals = np.empty((m, size))
-        for lo in range(0, size, _MC_BLOCK):
-            # consecutive draws continue the chunk's stream
-            z = rng.standard_normal(out=z_buf[:min(_MC_BLOCK, size - lo)])
-            # per-interval covariances differ, apply one factor at a time;
-            # matmul sends a lone row to gemv, whose rounding is not the
-            # gemm of a chunk's rows, so pad it with a row never read
-            rows = z_buf[:max(len(z), min(size, 2))]
-            for i, fac in enumerate(factors):
-                rows[:, i, :] = rows[:, i, :] @ fac.T
-            # suffix sums: S[:, i] = X_t - X_{t_i}
-            suffix = suffix_buf[:len(z)]
-            np.cumsum(z[:, ::-1, :], axis=1, out=suffix[:, -2::-1, :])
-            block = vals[:, lo:lo + len(z)]
-            block[:] = _periodic_interp(u0_coeffs, grid,
-                                        points[:, None] + suffix[:, 0])
-            if f is not None:
-                for i in range(nodes.size):
-                    block += w[i] * _periodic_interp(
-                        f_coeffs[i], grid, points[:, None] + suffix[:, i])
+        x_t = rng.standard_normal((size, path.dim)) @ factors[0].T
+        vals = _periodic_interp(u0_coeffs, grid, points[:, None] + x_t)
+        if f is not None:
+            q = np.arange(_MC_NODES) + rng.random((size, _MC_NODES))
+            drawn = np.searchsorted(cdf, q.ravel() / _MC_NODES, side="right")
+            z = rng.standard_normal((drawn.size, path.dim, 1))
+            incs = (factors[drawn] @ z)[..., 0]
+            forced = np.empty((m, drawn.size))
+            # one interpolation per drawn node, over the rows that drew it
+            order = np.argsort(drawn, kind="stable")
+            drawn_nodes, starts = np.unique(drawn[order], return_index=True)
+            for i, rows in zip(drawn_nodes, np.split(order, starts[1:])):
+                forced[:, rows] = _periodic_interp(
+                    f_coeffs[i], grid, points[:, None] + incs[rows])
+            vals += scale * forced.reshape(m, size, _MC_NODES).sum(axis=2)
         total += vals.sum(axis=1)
         total_sq += (vals ** 2).sum(axis=1)
-        done += size
-        chunk_index += 1
 
     mean = total / samples
     var = np.maximum(total_sq - samples * mean ** 2, 0.0) / (samples - 1)

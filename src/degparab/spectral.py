@@ -183,8 +183,9 @@ def lp_norm(field, p):
         return float(np.abs(field.samples).max())
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return float((np.sum(np.abs(field.samples) ** p)
-                  * field.grid.cell_volume) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # a power beyond the float range: inf
+        return float((np.sum(np.abs(field.samples) ** p)
+                      * field.grid.cell_volume) ** (1.0 / p))
 
 
 def inner_product(f, g):
@@ -300,9 +301,11 @@ def besov_norm(field, s, p):
                 + _parseval_norm(field, tail_weight))
     head = lp_norm(s0_block(field), p)
     tail = 0.0
-    for j in range(1, family.j_max + 1):
-        tail += (2.0 ** (s * j) * lp_norm(lp_block(field, j, family), p)) ** p
-    return head + tail ** (1.0 / p)
+    with np.errstate(over="ignore"):  # a power beyond the float range: inf
+        for j in range(1, family.j_max + 1):
+            weight = np.float64(2.0 ** (s * j))  # so ** p is numpy's power
+            tail += (weight * lp_norm(lp_block(field, j, family), p)) ** p
+    return float(head + tail ** (1.0 / p))
 
 
 def bessel_norm(field, smoothness, p):
@@ -346,7 +349,8 @@ def hessian_lp_norm(field, p, smoothness=0.0):
     frob = np.sqrt(acc)
     if p == np.inf:
         return float(frob.max())
-    return float((np.sum(frob ** p) * grid.cell_volume) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # a power beyond the float range: inf
+        return float((np.sum(frob ** p) * grid.cell_volume) ** (1.0 / p))
 
 
 def gaussian_bump(grid, width=1.0, center=None, amplitude=1.0):

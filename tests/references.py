@@ -21,9 +21,14 @@ weak_residual_per_node is the node-by-node loop that
 solver.weak_residual_profile replaced: path.a at one node at a time and
 both running trapezoids added in a Python loop, which the vectorized
 profile must match bit for bit.
-mc_solve_per_chunk is the Monte Carlo walk that mc_solve's block walk
-replaced: each RNG chunk drawn, transformed and interpolated whole, one
-interpolation call per probe, which the block walk must match bit for bit.
+mc_solve_per_chunk is the all-node Monte Carlo estimator that mc_solve's
+stratified node sampling replaced: each path built from exact increments
+over every partition interval, and the forcing trapezoid summed over all
+K + 1 nodes, one interpolation call per probe.  Without forcing both draw
+X_t alone, so mc_solve must match it bit for bit; with forcing the two
+must agree within their standard errors.  stencil_symbol_uncached is the
+finite-difference symbol with its sines recomputed at every call, which
+oracle._stencil_symbol must match bit for bit from its per-grid cache.
 """
 
 import numpy as np
@@ -241,8 +246,10 @@ def time_change_solve(u0, f, path, profile, partition):
 
 def mc_solve_per_chunk(u0, f, path, t, points, samples, seed, partition=None,
                        chunk=DEFAULT_CHUNK):
-    """mc_solve holding each chunk's draws, increments and suffix sums whole:
-    four (chunk, K, dim) arrays at once."""
+    """The all-node estimator: every path walked over all K partition
+    intervals and the forcing evaluated at all K + 1 nodes; each chunk's
+    draws, increments and suffix sums are held whole, four (chunk, K, dim)
+    arrays at once."""
     grid = u0.grid
     points = np.atleast_1d(np.asarray(points, dtype=float))
     if points.ndim == 1:
@@ -296,3 +303,16 @@ def mc_solve_per_chunk(u0, f, path, t, points, samples, seed, partition=None,
     return MCEstimate(points=points, mean=mean,
                       stderr=np.sqrt(var / samples),
                       samples=samples, seed=seed)
+
+
+def stencil_symbol_uncached(grid, mat):
+    """oracle._stencil_symbol with the sines computed on every call."""
+    h = grid.spacing
+    comps = _freq_grids(grid)
+    out = np.zeros(grid.shape)
+    for i in range(grid.dim):
+        out -= 4.0 * mat[i, i] * np.sin(0.5 * h * comps[i]) ** 2
+        for j in range(i + 1, grid.dim):
+            out -= (2.0 * mat[i, j] * np.sin(h * comps[i])
+                    * np.sin(h * comps[j]))
+    return out / h ** 2

@@ -13,7 +13,7 @@ import pytest
 
 import degparab
 from degparab import (GridSpec, SpectralField, build_forcing, build_initial,
-                      load_report, lp_norm, rough_field)
+                      cli, load_report, lp_norm, rough_field)
 from degparab.cli import (_FIELD_MAP, RUNNERS, ConfigError,
                           ExperimentConfig, NonFiniteDataError, main,
                           parse_config, validate_config)
@@ -226,6 +226,22 @@ def test_weighted_norms_beyond_the_float_range_are_inadmissible(
     assert capsys.readouterr().err == ""
     rows = next((tmp_path / "o").glob("*.csv")).read_text().splitlines()[1:]
     assert rows and all(r.endswith(',"inadmissible-weight"') for r in rows)
+
+
+@pytest.mark.parametrize("command, p, initial", [
+    # the Besov norm of u0 took a Python float power: OverflowError, exit 1
+    ("check-thm1", "400", "gaussian(0.1)"),
+    # numpy's overflow warning from the Hessian and L_p norms
+    ("check-thm1", "1e308", "gaussian(0.1)"),
+    ("check-classic", "1e308", "gaussian(2.0)")])
+def test_norm_powers_beyond_the_float_range_read_inf_quietly(
+        tmp_path, command, p, initial):
+    proc = run_module(tmp_path, command, OVERFLOW_CONFIG.format(p=p)
+                      + f"\n[initial]\nspec = {initial}\n")
+    assert (proc.returncode, proc.stderr) == (2, "")
+    rows = next((tmp_path / "out").glob("*.csv")).read_text().splitlines()
+    assert rows[1:] and all(r.endswith(',"inadmissible-weight"')
+                            for r in rows[1:])
 
 
 @pytest.mark.parametrize("setting, diag", [
@@ -721,6 +737,61 @@ mc_probes = 3
     rows = (out / "mc_compare.csv").read_text().splitlines()
     assert rows[0] == "x_0,mean,stderr,samples,seed"
     assert len(rows) == 4
+
+
+PLANTED_CONFIG = """
+[grid]
+n = 256
+
+[partition]
+kind = uniform
+steps = 64
+horizon = 0.5
+
+[profile]
+spec = constant(1.0)
+
+[coefficients]
+spec = scalar(constant(1.0))
+
+[initial]
+spec = gaussian(2.0)
+
+[forcing]
+spec = separable("t", gaussian(1.5))
+
+[params]
+mc_samples = 20000
+mc_probes = 5
+"""
+
+
+def test_oracle_compare_flags_a_planted_bias(tmp_path, monkeypatch):
+    path = write_cfg(tmp_path, PLANTED_CONFIG)
+    clean = tmp_path / "clean"
+    assert main(["oracle-compare", "--config", path, "--out", str(clean)]) == 0
+    rows = (clean / "mc_compare.csv").read_text().splitlines()[1:]
+    shift = 6.0 * max(float(row.split(",")[2]) for row in rows)
+    calls = []
+    solve_final = cli.solve_final
+
+    def shifted(*args, **kwargs):
+        # the first two solves feed the FD order check, the third is the
+        # value the Monte Carlo estimate is compared with
+        calls.append(solve_final(*args, **kwargs))
+        if len(calls) < 3:
+            return calls[-1]
+        return SpectralField(calls[-1].grid, calls[-1].samples + shift)
+
+    monkeypatch.setattr(cli, "solve_final", shifted)
+    out = tmp_path / "planted"
+    assert main(["oracle-compare", "--config", path, "--out", str(out)]) == 2
+    assert len(calls) == 3
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert [line for line in summary if line.startswith("FAIL:")] == [
+        "FAIL: mc estimate outside 3 standard errors of spectral"]
+    assert (out / "mc_compare.csv").read_text() == (
+        clean / "mc_compare.csv").read_text()
 
 
 def test_run_programmatic_entry(tmp_path):

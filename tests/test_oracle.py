@@ -20,7 +20,7 @@ from degparab import (GridSpec, SpectralField, TimePartition,
                       solve_duhamel)
 from degparab import oracle
 from degparab.oracle import _stencil_symbol
-from references import mc_solve_per_chunk
+from references import mc_solve_per_chunk, stencil_symbol_uncached
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -249,6 +249,15 @@ def test_stencil_symbol_is_the_assembled_operator_on_plane_waves(dim):
         / grid.spacing ** 2
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stencil_symbol_cache_is_bit_for_bit(dim):
+    grid = FD_GRIDS[dim]
+    for seed in range(3):
+        mat = _random_psd(dim, 200 + 10 * dim + seed)
+        assert (_stencil_symbol(grid, mat).tobytes()
+                == stencil_symbol_uncached(grid, mat).tobytes())
+
+
 def test_mc_frozen_solution_at_nodes():
     # A = 0, f = 0: X == 0, every sample returns u0(x) itself, so the
     # estimate at grid nodes is exact with zero spread
@@ -351,42 +360,32 @@ MC_GRIDS = {1: GridSpec(dim=1, n=64, length=16.0),
 
 @settings(max_examples=40, deadline=None)
 @given(dim=st.sampled_from([1, 2]),
-       forced=st.booleans(),
        kind=st.sampled_from(["uniform", "geometric"]),
        steps=st.integers(2, 6),
        coefficients=st.sampled_from(["scalar", "constant"]),
        probes=st.integers(1, 5),
-       block_kind=st.sampled_from(["one", "uneven", "whole"]),
        seed=st.integers(0, 2 ** 16),
        data=st.data())
-def test_mc_block_walk_matches_per_chunk_walk(dim, forced, kind, steps,
-                                              coefficients, probes,
-                                              block_kind, seed, data):
-    # chunks that divide samples (extra == 0) and chunks that do not
+def test_mc_homogeneous_matches_per_chunk_walk(dim, kind, steps,
+                                               coefficients, probes, seed,
+                                               data):
+    # without forcing both draw X_t alone from each chunk's stream; chunks
+    # that divide samples (extra == 0) and chunks that do not, down to a
+    # last chunk of one sample
     chunk = data.draw(st.integers(300, 1200), label="chunk")
     least = -(-1000 // chunk)
     full = data.draw(st.integers(least, least + 2), label="full")
     extra = data.draw(st.integers(0, chunk - 1), label="extra")
     samples = chunk * full + extra
-    if block_kind == "one":
-        block = 1
-    elif block_kind == "uneven":
-        block = data.draw(st.integers(2, chunk - 1).filter(
-            lambda b: chunk % b), label="block")
-    else:
-        block = chunk + data.draw(st.integers(0, 500), label="over")
     grid = MC_GRIDS[dim]
     t = 0.3
     part = getattr(TimePartition, kind)(steps, t)
     path = _coefficient_path(coefficients, dim, seed)
     u0 = gaussian_bump(grid, width=1.5)
-    shape = gaussian_bump(grid, width=1.0)
-    f = (lambda s: shape * (1.0 + math.sin(3.0 * s))) if forced else None
     pts = np.random.default_rng(seed).uniform(
         -grid.length / 2, grid.length / 2, (probes, dim))
-    args = (u0, f, path, t, pts, samples, seed)
+    args = (u0, None, path, t, pts, samples, seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_MC_BLOCK", block)
         mp.setattr(oracle, "DEFAULT_CHUNK", chunk)
         got = mc_solve(*args, partition=part)
     ref = mc_solve_per_chunk(*args, partition=part, chunk=chunk)
@@ -394,27 +393,56 @@ def test_mc_block_walk_matches_per_chunk_walk(dim, forced, kind, steps,
     assert got.stderr.tobytes() == ref.stderr.tobytes()
 
 
-def test_mc_memory_is_set_by_the_block_not_the_chunk():
+@pytest.mark.parametrize("kind", ["uniform", "geometric"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mc_stratified_nodes_agree_with_the_all_node_sum(dim, kind):
+    # four sampled nodes per path against every node of the trapezoid, on
+    # independent streams
+    grid = MC_GRIDS[dim]
+    t = 0.3
+    part = getattr(TimePartition, kind)(12, t)
+    path = (scalar_path(oscillatory_profile(), 1) if dim == 1 else
+            constant_matrix_path([[1.0, 0.4], [0.4, 0.6]]))
+    u0 = gaussian_bump(grid, width=1.5)
+    shape = gaussian_bump(grid, width=1.0)
+    f = lambda s: shape * (1.0 + 4.0 * math.sin(9.0 * s))
+    pts = np.random.default_rng(dim).uniform(-2.0, 2.0, (4, dim))
+    got = mc_solve(u0, f, path, t, pts, 40000, seed=31, partition=part)
+    ref = mc_solve_per_chunk(u0, f, path, t, pts, 40000, seed=32,
+                             partition=part)
+    gaps = np.abs(got.mean - ref.mean)
+    assert np.all(gaps <= 4.0 * np.hypot(got.stderr, ref.stderr))
+
+
+def test_mc_memory_is_set_by_the_chunk_not_the_partition():
     grid = GridSpec(dim=1, n=64, length=16.0)
-    steps, probes, samples, word = 64, 3, oracle.DEFAULT_CHUNK, 8
-    block = min(oracle._MC_BLOCK, samples)
+    steps, probes, chunk, dim, word = 256, 3, oracle.DEFAULT_CHUNK, 1, 8
+    draws = oracle._MC_NODES * chunk  # forcing nodes drawn per chunk
     u0 = gaussian_bump(grid, width=1.5)
     shape = gaussian_bump(grid, width=1.0)
     f = lambda s: shape * (1.0 + s)
     part = TimePartition.uniform(steps, 0.3)
     pts = np.linspace(-4.0, 4.0, probes)
-    # draws, suffix sums and a cumsum temporary per block; vals and its
-    # square per chunk; K + 1 forcing and one initial spline coefficient
-    # array; the probe positions, their grid coordinates, the
-    # interpolated values and their weighted copy per block; 64 KiB for
-    # Python objects
-    bound = word * (block * steps + block * (steps + 1) + block * steps
-                    + 2 * probes * samples + (steps + 2) * grid.n
-                    + 4 * probes * block) + 64 * 1024
+    # per chunk: the normals of X_t and X_t; the probe positions, their
+    # grid coordinates and a contiguous copy, and the u0 values (vals);
+    # the uniforms, the strata, their scaled copy and the drawn node
+    # indices; the normals, gathered factors and increments of the drawn
+    # nodes; their sort order, the sorted indices and two sort
+    # temporaries of np.unique; the forcing values; the node sums, their
+    # scaled copy and vals squared.  Per run: K + 1 forcing and one
+    # initial spline coefficient array and K + 1 covariance factors;
+    # 64 KiB for Python objects.  No (chunk, K) array: a chunk of 16384
+    # paths over 256 steps alone would be 32 MiB.
+    bound = word * (2 * chunk * dim + 3 * probes * chunk * dim
+                    + probes * chunk + 4 * draws
+                    + draws * (2 * dim + dim * dim) + 4 * draws
+                    + probes * draws + 3 * probes * chunk
+                    + (steps + 2) * grid.n + (steps + 1) * dim * dim
+                    ) + 64 * 1024
     import scipy.ndimage  # loaded before tracing: its import is not a buffer
     tracemalloc.start()
     try:
-        mc_solve(u0, f, HEAT, 0.3, pts, samples, seed=1, partition=part)
+        mc_solve(u0, f, HEAT, 0.3, pts, chunk, seed=1, partition=part)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -443,31 +471,6 @@ def test_fd_snapshots_own_their_samples(dim, monkeypatch):
         assert snap.samples.flags.owndata
         assert not np.shares_memory(snap.samples, full)
         assert snap.samples.tobytes() == full.real.tobytes()
-
-
-def test_standard_normal_blocks_continue_one_draw():
-    # mc_solve draws each chunk in blocks from one generator; numpy must
-    # give the blocks the stream of a single draw of the whole chunk
-    whole = np.random.default_rng([7, 2]).standard_normal((1000, 5, 2))
-    rng = np.random.default_rng([7, 2])
-    parts = [rng.standard_normal((n, 5, 2)) for n in (1, 333, 4, 600)]
-    buf = np.empty((62, 5, 2))
-    parts.append(rng.standard_normal(out=buf))
-    assert np.concatenate(parts).tobytes() == whole.tobytes()
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_matmul_rows_do_not_depend_on_the_row_count(dim):
-    # mc_solve applies a factor to a block of rows, never to a lone row of
-    # a larger chunk, and needs each row of the product to be the one a
-    # product of the whole chunk gives
-    rng = np.random.default_rng(dim)
-    fac = rng.standard_normal((dim, dim))
-    z = rng.standard_normal((5000, 3, dim))[:, 1, :]
-    whole = z @ fac.T
-    for lo, rows in ((0, 2), (7, 3), (100, 700), (901, 4099)):
-        part = z[lo:lo + rows] @ fac.T
-        assert part.tobytes() == whole[lo:lo + rows].tobytes()
 
 
 def test_sample_increments_covariance():
