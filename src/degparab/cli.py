@@ -450,8 +450,7 @@ def run_check_thm2(cfg, outdir):
 
 def run_check_classic(cfg, outdir):
     grid, partition, profile, path, u0, f = _build_all(cfg)
-    report = solve_duhamel(u0, f, path, partition)
-    rep = check_classic(report, f, u0, cfg.p)
+    rep = check_classic(u0, f, path, partition, cfg.p)
     reports_to_csv([rep], os.path.join(outdir, "classic.csv"))
     _summary(outdir, "check-classic", [
         f"inequality: {CLASSIC_TEXT}",

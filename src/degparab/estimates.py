@@ -16,7 +16,7 @@ import numpy as np
 
 from .degeneracy import (_level_grid, accumulate_on, check_domination,
                          cumulative_delta, fit_beta_exponent)
-from .solver import epsilon_regularize, quadratic_form, solve_duhamel
+from .solver import _duhamel_stream, epsilon_regularize, quadratic_form
 from .spectral import (LPFamily, _block_multiplier, _xi_sq, besov_norm,
                        bessel_norm, hessian_lp_norm, lp_norm)
 
@@ -96,12 +96,14 @@ def check_thm1(u0, f, path, profile, smoothness, p, partition):
     and the observed constant lhs / rhs.
     """
     nodes = partition.nodes
-    report = solve_duhamel(u0, f, path, partition)
-    lhs = weighted_norm(nodes, (hessian_lp_norm(u, p, smoothness)
-                                for u in report.snapshots), profile, p, 1.0)
-    rhs_f = 0.0 if f is None else weighted_norm(
-        nodes, (bessel_norm(f(t), smoothness, p) for t in nodes), profile, p,
-        1.0 - p)
+    u_norms, f_norms = [], []
+    for u, f_k in _duhamel_stream(u0, f, path, nodes):
+        u_norms.append(hessian_lp_norm(u, p, smoothness))
+        if f_k is not None:
+            f_norms.append(bessel_norm(f_k, smoothness, p))
+    lhs = weighted_norm(nodes, u_norms, profile, p, 1.0)
+    rhs_f = 0.0 if f is None else weighted_norm(nodes, f_norms, profile, p,
+                                                1.0 - p)
     rhs_u0 = besov_norm(u0, smoothness + 2.0 - 2.0 / p, p)
     components = (("forcing", rhs_f), ("initial", rhs_u0))
     ratio, flags = _make_ratio(lhs, components)
@@ -155,11 +157,13 @@ def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
             steps=partition.steps, lhs=math.nan, rhs_components=(),
             ratio=math.nan, flags=tuple(flags), extra=extra)
 
-    report = solve_duhamel(u0, None, path, partition)
-    lhs = weighted_norm(partition.nodes, (hessian_lp_norm(u, p)
-                                          for u in report.snapshots),
+    nodes = partition.nodes
+    lhs = weighted_norm(nodes, [hessian_lp_norm(u, p) for u, _ in
+                                _duhamel_stream(u0, None, path, nodes)],
                         profile, p, 0.0)
-    s = 2.0 * (1.0 - 1.0 / (beta_hat * p))
+    # as Python floats, beta_hat * p = inf at p = 1e308 without numpy's
+    # overflow warning, and s = 2
+    s = 2.0 * (1.0 - 1.0 / (float(beta_hat) * float(p)))
     rhs = besov_norm(u0, s, p)
     components = (("initial", rhs),)
     ratio, ratio_flags = _make_ratio(lhs, components)
@@ -171,20 +175,24 @@ def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
         flags=tuple(flags) + ratio_flags, extra=extra)
 
 
-def check_classic(report, f, u0, p):
+def check_classic(u0, f, path, partition, p):
     """Supremum-in-time bound || u ||_{C([0,T]; L_p)} <= N (||f||_{bL_p} + ||u0||_p)."""
-    lhs = max(lp_norm(u, p) for u in report.snapshots)
-    nodes = report.partition.nodes
-    rhs_f = 0.0 if f is None else weighted_norm(
-        nodes, (lp_norm(f(t), p) for t in nodes), None, p, 0.0)
+    nodes = partition.nodes
+    u_norms, f_norms = [], []
+    for u, f_k in _duhamel_stream(u0, f, path, nodes):
+        u_norms.append(lp_norm(u, p))
+        if f_k is not None:
+            f_norms.append(lp_norm(f_k, p))
+    lhs = max(u_norms)
+    rhs_f = 0.0 if f is None else weighted_norm(nodes, f_norms, None, p, 0.0)
     rhs_u0 = lp_norm(u0, p)
     components = (("forcing", rhs_f), ("initial", rhs_u0))
     ratio, flags = _make_ratio(lhs, components)
     return EstimateReport(
         theorem="classic", smoothness=0.0, p=p, weight_power=0.0,
-        profile_spec="", grid_n=u0.grid.n, steps=report.partition.steps,
+        profile_spec="", grid_n=u0.grid.n, steps=partition.steps,
         lhs=lhs, rhs_components=components, ratio=ratio, flags=flags,
-        extra={"dim": u0.grid.dim, "horizon": report.partition.horizon})
+        extra={"dim": u0.grid.dim, "horizon": partition.horizon})
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,28 @@ def _duhamel_inputs(u0, f, path, nodes):
                    (np.fft.fftn(f(t).samples) for t in nodes))
 
 
+def _lattice_copies(shape):
+    """(target, source) index pairs that fill a field of this shape from its
+    half lattice (last-axis indices 0..n/2) and, as the forms are even, the
+    rest from -xi, which is index (n - j) mod n on every axis.  They index
+    the trailing axes, so leading block axes pass through."""
+    n = shape[-1]
+    lead = ((slice(0, 1),) * 2, (slice(1, n), slice(n - 1, 0, -1)))
+    tail = (slice(n // 2 + 1, n), slice(n // 2 - 1, 0, -1))
+    return [(np.s_[..., :n // 2 + 1], np.s_[...])] + [
+        tuple((Ellipsis,) + ax for ax in zip(*pieces, tail))
+        for pieces in itertools.product(lead, repeat=len(shape) - 1)]
+
+
+def _to_full_lattice(half, full, copies):
+    """Copy real factors on the half lattice into the real part of the
+    complex full-lattice array full by the pairs of _lattice_copies; the
+    imaginary part stays as it is, +0 where full was made by np.zeros, so
+    that full holds complex(e, +0), as numpy casts a real factor."""
+    for target, source in copies:
+        full.real[target] = half[source]
+
+
 def _duhamel_spectra(spec0, quads, f_specs, nodes, first=1):
     """Spectra of the solve at nodes first..K, one (K + 1 - first, *shape)
     array: the propagated initial data plus the trapezoid over nodes[:k + 1]
@@ -156,9 +178,9 @@ def _duhamel_spectra(spec0, quads, f_specs, nodes, first=1):
     are those of nodes), then (dt_k / 2 f_k) exp(q_k - q_k): the per-node
     sum bit for bit.  exp runs on the half lattice of quads, and in a block
     that can reach _UNDERFLOW it sets the factors at or below it to +0.0
-    without exp.  The factors are copied to -xi in the real part of a
-    complex block whose imaginary part stays +0, as numpy casts a real
-    factor.  f_specs (None without forcing) is read once, in node order, so
+    without exp.  _to_full_lattice copies the factors to -xi in complex
+    blocks whose imaginary part stays +0, as numpy casts a real factor.
+    f_specs (None without forcing) is read once, in node order, so
     working memory is the output and quads plus O(1) fields."""
     last = len(quads) - 1
     # the blocks before the output: freed after it, they fragment the heap
@@ -168,13 +190,7 @@ def _duhamel_spectra(spec0, quads, f_specs, nodes, first=1):
     out = np.empty((last + 1 - first,) + spec0.shape, dtype=complex)
     flat = quads.reshape(last + 1, -1)
     low, high = flat.min(axis=1), flat.max(axis=1)
-    # xi -> -xi maps index j to (n - j) mod n on every axis
-    n = spec0.shape[-1]
-    lead = ((slice(0, 1),) * 2, (slice(1, n), slice(n - 1, 0, -1)))
-    tail = (slice(n // 2 + 1, n), slice(n // 2 - 1, 0, -1))
-    copies = [(np.s_[..., :n // 2 + 1], np.s_[...])] + [
-        tuple((slice(None),) + ax for ax in zip(*pieces, tail))
-        for pieces in itertools.product(lead, repeat=spec0.ndim - 1)]
+    copies = _lattice_copies(spec0.shape)
     weights = _trapezoid_weights(nodes)
     half = 0.5 * np.diff(nodes)
     for i, f_i in enumerate([None] if f_specs is None else f_specs):
@@ -192,13 +208,50 @@ def _duhamel_spectra(spec0, quads, f_specs, nodes, first=1):
                 np.multiply(np.exp(np.multiply(e, k, out=e), out=e), k, out=e)
             else:
                 np.exp(e, out=e)
-            for target, source in copies:
-                c.real[target] = e[source]
+            _to_full_lattice(e, c, copies)
             if i == 0:
                 np.multiply(spec0, c, out=o)
             if wf is not None:
                 o += np.multiply(wf, c, out=term[:m])
     return out
+
+
+def _duhamel_stream(u0, f, path, nodes):
+    """(snapshot, forcing field) at every node in turn, the forcing None
+    without it: the trapezoid Duhamel sum of _duhamel_spectra stepped from
+    node to node in O(K) field operations, since the propagator composes.
+
+    A_0 = spec(u0) (the snapshot is u0 itself), and
+    A_k = e_k (A_{k-1} + dt_k / 2 f_{k-1}) + dt_k / 2 f_k, or e_k A_{k-1}
+    without forcing, with e_k = exp(q_{k-1} - q_k) on the half lattice,
+    copied to -xi by _to_full_lattice.  Its rounding differs from the
+    per-node sum by O(k eps) of the undamped terms, so solve_duhamel and
+    solve_final, whose snapshots are saved and compared at rounding level,
+    keep _duhamel_spectra.  Each forcing field is built and transformed
+    once; its cached spectrum is the one the sum read.  Working memory is
+    quads plus O(1) fields, as long as the caller keeps no snapshot."""
+    grid = u0.grid
+    quads, _ = _duhamel_inputs(u0, None, path, nodes)
+    fields = (None if f is None else f(t) for t in nodes)
+    f_prev, spec = next(fields), u0.spectrum
+    yield u0, f_prev
+    copies = _lattice_copies(grid.shape)
+    expo = np.empty(quads.shape[1:])
+    factor = np.zeros(grid.shape, dtype=complex)
+    half = 0.5 * np.diff(nodes)
+    for k, f_k in enumerate(fields, start=1):
+        np.subtract(quads[k - 1], quads[k], out=expo)
+        _to_full_lattice(np.exp(expo, out=expo), factor, copies)
+        if f_k is None:
+            spec = factor * spec
+        else:
+            step = half[k - 1] * f_prev.spectrum
+            step += spec
+            step *= factor
+            step += half[k - 1] * f_k.spectrum
+            spec = step
+        yield SpectralField.from_spectrum(grid, spec), f_k
+        f_prev = f_k
 
 
 def solve_duhamel(u0, f, path, partition):

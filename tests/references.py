@@ -15,7 +15,8 @@ time_change_solve reaches the same snapshots by the paper's change of
 clock tau = beta(t).  duhamel_spectrum_per_node is the per-node Duhamel sum
 that solver._duhamel_spectra replaced: one numpy call per (i, k) pair on
 the full frequency lattice, with the weights of nodes[:k + 1], which the
-blocked half-lattice sum must match bit for bit; quadratic_forms builds
+blocked half-lattice sum must match bit for bit, and the O(K) recurrence
+solver._duhamel_stream within k eps; quadratic_forms builds
 its full-lattice forms without solver._duhamel_inputs.
 weak_residual_per_node is the node-by-node loop that
 solver.weak_residual_profile replaced: path.a at one node at a time and

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -242,6 +243,24 @@ def test_norm_powers_beyond_the_float_range_read_inf_quietly(
     rows = next((tmp_path / "out").glob("*.csv")).read_text().splitlines()
     assert rows[1:] and all(r.endswith(',"inadmissible-weight"')
                             for r in rows[1:])
+
+
+def test_check_thm2_at_a_huge_p_warns_nothing(tmp_path, capsys):
+    # beta_hat * p overflowed in numpy, which printed "RuntimeWarning:
+    # overflow encountered in scalar multiply"; as an error it would exit 1
+    path = write_cfg(tmp_path, OVERFLOW_CONFIG.format(p="1e308")
+                     + "\n[initial]\nspec = gaussian(0.1)\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check-thm2", "--config", path,
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert (tmp_path / "o" / "thm2.csv").read_text().splitlines()[1] == (
+        'thm2,0.0,1e+308,0.0,"power(1.0)",256,16,inf,0.0,0.0,nan,'
+        '"inadmissible-weight"')
+    assert "Besov order 2(1-1/(beta*p)) = 2.0" in (
+        tmp_path / "o" / "summary.txt").read_text()
 
 
 @pytest.mark.parametrize("setting, diag", [

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from degparab import (CSV_HEADER, GridSpec, SpectralField, TimePartition,
-                      bessel_norm, check_classic, check_kernel_decay,
-                      check_thm1, check_thm2,
+                      besov_norm, bessel_norm, check_classic,
+                      check_kernel_decay, check_thm1, check_thm2, cli,
                       constant_profile, cumulative_delta, epsilon_sweep,
-                      expr_matrix_path, expr_profile, gaussian_bump, lp_block,
-                      lp_norm, mode_field, oscillatory_profile, parse_profile,
-                      power_profile, reports_to_csv, scalar_path,
-                      solve_duhamel, weighted_norm)
+                      expr_matrix_path, expr_profile, gaussian_bump,
+                      hessian_lp_norm, lp_block, lp_norm, mode_field,
+                      oscillatory_profile, parse_profile, power_profile,
+                      reports_to_csv, scalar_path, solve_duhamel,
+                      weighted_norm)
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -203,15 +204,14 @@ def test_thm2_power_profile_ratio_stable():
 
 def test_classic_constant_solution_ratio_one():
     u0 = gaussian_bump(GRID, width=2.0)
-    report = constant_report(u0, constant_profile(0.0))
-    rep = check_classic(report, None, u0, 2.0)
+    rep = check_classic(u0, None, scalar_path(constant_profile(0.0), 1),
+                        TimePartition.uniform(8, 1.0), 2.0)
     assert abs(rep.ratio - 1.0) < 1e-12
 
 
 def test_classic_heat_contraction():
     u0 = gaussian_bump(GRID, width=2.0)
-    report = solve_duhamel(u0, None, HEAT, TimePartition.uniform(16, 1.0))
-    rep = check_classic(report, None, u0, 2.0)
+    rep = check_classic(u0, None, HEAT, TimePartition.uniform(16, 1.0), 2.0)
     assert rep.ratio <= 1.0 + 1e-12
 
 
@@ -223,8 +223,7 @@ def test_classic_forced_growth_exact():
     u0 = SpectralField(GRID, np.zeros(GRID.shape))
     f = lambda t: g
     path = scalar_path(constant_profile(0.0), 1)
-    report = solve_duhamel(u0, f, path, TimePartition.uniform(16, T))
-    rep = check_classic(report, f, u0, p)
+    rep = check_classic(u0, f, path, TimePartition.uniform(16, T), p)
     assert abs(rep.ratio - T ** (1.0 - 1.0 / p)) < 1e-10
 
 
@@ -343,6 +342,95 @@ def test_p2_checks_make_no_inverse_transform(dim, monkeypatch):
     epsilon_sweep(u0, f, path, prof, [1e-1, 1e-2], 2.0, partition,
                   smoothness=1.0)
     assert calls == []
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_streamed_checks_agree_with_the_solve_reports(dim, p):
+    # the checks read their snapshots from the O(K) recurrence; the same
+    # reports computed from solve_duhamel's per-node snapshots agree within
+    # 1e-12 relative, and the right-hand sides, which read no snapshot,
+    # bit for bit
+    grid = GridSpec(dim=dim, n=64 if dim == 1 else 32, length=16.0)
+    u0 = gaussian_bump(grid, width=2.0)
+    shape = gaussian_bump(grid, width=1.5)
+    f = lambda t: SpectralField(grid, t * shape.samples)
+    prof = expr_profile("0.5*t")
+    path = (scalar_path(prof, 1) if dim == 1 else
+            expr_matrix_path([["t", "0.5*t"], ["0.5*t", "t"]]))
+    part = TimePartition.geometric(16, 1.0)
+    nodes = part.nodes
+
+    def agrees(rep, lhs, components):
+        assert rep.admissible
+        assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+        assert rep.rhs_components == components
+        assert rep.ratio == pytest.approx(lhs / rep.rhs_total, rel=1e-12,
+                                          abs=0.0)
+
+    snaps = solve_duhamel(u0, f, path, part).snapshots
+    agrees(check_thm1(u0, f, path, prof, 1.0, p, part),
+           weighted_norm(nodes, [hessian_lp_norm(u, p, 1.0) for u in snaps],
+                         prof, p, 1.0),
+           (("forcing", weighted_norm(
+               nodes, [bessel_norm(f(t), 1.0, p) for t in nodes], prof, p,
+               1.0 - p)),
+            ("initial", besov_norm(u0, 3.0 - 2.0 / p, p))))
+    agrees(check_classic(u0, f, path, part, p),
+           max(lp_norm(u, p) for u in snaps),
+           (("forcing", weighted_norm(
+               nodes, [lp_norm(f(t), p) for t in nodes], None, p, 0.0)),
+            ("initial", lp_norm(u0, p))))
+    dominated = scalar_path(prof, dim)
+    rep = check_thm2(u0, dominated, prof, p, part)
+    snaps = solve_duhamel(u0, None, dominated, part).snapshots
+    agrees(rep, weighted_norm(nodes, [hessian_lp_norm(u, p) for u in snaps],
+                              prof, p, 0.0),
+           (("initial", besov_norm(u0, rep.extra["besov_order"], p)),))
+
+
+MATRIX_2D = """
+[grid]
+dim = 2
+n = 128
+period = 16.0
+
+[partition]
+kind = geometric
+steps = 32
+horizon = 1.0
+
+[profile]
+spec = expr("0.5*t")
+
+[coefficients]
+spec = matrix([["t", "0.5*t"], ["0.5*t", "t"]])
+
+[initial]
+spec = gaussian(2.0)
+
+[forcing]
+spec = separable("t", gaussian(1.5))
+"""
+
+
+def test_check_thm1_transforms_each_forcing_field_once(monkeypatch):
+    cfg = cli.parse_config(MATRIX_2D)
+    _, partition, profile, path, u0, f = cli._build_all(cfg)
+    calls = []
+    fftn = np.fft.fftn
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", spy)
+    check_thm1(u0, f, path, profile, cfg.smoothness, cfg.p, partition)
+    # u0 once, and each of the K + 1 = 33 forcing fields once: the sum and
+    # rhs_f read the same cached spectrum.  Through solve_duhamel's
+    # snapshots it took 2 (K + 2) = 68: the forcing again for rhs_f, and a
+    # copy of u0 as the initial snapshot
+    assert len(calls) == partition.steps + 2 == 34
 
 
 def test_eps_sweep_validates_ordering():

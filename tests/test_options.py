@@ -6,10 +6,10 @@ import inspect
 import pytest
 
 import degparab
-from degparab import (besov_norm, check_kernel_decay, cli, empirical_bound,
-                      epsilon_sweep, fd_solve, levelset_measure_scan,
-                      mc_solve, s0_block, save_report, weak_residual_profile,
-                      weighted_norm)
+from degparab import (besov_norm, check_classic, check_kernel_decay, cli,
+                      empirical_bound, epsilon_sweep, fd_solve,
+                      levelset_measure_scan, mc_solve, s0_block, save_report,
+                      weak_residual_profile, weighted_norm)
 from degparab.quadrature import integrate_to, integrate_windows
 
 
@@ -77,6 +77,13 @@ def test_epsilon_sweep_runs_its_checks_in_turn():
     assert list(inspect.signature(epsilon_sweep).parameters) == [
         "u0", "f", "path", "profile", "eps_list", "p", "partition",
         "smoothness"]
+
+
+def test_check_classic_solves_for_itself():
+    # it streams its own snapshots, as check_thm1 does, instead of reading
+    # a report that holds all K + 1 of them
+    assert list(inspect.signature(check_classic).parameters) == [
+        "u0", "f", "path", "partition", "p"]
 
 
 def test_cli_takes_exactly_the_pinned_options(monkeypatch):

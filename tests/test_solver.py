@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degparab import (DegenerateKernelError, GridSpec, SpectralField,
-                      TimePartition, accumulate_on, bessel_norm, check_thm1,
+                      TimePartition, accumulate_on, bessel_norm,
+                      check_classic, check_thm1, check_thm2,
                       compare_fields, constant_matrix_path, constant_profile,
                       cumulative_delta, epsilon_regularize, gaussian_bump,
                       hessian_lp_norm, kernel, inner_product, load_report,
@@ -21,7 +22,8 @@ from degparab import (DegenerateKernelError, GridSpec, SpectralField,
                       weak_residual_profile, x_grids)
 from degparab import solver
 from degparab.estimates import _trapezoid
-from degparab.solver import _duhamel_inputs, _duhamel_spectra
+from degparab.solver import (_duhamel_inputs, _duhamel_spectra,
+                             _duhamel_stream, _trapezoid_weights)
 import references
 from references import propagate, time_change_solve, weak_residual_per_node
 
@@ -587,6 +589,61 @@ def test_blocked_duhamel_sum_is_the_per_node_sum_bit_for_bit(
         assert row.tobytes() == expected.tobytes(), k
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]),
+       kind=st.sampled_from(["uniform", "geometric"]),
+       steps=st.integers(3, 12),
+       horizon=st.floats(0.1, 2.0),
+       coefficients=st.sampled_from(["closed-form", "quadrature"]),
+       forced=st.booleans(),
+       scale=st.sampled_from([1.0, 50.0, 300.0, 3000.0, "band"]))
+def test_duhamel_stream_is_the_per_node_sum_within_k_eps(
+        dim, kind, steps, horizon, coefficients, forced, scale):
+    # the cases of the bitwise test above; the recurrence multiplies k
+    # factors exp(q_(i-1) - q_i) where the per-node sum takes one
+    # exp(q_0 - q_k), so it is pinned elementwise by a bound fixed before
+    # any run: |A_k - S_k| <= 4 (k + 1) eps M_k, with M_k the undamped
+    # magnitudes |u0^| + sum_i w_i |f_i^| over nodes[:k + 1]
+    grid = GRIDS[dim]
+    nodes = getattr(TimePartition, kind)(steps, horizon).nodes
+    spec = ("scalar(power(1))" if coefficients == "closed-form"
+            else expr_matrix_text(dim))
+    path = parse_coefficients(spec, dim)
+    if scale == "band":
+        full = references.quadratic_forms(grid, path, nodes)
+        least = (0,) * (dim - 1) + (1,)
+        scale = 745.05 / (full[-1][least] - full[0][least])
+    path = scaled(path, scale)
+    full = references.quadratic_forms(grid, path, nodes)
+    u0, shape = gaussian_bump(grid, width=1.0), gaussian_bump(grid, width=1.5)
+    fields = [shape * (1.0 + t) for t in nodes] if forced else None
+    f_specs = fields and [x.spectrum for x in fields]
+    # the forcing comes from a one-shot iterator: one call per node, in order
+    pending = iter(zip(nodes, fields or ()))
+
+    def f(t):
+        node, field = next(pending)
+        assert t == node
+        return field
+
+    eps = np.finfo(float).eps
+    got = list(_duhamel_stream(u0, f if forced else None, path, nodes))
+    assert len(got) == steps + 1 and got[0][0] is u0
+    for k, (u, f_k) in enumerate(got):
+        assert f_k is (fields[k] if forced else None)
+        if k == 0:
+            continue
+        expected = references.duhamel_spectrum_per_node(
+            u0.spectrum, full, f_specs, nodes, k)
+        scale_k = np.abs(u0.spectrum)
+        if forced:
+            w = _trapezoid_weights(nodes[:k + 1])
+            scale_k = scale_k + sum(w_i * np.abs(f_i)
+                                    for w_i, f_i in zip(w, f_specs))
+        assert np.all(np.abs(u.spectrum - expected)
+                      <= 4 * (k + 1) * eps * scale_k), k
+
+
 def test_duhamel_sum_memory_is_the_output_plus_two_blocks():
     spec0, quads, f_specs, nodes, _ = duhamel_case(2, "geometric", 32, 1.0,
                                                    "quadrature", True, n=128)
@@ -646,7 +703,8 @@ def test_complex_times_real_is_complex_times_real_plus_zero_i():
     assert (cc * 1.0).tobytes() == (cc * np.exp(np.zeros(cc.shape))).tobytes()
 
 
-@pytest.mark.parametrize("call", ["solve_duhamel", "check_thm1"])
+@pytest.mark.parametrize("call", ["solve_duhamel", "check_thm1",
+                                  "check_thm2", "check_classic"])
 def test_forced_solve_holds_one_forcing_field_at_a_time(call):
     # n = 128, K = 32: all forcing spectra would take as much as the output
     grid = GridSpec(dim=2, n=128, length=16.0)
@@ -654,17 +712,27 @@ def test_forced_solve_holds_one_forcing_field_at_a_time(call):
     u0, f = gaussian_bump(grid, width=1.0), lambda t: shape * (1.0 + t)
     path = parse_coefficients(expr_matrix_text(2), 2)
     part = TimePartition.geometric(32, 1.0)
+    prof = power_profile(1.0)
     run = {"solve_duhamel": lambda: solve_duhamel(u0, f, path, part),
-           "check_thm1": lambda: check_thm1(u0, f, path, power_profile(1.0),
-                                            0.0, 2.0, part)}[call]
-    run()  # fills the lattice caches before tracing
+           "check_thm1": lambda: check_thm1(u0, f, path, prof, 0.0, 2.0,
+                                            part),
+           # a path the profile dominates, so that the check solves
+           "check_thm2": lambda: check_thm2(u0, scalar_path(prof, 2), prof,
+                                            2.0, part),
+           "check_classic": lambda: check_classic(u0, f, path, part,
+                                                  2.0)}[call]
+    report = run()  # fills the lattice caches before tracing
+    # an inadmissible check_thm2 returns before it solves
+    assert call != "check_thm2" or report.admissible
     field = u0.spectrum.nbytes
-    # the 32 snapshot spectra and the 33 real quadratic forms (half of this
-    # on the half lattice), plus eight complex fields: the initial
-    # snapshot, the two block buffers (and the exponent and mask blocks), the
-    # previous and the current forcing spectrum with its samples, its
-    # weighted copy and the endpoint term with its operands
-    bound = 32 * field + 33 * field // 2 + 8 * field
+    # the 33 real quadratic forms (half of this on the half lattice), plus
+    # eight complex fields: the initial snapshot, the two block buffers (and
+    # the exponent and mask blocks), the previous and the current forcing
+    # spectrum with its samples, its weighted copy and the endpoint term
+    # with its operands; solve_duhamel keeps its 32 snapshot spectra too,
+    # while the checks stream theirs and hold one or two at a time
+    kept = 32 * field if call == "solve_duhamel" else 0
+    bound = kept + 33 * field // 2 + 8 * field
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
