@@ -63,29 +63,36 @@ def fd_solve(u0, f, path, partition):
     circulant, so each step is solved mode by mode in the DFT basis with
     the scheme's symbol lam:
 
-        u_hat <- (u_hat (1 + 0.5 dt lam) + dt fft(f(t_m))) / (1 - 0.5 dt lam)
+        u_hat <- (u_hat (1 + 0.5 dt lam) + dt f_hat(t_m)) / (1 - 0.5 dt lam)
 
-    The denominator is >= 1 (lam <= 0 for PSD coefficients), so every
-    step is well posed.  This shares the FFT and the frequency lattice
-    with the spectral solver, not its propagator, its exact time
-    integration or its quadratic form.  Expected accuracy O(h^2 + dt^2).
+    with f_hat(t_m) the (cached) spectrum of the field f(t_m).  The
+    denominator is >= 1 (lam <= 0 for PSD coefficients), so every step is
+    well posed.  This shares the FFT and the frequency lattice with the
+    spectral solver, not its propagator, its exact time integration or its
+    quadratic form.  Expected accuracy O(h^2 + dt^2).
     """
     grid = u0.grid
-    nodes = partition.nodes
+    snapshots = [SpectralField(grid, u0.samples.copy())]
+    snapshots += [SpectralField(grid, u.samples)
+                  for u in _fd_steps(u0, f, path, partition.nodes)]
+    return SolveReport(grid, partition, snapshots, path, forcing=f,
+                       diagnostics={"method": "fd"})
+
+
+def _fd_steps(u0, f, path, nodes):
+    """fd_solve's snapshots at nodes 1..K in turn, made from their spectra."""
+    grid = u0.grid
     cums = accumulate_on(path, nodes)
     spec = u0.spectrum
-    snapshots = [SpectralField(grid, u0.samples.copy())]
     for k in range(nodes.size - 1):
         t0, t1 = nodes[k], nodes[k + 1]
         dt = t1 - t0
         lam = _stencil_symbol(grid, (cums[k + 1] - cums[k]) / dt)
         spec = spec * (1.0 + 0.5 * dt * lam)
         if f is not None:
-            spec = spec + dt * np.fft.fftn(f(0.5 * t0 + 0.5 * t1).samples)
+            spec = spec + dt * f(0.5 * t0 + 0.5 * t1).spectrum
         spec = spec / (1.0 - 0.5 * dt * lam)
-        snapshots.append(SpectralField(grid, np.fft.ifftn(spec).real.copy()))
-    return SolveReport(grid, partition, snapshots, path, forcing=f,
-                       diagnostics={"method": "fd"})
+        yield SpectralField.from_spectrum(grid, spec)
 
 
 def _sqrt_cov(cov):

@@ -133,7 +133,8 @@ def _duhamel_inputs(u0, f, path, nodes):
     half lattice (last-axis indices 0..n/2; the forms are even, so they fix
     the rest) as one (K + 1, ..., n/2 + 1) array, and the forcing spectra
     (None without forcing) as a one-shot generator in node order, each
-    transformed as it is read."""
+    fftn(f(t).samples) as it is read: the saved snapshots are compared at
+    rounding level, where a field's cached spectrum may differ from it."""
     # exp of differences of the quadratic forms gives every window symbol
     # without re-integrating
     grid = u0.grid
@@ -166,9 +167,9 @@ def _to_full_lattice(half, full, copies):
         full.real[target] = half[source]
 
 
-def _duhamel_spectra(spec0, quads, f_specs, nodes, first=1):
-    """Spectra of the solve at nodes first..K, one (K + 1 - first, *shape)
-    array: the propagated initial data plus the trapezoid over nodes[:k + 1]
+def _duhamel_spectra(spec0, quads, f_specs, nodes):
+    """Spectra of the solve at nodes 1..K, one (K, *shape) array: the
+    propagated initial data plus the trapezoid over nodes[:k + 1]
     of the propagated forcing.  All K targets cost O(K^2) field operations.
 
     The loop runs over the forcing node i outside and over blocks of at most
@@ -184,22 +185,22 @@ def _duhamel_spectra(spec0, quads, f_specs, nodes, first=1):
     working memory is the output and quads plus O(1) fields."""
     last = len(quads) - 1
     # the blocks before the output: freed after it, they fragment the heap
-    rows = min(last + 1 - first, max(1, _BLOCK_BYTES // spec0.nbytes))
+    rows = min(last, max(1, _BLOCK_BYTES // spec0.nbytes))
     expo, keep = np.empty((2, rows) + quads.shape[1:])
     factor, term = np.zeros((2, rows) + spec0.shape, dtype=complex)
-    out = np.empty((last + 1 - first,) + spec0.shape, dtype=complex)
+    out = np.empty((last,) + spec0.shape, dtype=complex)
     flat = quads.reshape(last + 1, -1)
     low, high = flat.min(axis=1), flat.max(axis=1)
     copies = _lattice_copies(spec0.shape)
     weights = _trapezoid_weights(nodes)
     half = 0.5 * np.diff(nodes)
     for i, f_i in enumerate([None] if f_specs is None else f_specs):
-        if i >= first:
-            out[i - first] += (half[i - 1] * f_i) * 1.0  # exp(q_i - q_i)
+        if i:
+            out[i - 1] += (half[i - 1] * f_i) * 1.0  # exp(q_i - q_i)
         wf = None if f_i is None else weights[i] * f_i
-        for lo in range(max(first, i + 1), last + 1, rows):
+        for lo in range(i + 1, last + 1, rows):
             m = min(rows, last + 1 - lo)
-            e, c, o = expo[:m], factor[:m], out[lo - first:lo - first + m]
+            e, c, o = expo[:m], factor[:m], out[lo - 1:lo - 1 + m]
             np.subtract(quads[i], quads[lo:lo + m], out=e)
             # exp(x * 0.0) * 0.0 = +0.0 where x <= _UNDERFLOW, else exp(x),
             # all at normal speed; not if x can be -inf: -inf * 0.0 is nan
@@ -225,11 +226,11 @@ def _duhamel_stream(u0, f, path, nodes):
     A_k = e_k (A_{k-1} + dt_k / 2 f_{k-1}) + dt_k / 2 f_k, or e_k A_{k-1}
     without forcing, with e_k = exp(q_{k-1} - q_k) on the half lattice,
     copied to -xi by _to_full_lattice.  Its rounding differs from the
-    per-node sum by O(k eps) of the undamped terms, so solve_duhamel and
-    solve_final, whose snapshots are saved and compared at rounding level,
-    keep _duhamel_spectra.  Each forcing field is built and transformed
-    once; its cached spectrum is the one the sum read.  Working memory is
-    quads plus O(1) fields, as long as the caller keeps no snapshot."""
+    per-node sum by O(k eps) of the undamped terms, so solve_duhamel, whose
+    snapshots are saved and compared at rounding level, keeps
+    _duhamel_spectra.  Each forcing field is built once and its (cached)
+    spectrum read.  Working memory is quads plus O(1) fields, as long as
+    the caller keeps no snapshot."""
     grid = u0.grid
     quads, _ = _duhamel_inputs(u0, None, path, nodes)
     fields = (None if f is None else f(t) for t in nodes)
@@ -274,16 +275,11 @@ def solve_duhamel(u0, f, path, partition):
 
 
 def solve_final(u0, f, path, partition):
-    """The snapshot of solve_duhamel at the horizon alone, bit for bit.
-
-    O(K) field operations and one inverse transform, against
-    solve_duhamel's O(K^2) and K.
-    """
-    nodes = partition.nodes
-    quads, f_specs = _duhamel_inputs(u0, f, path, nodes)
-    return SpectralField.from_spectrum(
-        u0.grid, _duhamel_spectra(u0.spectrum, quads, f_specs, nodes,
-                                  first=nodes.size - 1)[0])
+    """solve_duhamel's last snapshot to O(K eps), as _duhamel_stream's last:
+    O(K) field operations, quads plus O(1) fields, one inverse transform."""
+    for final, _ in _duhamel_stream(u0, f, path, partition.nodes):
+        pass
+    return final
 
 
 def epsilon_regularize(path, eps):

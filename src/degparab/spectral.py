@@ -126,17 +126,17 @@ class SpectralField:
         return self._spectrum
 
     @classmethod
-    def from_spectrum(cls, grid, spectrum):
+    def from_spectrum(cls, grid, spectrum, samples=None):
         """Field with the spectrum of a real field, conjugate-symmetric as
-        every spectrum the package makes is; its samples are a copy of
-        ifftn(spectrum).real, transformed when first read.  The p = 2
-        norms read the spectrum itself."""
+        every spectrum the package makes is; its samples are the float
+        array given, which it keeps, or else a copy of ifftn(spectrum).real,
+        transformed when first read.  The p = 2 norms read the spectrum."""
         spectrum = np.asarray(spectrum, dtype=complex)
         if spectrum.shape != grid.shape:
             raise ValueError(f"spectrum shape {spectrum.shape} does not match "
                              f"grid {grid.shape}")
         field = cls.__new__(cls)
-        field.grid, field._samples, field._spectrum = grid, None, spectrum
+        field.grid, field._samples, field._spectrum = grid, samples, spectrum
         return field
 
     def __add__(self, other):

@@ -813,6 +813,31 @@ def test_oracle_compare_flags_a_planted_bias(tmp_path, monkeypatch):
         clean / "mc_compare.csv").read_text()
 
 
+def test_oracle_compare_transforms_as_often_at_any_step_count(tmp_path,
+                                                              monkeypatch):
+    # each forcing field scales one transform of its shape, and of each FD
+    # and spectral solve only the final snapshot is inverse-transformed, so
+    # the count does not grow with K (transforming each node, it went from
+    # 169 to 329)
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def spy(*args, _transform=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    counts = []
+    for steps in (16, 32):
+        path = write_cfg(tmp_path, PLANTED_CONFIG.replace(
+            "steps = 64", f"steps = {steps}").replace(
+            "mc_samples = 20000", "mc_samples = 2000"), name=f"{steps}.ini")
+        del calls[:]
+        main(["oracle-compare", "--config", path, "--out",
+              str(tmp_path / str(steps))])
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
 def test_run_programmatic_entry(tmp_path):
     from degparab import run
     path = write_cfg(tmp_path, """
@@ -853,6 +878,9 @@ spec = scalar(constant(1.0))
 
 
 FORCING_NAN = 'separable("sqrt(t - 0.5)", gaussian(1.5))'
+# a finite time factor whose product with the shape (max |shape| 2.2, seed
+# 0, p = 2) overflows
+FORCING_OVERFLOW = 'separable("1e308", rough(-1))'
 
 
 def run_module(tmp_path, subcommand, text):
@@ -869,6 +897,8 @@ def run_module(tmp_path, subcommand, text):
 @pytest.mark.parametrize("section, spec, line", [
     ("forcing", FORCING_NAN,
      f"non-finite data: {FORCING_NAN}: field is NaN or inf at t=0.0"),
+    ("forcing", FORCING_OVERFLOW,
+     f"non-finite data: {FORCING_OVERFLOW}: field is NaN or inf at t=0.0"),
     ("initial", "mode(1e400)",
      "non-finite data: mode(1e400): field is NaN or inf"),
     ("initial", "gaussian(1e-300)",
@@ -923,3 +953,15 @@ def test_built_fields_are_checked_to_be_finite():
     assert np.all(np.isfinite(f(0.75).samples))
     with pytest.raises(NonFiniteDataError, match=r"at t=0\.25"):
         f(0.25)
+
+
+def test_forcing_fields_scale_one_transform_of_the_shape(monkeypatch):
+    grid = GridSpec(dim=2, n=16, length=8.0)
+    shape = build_initial("rough(1)", grid, 2.0, seed=0)
+    spectrum = np.fft.fftn(shape.samples)
+    f = build_forcing('separable("t * t + 0.5", rough(1))', grid, 2.0, seed=0)
+    monkeypatch.setattr(np.fft, "fftn", None)  # no transform per call
+    for t in (0.0, 0.3, 1.7):
+        field, c = f(t), t * t + 0.5
+        assert field.samples.tobytes() == (c * shape.samples).tobytes()
+        assert field.spectrum.tobytes() == (c * spectrum).tobytes()

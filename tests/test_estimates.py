@@ -416,21 +416,30 @@ spec = separable("t", gaussian(1.5))
 
 def test_check_thm1_transforms_each_forcing_field_once(monkeypatch):
     cfg = cli.parse_config(MATRIX_2D)
-    _, partition, profile, path, u0, f = cli._build_all(cfg)
-    calls = []
+    assert len(cfg.eps_list) == 4
     fftn = np.fft.fftn
+    for sweep in (False, True):
+        _, partition, profile, path, u0, f = cli._build_all(cfg)
+        calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return fftn(*args, **kwargs)
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return fftn(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fftn", spy)
-    check_thm1(u0, f, path, profile, cfg.smoothness, cfg.p, partition)
-    # u0 once, and each of the K + 1 = 33 forcing fields once: the sum and
-    # rhs_f read the same cached spectrum.  Through solve_duhamel's
-    # snapshots it took 2 (K + 2) = 68: the forcing again for rhs_f, and a
-    # copy of u0 as the initial snapshot
-    assert len(calls) == partition.steps + 2 == 34
+        monkeypatch.setattr(np.fft, "fftn", spy)
+        if sweep:
+            epsilon_sweep(u0, f, path, profile, cfg.eps_list, cfg.p,
+                          partition)
+        else:
+            check_thm1(u0, f, path, profile, cfg.smoothness, cfg.p,
+                       partition)
+        monkeypatch.setattr(np.fft, "fftn", fftn)
+        # u0 alone, for one check and for the four of the sweep alike: each
+        # forcing field is c(t) times the spectrum of its shape, transformed
+        # once when the forcing was built.  Transforming each of the
+        # K + 1 = 33 nodes took 34 per check, and through solve_duhamel's
+        # snapshots 2 (K + 2) = 68
+        assert len(calls) == 1
 
 
 def test_eps_sweep_validates_ordering():

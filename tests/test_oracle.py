@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degparab import (GridSpec, SpectralField, TimePartition,
-                      accumulate_on, char_function_check, compare_fields,
-                      constant_matrix_path, constant_profile,
+                      accumulate_on, build_forcing, char_function_check,
+                      compare_fields, constant_matrix_path, constant_profile,
                       convergence_orders, cumulative_delta, fd_solve,
                       gaussian_bump, mc_solve, oscillatory_profile,
                       parse_coefficients, sample_increments, scalar_path,
                       solve_duhamel)
 from degparab import oracle
-from degparab.oracle import _stencil_symbol
+from degparab.oracle import _fd_steps, _stencil_symbol
 from references import mc_solve_per_chunk, stencil_symbol_uncached
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
@@ -471,6 +471,37 @@ def test_fd_snapshots_own_their_samples(dim, monkeypatch):
         assert snap.samples.flags.owndata
         assert not np.shares_memory(snap.samples, full)
         assert snap.samples.tobytes() == full.real.tobytes()
+
+
+def test_fd_final_holds_a_few_fields_at_any_step_count():
+    # oracle-compare's FD order check keeps only the final field of its
+    # doubled-grid solve (n = 4096, K = 256 on the spectral-1d benchmark;
+    # smaller here): the previous and the current step's spectrum, the
+    # forcing field's samples and spectrum, dt times that spectrum and the
+    # real symbol and its two factors, about 5 complex fields, where
+    # fd_solve's K + 1 = 65 real snapshots and their transforms take 37
+    grid = GridSpec(dim=1, n=2048, length=32.0)
+    part = TimePartition.uniform(64, 1.0)
+    u0 = gaussian_bump(grid, width=1.0)
+    f = build_forcing('separable("1 + t", gaussian(1.5))', grid, 2.0, seed=0)
+    path = parse_coefficients("scalar(power(1))", 1)
+
+    def final():
+        for last in _fd_steps(u0, f, path, part.nodes):
+            pass
+        return last.samples
+
+    expected = final()  # fills the stencil caches before tracing
+    assert expected.tobytes() == fd_solve(
+        u0, f, path, part).snapshots[-1].samples.tobytes()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        final()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 6 * u0.spectrum.nbytes
 
 
 def test_sample_increments_covariance():

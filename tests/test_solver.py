@@ -20,7 +20,7 @@ from degparab import (DegenerateKernelError, GridSpec, SpectralField,
                       power_profile, quadratic_form, save_report,
                       scalar_path, solve_duhamel, solve_final,
                       weak_residual_profile, x_grids)
-from degparab import solver
+from degparab import build_forcing, solver
 from degparab.estimates import _trapezoid
 from degparab.solver import (_duhamel_inputs, _duhamel_spectra,
                              _duhamel_stream, _trapezoid_weights)
@@ -512,9 +512,45 @@ def test_solve_final_is_the_last_duhamel_snapshot(dim, kind, steps, horizon,
     shape = gaussian_bump(grid, width=1.5)
     f = (lambda t: shape * (1.0 + t)) if forced else None
     final = solve_final(u0, f, path, part)
-    last = solve_duhamel(u0, f, path, part).snapshots[-1]
-    assert np.array_equal(final.samples, last.samples)
-    assert np.array_equal(final.spectrum, last.spectrum)
+    last = list(_duhamel_stream(u0, f, path, part.nodes))[-1][0]
+    assert final.spectrum.tobytes() == last.spectrum.tobytes()
+    assert final.samples.tobytes() == last.samples.tobytes()
+    # within the bound of test_duhamel_stream_is_the_per_node_sum_within_k_eps
+    # of the O(K^2) sum, which reads the same forcing spectra here:
+    # |A_K - S_K| <= 4 (K + 1) eps M_K
+    scale = np.abs(u0.spectrum)
+    if forced:
+        scale = scale + sum(w * np.abs(f(t).spectrum) for w, t in
+                            zip(_trapezoid_weights(part.nodes), part.nodes))
+    solved = solve_duhamel(u0, f, path, part).snapshots[-1]
+    assert np.all(np.abs(final.spectrum - solved.spectrum)
+                  <= 4 * (steps + 1) * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("dim, kind", [(1, "geometric"), (1, "uniform"),
+                                       (2, "geometric")])
+def test_saved_solve_transforms_each_forcing_field(dim, kind):
+    # solve_duhamel's snapshots are saved and compared at rounding level, so
+    # its forcing spectra are fftn(f(t).samples), not the c(t) times one
+    # transform of the shape that build_forcing's fields also carry
+    grid = GRIDS[dim]
+    part = getattr(TimePartition, kind)(8, 1.0)
+    path = parse_coefficients(
+        "scalar(power(1))" if dim == 1 else expr_matrix_text(dim), dim)
+    u0 = gaussian_bump(grid, width=1.0)
+    f = build_forcing('separable("1 + sin(3*t)", gaussian(1.5))', grid, 2.0,
+                      seed=0)
+    f_specs = [np.fft.fftn(f(t).samples) for t in part.nodes]
+    # the two differ by rounding, so routing the solve through the cached
+    # spectra fails below
+    assert any(f(t).spectrum.tobytes() != spec.tobytes()
+               for t, spec in zip(part.nodes, f_specs))
+    full = references.quadratic_forms(grid, path, part.nodes)
+    snapshots = solve_duhamel(u0, f, path, part).snapshots
+    for k in range(1, part.nodes.size):
+        expected = references.duhamel_spectrum_per_node(
+            u0.spectrum, full, f_specs, part.nodes, k)
+        assert snapshots[k].spectrum.tobytes() == expected.tobytes(), k
 
 
 def scaled(path, scale):
@@ -555,13 +591,12 @@ def ragged_rows(steps):
        horizon=st.floats(0.1, 2.0),
        coefficients=st.sampled_from(["closed-form", "quadrature"]),
        forced=st.booleans(),
-       first=st.sampled_from(["one", "half", "last"]),
        block=st.sampled_from(["one row", "ragged", "all rows"]),
        one_shot=st.booleans(),
        scale=st.sampled_from([1.0, 50.0, 300.0, 3000.0, "band"]))
 def test_blocked_duhamel_sum_is_the_per_node_sum_bit_for_bit(
-        dim, kind, steps, horizon, coefficients, forced, first, block,
-        one_shot, scale):
+        dim, kind, steps, horizon, coefficients, forced, block, one_shot,
+        scale):
     # at scale 1 no exponent reaches the underflow mask (1D: xi_max^2 = 158
     # and int (1 + t) dt <= 4); the larger scales reach the mask and the
     # subnormal band below -708.  "band" puts the exponent of target K at
@@ -574,16 +609,15 @@ def test_blocked_duhamel_sum_is_the_per_node_sum_bit_for_bit(
         scale = 745.05 / (full[-1][least] - full[0][least])
     spec0, quads, f_specs, nodes, full = duhamel_case(
         dim, kind, steps, horizon, coefficients, forced, scale=scale)
-    first = {"one": 1, "half": steps // 2, "last": steps}[first]
     rows = {"one row": 1, "ragged": ragged_rows(steps),
             "all rows": steps}[block]
     # the sum reads the forcing spectra once, in order: an iterator will do
     inputs = iter(f_specs) if one_shot and forced else f_specs
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_BLOCK_BYTES", rows * spec0.nbytes)
-        spectra = _duhamel_spectra(spec0, quads, inputs, nodes, first=first)
-    assert spectra.shape == (steps + 1 - first,) + spec0.shape
-    for k, row in enumerate(spectra, start=first):
+        spectra = _duhamel_spectra(spec0, quads, inputs, nodes)
+    assert spectra.shape == (steps,) + spec0.shape
+    for k, row in enumerate(spectra, start=1):
         expected = references.duhamel_spectrum_per_node(spec0, full, f_specs,
                                                         nodes, k)
         assert row.tobytes() == expected.tobytes(), k
