@@ -24,12 +24,11 @@ from .estimates import (CSV_HEADER, EstimateReport, KernelDecayFit,
                         check_thm2, epsilon_sweep, reports_to_csv,
                         weighted_norm)
 from .oracle import (MCEstimate, char_function_check, compare_fields,
-                     convergence_orders, fd_solve, mc_solve, sample_increments)
+                     convergence_orders, mc_solve, sample_increments)
 from .quadrature import QuadratureError, integrate_to, integrate_windows
-from .solver import (DegenerateKernelError, SolveReport, TimePartition,
-                     epsilon_regularize, kernel, load_report, quadratic_form,
-                     save_report, solve_duhamel, solve_final,
-                     weak_residual_profile)
+from .solver import (DegenerateKernelError, TimePartition, epsilon_regularize,
+                     kernel, load_report, quadratic_form, save_report,
+                     solve_duhamel, solve_final, weak_residual_profile)
 from .spectral import (GridSpec, LPFamily, SpectralField, besov_norm,
                        bessel_norm, gaussian_bump, hessian_lp_norm,
                        inner_product, lowpass, lp_block, lp_norm, mode_field,

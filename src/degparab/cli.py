@@ -349,10 +349,12 @@ def build_forcing(spec_text, grid, p, seed):
     coef, spatial = parsed
     shape = _initial_field(spatial, spec_text, grid, p, seed)
     spectrum = shape.spectrum  # the one transform: every f(t) scales it
-    peak = float(np.abs(shape.samples).max())
+    peak = float(max(np.abs(shape.samples).max(), np.abs(spectrum.real).max(),
+                     np.abs(spectrum.imag).max()))
 
     def f(t):
-        # rounding is monotone: c shape is finite iff |c| max|shape| is
+        # rounding is monotone: c shape and c spectrum (by real and imaginary
+        # parts) are finite iff |c| times the largest of their maxima is
         c = float(coef(t))
         if not (math.isfinite(c) and math.isfinite(abs(c) * peak)):
             raise NonFiniteDataError(
@@ -400,9 +402,10 @@ def _report_lines(rep):
 
 def run_solve(cfg, outdir):
     grid, partition, profile, path, u0, f = _build_all(cfg)
-    report = solve_duhamel(u0, f, path, partition)
-    residuals = save_report(report, os.path.join(outdir, "report"), p=cfg.p)
-    final = report.snapshots[-1]
+    snapshots = solve_duhamel(u0, f, path, partition)
+    residuals = save_report(snapshots, f, path, partition,
+                            os.path.join(outdir, "report"), p=cfg.p)
+    final = snapshots[-1]
     _summary(outdir, "solve", [
         f"grid: dim={cfg.dim} n={cfg.n} period={cfg.period}",
         f"partition: {cfg.partition_kind} steps={cfg.steps} "

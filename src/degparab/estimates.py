@@ -66,10 +66,6 @@ class EstimateReport:
     extra: dict = field(default_factory=dict)
 
     @property
-    def rhs_total(self):
-        return sum(v for _, v in self.rhs_components)
-
-    @property
     def admissible(self):
         return not any("inadmissible" in fl for fl in self.flags)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import accumulate_on
-from .solver import SolveReport, TimePartition, _trapezoid_weights
+from .solver import TimePartition, _trapezoid_weights
 from .spectral import SpectralField, _freq_grids, lp_norm
 
 DEFAULT_CHUNK = 16384  # samples per RNG chunk of mc_solve
@@ -53,8 +53,9 @@ def _stencil_sines(grid):
             tuple(np.sin(h * c) for c in comps))
 
 
-def fd_solve(u0, f, path, partition):
-    """Crank-Nicolson finite-difference solve on the partition nodes.
+def _fd_steps(u0, f, path, nodes):
+    """Crank-Nicolson finite-difference snapshots at nodes 1..K in turn,
+    each made from its spectrum.
 
     Periodic boundary, central second differences and four-point cross
     stencils; each step uses the coefficients averaged exactly over the
@@ -71,16 +72,6 @@ def fd_solve(u0, f, path, partition):
     spectral solver, not its propagator, its exact time integration or its
     quadratic form.  Expected accuracy O(h^2 + dt^2).
     """
-    grid = u0.grid
-    snapshots = [SpectralField(grid, u0.samples.copy())]
-    snapshots += [SpectralField(grid, u.samples)
-                  for u in _fd_steps(u0, f, path, partition.nodes)]
-    return SolveReport(grid, partition, snapshots, path, forcing=f,
-                       diagnostics={"method": "fd"})
-
-
-def _fd_steps(u0, f, path, nodes):
-    """fd_solve's snapshots at nodes 1..K in turn, made from their spectra."""
     grid = u0.grid
     cums = accumulate_on(path, nodes)
     spec = u0.spectrum

@@ -93,26 +93,6 @@ def kernel(path, t, grid):
     return SpectralField(grid, samples / grid.cell_volume)
 
 
-class SolveReport:
-    """Snapshots of a solve on a partition, plus the data that produced them."""
-
-    def __init__(self, grid, partition, snapshots, path, forcing=None,
-                 diagnostics=None):
-        self.grid = grid
-        self.partition = partition
-        self.snapshots = snapshots
-        self.path = path
-        self.forcing = forcing
-        self.diagnostics = dict(diagnostics or {})
-
-    def norm_rows(self, p=2.0):
-        """(k, t, L_p norm, H^2_p norm) per snapshot."""
-        rows = []
-        for k, (t, u) in enumerate(zip(self.partition.nodes, self.snapshots)):
-            rows.append((k, float(t), lp_norm(u, p), bessel_norm(u, 2.0, p)))
-        return rows
-
-
 def _trapezoid_weights(nodes):
     w = np.zeros(nodes.size)
     w[:-1] += 0.5 * np.diff(nodes)
@@ -128,21 +108,15 @@ _BLOCK_BYTES = 256 * 1024
 _UNDERFLOW = -746.0
 
 
-def _duhamel_inputs(u0, f, path, nodes):
+def _quadratic_forms(grid, path, nodes):
     """Quadratic forms of the cumulative coefficients at every node on the
     half lattice (last-axis indices 0..n/2; the forms are even, so they fix
-    the rest) as one (K + 1, ..., n/2 + 1) array, and the forcing spectra
-    (None without forcing) as a one-shot generator in node order, each
-    fftn(f(t).samples) as it is read: the saved snapshots are compared at
-    rounding level, where a field's cached spectrum may differ from it."""
-    # exp of differences of the quadratic forms gives every window symbol
-    # without re-integrating
-    grid = u0.grid
+    the rest) as one (K + 1, ..., n/2 + 1) array: exp of their differences
+    gives every window symbol without re-integrating."""
     quads = np.empty((nodes.size,) + grid.shape[:-1] + (grid.n // 2 + 1,))
     for q, B in zip(quads, accumulate_on(path, nodes)):
         q[...] = quadratic_form(grid, B)[..., :grid.n // 2 + 1]
-    return quads, (None if f is None else
-                   (np.fft.fftn(f(t).samples) for t in nodes))
+    return quads
 
 
 def _lattice_copies(shape):
@@ -232,7 +206,7 @@ def _duhamel_stream(u0, f, path, nodes):
     spectrum read.  Working memory is quads plus O(1) fields, as long as
     the caller keeps no snapshot."""
     grid = u0.grid
-    quads, _ = _duhamel_inputs(u0, None, path, nodes)
+    quads = _quadratic_forms(grid, path, nodes)
     fields = (None if f is None else f(t) for t in nodes)
     f_prev, spec = next(fields), u0.spectrum
     yield u0, f_prev
@@ -256,22 +230,26 @@ def _duhamel_stream(u0, f, path, nodes):
 
 
 def solve_duhamel(u0, f, path, partition):
-    """Snapshots of the solve with forcing f (None for the homogeneous one).
+    """The K + 1 snapshots, as a list, of the solve with forcing f (None
+    for the homogeneous one) on the partition's nodes; snapshot 0 is a copy
+    of u0.
 
     The Duhamel integral is a composite trapezoid over the partition nodes,
     with each forcing slice propagated by the exact symbol; everything is
     accumulated in spectral space, and a snapshot is inverse-transformed
     only when its samples are first read.  The forcing is transformed one
-    node at a time: working memory is the output and quads plus O(1) fields.
+    node at a time, as fftn(f(t).samples): the saved snapshots are compared
+    at rounding level, where a field's cached spectrum may differ from it.
+    Working memory is the output and quads plus O(1) fields.
     """
-    grid = u0.grid
-    nodes = partition.nodes
-    quads, f_specs = _duhamel_inputs(u0, f, path, nodes)
+    grid, nodes = u0.grid, partition.nodes
+    quads = _quadratic_forms(grid, path, nodes)
+    f_specs = (None if f is None else
+               (np.fft.fftn(f(t).samples) for t in nodes))
     snapshots = [SpectralField(grid, u0.samples.copy())]
     snapshots += [SpectralField.from_spectrum(grid, spec) for spec in
                   _duhamel_spectra(u0.spectrum, quads, f_specs, nodes)]
-    return SolveReport(grid, partition, snapshots, path, forcing=f,
-                       diagnostics={"method": "spectral"})
+    return snapshots
 
 
 def solve_final(u0, f, path, partition):
@@ -303,23 +281,25 @@ def epsilon_regularize(path, eps):
     )
 
 
-def weak_residual_profile(report, test=None):
-    """Weak-form defect at every partition node against one test function.
+def weak_residual_profile(snapshots, f, path, nodes, test=None):
+    """Weak-form defect of snapshots (one per node, as solve_duhamel lists
+    them) at every node against one test function.
 
-    The defect at node k is |(u_k, phi) - (u_0, phi)
-    - int_0^tk sum_ij a_ij(s) (u(s), phi_xixj) ds - int_0^tk (f(s), phi) ds|
-    with both time integrals running trapezoid sums over the nodes, added
-    left to right.
+    f and path are the forcing (or None) and the coefficient path of the
+    solve, nodes its partition's nodes, and test defaults to a Gaussian
+    bump of width period / 16.  The defect at node k is |(u_k, phi)
+    - (u_0, phi) - int_0^tk sum_ij a_ij(s) (u(s), phi_xixj) ds
+    - int_0^tk (f(s), phi) ds| with both time integrals running trapezoid
+    sums over the nodes, added left to right.
     """
-    grid = report.grid
+    grid = snapshots[0].grid
     if test is None:
         test = gaussian_bump(grid, width=grid.length / 16.0)
-    f, nodes = report.forcing, report.partition.nodes
     # a_ij against phi_xixj, in the row-major order of second_derivatives
-    a = np.asarray(report.path.a(nodes), dtype=float).reshape(nodes.size, -1)
+    a = np.asarray(path.a(nodes), dtype=float).reshape(nodes.size, -1)
     phis = (test, *second_derivatives(test))
     pairs = np.array([[inner_product(u, phi) for phi in phis]
-                      for u in report.snapshots]).T
+                      for u in snapshots]).T
     g = np.zeros(nodes.size)
     for a_ij, pair in zip(a.T, pairs[1:]):
         g += a_ij * pair
@@ -332,32 +312,36 @@ def weak_residual_profile(report, test=None):
     return np.abs(pairs[0] - pairs[0, 0] - integral - f_integral)
 
 
-def save_report(report, outdir, p=2.0):
+def save_report(snapshots, f, path, partition, outdir, p=2.0):
     """Write meta (key=value text), snapshots.bin and norms.csv to outdir.
 
+    snapshots are solve_duhamel's list for the forcing f (or None), the
+    coefficient path and the partition; p is the order of the L_p and H^2_p
+    norms of each snapshot in norms.csv, next to its weak residual.
     snapshots.bin is a header of int64 dim, n, count and float64 period,
     then the count = K + 1 fields as row-major float64, written one by one.
     Returns the weak residual profile written to norms.csv.
     """
     os.makedirs(outdir, exist_ok=True)
-    grid = report.grid
+    grid, nodes = snapshots[0].grid, partition.nodes
     with open(os.path.join(outdir, "meta"), "w") as fh:
         fh.write(f"dim={grid.dim}\n")
         fh.write(f"n={grid.n}\n")
         fh.write(f"period={grid.length!r}\n")
-        fh.write(f"coefficients={report.path.spec}\n")
-        fh.write(f"nodes={report.partition.nodes.size}\n")
-        fh.write(f"method={report.diagnostics.get('method', 'spectral')}\n")
+        fh.write(f"coefficients={path.spec}\n")
+        fh.write(f"nodes={nodes.size}\n")
+        fh.write("method=spectral\n")
     with open(os.path.join(outdir, "snapshots.bin"), "wb") as fh:
-        np.array([grid.dim, grid.n, len(report.snapshots)], np.int64).tofile(fh)
+        np.array([grid.dim, grid.n, len(snapshots)], np.int64).tofile(fh)
         np.array([grid.length]).tofile(fh)
-        for snap in report.snapshots:
+        for snap in snapshots:
             np.ascontiguousarray(snap.samples, dtype=np.float64).tofile(fh)
-    residuals = weak_residual_profile(report)
+    residuals = weak_residual_profile(snapshots, f, path, nodes)
     with open(os.path.join(outdir, "norms.csv"), "w") as fh:
         fh.write("k,t,Lp,H2p,weak_residual\n")
-        for (k, t, lp, h2p), r in zip(report.norm_rows(p), residuals):
-            fh.write(f"{k},{t!r},{lp!r},{h2p!r},{float(r)!r}\n")
+        for k, (t, u, r) in enumerate(zip(nodes, snapshots, residuals)):
+            fh.write(f"{k},{float(t)!r},{lp_norm(u, p)!r},"
+                     f"{bessel_norm(u, 2.0, p)!r},{float(r)!r}\n")
     return residuals
 
 

@@ -12,12 +12,13 @@ which also integrates single windows).  propagate evolves one field over
 one window by the exact symbol, integrating the coefficients from 0 at
 both ends, as a per-window check of the solver's one-pass accumulation;
 time_change_solve reaches the same snapshots by the paper's change of
-clock tau = beta(t).  duhamel_spectrum_per_node is the per-node Duhamel sum
+clock tau = beta(t), and returns the tau nodes alongside them.
+duhamel_spectrum_per_node is the per-node Duhamel sum
 that solver._duhamel_spectra replaced: one numpy call per (i, k) pair on
 the full frequency lattice, with the weights of nodes[:k + 1], which the
 blocked half-lattice sum must match bit for bit, and the O(K) recurrence
 solver._duhamel_stream within k eps; quadratic_forms builds
-its full-lattice forms without solver._duhamel_inputs.
+its full-lattice forms without solver._quadratic_forms.
 weak_residual_per_node is the node-by-node loop that
 solver.weak_residual_profile replaced: path.a at one node at a time and
 both running trapezoids added in a Python loop, which the vectorized
@@ -35,7 +36,7 @@ oracle._stencil_symbol must match bit for bit from its per-grid cache.
 import numpy as np
 
 from degparab import (CoefficientPath, LPFamily, QuadratureError,
-                      SolveReport, SpectralField, TimePartition, accumulate_on,
+                      SpectralField, TimePartition, accumulate_on,
                       gaussian_bump, inner_product, integrate_to,
                       inverse_cumulative, lowpass, lp_block, lp_norm,
                       quadratic_form, s0_block, scalar_path,
@@ -156,19 +157,17 @@ def duhamel_spectrum_per_node(spec0, quads, f_specs, nodes, k):
     return acc
 
 
-def weak_residual_per_node(report, test=None):
+def weak_residual_per_node(snapshots, f, path, nodes, test=None):
     """weak_residual_profile node by node."""
-    grid = report.grid
+    grid = snapshots[0].grid
     if test is None:
         test = gaussian_bump(grid, width=grid.length / 16.0)
-    f = report.forcing
-    nodes = report.partition.nodes
     phi_xx = second_derivatives(test)
     dim = grid.dim
 
     g = np.zeros(nodes.size)
-    for k, (t, u) in enumerate(zip(nodes, report.snapshots)):
-        a_t = np.asarray(report.path.a(t), dtype=float)
+    for k, (t, u) in enumerate(zip(nodes, snapshots)):
+        a_t = np.asarray(path.a(t), dtype=float)
         val = 0.0
         for i in range(dim):
             for j in range(dim):
@@ -177,7 +176,7 @@ def weak_residual_per_node(report, test=None):
     fg = (np.zeros(nodes.size) if f is None
           else np.array([inner_product(f(t), test) for t in nodes]))
 
-    base = inner_product(report.snapshots[0], test)
+    base = inner_product(snapshots[0], test)
     res = np.zeros(nodes.size)
     integral = 0.0
     f_integral = 0.0
@@ -186,7 +185,7 @@ def weak_residual_per_node(report, test=None):
             dt = nodes[k] - nodes[k - 1]
             integral += 0.5 * dt * (g[k] + g[k - 1])
             f_integral += 0.5 * dt * (fg[k] + fg[k - 1])
-        res[k] = abs(inner_product(report.snapshots[k], test)
+        res[k] = abs(inner_product(snapshots[k], test)
                      - base - integral - f_integral)
     return res
 
@@ -199,8 +198,8 @@ def time_change_solve(u0, f, path, profile, partition):
     the original cumulative evaluated at phi(tau), with phi found by
     bisection.  The tau nodes come from one accumulate_on pass, phi at all
     of them from one inverse_cumulative call, and the cumulatives at those
-    phi from one more accumulate_on pass.  Snapshots are returned at the
-    ORIGINAL partition nodes.
+    phi from one more accumulate_on pass.  Returns the snapshots, at the
+    ORIGINAL partition nodes, and the tau nodes.
     """
     horizon = partition.horizon
     probe = np.linspace(0.0, horizon, 2049)
@@ -238,11 +237,7 @@ def time_change_solve(u0, f, path, profile, partition):
             t = float(phi_nodes[node_index[float(tau)]])
             return f(t) * (1.0 / float(base_delta(t)))
 
-    inner_report = solve_duhamel(u0, f_tilde, changed, tau_partition)
-    return SolveReport(u0.grid, partition, inner_report.snapshots, path,
-                       forcing=f,
-                       diagnostics={"method": "time-change",
-                                    "tau_nodes": tau_nodes})
+    return solve_duhamel(u0, f_tilde, changed, tau_partition), tau_nodes
 
 
 def mc_solve_per_chunk(u0, f, path, t, points, samples, seed, partition=None,

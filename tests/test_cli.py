@@ -881,6 +881,9 @@ FORCING_NAN = 'separable("sqrt(t - 0.5)", gaussian(1.5))'
 # a finite time factor whose product with the shape (max |shape| 2.2, seed
 # 0, p = 2) overflows
 FORCING_OVERFLOW = 'separable("1e308", rough(-1))'
+# a time factor whose product with the shape is finite, but whose product
+# with the shape's spectrum (max |Re|, |Im| 58) overflows
+FORCING_SPECTRUM_OVERFLOW = 'separable("1e307", rough(-1))'
 
 
 def run_module(tmp_path, subcommand, text):
@@ -899,6 +902,9 @@ def run_module(tmp_path, subcommand, text):
      f"non-finite data: {FORCING_NAN}: field is NaN or inf at t=0.0"),
     ("forcing", FORCING_OVERFLOW,
      f"non-finite data: {FORCING_OVERFLOW}: field is NaN or inf at t=0.0"),
+    ("forcing", FORCING_SPECTRUM_OVERFLOW,
+     f"non-finite data: {FORCING_SPECTRUM_OVERFLOW}: field is NaN or inf "
+     "at t=0.0"),
     ("initial", "mode(1e400)",
      "non-finite data: mode(1e400): field is NaN or inf"),
     ("initial", "gaussian(1e-300)",

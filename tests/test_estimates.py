@@ -14,6 +14,7 @@ from degparab import (CSV_HEADER, GridSpec, SpectralField, TimePartition,
                       oscillatory_profile, parse_profile, power_profile,
                       reports_to_csv, scalar_path, solve_duhamel,
                       weighted_norm)
+from degparab.spectral import _xi_sq
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -22,18 +23,19 @@ HEAT = scalar_path(constant_profile(1.0), 1)
 def constant_report(u0, profile, K=8, T=1.0):
     # solution frozen in time: propagate with zero coefficients
     path = scalar_path(constant_profile(0.0), 1)
-    return solve_duhamel(u0, None, path, TimePartition.uniform(K, T))
+    part = TimePartition.uniform(K, T)
+    return part.nodes, solve_duhamel(u0, None, path, part)
 
 
-def lp_norms(report, p=2.0):
-    return (lp_norm(u, p) for u in report.snapshots)
+def lp_norms(snapshots, p=2.0):
+    return (lp_norm(u, p) for u in snapshots)
 
 
 def test_weighted_norm_unit_profile_constant_solution():
     u0 = gaussian_bump(GRID, width=2.0)
-    report = constant_report(u0, constant_profile(1.0), T=2.0)
+    nodes, snaps = constant_report(u0, constant_profile(1.0), T=2.0)
     expected = 2.0 ** 0.5 * lp_norm(u0, 2.0)
-    got = weighted_norm(report.partition.nodes, lp_norms(report),
+    got = weighted_norm(nodes, lp_norms(snaps),
                         constant_profile(1.0), 2.0, 0.0)
     assert abs(got - expected) < 1e-10 * expected
 
@@ -41,34 +43,34 @@ def test_weighted_norm_unit_profile_constant_solution():
 def test_weighted_norm_linear_weight_closed_form():
     # delta = t, m = 1: (int_0^T t dt)^(1/p) ||u0||; trapezoid exact for t
     u0 = gaussian_bump(GRID, width=2.0)
-    report = constant_report(u0, power_profile(1.0), T=1.0)
+    nodes, snaps = constant_report(u0, power_profile(1.0), T=1.0)
     expected = math.sqrt(0.5) * lp_norm(u0, 2.0)
-    got = weighted_norm(report.partition.nodes, lp_norms(report),
+    got = weighted_norm(nodes, lp_norms(snaps),
                         power_profile(1.0), 2.0, 1.0)
     assert abs(got - expected) < 1e-10 * expected
 
 
 def test_weighted_norm_smoothness_uses_bessel():
     u0 = mode_field(GridSpec(dim=1, n=256, length=8.0 * math.pi), (4,))
-    report = constant_report(u0, constant_profile(1.0), T=1.0)
+    nodes, snaps = constant_report(u0, constant_profile(1.0), T=1.0)
     expected = bessel_norm(u0, 2.0, 2.0)  # T = 1 so the time factor is 1
-    got = weighted_norm(report.partition.nodes,
-                        (bessel_norm(u, 2.0, 2.0) for u in report.snapshots),
+    got = weighted_norm(nodes,
+                        (bessel_norm(u, 2.0, 2.0) for u in snaps),
                         constant_profile(1.0), 2.0, 0.0)
     assert abs(got - expected) < 1e-10 * expected
 
 
 def test_weighted_norm_zero_floor_positive_power_vanishes():
     u0 = gaussian_bump(GRID, width=2.0)
-    report = constant_report(u0, constant_profile(0.0))
-    assert weighted_norm(report.partition.nodes, lp_norms(report),
+    nodes, snaps = constant_report(u0, constant_profile(0.0))
+    assert weighted_norm(nodes, lp_norms(snaps),
                          constant_profile(0.0), 2.0, 1.0) == 0.0
 
 
 def test_weighted_norm_zero_floor_negative_power_is_infinite():
     u0 = gaussian_bump(GRID, width=2.0)
-    report = constant_report(u0, constant_profile(0.0))
-    assert math.isinf(weighted_norm(report.partition.nodes, lp_norms(report),
+    nodes, snaps = constant_report(u0, constant_profile(0.0))
+    assert math.isinf(weighted_norm(nodes, lp_norms(snaps),
                                     constant_profile(0.0), 2.0, -1.0))
 
 
@@ -76,8 +78,8 @@ def test_weighted_norm_monotone_in_weight_power():
     # delta <= 1 profiles: larger m means smaller weight
     u0 = gaussian_bump(GRID, width=2.0)
     prof = parse_profile('expr("0.5 + 0.25 * t")')
-    report = constant_report(u0, prof)
-    vals = [weighted_norm(report.partition.nodes, lp_norms(report), prof,
+    nodes, snaps = constant_report(u0, prof)
+    vals = [weighted_norm(nodes, lp_norms(snaps), prof,
                           2.0, m) for m in (0.0, 1.0, 2.0)]
     assert vals[0] >= vals[1] >= vals[2]
 
@@ -155,6 +157,30 @@ def test_thm1_scale_invariance():
                     path, prof, 0.0, 2.0, part)
     assert abs(r2.ratio - r1.ratio) < 1e-10 * r1.ratio
 
+
+
+def test_thm1_lhs_is_the_closed_form_at_p2():
+    # a = delta I, f = None, smoothness 0: each mode decays as
+    # exp(-|xi|^2 beta(t)), so int_0^T |xi|^4 |u_hat|^2 delta dt has the
+    # closed form |xi|^4 |u0_hat|^2 (1 - exp(-2 |xi|^2 beta(T))) / (2 |xi|^2)
+    # for every partition; by Parseval the L_2 norm squared is
+    # cell_volume / N times the sum over the lattice.  The lhs^2 of
+    # check_thm1 is a trapezoid in time, O(K^-2) off on a uniform partition:
+    # quadrupling K divides the error by 16
+    grid = GridSpec(dim=1, n=2048, length=32.0)
+    u0 = gaussian_bump(grid, width=2.0)
+    prof = power_profile(1.0)
+    xi_sq, beta = _xi_sq(grid), cumulative_delta(prof, 1.0)
+    modes = 0.5 * xi_sq * -np.expm1(-2.0 * xi_sq * beta) * np.abs(
+        u0.spectrum) ** 2
+    exact = float(np.sum(modes)) * grid.cell_volume / grid.n ** grid.dim
+    rel = {}
+    for K in (128, 512):
+        rep = check_thm1(u0, None, scalar_path(prof, 1), prof, 0.0, 2.0,
+                         TimePartition.uniform(K, 1.0))
+        rel[K] = rep.lhs ** 2 / exact - 1.0
+    assert abs(rel[512]) <= 2e-6
+    assert 12.0 <= rel[128] / rel[512] <= 20.0
 
 def test_thm2_heat_benchmark():
     u0 = gaussian_bump(GRID, width=2.0)
@@ -365,10 +391,10 @@ def test_streamed_checks_agree_with_the_solve_reports(dim, p):
         assert rep.admissible
         assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
         assert rep.rhs_components == components
-        assert rep.ratio == pytest.approx(lhs / rep.rhs_total, rel=1e-12,
-                                          abs=0.0)
+        rhs = sum(value for _, value in rep.rhs_components)
+        assert rep.ratio == pytest.approx(lhs / rhs, rel=1e-12, abs=0.0)
 
-    snaps = solve_duhamel(u0, f, path, part).snapshots
+    snaps = solve_duhamel(u0, f, path, part)
     agrees(check_thm1(u0, f, path, prof, 1.0, p, part),
            weighted_norm(nodes, [hessian_lp_norm(u, p, 1.0) for u in snaps],
                          prof, p, 1.0),
@@ -383,7 +409,7 @@ def test_streamed_checks_agree_with_the_solve_reports(dim, p):
             ("initial", lp_norm(u0, p))))
     dominated = scalar_path(prof, dim)
     rep = check_thm2(u0, dominated, prof, p, part)
-    snaps = solve_duhamel(u0, None, dominated, part).snapshots
+    snaps = solve_duhamel(u0, None, dominated, part)
     agrees(rep, weighted_norm(nodes, [hessian_lp_norm(u, p) for u in snaps],
                               prof, p, 0.0),
            (("initial", besov_norm(u0, rep.extra["besov_order"], p)),))

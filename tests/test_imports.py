@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "CSV_HEADER", "CoefficientPath", "ConfigError", "DegeneracyProfile",
     "DegenerateKernelError", "EstimateReport", "ExperimentConfig",
     "GridSpec", "KernelDecayFit", "LPFamily", "LevelsetFit",
-    "MCEstimate", "QuadratureError", "SolveReport", "SpectralField",
+    "MCEstimate", "QuadratureError", "SpectralField",
     "TimePartition", "accumulate_on", "besov_norm",
     "bessel_norm", "build_forcing", "build_initial", "char_function_check",
     "check_classic", "check_domination", "check_kernel_decay", "check_thm1",
@@ -24,7 +24,7 @@ PUBLIC_NAMES = [
     "constant_matrix_path", "constant_profile", "convergence_orders",
     "cumulative_delta", "cumulative_delta_grid", "degeneracy",
     "empirical_bound", "epsilon_regularize", "epsilon_sweep", "estimates",
-    "expr_matrix_path", "expr_profile", "fd_solve", "fit_beta_exponent",
+    "expr_matrix_path", "expr_profile", "fit_beta_exponent",
     "gaussian_bump", "hessian_lp_norm", "inner_product", "integrate_to",
     "integrate_windows", "inverse_cumulative", "kernel", "levelset_measure",
     "levelset_measure_scan", "load_report", "lowpass", "lp_block",
@@ -39,6 +39,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 83
     assert sorted(degparab.__all__) == PUBLIC_NAMES
 
 
@@ -55,11 +56,12 @@ def test_import_leaves_scipy_unloaded():
 def test_fd_solve_leaves_scipy_sparse_unloaded():
     code = ("import sys\n"
             "from degparab import (GridSpec, TimePartition, constant_profile,"
-            " fd_solve, gaussian_bump, scalar_path)\n"
+            " gaussian_bump, scalar_path)\n"
+            "from degparab.oracle import _fd_steps\n"
             "grid = GridSpec(dim=1, n=32, length=8.0)\n"
-            "fd_solve(gaussian_bump(grid, width=1.0), None,"
+            "list(_fd_steps(gaussian_bump(grid, width=1.0), None,"
             " scalar_path(constant_profile(1.0), 1),"
-            " TimePartition.uniform(4, 0.1))\n"
+            " TimePartition.uniform(4, 0.1).nodes))\n"
             "print('scipy.sparse' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -7,9 +7,10 @@ import pytest
 
 import degparab
 from degparab import (besov_norm, check_classic, check_kernel_decay, cli,
-                      empirical_bound, epsilon_sweep, fd_solve,
-                      levelset_measure_scan, mc_solve, s0_block, save_report,
-                      weak_residual_profile, weighted_norm)
+                      empirical_bound, epsilon_sweep, levelset_measure_scan,
+                      mc_solve, s0_block, save_report, weak_residual_profile,
+                      weighted_norm)
+from degparab.oracle import _fd_steps
 from degparab.quadrature import integrate_to, integrate_windows
 
 
@@ -44,11 +45,11 @@ def test_integrate_to_takes_only_the_policy_it_applies():
 
 def test_no_function_takes_a_parameter_no_caller_sets():
     # the finite-difference oracle is Crank-Nicolson only; the residual's
-    # forcing is the report's, and the low-pass block and the Besov norm
+    # forcing is the solve's, and the low-pass block and the Besov norm
     # need no family; the Monte Carlo chunk, the scan resolution and the
     # sampled sup of delta are module constants or fixed counts
-    assert list(inspect.signature(fd_solve).parameters) == [
-        "u0", "f", "path", "partition"]
+    assert list(inspect.signature(_fd_steps).parameters) == [
+        "u0", "f", "path", "nodes"]
     assert list(inspect.signature(mc_solve).parameters) == [
         "u0", "f", "path", "t", "points", "samples", "seed", "partition"]
     assert list(inspect.signature(besov_norm).parameters) == [
@@ -61,9 +62,9 @@ def test_no_function_takes_a_parameter_no_caller_sets():
     assert list(inspect.signature(weighted_norm).parameters) == [
         "nodes", "norms", "profile", "p", "weight_power"]
     assert list(inspect.signature(save_report).parameters) == [
-        "report", "outdir", "p"]
+        "snapshots", "f", "path", "partition", "outdir", "p"]
     assert list(inspect.signature(weak_residual_profile).parameters) == [
-        "report", "test"]
+        "snapshots", "f", "path", "nodes", "test"]
     assert list(inspect.signature(s0_block).parameters) == ["field"]
 
 

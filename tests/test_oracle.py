@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from degparab import (GridSpec, SpectralField, TimePartition,
                       accumulate_on, build_forcing, char_function_check,
                       compare_fields, constant_matrix_path, constant_profile,
-                      convergence_orders, cumulative_delta, fd_solve,
+                      convergence_orders, cumulative_delta,
                       gaussian_bump, mc_solve, oscillatory_profile,
                       parse_coefficients, sample_increments, scalar_path,
                       solve_duhamel)
@@ -28,7 +28,7 @@ EPS = np.finfo(float).eps
 
 
 # Reference stepper: the stencils assembled as sparse matrices and every
-# Crank-Nicolson step solved by sparse LU.  fd_solve must reproduce it to
+# Crank-Nicolson step solved by sparse LU.  _fd_steps must reproduce it to
 # rounding.
 
 @functools.lru_cache(maxsize=16)
@@ -88,7 +88,7 @@ def _assemble(grid, mat):
 
 
 def _lu_fd_solve(u0, f, path, partition):
-    """The Crank-Nicolson scheme of fd_solve, one sparse LU per step."""
+    """The Crank-Nicolson scheme of _fd_steps, one sparse LU per step."""
     grid = u0.grid
     nodes = partition.nodes
     cums = accumulate_on(path, nodes)
@@ -108,6 +108,13 @@ def _lu_fd_solve(u0, f, path, partition):
     return snapshots
 
 
+def fd_final(u0, f, path, partition):
+    """The last of _fd_steps' snapshots."""
+    for last in _fd_steps(u0, f, path, partition.nodes):
+        pass
+    return last
+
+
 def heat_gaussian(grid, width, t):
     x = np.stack(np.meshgrid(
         *[np.linspace(-grid.length / 2, grid.length / 2, grid.n,
@@ -120,9 +127,9 @@ def heat_gaussian(grid, width, t):
 
 def test_fd_heat_matches_exact():
     u0 = gaussian_bump(GRID, width=2.0)
-    rep = fd_solve(u0, None, HEAT, TimePartition.uniform(512, 0.5))
+    final = fd_final(u0, None, HEAT, TimePartition.uniform(512, 0.5))
     exact = heat_gaussian(GRID, 2.0, 0.5)
-    err = compare_fields(exact, rep.snapshots[-1], math.inf)
+    err = compare_fields(exact, final, math.inf)
     assert err < 1e-4
 
 
@@ -130,12 +137,11 @@ def test_fd_second_order_in_time():
     # self convergence against a fine-step run on the same grid, so the
     # fixed h^2 spatial error cancels and only the dt^2 term remains
     u0 = gaussian_bump(GRID, width=2.0)
-    ref = fd_solve(u0, None, HEAT, TimePartition.uniform(2048, 0.5))
+    ref = fd_final(u0, None, HEAT, TimePartition.uniform(2048, 0.5))
     errs = []
     for K in (64, 128, 256):
-        rep = fd_solve(u0, None, HEAT, TimePartition.uniform(K, 0.5))
-        errs.append(compare_fields(ref.snapshots[-1], rep.snapshots[-1],
-                                   math.inf))
+        final = fd_final(u0, None, HEAT, TimePartition.uniform(K, 0.5))
+        errs.append(compare_fields(ref, final, math.inf))
     orders = convergence_orders(errs)
     assert all(o > 1.9 for o in orders)
 
@@ -144,12 +150,11 @@ def test_fd_oscillatory_step_average_keeps_order():
     prof = oscillatory_profile()
     path = scalar_path(prof, 1)
     u0 = gaussian_bump(GRID, width=2.0)
-    ref = fd_solve(u0, None, path, TimePartition.uniform(2048, 0.5))
+    ref = fd_final(u0, None, path, TimePartition.uniform(2048, 0.5))
     errs = []
     for K in (64, 128):
-        rep = fd_solve(u0, None, path, TimePartition.uniform(K, 0.5))
-        errs.append(compare_fields(ref.snapshots[-1], rep.snapshots[-1],
-                                   math.inf))
+        final = fd_final(u0, None, path, TimePartition.uniform(K, 0.5))
+        errs.append(compare_fields(ref, final, math.inf))
     assert convergence_orders(errs)[0] > 1.9
 
 
@@ -160,19 +165,18 @@ def test_fd_zero_coefficients_affine_forcing_exact():
     u0 = gaussian_bump(GRID, width=2.0)
     f = lambda t: SpectralField(GRID, (1.0 + 2.0 * t) * g.samples)
     path = scalar_path(constant_profile(0.0), 1)
-    rep = fd_solve(u0, f, path, TimePartition.uniform(16, 1.0))
+    final = fd_final(u0, f, path, TimePartition.uniform(16, 1.0))
     expected = u0 + SpectralField(GRID, 2.0 * g.samples)  # int_0^1 (1+2t) = 2
-    assert compare_fields(expected, rep.snapshots[-1], math.inf) < 1e-12
+    assert compare_fields(expected, final, math.inf) < 1e-12
 
 
 def test_fd_dim2_cross_terms():
     grid = GridSpec(dim=2, n=64, length=32.0)
     path = constant_matrix_path([[2.0, 1.0], [1.0, 2.0]])
     u0 = gaussian_bump(grid, width=2.0)
-    rep = fd_solve(u0, None, path, TimePartition.uniform(32, 0.25))
+    final = fd_final(u0, None, path, TimePartition.uniform(32, 0.25))
     ref = solve_duhamel(u0, None, path, TimePartition.uniform(2, 0.25))
-    assert compare_fields(ref.snapshots[-1], rep.snapshots[-1],
-                          math.inf) < 5e-3
+    assert compare_fields(ref[-1], final, math.inf) < 5e-3
 
 
 FD_GRIDS = {1: GridSpec(dim=1, n=128, length=16.0),
@@ -215,7 +219,7 @@ def test_fd_solve_matches_sparse_lu_stepper(dim, kind, steps, horizon,
     shape = gaussian_bump(grid, width=0.7)
     f = (lambda t: shape * (1.0 + math.sin(3.0 * t))) if forced else None
     ref = _lu_fd_solve(u0, f, path, part)
-    got = fd_solve(u0, f, path, part).snapshots
+    got = [u0, *_fd_steps(u0, f, path, part.nodes)]
     # each LU step solves a system with condition number up to kappa and
     # the propagation is contractive, so rounding adds up over K steps
     nodes = part.nodes
@@ -350,7 +354,7 @@ def test_mc_forcing_matches_duhamel():
     pts = np.array([-2.0, 0.0, 3.0])
     est = mc_solve(u0, f, HEAT, 0.4, pts, 40000, seed=29, partition=part)
     idx = np.round((pts + GRID.length / 2) / GRID.spacing).astype(int)
-    gaps = np.abs(est.mean - ref.snapshots[-1].samples[idx])
+    gaps = np.abs(est.mean - ref[-1].samples[idx])
     assert np.all(gaps <= 3.0 * est.stderr + 1e-3)
 
 
@@ -463,14 +467,15 @@ def test_fd_snapshots_own_their_samples(dim, monkeypatch):
         return transforms[-1]
 
     monkeypatch.setattr(np.fft, "ifftn", spy)
-    rep = fd_solve(gaussian_bump(grid, width=1.5), lambda s: shape * (1.0 + s),
-                   scalar_path(constant_profile(1.0), dim),
-                   TimePartition.uniform(6, 0.3))
+    samples = [snap.samples for snap in _fd_steps(
+        gaussian_bump(grid, width=1.5), lambda s: shape * (1.0 + s),
+        scalar_path(constant_profile(1.0), dim),
+        TimePartition.uniform(6, 0.3).nodes)]
     assert len(transforms) == 6
-    for snap, full in zip(rep.snapshots[1:], transforms):
-        assert snap.samples.flags.owndata
-        assert not np.shares_memory(snap.samples, full)
-        assert snap.samples.tobytes() == full.real.tobytes()
+    for snap, full in zip(samples, transforms):
+        assert snap.flags.owndata
+        assert not np.shares_memory(snap, full)
+        assert snap.tobytes() == full.real.tobytes()
 
 
 def test_fd_final_holds_a_few_fields_at_any_step_count():
@@ -478,8 +483,8 @@ def test_fd_final_holds_a_few_fields_at_any_step_count():
     # doubled-grid solve (n = 4096, K = 256 on the spectral-1d benchmark;
     # smaller here): the previous and the current step's spectrum, the
     # forcing field's samples and spectrum, dt times that spectrum and the
-    # real symbol and its two factors, about 5 complex fields, where
-    # fd_solve's K + 1 = 65 real snapshots and their transforms take 37
+    # real symbol and its two factors, about 5 complex fields, where a list
+    # of all K + 1 = 65 real snapshots and their transforms takes 37
     grid = GridSpec(dim=1, n=2048, length=32.0)
     part = TimePartition.uniform(64, 1.0)
     u0 = gaussian_bump(grid, width=1.0)
@@ -487,13 +492,9 @@ def test_fd_final_holds_a_few_fields_at_any_step_count():
     path = parse_coefficients("scalar(power(1))", 1)
 
     def final():
-        for last in _fd_steps(u0, f, path, part.nodes):
-            pass
-        return last.samples
+        return fd_final(u0, f, path, part).samples
 
-    expected = final()  # fills the stencil caches before tracing
-    assert expected.tobytes() == fd_solve(
-        u0, f, path, part).snapshots[-1].samples.tobytes()
+    final()  # fills the stencil caches before tracing
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -22,8 +22,8 @@ from degparab import (DegenerateKernelError, GridSpec, SpectralField,
                       weak_residual_profile, x_grids)
 from degparab import build_forcing, solver
 from degparab.estimates import _trapezoid
-from degparab.solver import (_duhamel_inputs, _duhamel_spectra,
-                             _duhamel_stream, _trapezoid_weights)
+from degparab.solver import (_duhamel_spectra, _duhamel_stream,
+                             _quadratic_forms, _trapezoid_weights)
 import references
 from references import propagate, time_change_solve, weak_residual_per_node
 
@@ -150,9 +150,8 @@ def test_mixed_snapshot_spectrum_and_samples_agree():
     grid = GridSpec(dim=2, n=8, length=8.0)
     path = constant_matrix_path(
         np.array([[1.0, 0.5], [0.5, 1.0]]) / grid.nyquist ** 2)
-    report = solve_duhamel(gaussian_bump(grid, width=0.5), None, path,
-                           TimePartition.uniform(4, 1.0))
-    last = report.snapshots[-1]
+    last = solve_duhamel(gaussian_bump(grid, width=0.5), None, path,
+                         TimePartition.uniform(4, 1.0))[-1]
     again = SpectralField(grid, last.samples)
     for smoothness in (0.0, 1.5):
         pairs = ((hessian_lp_norm(last, 2.0, smoothness),
@@ -166,11 +165,11 @@ def test_mixed_snapshot_spectrum_and_samples_agree():
 def test_mass_conservation_and_contraction():
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(16, 1.0)
-    report = solve_duhamel(u0, None, HEAT, part)
+    snapshots = solve_duhamel(u0, None, HEAT, part)
     m0 = float(np.sum(u0.samples))
-    for snap in report.snapshots:
+    for snap in snapshots:
         assert abs(float(np.sum(snap.samples)) - m0) < 1e-10 * abs(m0)
-    norms = [lp_norm(s, 2.0) for s in report.snapshots]
+    norms = [lp_norm(s, 2.0) for s in snapshots]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
@@ -207,15 +206,14 @@ def test_kernel_rejects_degenerate_time():
 
 def test_solve_homogeneous_initial_snapshot_exact():
     u0 = gaussian_bump(GRID, width=2.0)
-    report = solve_duhamel(u0, None, HEAT, TimePartition.uniform(4, 0.4))
-    assert np.array_equal(report.snapshots[0].samples, u0.samples)
+    snapshots = solve_duhamel(u0, None, HEAT, TimePartition.uniform(4, 0.4))
+    assert np.array_equal(snapshots[0].samples, u0.samples)
 
 
 def test_solve_homogeneous_zero_path_constant():
     u0 = gaussian_bump(GRID, width=2.0)
-    report = solve_duhamel(u0, None, zero_path(),
-                           TimePartition.uniform(4, 1.0))
-    for snap in report.snapshots:
+    for snap in solve_duhamel(u0, None, zero_path(),
+                              TimePartition.uniform(4, 1.0)):
         assert np.max(np.abs(snap.samples - u0.samples)) < 1e-13
 
 
@@ -226,7 +224,7 @@ def test_duhamel_without_forcing_matches_homogeneous():
     zero = SpectralField(GRID, np.zeros(GRID.shape))
     a = solve_duhamel(u0, None, HEAT, part)
     b = solve_duhamel(u0, lambda t: zero, HEAT, part)
-    for sa, sb in zip(a.snapshots, b.snapshots):
+    for sa, sb in zip(a, b):
         assert np.array_equal(sa.samples, sb.samples)
 
 
@@ -236,9 +234,9 @@ def test_duhamel_zero_coefficients_affine_forcing_exact():
     shape = gaussian_bump(GRID, width=1.5)
     f = lambda t: SpectralField(GRID, (1.0 + 2.0 * t) * shape.samples)
     part = TimePartition.uniform(8, 1.0)
-    report = solve_duhamel(u0, f, zero_path(), part)
+    final = solve_duhamel(u0, f, zero_path(), part)[-1]
     exact = u0.samples + 2.0 * shape.samples  # int_0^1 (1+2t) dt = 2
-    assert np.max(np.abs(report.snapshots[-1].samples - exact)) < 1e-10
+    assert np.max(np.abs(final.samples - exact)) < 1e-10
 
 
 def test_duhamel_mode_ode_closed_form():
@@ -250,9 +248,9 @@ def test_duhamel_mode_ode_closed_form():
     errs = []
     for K in (64, 128):
         part = TimePartition.uniform(K, 1.0)
-        report = solve_duhamel(u0, f, HEAT, part)
+        final = solve_duhamel(u0, f, HEAT, part)[-1]
         exact = (math.e - math.exp(-4.0)) / 5.0 * g.samples
-        errs.append(np.max(np.abs(report.snapshots[-1].samples - exact)))
+        errs.append(np.max(np.abs(final.samples - exact)))
     assert errs[0] < 5e-4
     order = math.log2(errs[0] / errs[1])
     assert order > 1.9  # trapezoid is second order
@@ -263,8 +261,8 @@ def test_time_change_noop_for_unit_profile():
     part = TimePartition.uniform(8, 1.0)
     prof = constant_profile(1.0)
     direct = solve_duhamel(u0, None, HEAT, part)
-    changed = time_change_solve(u0, None, HEAT, prof, part)
-    for a, b in zip(direct.snapshots, changed.snapshots):
+    changed, _ = time_change_solve(u0, None, HEAT, prof, part)
+    for a, b in zip(direct, changed):
         assert np.max(np.abs(a.samples - b.samples)) < 1e-12
 
 
@@ -274,11 +272,10 @@ def test_time_change_constant_two():
     path = scalar_path(prof, 1)
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(8, 1.0)
-    changed = time_change_solve(u0, None, path, prof, part)
-    tau = changed.diagnostics["tau_nodes"]
+    changed, tau = time_change_solve(u0, None, path, prof, part)
     assert np.allclose(tau, 2.0 * part.nodes, atol=1e-9)
     direct = solve_duhamel(u0, None, path, part)
-    gap = compare_fields(direct.snapshots[-1], changed.snapshots[-1], np.inf)
+    gap = compare_fields(direct[-1], changed[-1], np.inf)
     assert gap < 1e-8
 
 
@@ -288,8 +285,8 @@ def test_time_change_affine_profile():
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(8, 1.0)
     direct = solve_duhamel(u0, None, path, part)
-    changed = time_change_solve(u0, None, path, prof, part)
-    for a, b in zip(direct.snapshots, changed.snapshots):
+    changed, _ = time_change_solve(u0, None, path, prof, part)
+    for a, b in zip(direct, changed):
         assert np.max(np.abs(a.samples - b.samples)) < 1e-8
 
 
@@ -304,8 +301,8 @@ def test_time_change_forced_converges_to_direct_solve():
     gaps = []
     for K in (16, 32):
         part = TimePartition.uniform(K, 1.0)
-        direct = solve_duhamel(u0, f, path, part).snapshots[-1]
-        changed = time_change_solve(u0, f, path, prof, part).snapshots[-1]
+        direct = solve_duhamel(u0, f, path, part)[-1]
+        changed = time_change_solve(u0, f, path, prof, part)[0][-1]
         gaps.append(compare_fields(direct, changed, np.inf))
     assert gaps[1] < 1e-3
     assert math.log2(gaps[0] / gaps[1]) > 1.9
@@ -356,11 +353,11 @@ def test_regularized_solve_converges_monotonically():
     path = scalar_path(prof, 1)
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(8, 0.5)
-    base = solve_duhamel(u0, None, path, part).snapshots[-1]
+    base = solve_duhamel(u0, None, path, part)[-1]
     gaps = []
     for eps in (1e-1, 1e-2, 1e-3):
         reg = solve_duhamel(u0, None, epsilon_regularize(path, eps), part)
-        gaps.append(compare_fields(base, reg.snapshots[-1], 2.0))
+        gaps.append(compare_fields(base, reg[-1], 2.0))
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -368,8 +365,10 @@ def test_weak_residual_second_order_decay():
     u0 = gaussian_bump(GRID, width=2.0)
     res = []
     for K in (64, 128):
-        report = solve_duhamel(u0, None, HEAT, TimePartition.uniform(K, 1.0))
-        res.append(float(np.max(weak_residual_profile(report))))
+        part = TimePartition.uniform(K, 1.0)
+        snapshots = solve_duhamel(u0, None, HEAT, part)
+        res.append(float(np.max(weak_residual_profile(snapshots, None, HEAT,
+                                                      part.nodes))))
     order = math.log2(res[0] / res[1])
     assert order > 1.8
 
@@ -377,28 +376,33 @@ def test_weak_residual_second_order_decay():
 def test_weak_residual_small_at_reference_resolution():
     grid = GridSpec(dim=1, n=1024, length=32.0)
     u0 = gaussian_bump(grid, width=2.0)
-    report = solve_duhamel(u0, None, scalar_path(constant_profile(1.0), 1),
-                               TimePartition.uniform(256, 1.0))
-    assert float(np.max(weak_residual_profile(report))) < 1e-6
+    path = scalar_path(constant_profile(1.0), 1)
+    part = TimePartition.uniform(256, 1.0)
+    snapshots = solve_duhamel(u0, None, path, part)
+    assert float(np.max(weak_residual_profile(snapshots, None, path,
+                                              part.nodes))) < 1e-6
 
 
 def test_weak_residual_zero_for_constant_solution():
     u0 = gaussian_bump(GRID, width=2.0)
-    report = solve_duhamel(u0, None, zero_path(),
-                           TimePartition.uniform(8, 1.0))
-    assert float(np.max(weak_residual_profile(report))) < 1e-12
+    path, part = zero_path(), TimePartition.uniform(8, 1.0)
+    snapshots = solve_duhamel(u0, None, path, part)
+    assert float(np.max(weak_residual_profile(snapshots, None, path,
+                                              part.nodes))) < 1e-12
 
 
 def test_weak_residual_detects_corruption():
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(64, 1.0)
-    report = solve_duhamel(u0, None, HEAT, part)
+    snapshots = solve_duhamel(u0, None, HEAT, part)
     test_fn = gaussian_bump(GRID, width=2.0)
-    clean = weak_residual_profile(report, test=test_fn)[-1]
-    corrupted = report.snapshots[-1] * 1.01
+    clean = weak_residual_profile(snapshots, None, HEAT, part.nodes,
+                                  test=test_fn)[-1]
+    corrupted = snapshots[-1] * 1.01
     pairing = abs(inner_product(corrupted, test_fn))
-    report.snapshots[-1] = corrupted
-    dirty = weak_residual_profile(report, test=test_fn)[-1]
+    snapshots[-1] = corrupted
+    dirty = weak_residual_profile(snapshots, None, HEAT, part.nodes,
+                                  test=test_fn)[-1]
     jump = abs(dirty - clean)
     # linear functional: scaling u by 1.01 moves it by ~ 0.01 (u, phi)
     assert abs(jump - 0.01 * pairing / 1.01) < 0.2 * jump
@@ -411,8 +415,9 @@ def test_duhamel_weak_residual_decays():
     res = []
     for K in (64, 128):
         part = TimePartition.uniform(K, 1.0)
-        report = solve_duhamel(u0, f, HEAT, part)
-        res.append(float(np.max(weak_residual_profile(report))))
+        snapshots = solve_duhamel(u0, f, HEAT, part)
+        res.append(float(np.max(weak_residual_profile(snapshots, f, HEAT,
+                                                      part.nodes))))
     assert math.log2(res[0] / res[1]) > 1.8
 
 
@@ -429,45 +434,54 @@ def test_weak_residual_is_the_per_node_loop_bit_for_bit(dim, forced,
     path = parse_coefficients(spec, dim)
     shape = gaussian_bump(grid, width=1.5)
     f = (lambda t: shape * (1.0 + t)) if forced else None
-    report = solve_duhamel(gaussian_bump(grid, width=1.0), f, path,
-                           getattr(TimePartition, kind)(11, 0.7))
-    assert (weak_residual_profile(report).tobytes()
-            == weak_residual_per_node(report).tobytes())
+    part = getattr(TimePartition, kind)(11, 0.7)
+    snapshots = solve_duhamel(gaussian_bump(grid, width=1.0), f, path, part)
+    args = (snapshots, f, path, part.nodes)
+    assert (weak_residual_profile(*args).tobytes()
+            == weak_residual_per_node(*args).tobytes())
 
 
 def test_report_roundtrip(tmp_path):
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(4, 0.5)
-    report = solve_duhamel(u0, None, HEAT, part)
+    solved = solve_duhamel(u0, None, HEAT, part)
     outdir = tmp_path / "report"
-    save_report(report, outdir, p=2.0)
+    save_report(solved, None, HEAT, part, outdir, p=2.0)
     meta, nodes, snapshots = load_report(outdir)
     assert meta["n"] == "512"
+    assert meta["method"] == "spectral"
     assert np.allclose(nodes, part.nodes)
-    assert len(snapshots) == len(report.snapshots)
-    for a, b in zip(snapshots, report.snapshots):
+    assert len(snapshots) == len(solved)
+    for a, b in zip(snapshots, solved):
         assert np.array_equal(a.samples, b.samples)
     header = (outdir / "norms.csv").read_text().splitlines()[0]
     assert header == "k,t,Lp,H2p,weak_residual"
 
 
-def test_norm_rows():
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_norms_csv_holds_each_snapshots_norms(tmp_path, p):
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(4, 0.5)
-    report = solve_duhamel(u0, None, HEAT, part)
-    rows = report.norm_rows(2.0)
-    assert len(rows) == 5
-    k, t, lp, h2p = rows[0]
-    assert k == 0 and t == 0.0
-    assert abs(lp - lp_norm(u0, 2.0)) < 1e-12
-    assert h2p >= lp
+    snapshots = solve_duhamel(u0, None, HEAT, part)
+    save_report(snapshots, None, HEAT, part, tmp_path, p=p)
+    rows = [r.split(",") for r in
+            (tmp_path / "norms.csv").read_text().splitlines()[1:]]
+    assert [r[:2] for r in rows] == [[str(k), repr(float(t))]
+                                     for k, t in enumerate(part.nodes)]
+    for (_, _, lp, h2p, _), u in zip(rows, snapshots, strict=True):
+        assert lp == repr(lp_norm(u, p))
+        assert h2p == repr(bessel_norm(u, 2.0, p))
+    assert rows[0][2] == repr(lp_norm(u0, p))
 
 
 def test_save_report_returns_the_residuals_it_writes(tmp_path):
     u0 = gaussian_bump(GRID, width=2.0)
-    report = solve_duhamel(u0, None, HEAT, TimePartition.uniform(4, 0.5))
-    residuals = save_report(report, tmp_path / "report", p=2.0)
-    assert np.array_equal(residuals, weak_residual_profile(report))
+    part = TimePartition.uniform(4, 0.5)
+    snapshots = solve_duhamel(u0, None, HEAT, part)
+    residuals = save_report(snapshots, None, HEAT, part, tmp_path / "report",
+                            p=2.0)
+    assert np.array_equal(residuals, weak_residual_profile(
+        snapshots, None, HEAT, part.nodes))
     rows = (tmp_path / "report" / "norms.csv").read_text().splitlines()[1:]
     assert [float(r.split(",")[4]) for r in rows] == list(residuals)
 
@@ -522,7 +536,7 @@ def test_solve_final_is_the_last_duhamel_snapshot(dim, kind, steps, horizon,
     if forced:
         scale = scale + sum(w * np.abs(f(t).spectrum) for w, t in
                             zip(_trapezoid_weights(part.nodes), part.nodes))
-    solved = solve_duhamel(u0, f, path, part).snapshots[-1]
+    solved = solve_duhamel(u0, f, path, part)[-1]
     assert np.all(np.abs(final.spectrum - solved.spectrum)
                   <= 4 * (steps + 1) * np.finfo(float).eps * scale)
 
@@ -546,7 +560,7 @@ def test_saved_solve_transforms_each_forcing_field(dim, kind):
     assert any(f(t).spectrum.tobytes() != spec.tobytes()
                for t, spec in zip(part.nodes, f_specs))
     full = references.quadratic_forms(grid, path, part.nodes)
-    snapshots = solve_duhamel(u0, f, path, part).snapshots
+    snapshots = solve_duhamel(u0, f, path, part)
     for k in range(1, part.nodes.size):
         expected = references.duhamel_spectrum_per_node(
             u0.spectrum, full, f_specs, part.nodes, k)
@@ -563,7 +577,7 @@ def scaled(path, scale):
 def duhamel_case(dim, kind, steps, horizon, coefficients, forced, n=None,
                  scale=1.0):
     """Inputs of a Duhamel sum: spec0, the half-lattice quads of
-    _duhamel_inputs, f_specs and nodes, then the full-lattice quads of the
+    _quadratic_forms, f_specs and nodes, then the full-lattice quads of the
     per-node oracle, built on their own.  The forcing spectra come as a
     list (None without forcing), which the oracle indexes."""
     grid = GRIDS[dim] if n is None else GridSpec(dim=dim, n=n, length=16.0)
@@ -574,8 +588,9 @@ def duhamel_case(dim, kind, steps, horizon, coefficients, forced, n=None,
     shape = gaussian_bump(grid, width=1.5)
     f = (lambda t: shape * (1.0 + t)) if forced else None
     u0 = gaussian_bump(grid, width=1.0)
-    quads, f_specs = _duhamel_inputs(u0, f, path, nodes)
-    return (u0.spectrum, quads, None if f_specs is None else list(f_specs),
+    f_specs = (None if f is None else
+               [np.fft.fftn(f(t).samples) for t in nodes])
+    return (u0.spectrum, _quadratic_forms(grid, path, nodes), f_specs,
             nodes, references.quadratic_forms(grid, path, nodes))
 
 
@@ -794,39 +809,39 @@ def saved_report(tmp_path, dim):
     part = TimePartition.geometric(5, 0.5)
     path = parse_coefficients(expr_matrix_text(dim), dim)
     shape = gaussian_bump(grid, width=1.5)
-    report = solve_duhamel(gaussian_bump(grid, width=1.0),
-                           lambda t: shape * (1.0 + t), path, part)
+    f = lambda t: shape * (1.0 + t)
+    snapshots = solve_duhamel(gaussian_bump(grid, width=1.0), f, path, part)
     outdir = tmp_path / "report"
-    save_report(report, outdir, p=2.0)
-    return report, outdir
+    save_report(snapshots, f, path, part, outdir, p=2.0)
+    return snapshots, part, outdir
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_report_round_trip_is_bit_identical(tmp_path, dim):
-    report, outdir = saved_report(tmp_path, dim)
+    solved, part, outdir = saved_report(tmp_path, dim)
     assert sorted(p.name for p in outdir.iterdir()) == \
         ["meta", "norms.csv", "snapshots.bin"]
     meta, nodes, snapshots = load_report(outdir)
-    assert meta["nodes"] == str(len(report.snapshots))
-    assert nodes.tolist() == report.partition.nodes.tolist()
-    assert len(snapshots) == len(report.snapshots)
-    for a, b in zip(snapshots, report.snapshots):
-        assert a.grid == report.grid
+    assert meta["nodes"] == str(len(solved))
+    assert nodes.tolist() == part.nodes.tolist()
+    assert len(snapshots) == len(solved)
+    grid = GRIDS[dim]
+    for a, b in zip(snapshots, solved):
+        assert a.grid == grid
         assert a.samples.tobytes() == b.samples.tobytes()
         assert not a.samples.flags.owndata
     # header: int64 dim, n, count, float64 period, then the stacked fields
     raw = (outdir / "snapshots.bin").read_bytes()
-    grid = report.grid
     assert np.frombuffer(raw[:24], dtype=np.int64).tolist() == \
-        [dim, grid.n, len(report.snapshots)]
+        [dim, grid.n, len(solved)]
     assert np.frombuffer(raw[24:32], dtype=np.float64)[0] == grid.length
-    assert raw[32:] == b"".join(s.samples.tobytes() for s in report.snapshots)
+    assert raw[32:] == b"".join(s.samples.tobytes() for s in solved)
 
 
 @pytest.mark.parametrize("damage", ["truncated-header", "short", "long",
                                     "partial-sample", "count"])
 def test_load_report_rejects_a_damaged_snapshot_file(tmp_path, damage):
-    _, outdir = saved_report(tmp_path, 2)
+    *_, outdir = saved_report(tmp_path, 2)
     snaps = outdir / "snapshots.bin"
     raw = snaps.read_bytes()
     if damage == "count":
