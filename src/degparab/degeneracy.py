@@ -239,7 +239,9 @@ def cumulative_delta_grid(profile, ts, npts=None):
     flat = ts.ravel()
     order = (None if np.all(flat[1:] >= flat[:-1])
              else np.argsort(flat, kind="stable"))
-    vals, = _scan_at(profile, hi, npts, [flat if order is None else flat[order]])
+    times = [flat if order is None else flat[order]]
+    vals = np.concatenate([np.interp(q, edges, beta) for q, edges, beta, _
+                           in _scan_segments(profile, hi, npts, times)])
     if order is not None:
         vals[order] = vals.copy()
     return vals.reshape(ts.shape)[()]
@@ -252,53 +254,64 @@ _SCAN_CHUNK = 1 << 16
 _SCAN_POINTS = 1_000_000
 
 
-def _grid_edges(hi, n, i0, i1):
-    """Edges i0..i1 of np.linspace(0, hi, n + 1), bit for bit."""
-    i = np.arange(i0, i1 + 1, dtype=float)
+def _grid_chunks(hi, n):
+    """(edges, midpoints) of np.linspace(0, hi, n + 1) bit for bit, _SCAN_CHUNK
+    panels (with both end edges) at a time, in buffers the next chunk reuses."""
+    index = np.arange(min(n, _SCAN_CHUNK) + 1, dtype=float)
+    edge_buf, mid_buf = np.empty(index.size), np.empty(index.size - 1)
     step = hi / n
-    edges = i / n * hi if step == 0 else i * step
-    if i1 == n:
-        edges[-1] = hi
-    return edges
+    for i0 in range(0, n, _SCAN_CHUNK):
+        k = min(_SCAN_CHUNK, n - i0)
+        edges, mids = edge_buf[:k + 1], mid_buf[:k]
+        np.add(index[:k + 1], i0, out=edges)
+        if step:
+            np.multiply(edges, step, out=edges)
+        else:  # as np.linspace does where hi / n underflows to 0
+            np.multiply(edges / n, hi, out=edges)
+        if i0 + k == n:
+            edges[-1] = hi
+        np.add(edges[:-1], edges[1:], out=mids)
+        np.multiply(mids, 0.5, out=mids)
+        yield edges, mids
 
 
 def _scan_chunks(profile, hi, npts):
-    """(edges, beta at the edges) of the midpoint scan of delta with npts
-    panels over np.linspace(0, hi, npts + 1), chunk by chunk; each chunk
-    repeats the last edge of the one before.  Each chunk's cumsum continues
-    the running total, and np.cumsum adds sequentially, so the chunks hold
-    one np.cumsum over the whole grid, bit for bit."""
+    """(edges, beta at the edges, rising) of the midpoint scan of delta over
+    _grid_chunks(hi, npts), in buffers that the next chunk overwrites.  Each
+    cumsum continues the running total, and np.cumsum adds sequentially, so
+    the chunks hold one np.cumsum over the whole grid, bit for bit.  rising:
+    no step is < 0 or NaN and beta holds no NaN, so beta is nondecreasing."""
+    beta_buf = np.empty(min(npts, _SCAN_CHUNK) + 1)
     total = 0.0
-    for i0 in range(0, npts, _SCAN_CHUNK):
-        edges = _grid_edges(hi, npts, i0, min(i0 + _SCAN_CHUNK, npts))
-        if i0 == 0:
+    for i, (edges, mids) in enumerate(_grid_chunks(hi, npts)):
+        if i == 0:
             dt = edges[1] - edges[0]
-        steps = profile.delta(0.5 * (edges[:-1] + edges[1:])) * dt
-        if i0:
+        # the midpoints are not read again, so their buffer takes the steps
+        steps, beta = mids, beta_buf[:mids.size + 1]
+        np.multiply(profile.delta(mids), dt, out=steps)
+        rising = steps.min() >= 0
+        if i:
             steps[0] += total
-        beta = np.empty(edges.size)
         beta[0] = total
         np.cumsum(steps, out=beta[1:])
         total = beta[-1]
-        yield edges, beta
+        yield edges, beta, rising and not math.isnan(total)
 
 
-def _scan_at(profile, hi, npts, times):
-    """cumulative_delta_grid's values at sorted times ending at hi, given
-    and returned in chunks: each time is interpolated in the first scan
-    chunk whose last edge is >= it, as one np.interp would, bit for bit."""
+def _scan_segments(profile, hi, npts, times):
+    """(q, *scan chunk) for runs q of chunks of sorted times ending at hi,
+    each in the first scan chunk whose last edge is >= it: np.interp there
+    gives one np.interp over the whole scan, bit for bit."""
     scan = _scan_chunks(profile, hi, npts)
-    edges, beta = next(scan)
+    chunk = next(scan)
     for q in times:
-        vals = np.empty(q.size)
-        pos = int(np.searchsorted(q, edges[-1], side="right"))
-        vals[:pos] = np.interp(q[:pos], edges, beta)
-        while pos < q.size:
-            edges, beta = next(scan)
-            end = pos + int(np.searchsorted(q[pos:], edges[-1], side="right"))
-            vals[pos:end] = np.interp(q[pos:end], edges, beta)
-            pos = end
-        yield vals
+        pos = 0
+        while True:
+            end = int(np.searchsorted(q, chunk[0][-1], side="right"))
+            yield (q[pos:end], *chunk)
+            if end == q.size:
+                break
+            pos, chunk = end, next(scan)
 
 
 # bisection steps of the generalized inverse; its table has one more node
@@ -406,24 +419,51 @@ def levelset_measure_scan(profile, hs, t0):
     beta is cumulative_delta_grid(profile, mids, npts=4*npts) at the npts
     panel midpoints of [0, t0], bit for bit, read _SCAN_CHUNK midpoints at
     a time alongside the chunked scan, so memory holds a few arrays of
-    _SCAN_CHUNK values whatever npts is.  Reference implementation used to
-    cross-check levelset_measure.
+    _SCAN_CHUNK values whatever npts is; h counts #(beta >= h) less
+    #(beta >= 4h).  Reference implementation to cross-check levelset_measure.
     """
     npts = _SCAN_POINTS
     for h in hs:
         if h <= 0:
             raise ValueError(f"level h must be positive, got {h}")
+    cuts = np.concatenate([hs, 4.0 * np.asarray(hs, dtype=float)])
+    above = np.zeros(cuts.size, dtype=np.int64)
     # the midpoints increase, so the last one is the top of the scan
-    hi = float(np.mean(_grid_edges(t0, npts, npts - 1, npts)))
-    mids = (0.5 * (e[:-1] + e[1:]) for e in
-            (_grid_edges(t0, npts, i0, min(i0 + _SCAN_CHUNK, npts))
-             for i0 in range(0, npts, _SCAN_CHUNK)))
-    betas = ((cumulative_delta_grid(profile, q) for q in mids)
-             if profile.closed_form_cumulative is not None or hi <= 0.0
-             else _scan_at(profile, hi, 4 * npts, mids))
-    counts = sum(np.array([np.count_nonzero((beta >= h) & (beta < 4.0 * h))
-                           for h in hs]) for beta in betas)
+    step = t0 / npts
+    hi = 0.5 * (((npts - 1) * step if step else (npts - 1) / npts * t0) + t0)
+    mids = (m for _, m in _grid_chunks(t0, npts))
+    if profile.closed_form_cumulative is not None or hi <= 0.0:
+        for q in mids:
+            above += _count_above(cumulative_delta_grid(profile, q), cuts)
+    else:
+        for q, edges, beta, rising in _scan_segments(profile, hi, 4 * npts,
+                                                     mids):
+            above += (_rising_counts(q, edges, beta, cuts) if rising
+                      else _count_above(np.interp(q, edges, beta), cuts))
+    counts = above[:len(hs)] - above[len(hs):]
     return [float(c) * (t0 / npts) for c in counts]
+
+
+def _count_above(values, cuts):
+    return [np.count_nonzero(values >= c) for c in cuts]
+
+
+def _rising_counts(q, edges, beta, cuts):
+    """_count_above(np.interp(q, edges, beta), cuts) for nondecreasing beta.
+    np.interp adds a product >= 0 to beta[j] on [edges[j], edges[j + 1]] and
+    passes beta[j + 1] by at most ~8 roundings of max(c, |beta[0]|), so only
+    the intervals below c's crossing and within twice that of c need it."""
+    k = np.searchsorted(beta, cuts)
+    slack = (16.0 * np.finfo(float).eps * np.maximum(cuts, abs(beta[0]))
+             + 8.0 * np.finfo(float).smallest_subnormal)
+    first = np.minimum(np.searchsorted(beta, cuts - slack), k) - 1
+    lo, hi = np.searchsorted(q, edges.take([first, k], mode="clip"))
+    hi[k == edges.size] = q.size
+    counts = q.size - hi
+    for i in np.flatnonzero(lo < hi):
+        counts[i] += np.count_nonzero(
+            np.interp(q[lo[i]:hi[i]], edges, beta) >= cuts[i])
+    return counts
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ import numpy as np
 from .degeneracy import (_level_grid, accumulate_on, check_domination,
                          cumulative_delta, fit_beta_exponent)
 from .solver import _duhamel_stream, epsilon_regularize, quadratic_form
-from .spectral import (LPFamily, _block_multiplier, _xi_sq, besov_norm,
-                       bessel_norm, hessian_lp_norm, lp_norm)
+from .spectral import (LPFamily, _block_multiplier, _pth_root, _xi_sq,
+                       besov_norm, bessel_norm, hessian_lp_norm, lp_norm)
 
 
 def _trapezoid(values, nodes):
@@ -30,22 +30,24 @@ def weighted_norm(nodes, norms, profile, p, weight_power):
     """(int ||u(t)||^p delta(t)^m dt)^(1/p), m = weight_power, by trapezoid
     over nodes of the spatial norms ||u(t_k)||, read in node order; delta is
     not read at m = 0.  inf when the weight diverges against a nonvanishing
-    norm or a power leaves the float range."""
+    norm; a power beyond the float range is scaled as in spectral's norms."""
     if not 1 < p < math.inf:
         raise ValueError(f"p must lie in (1, inf), got {p}")
     m = weight_power
-    values = np.zeros(len(nodes))
+    pairs = []  # (norm, delta), and (0.0, 1.0) where 0 * inf := 0
+    for t, nrm in zip(nodes, norms):
+        d = float(profile.delta(t)) if m else 1.0
+        if not d > 0.0 and m < 0.0 and nrm > 0.0:
+            return math.inf
+        pairs.append((nrm, d) if d > 0.0 else (0.0, 1.0))
     try:
-        for k, (t, nrm) in enumerate(zip(nodes, norms)):
-            d = float(profile.delta(t)) if m else 1.0
-            if d > 0.0:
-                values[k] = nrm ** p * d ** m
-            elif m < 0.0 and nrm > 0.0:
-                return math.inf
-            # else 0 * inf := 0
+        total = _trapezoid(np.array([n ** p * d ** m for n, d in pairs]), nodes)
     except OverflowError:
-        return math.inf
-    return _trapezoid(values, nodes) ** (1.0 / p)
+        total = math.inf
+    nrms, deltas = np.array(pairs).reshape(-1, 2).T
+    with np.errstate(over="ignore"):  # the values are bases ** p
+        bases = nrms * deltas ** (m / p)
+    return _pth_root(total, bases, p, lambda v: _trapezoid(v, nodes))
 
 
 @dataclass

@@ -83,7 +83,8 @@ def _panel_sums(f, lo, hi):
     half = 0.5 * (hi - lo)
     nodes = 0.5 * (hi + lo)[:, None] + half[:, None] * _GL_NODES[None, :]
     vals = f(nodes.ravel()).reshape(nodes.shape)
-    return half * np.sum(vals * _GL_WEIGHTS, axis=1)
+    with np.errstate(invalid="ignore"):  # a panel of width 0 at an inf: nan
+        return half * np.sum(vals * _GL_WEIGHTS, axis=1)
 
 
 def integrate_to(f, t, breakpoints=(), lower=0.0):

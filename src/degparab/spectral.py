@@ -177,15 +177,27 @@ def _parseval_norm(field, weight):
                      * field.grid.cell_volume / spec.size)
 
 
+def _pth_root(total, bases, p, integral):
+    """total ** (1/p) for total = integral(bases ** p), bases >= 0; a total
+    off the normal float range is taken again from the bases over their max."""
+    if not np.finfo(float).tiny <= total < math.inf:
+        top = np.max(bases, initial=0.0)
+        if 0.0 < top < math.inf:
+            with np.errstate(over="ignore"):
+                return float(integral((bases / top) ** p) ** (1.0 / p) * top)
+    return float(total ** (1.0 / p))
+
+
 def lp_norm(field, p):
     """Midpoint-rule L_p norm on the torus; p = inf gives the max norm."""
     if p == np.inf or p == math.inf:
         return float(np.abs(field.samples).max())
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    mags, volume = np.abs(field.samples), field.grid.cell_volume
     with np.errstate(over="ignore"):  # a power beyond the float range: inf
-        return float((np.sum(np.abs(field.samples) ** p)
-                      * field.grid.cell_volume) ** (1.0 / p))
+        total = np.sum(mags ** p) * volume
+    return _pth_root(total, mags, p, lambda v: np.sum(v) * volume)
 
 
 def inner_product(f, g):
@@ -300,12 +312,11 @@ def besov_norm(field, s, p):
         return (_parseval_norm(field, head_weight)
                 + _parseval_norm(field, tail_weight))
     head = lp_norm(s0_block(field), p)
-    tail = 0.0
+    terms = np.array([2.0 ** (s * j) * lp_norm(lp_block(field, j, family), p)
+                      for j in range(1, family.j_max + 1)])  # numpy's ** p
     with np.errstate(over="ignore"):  # a power beyond the float range: inf
-        for j in range(1, family.j_max + 1):
-            weight = np.float64(2.0 ** (s * j))  # so ** p is numpy's power
-            tail += (weight * lp_norm(lp_block(field, j, family), p)) ** p
-    return float(head + tail ** (1.0 / p))
+        tail = sum(term ** p for term in terms)
+    return float(head + _pth_root(tail, terms, p, np.sum))
 
 
 def bessel_norm(field, smoothness, p):
@@ -346,11 +357,7 @@ def hessian_lp_norm(field, p, smoothness=0.0):
     for i in range(grid.dim):
         for j in range(grid.dim):
             acc += squares[min(i, j), max(i, j)]
-    frob = np.sqrt(acc)
-    if p == np.inf:
-        return float(frob.max())
-    with np.errstate(over="ignore"):  # a power beyond the float range: inf
-        return float((np.sum(frob ** p) * grid.cell_volume) ** (1.0 / p))
+    return lp_norm(SpectralField(grid, np.sqrt(acc)), p)
 
 
 def gaussian_bump(grid, width=1.0, center=None, amplitude=1.0):

@@ -216,33 +216,46 @@ p = {p}
 """
 
 
+def assert_scaled_rows(rows):
+    """Every row unflagged, with lhs, both rhs pieces and ratio finite and
+    the rhs pieces positive."""
+    assert rows
+    for row in rows:
+        assert row.endswith(',""'), row
+        lhs, rhs_1, rhs_2, ratio = map(float, row.split(",")[7:11])
+        assert all(math.isfinite(v) for v in (lhs, rhs_1, rhs_2, ratio)), row
+        assert rhs_1 > 0.0 and rhs_2 > 0.0, row
+
+
 @pytest.mark.parametrize("command, p", [("check-thm1", "400"),
                                         ("eps-sweep", "1e308")])
-def test_weighted_norms_beyond_the_float_range_are_inadmissible(
+def test_weighted_norms_beyond_the_float_range_are_scaled(
         tmp_path, capsys, command, p):
-    # delta^(1-p) of the forcing norm used to raise OverflowError: exit 1
+    # delta^(1-p) of the forcing norm raised OverflowError, which exited 1
+    # and later read inf (inadmissible-weight, exit 2); the norm is finite
     path = write_cfg(tmp_path, OVERFLOW_CONFIG.format(p=p))
     assert main([command, "--config", path,
-                 "--out", str(tmp_path / "o")]) == 2
+                 "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
-    rows = next((tmp_path / "o").glob("*.csv")).read_text().splitlines()[1:]
-    assert rows and all(r.endswith(',"inadmissible-weight"') for r in rows)
+    assert_scaled_rows(
+        next((tmp_path / "o").glob("*.csv")).read_text().splitlines()[1:])
 
 
 @pytest.mark.parametrize("command, p, initial", [
-    # the Besov norm of u0 took a Python float power: OverflowError, exit 1
+    # the Besov norm of u0 took a Python float power: OverflowError, exit 1;
+    # then every power overflowed to inf (inadmissible-weight, exit 2)
     ("check-thm1", "400", "gaussian(0.1)"),
-    # numpy's overflow warning from the Hessian and L_p norms
+    # numpy's overflow warning from the Hessian and L_p norms; then lhs read
+    # inf and rhs[initial] 0.0, as each power over- or underflowed
     ("check-thm1", "1e308", "gaussian(0.1)"),
     ("check-classic", "1e308", "gaussian(2.0)")])
-def test_norm_powers_beyond_the_float_range_read_inf_quietly(
+def test_norm_powers_beyond_the_float_range_are_scaled_quietly(
         tmp_path, command, p, initial):
     proc = run_module(tmp_path, command, OVERFLOW_CONFIG.format(p=p)
                       + f"\n[initial]\nspec = {initial}\n")
-    assert (proc.returncode, proc.stderr) == (2, "")
-    rows = next((tmp_path / "out").glob("*.csv")).read_text().splitlines()
-    assert rows[1:] and all(r.endswith(',"inadmissible-weight"')
-                            for r in rows[1:])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert_scaled_rows(next((tmp_path / "out").glob("*.csv"))
+                       .read_text().splitlines()[1:])
 
 
 def test_check_thm2_at_a_huge_p_warns_nothing(tmp_path, capsys):
@@ -254,11 +267,17 @@ def test_check_thm2_at_a_huge_p_warns_nothing(tmp_path, capsys):
         warnings.simplefilter("error")
         code = main(["check-thm2", "--config", path,
                      "--out", str(tmp_path / "o")])
-    assert code == 2
+    assert code == 0
     assert "RuntimeWarning" not in capsys.readouterr().err
-    assert (tmp_path / "o" / "thm2.csv").read_text().splitlines()[1] == (
-        'thm2,0.0,1e+308,0.0,"power(1.0)",256,16,inf,0.0,0.0,nan,'
-        '"inadmissible-weight"')
+    # lhs and the Besov norm of u0 read inf and 0.0 until the norms scaled
+    # their powers; both are finite now
+    row = (tmp_path / "o" / "thm2.csv").read_text().splitlines()[1]
+    fields = row.split(",")
+    assert ",".join(fields[:7]) == 'thm2,0.0,1e+308,0.0,"power(1.0)",256,16'
+    assert fields[9:] == ["0.0", fields[10], '""']
+    lhs, rhs, ratio = map(float, fields[7:9] + fields[10:11])
+    assert 0.0 < lhs < math.inf and 0.0 < rhs < math.inf
+    assert ratio == lhs / rhs
     assert "Besov order 2(1-1/(beta*p)) = 2.0" in (
         tmp_path / "o" / "summary.txt").read_text()
 

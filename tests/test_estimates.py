@@ -94,9 +94,32 @@ def test_weighted_norm_rejects_p_outside_one_to_inf():
     (1e200, 1.0, 1.0),    # ||u||^p beyond the float range
     (1.0, 1e-300, -2.0),  # delta^m beyond the float range
 ])
+def test_weighted_norm_is_finite_when_only_a_power_overflows(norm, delta, m):
+    # over [0, 1] the norm is norm * delta^(m/2): 1e200, 1e300
+    got = weighted_norm(np.array([0.0, 1.0]), [norm, norm],
+                        constant_profile(delta), 2.0, m)
+    assert got == pytest.approx(norm * delta ** (m / 2.0),
+                                rel=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("norm, delta, m", [
+    (1e200, 1.0, 1.0),    # ||u||^p beyond the float range
+    (1.0, 1e-300, -2.0),  # delta^m beyond the float range
+])
 def test_weighted_norm_is_infinite_when_a_power_overflows(norm, delta, m):
-    assert weighted_norm(np.array([0.0, 1.0]), [norm, norm],
+    # over [0, 1e300] the norm itself, 1e150 times the one over [0, 1], is
+    # beyond the float range
+    assert weighted_norm(np.array([0.0, 1e300]), [norm, norm],
                          constant_profile(delta), 2.0, m) == math.inf
+
+
+@pytest.mark.parametrize("p", [400.0, 1e308])
+def test_weighted_norm_at_a_huge_p_is_near_the_largest_weighted_norm(p):
+    # (int n^p delta dt)^(1/p) tends to max n * delta^(1/p) as p grows
+    nodes = np.linspace(0.0, 1.0, 5)
+    norms = [0.5, 3.0, 40.0, 7.0, 1e-3]
+    got = weighted_norm(nodes, norms, constant_profile(0.5), p, 1.0)
+    assert 0.9 * 40.0 < got <= 40.0
 
 
 def test_weighted_norm_reads_no_floor_at_weight_power_zero():

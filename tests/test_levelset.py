@@ -3,8 +3,9 @@
 inverse_cumulative bisects every level at once from one dyadic table of
 beta; the per-level bisection with a fresh integral from 0 at every step is
 kept here as the slow oracle.  cumulative_delta_grid runs its midpoint
-scan in chunks, and levelset_measure_scan reads it; the one-array scans
-are kept here as oracles too, and must agree bit for bit.
+scan in chunks, and levelset_measure_scan reads it, counting each level
+from where a rising scan crosses it; the one-array scans and the per-level
+masks are kept here as oracles too, and must agree bit for bit.
 """
 
 import math
@@ -20,7 +21,7 @@ from degparab import (constant_profile, cumulative_delta,
                       levelset_measure, levelset_measure_scan,
                       oscillatory_profile, piecewise_profile, power_profile)
 from degparab import degeneracy
-from degparab.degeneracy import _SCAN_CHUNK
+from degparab.degeneracy import _SCAN_CHUNK, _level_grid
 from degparab.quadrature import ATOL, RTOL, QuadratureError, integrate_to
 
 SETTINGS = settings(max_examples=15, deadline=None)
@@ -63,11 +64,16 @@ def grid_oracle(profile, ts, npts=None):
     return np.interp(ts, edges, beta_edges)
 
 
-def scan_oracle(profile, hs, t0, npts=1_000_000):
-    """levelset_measure_scan with both scans in memory."""
+def mid_betas(profile, t0, npts):
+    """beta at the npts panel midpoints of [0, t0], as the scan reads it."""
     edges = np.linspace(0.0, t0, npts + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    beta_mid = grid_oracle(profile, mids, npts=4 * npts)
+    return grid_oracle(profile, mids, npts=4 * npts)
+
+
+def scan_oracle(profile, hs, t0, npts=1_000_000):
+    """levelset_measure_scan with both scans in memory, one mask per level."""
+    beta_mid = mid_betas(profile, t0, npts)
     return [float(np.count_nonzero((beta_mid >= h) & (beta_mid < 4.0 * h)))
             * (t0 / npts) for h in hs]
 
@@ -309,13 +315,51 @@ def test_grid_scan_keeps_the_shape_of_ts(prof):
     assert np.array_equal(fast, grid_oracle(prof, ts, npts=1000))
 
 
-@pytest.mark.parametrize("prof", SCAN_PROFILES, ids=SCAN_IDS)
+# delta < 0 on stretches, and delta = NaN before t = 0.5: neither scan
+# rises everywhere, so the crossing count must give way to np.interp
+LEVEL_PROFILES = SCAN_PROFILES + [expr_profile("sin(20*t)"),
+                                  expr_profile("sqrt(t - 0.5)")]
+LEVEL_IDS = SCAN_IDS + ["negative", "nan"]
+
+
+@pytest.mark.parametrize("prof", LEVEL_PROFILES, ids=LEVEL_IDS)
 @pytest.mark.parametrize("npts", [3, _SCAN_CHUNK, 3 * _SCAN_CHUNK + 11])
 def test_levelset_scan_equals_the_one_array_scan(monkeypatch, prof, npts):
-    hs = [0.003, 0.01, 0.05, 0.2]
+    # 10.0 lies above beta(1) of every profile here; a scanned midpoint value
+    # v is a level once as h and once as 4h, where the count turns on >=
+    hs = [0.003, 0.01, 0.05, 0.2, 10.0]
+    v = mid_betas(prof, 1.0, npts)[2 * npts // 3]
+    if v > 0.0:
+        hs += [v, v / 4.0]
     monkeypatch.setattr(degeneracy, "_SCAN_POINTS", npts)
     assert (levelset_measure_scan(prof, hs, 1.0)
             == scan_oracle(prof, hs, 1.0, npts=npts))
+
+
+def test_levelset_scan_of_the_benchmark_profile_is_exact():
+    # profile-check on sqrt(t) at t0 = 1, at the full _SCAN_POINTS
+    prof = expr_profile("sqrt(t)")
+    hs = _level_grid(cumulative_delta(prof, 1.0)).tolist()
+    assert levelset_measure_scan(prof, hs, 1.0) == scan_oracle(prof, hs, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE))
+def test_a_rising_scan_interpolates_only_near_the_crossings(monkeypatch,
+                                                            name):
+    # beta rises, so each level h is counted from where beta crosses h and
+    # 4h; np.interp may read at most 4 midpoints per crossing, not all 1e6
+    prof = QUADRATURE[name]
+    hs = _level_grid(cumulative_delta(prof, 1.0))
+    read = []
+    interp = np.interp
+
+    def spy(x, xp, fp, *args, **kwargs):
+        read.append(np.size(x))
+        return interp(x, xp, fp, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", spy)
+    levelset_measure_scan(prof, hs, 1.0)
+    assert sum(read) <= 4 * 2 * hs.size
 
 
 def test_levelset_scan_at_zero_horizon(monkeypatch):
@@ -328,12 +372,11 @@ def test_levelset_scan_at_zero_horizon(monkeypatch):
                          ids=["quadrature", "closed-form"])
 def test_levelset_scan_memory_is_bounded(prof):
     # 1M midpoints, held whole, would take 8 MB per array.  Chunked, the
-    # scan holds at most 16 arrays of one chunk: the midpoint chunk, its
-    # values and the one before them, the current and previous scan chunk's
-    # edges and beta, the new chunk's index, edges, midpoints, delta values
-    # with their temporaries and steps, np.interp's result and the masks
-    # of one level
-    bound = 16 * 8 * (_SCAN_CHUNK + 1)
+    # scan holds at most 9 arrays of one chunk: the index, edges and
+    # midpoints of the coarse grid and of the fine one (whose midpoint
+    # buffer then takes the steps), beta, and delta's values with one
+    # temporary; a closed form holds the coarse grid and its values
+    bound = 9 * 8 * (_SCAN_CHUNK + 1)
     hs = np.logspace(-3.0, -0.5, 9)
     tracemalloc.start()
     try:

@@ -222,6 +222,12 @@ def test_windows_do_not_depend_on_their_batch():
         assert one.tobytes() == values[i:i + 1].tobytes()
 
 
+def singular(t):
+    # a node of a window [0, 5e-324] rounds to 0, where 1/sqrt(t) is inf
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.sqrt(t)
+
+
 # integrands for the windows: a cubic (one panel is exact, from 0 too),
 # smooth, kinked at 0.3 (a breakpoint), one that misses the target on one
 # panel, one singular at 0, and one so tiny and negative that the Gauss
@@ -231,7 +237,7 @@ WINDOW_INTEGRANDS = {
     "smooth": lambda t: np.exp(np.sin(7.0 * t)) * np.sqrt(t),
     "kink": lambda t: np.where(t < 0.3, 1.0 + t, 3.0 - t),
     "oscillating": lambda t: np.sin(30.0 / (t + 1e-2)),
-    "singular": lambda t: 1.0 / np.sqrt(t),
+    "singular": singular,
     "negative": lambda t: -1e-322 * (1.0 + t),
 }
 
@@ -251,6 +257,7 @@ windows = st.lists(st.tuples(
 @example(name="cubic", windows=[(0.0, 0.2)], breakpoints=())
 @example(name="smooth", windows=[(0.295, 0.01)], breakpoints=(0.3,))
 @example(name="negative", windows=[(0.5, 0.01)], breakpoints=())
+@example(name="singular", windows=[(0.0, 5e-324)], breakpoints=())
 def test_windows_are_integrate_to_bit_for_bit(name, windows, breakpoints):
     # windows from 0, across breakpoints, missing the target on one panel,
     # and of zero width: each value is integrate_to's, to the byte, and the

@@ -78,6 +78,20 @@ def test_lp_norm_constant_field():
     assert lp_norm(one, np.inf) == 1.0
 
 
+@pytest.mark.parametrize("p", [400.0, 1e308])
+@pytest.mark.parametrize("scale", [2.0 ** -300, 2.0 ** 300])
+def test_norms_at_a_huge_p_scale_with_the_field(p, scale):
+    # every p-th power of the scaled field leaves the float range, which
+    # read inf or 0.0; a norm is homogeneous, so it must scale instead
+    grid = GridSpec(dim=1, n=256, length=16.0)
+    u = gaussian_bump(grid, width=1.0)
+    v = SpectralField(grid, scale * u.samples)
+    for norm in (lambda f: lp_norm(f, p), lambda f: hessian_lp_norm(f, p),
+                 lambda f: besov_norm(f, 1.0, p)):
+        assert 0.0 < norm(u) < math.inf
+        assert norm(v) == pytest.approx(scale * norm(u), rel=1e-12, abs=0.0)
+
+
 def test_lp_norm_rejects_p_below_one():
     grid = GridSpec(dim=1, n=32, length=4.0)
     with pytest.raises(ValueError):
