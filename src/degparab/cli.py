@@ -35,7 +35,8 @@ from .oracle import (_fd_steps, _periodic_interp, _spline_coeffs,
                      char_function_check, compare_fields, convergence_orders,
                      mc_solve)
 from .quadrature import QuadratureError
-from .solver import TimePartition, save_report, solve_duhamel, solve_final
+from .solver import (NonFiniteDataError, SeparableForcing, TimePartition,
+                     save_report, solve_duhamel, solve_final)
 from .spec import Call, compile_expr, read_call
 from .spectral import (GridSpec, LPFamily, SpectralField, _xi_sq, besov_norm,
                        gaussian_bump, lp_norm, mode_field)
@@ -54,10 +55,6 @@ class ConfigError(ValueError):
     def __init__(self, diagnostics):
         super().__init__("; ".join(diagnostics))
         self.diagnostics = list(diagnostics)
-
-
-class NonFiniteDataError(ValueError):
-    """An initial or forcing field built from a valid spec is NaN or inf."""
 
 
 @dataclass(frozen=True)
@@ -343,26 +340,13 @@ def _initial_field(call, text, grid, p, seed):
 
 
 def build_forcing(spec_text, grid, p, seed):
+    """None, or the SeparableForcing of a separable("c(t)", S) spec."""
     parsed = _forcing(spec_text)
     if parsed is None:
         return None
     coef, spatial = parsed
-    shape = _initial_field(spatial, spec_text, grid, p, seed)
-    spectrum = shape.spectrum  # the one transform: every f(t) scales it
-    peak = float(max(np.abs(shape.samples).max(), np.abs(spectrum.real).max(),
-                     np.abs(spectrum.imag).max()))
-
-    def f(t):
-        # rounding is monotone: c shape and c spectrum (by real and imaginary
-        # parts) are finite iff |c| times the largest of their maxima is
-        c = float(coef(t))
-        if not (math.isfinite(c) and math.isfinite(abs(c) * peak)):
-            raise NonFiniteDataError(
-                f"{spec_text}: field is NaN or inf at t={float(t)!r}")
-        return SpectralField.from_spectrum(grid, c * spectrum,
-                                           c * shape.samples)
-
-    return f
+    return SeparableForcing(
+        coef, _initial_field(spatial, spec_text, grid, p, seed), spec_text)
 
 
 def _partition(cfg):

@@ -424,7 +424,7 @@ def levelset_measure_scan(profile, hs, t0):
     """
     npts = _SCAN_POINTS
     for h in hs:
-        if h <= 0:
+        if not h > 0:
             raise ValueError(f"level h must be positive, got {h}")
     cuts = np.concatenate([hs, 4.0 * np.asarray(hs, dtype=float)])
     above = np.zeros(cuts.size, dtype=np.int64)

@@ -94,11 +94,12 @@ def check_thm1(u0, f, path, profile, smoothness, p, partition):
     and the observed constant lhs / rhs.
     """
     nodes = partition.nodes
+    shape_norm = None if f is None else bessel_norm(f.shape, smoothness, p)
     u_norms, f_norms = [], []
-    for u, f_k in _duhamel_stream(u0, f, path, nodes):
+    for u, c in _duhamel_stream(u0, f, path, nodes):
         u_norms.append(hessian_lp_norm(u, p, smoothness))
-        if f_k is not None:
-            f_norms.append(bessel_norm(f_k, smoothness, p))
+        if f is not None:
+            f_norms.append(abs(c) * shape_norm)
     lhs = weighted_norm(nodes, u_norms, profile, p, 1.0)
     rhs_f = 0.0 if f is None else weighted_norm(nodes, f_norms, profile, p,
                                                 1.0 - p)
@@ -176,11 +177,12 @@ def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
 def check_classic(u0, f, path, partition, p):
     """Supremum-in-time bound || u ||_{C([0,T]; L_p)} <= N (||f||_{bL_p} + ||u0||_p)."""
     nodes = partition.nodes
+    shape_norm = None if f is None else lp_norm(f.shape, p)
     u_norms, f_norms = [], []
-    for u, f_k in _duhamel_stream(u0, f, path, nodes):
+    for u, c in _duhamel_stream(u0, f, path, nodes):
         u_norms.append(lp_norm(u, p))
-        if f_k is not None:
-            f_norms.append(lp_norm(f_k, p))
+        if f is not None:
+            f_norms.append(abs(c) * shape_norm)
     lhs = max(u_norms)
     rhs_f = 0.0 if f is None else weighted_norm(nodes, f_norms, None, p, 0.0)
     rhs_u0 = lp_norm(u0, p)

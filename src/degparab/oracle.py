@@ -64,9 +64,10 @@ def _fd_steps(u0, f, path, nodes):
     circulant, so each step is solved mode by mode in the DFT basis with
     the scheme's symbol lam:
 
-        u_hat <- (u_hat (1 + 0.5 dt lam) + dt f_hat(t_m)) / (1 - 0.5 dt lam)
+        u_hat <- (u_hat (1 + 0.5 dt lam) + (dt c(t_m)) S_hat) / (1 - 0.5 dt lam)
 
-    with f_hat(t_m) the (cached) spectrum of the field f(t_m).  The
+    with c(t_m) from one f.coefs call at every midpoint and S_hat the
+    shape's cached spectrum, so no forcing field is built.  The
     denominator is >= 1 (lam <= 0 for PSD coefficients), so every step is
     well posed.  This shares the FFT and the frequency lattice with the
     spectral solver, not its propagator, its exact time integration or its
@@ -74,14 +75,14 @@ def _fd_steps(u0, f, path, nodes):
     """
     grid = u0.grid
     cums = accumulate_on(path, nodes)
+    cs = None if f is None else f.coefs(0.5 * nodes[:-1] + 0.5 * nodes[1:])
     spec = u0.spectrum
     for k in range(nodes.size - 1):
-        t0, t1 = nodes[k], nodes[k + 1]
-        dt = t1 - t0
+        dt = nodes[k + 1] - nodes[k]
         lam = _stencil_symbol(grid, (cums[k + 1] - cums[k]) / dt)
         spec = spec * (1.0 + 0.5 * dt * lam)
         if f is not None:
-            spec = spec + dt * f(0.5 * t0 + 0.5 * t1).spectrum
+            spec = spec + (dt * cs[k]) * f.shape.spectrum
         spec = spec / (1.0 - 0.5 * dt * lam)
         yield SpectralField.from_spectrum(grid, spec)
 
@@ -161,11 +162,13 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None):
     the cumulative weights cdf = cumsum(w) / sum(w), U_j uniform, and
     Y_j = X_t - X_(t_i) at i = I_j is drawn directly, with covariance
     2 B(t_i, t).  The path's value u0(x + X_t) + sum(w) / _MC_NODES *
-    sum_j f(t_(I_j), x + Y_j) is unbiased for the trapezoid sum.  Chunks
-    of DEFAULT_CHUNK samples are deterministically seeded: chunk c uses
-    default_rng([seed, c]) and draws X_t first, and chunk sums are reduced
-    in index order, so results do not depend on execution interleaving.
-    Memory is O(probes chunk (_MC_NODES + dim) + K dim^2 + K n^dim).
+    sum_j f(t_(I_j), x + Y_j) is unbiased for the trapezoid sum; as f(t, y)
+    = c(t) S(y), one spline of S is interpolated per stratum j and scaled by
+    c at the drawn nodes.  Chunks of DEFAULT_CHUNK samples are
+    deterministically seeded: chunk c uses default_rng([seed, c]) and draws
+    X_t first, and chunk sums are reduced in index order, so results do not
+    depend on execution interleaving.  Memory is
+    O(probes chunk (_MC_NODES + dim) + K dim^2 + n^dim).
     """
     grid = u0.grid
     points = np.atleast_1d(np.asarray(points, dtype=float))
@@ -190,7 +193,7 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None):
     factors = np.array([_sqrt_cov(2.0 * (cums[-1] - c)) for c in cums])
     u0_coeffs = _spline_coeffs(u0)
     if f is not None:
-        f_coeffs = [_spline_coeffs(f(s)) for s in nodes]
+        s_coeffs, cs = _spline_coeffs(f.shape), f.coefs(nodes)
         cdf = np.cumsum(_trapezoid_weights(nodes))
         scale = cdf[-1] / _MC_NODES
         cdf = cdf / cdf[-1]
@@ -207,15 +210,14 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None):
             q = np.arange(_MC_NODES) + rng.random((size, _MC_NODES))
             drawn = np.searchsorted(cdf, q.ravel() / _MC_NODES, side="right")
             z = rng.standard_normal((drawn.size, path.dim, 1))
-            incs = (factors[drawn] @ z)[..., 0]
-            forced = np.empty((m, drawn.size))
-            # one interpolation per drawn node, over the rows that drew it
-            order = np.argsort(drawn, kind="stable")
-            drawn_nodes, starts = np.unique(drawn[order], return_index=True)
-            for i, rows in zip(drawn_nodes, np.split(order, starts[1:])):
-                forced[:, rows] = _periodic_interp(
-                    f_coeffs[i], grid, points[:, None] + incs[rows])
-            vals += scale * forced.reshape(m, size, _MC_NODES).sum(axis=2)
+            incs = (factors[drawn] @ z)[..., 0].reshape(size, _MC_NODES, -1)
+            drawn = drawn.reshape(size, _MC_NODES)
+            forced = np.empty((m, size, _MC_NODES))
+            for j in range(_MC_NODES):
+                forced[..., j] = _periodic_interp(
+                    s_coeffs, grid, points[:, None] + incs[:, j])
+                forced[..., j] *= cs[drawn[:, j]]
+            vals += scale * forced.sum(axis=2)
         total += vals.sum(axis=1)
         total_sq += (vals ** 2).sum(axis=1)
 

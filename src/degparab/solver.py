@@ -10,6 +10,7 @@ partition) and the accuracy of B itself.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 
 import numpy as np
@@ -22,6 +23,46 @@ from .spectral import (GridSpec, SpectralField, _mixed, bessel_norm,
 
 class DegenerateKernelError(ValueError):
     """The accumulated coefficients are singular: the kernel is not a function."""
+
+
+class NonFiniteDataError(ValueError):
+    """An initial or forcing field built from a valid spec is NaN or inf."""
+
+
+class SeparableForcing:
+    """The forcing f(t, x) = c(t) S(x): coef is c, vectorized over arrays of
+    times, shape the field S, transformed once, and text names f in errors.
+    With peak the largest of |S| and the parts of S^, c S and c S^ are
+    finite iff |c| peak is, since rounding is monotone."""
+
+    def __init__(self, coef, shape, text="forcing"):
+        self.coef, self.shape, self.text = coef, shape, text
+        spectrum = shape.spectrum
+        self.peak = float(max(np.abs(shape.samples).max(),
+                              np.abs(spectrum.real).max(),
+                              np.abs(spectrum.imag).max()))
+
+    def coefs(self, ts):
+        """c at every time of ts in one call, as a float array; raises
+        NonFiniteDataError at the first t where c S is NaN or inf."""
+        ts = np.asarray(ts, dtype=float)
+        with np.errstate(all="ignore"):
+            cs = np.broadcast_to(np.asarray(self.coef(ts), float), ts.shape)
+            bad = ~np.isfinite(np.abs(cs) * self.peak)
+        if bad.any():
+            raise NonFiniteDataError(f"{self.text}: field is NaN or inf at "
+                                     f"t={float(ts[bad.argmax()])!r}")
+        return cs
+
+    def __call__(self, t):
+        """The field c(t) S, whose spectrum c(t) S^ needs no transform."""
+        c = float(self.coef(t))
+        if not math.isfinite(abs(c) * self.peak):
+            raise NonFiniteDataError(
+                f"{self.text}: field is NaN or inf at t={float(t)!r}")
+        return SpectralField.from_spectrum(self.shape.grid,
+                                           c * self.shape.spectrum,
+                                           c * self.shape.samples)
 
 
 class TimePartition:
@@ -192,41 +233,40 @@ def _duhamel_spectra(spec0, quads, f_specs, nodes):
 
 
 def _duhamel_stream(u0, f, path, nodes):
-    """(snapshot, forcing field) at every node in turn, the forcing None
-    without it: the trapezoid Duhamel sum of _duhamel_spectra stepped from
+    """(snapshot, c(t_k)) at every node in turn, c(t_k) None without
+    forcing: the trapezoid Duhamel sum of _duhamel_spectra stepped from
     node to node in O(K) field operations, since the propagator composes.
 
     A_0 = spec(u0) (the snapshot is u0 itself), and
-    A_k = e_k (A_{k-1} + dt_k / 2 f_{k-1}) + dt_k / 2 f_k, or e_k A_{k-1}
-    without forcing, with e_k = exp(q_{k-1} - q_k) on the half lattice,
-    copied to -xi by _to_full_lattice.  Its rounding differs from the
-    per-node sum by O(k eps) of the undamped terms, so solve_duhamel, whose
-    snapshots are saved and compared at rounding level, keeps
-    _duhamel_spectra.  Each forcing field is built once and its (cached)
-    spectrum read.  Working memory is quads plus O(1) fields, as long as
-    the caller keeps no snapshot."""
+    A_k = e_k (A_{k-1} + (dt_k / 2 c_{k-1}) S^) + (dt_k / 2 c_k) S^, or
+    e_k A_{k-1} without forcing, with e_k = exp(q_{k-1} - q_k) on the half
+    lattice, copied to -xi by _to_full_lattice, c_k from one f.coefs call
+    and S^ the shape's cached spectrum: no forcing field is built.  Its
+    rounding differs from the per-node sum by O(k eps) of the undamped
+    terms, so solve_duhamel, whose snapshots are saved and compared at
+    rounding level, keeps _duhamel_spectra.  Working memory is quads plus
+    O(1) fields, as long as the caller keeps no snapshot."""
     grid = u0.grid
     quads = _quadratic_forms(grid, path, nodes)
-    fields = (None if f is None else f(t) for t in nodes)
-    f_prev, spec = next(fields), u0.spectrum
-    yield u0, f_prev
+    cs = [None] * nodes.size if f is None else f.coefs(nodes).tolist()
+    spec = u0.spectrum
+    yield u0, cs[0]
     copies = _lattice_copies(grid.shape)
     expo = np.empty(quads.shape[1:])
     factor = np.zeros(grid.shape, dtype=complex)
     half = 0.5 * np.diff(nodes)
-    for k, f_k in enumerate(fields, start=1):
+    for k in range(1, nodes.size):
         np.subtract(quads[k - 1], quads[k], out=expo)
         _to_full_lattice(np.exp(expo, out=expo), factor, copies)
-        if f_k is None:
+        if f is None:
             spec = factor * spec
         else:
-            step = half[k - 1] * f_prev.spectrum
+            step = (half[k - 1] * cs[k - 1]) * f.shape.spectrum
             step += spec
             step *= factor
-            step += half[k - 1] * f_k.spectrum
+            step += (half[k - 1] * cs[k]) * f.shape.spectrum
             spec = step
-        yield SpectralField.from_spectrum(grid, spec), f_k
-        f_prev = f_k
+        yield SpectralField.from_spectrum(grid, spec), cs[k]
 
 
 def solve_duhamel(u0, f, path, partition):
@@ -254,7 +294,8 @@ def solve_duhamel(u0, f, path, partition):
 
 def solve_final(u0, f, path, partition):
     """solve_duhamel's last snapshot to O(K eps), as _duhamel_stream's last:
-    O(K) field operations, quads plus O(1) fields, one inverse transform."""
+    O(K) field operations on c(t_k) S^, quads plus O(1) fields, one inverse
+    transform and no forcing field."""
     for final, _ in _duhamel_stream(u0, f, path, partition.nodes):
         pass
     return final

@@ -168,13 +168,22 @@ def _parseval_norm(field, weight):
 
     Every spectrum the package makes is conjugate-symmetric to rounding
     (see _mixed), so the image is real and its energy is the plain sum of
-    m^2 |u^|^2.
+    m^2 |u^|^2; a sum off the normal float range is taken again over
+    |u^| / max |u^|, whose moduli square to at most 1.
     """
     spec = field.spectrum
-    energy = spec.real ** 2
-    energy += spec.imag ** 2
-    return math.sqrt(float(np.vdot(weight, energy))
-                     * field.grid.cell_volume / spec.size)
+
+    def mean(energy):
+        return (float(np.vdot(weight, energy)) * field.grid.cell_volume
+                / spec.size)
+
+    with np.errstate(over="ignore"):  # squares beyond the float range: inf
+        energy = spec.real ** 2
+        energy += spec.imag ** 2
+    total = mean(energy)
+    if np.finfo(float).tiny <= total < math.inf:
+        return math.sqrt(total)
+    return _pth_root(total, np.abs(spec), 2.0, mean)
 
 
 def _pth_root(total, bases, p, integral):
@@ -351,12 +360,21 @@ def hessian_lp_norm(field, p, smoothness=0.0):
         spec = spec * (1.0 + _xi_sq(grid)) ** (0.5 * smoothness)
     # u_xixj equals u_xjxi bit for bit, so one inverse FFT per unordered
     # pair; the squares are still summed in (i, j) order
-    squares = {(i, j): np.fft.ifftn(-(comps[i] * comps[j]) * spec).real ** 2
-               for i in range(grid.dim) for j in range(i, grid.dim)}
-    acc = np.zeros(grid.shape)
-    for i in range(grid.dim):
-        for j in range(grid.dim):
-            acc += squares[min(i, j), max(i, j)]
+    with np.errstate(over="ignore"):  # beyond the float range: inf
+        squares = {(i, j): np.fft.ifftn(-(comps[i] * comps[j])
+                                        * spec).real ** 2
+                   for i in range(grid.dim) for j in range(i, grid.dim)}
+        acc = np.zeros(grid.shape)
+        for i in range(grid.dim):
+            for j in range(grid.dim):
+                acc += squares[min(i, j), max(i, j)]
+    if not np.finfo(float).tiny <= acc.max() < math.inf:
+        # off the normal range: the norm of u / top, times top, with top
+        # the spectrum's largest part (1.0 once it is scaled)
+        top = float(max(np.abs(spec.real).max(), np.abs(spec.imag).max()))
+        if math.isfinite(top) and top not in (0.0, 1.0):
+            return top * hessian_lp_norm(
+                SpectralField.from_spectrum(grid, spec / top), p)
     return lp_norm(SpectralField(grid, np.sqrt(acc)), p)
 
 

@@ -19,6 +19,9 @@ the full frequency lattice, with the weights of nodes[:k + 1], which the
 blocked half-lattice sum must match bit for bit, and the O(K) recurrence
 solver._duhamel_stream within k eps; quadratic_forms builds
 its full-lattice forms without solver._quadratic_forms.
+duhamel_stream_fields is that recurrence over any callable f(t) returning
+a field, one field built per node, as it ran before the stream read
+c(t_k) times the shape's one spectrum; the two agree within k eps.
 weak_residual_per_node is the node-by-node loop that
 solver.weak_residual_profile replaced: path.a at one node at a time and
 both running trapezoids added in a Python loop, which the vectorized
@@ -28,7 +31,12 @@ stratified node sampling replaced: each path built from exact increments
 over every partition interval, and the forcing trapezoid summed over all
 K + 1 nodes, one interpolation call per probe.  Without forcing both draw
 X_t alone, so mc_solve must match it bit for bit; with forcing the two
-must agree within their standard errors.  stencil_symbol_uncached is the
+must agree within their standard errors.  mc_solve_grouped is mc_solve
+with one spline filtered per partition node, of the field f(t_i), and the
+drawn nodes grouped by node (argsort, unique, split) for one
+interpolation per node; on the same draws mc_solve, which filters the
+shape's spline once and scales it by c(t_i), matches it within 1e-12
+relative.  stencil_symbol_uncached is the
 finite-difference symbol with its sines recomputed at every call, which
 oracle._stencil_symbol must match bit for bit from its per-grid cache.
 """
@@ -41,9 +49,10 @@ from degparab import (CoefficientPath, LPFamily, QuadratureError,
                       inverse_cumulative, lowpass, lp_block, lp_norm,
                       quadratic_form, s0_block, scalar_path,
                       second_derivatives, solve_duhamel)
-from degparab.oracle import (DEFAULT_CHUNK, MCEstimate, _periodic_interp,
-                             _spline_coeffs, _sqrt_cov)
-from degparab.solver import _trapezoid_weights
+from degparab.oracle import (_MC_NODES, DEFAULT_CHUNK, MCEstimate,
+                             _periodic_interp, _spline_coeffs, _sqrt_cov)
+from degparab.solver import (_lattice_copies, _quadratic_forms,
+                             _to_full_lattice, _trapezoid_weights)
 from degparab.spectral import _freq_grids, _xi_sq
 
 
@@ -155,6 +164,34 @@ def duhamel_spectrum_per_node(spec0, quads, f_specs, nodes, k):
         for i in range(k + 1):
             acc = acc + w[i] * f_specs[i] * np.exp(quads[i] - quads[k])
     return acc
+
+
+def duhamel_stream_fields(u0, f, path, nodes):
+    """(snapshot, forcing field) at every node: the O(K) recurrence with the
+    forcing read from the cached spectrum of the field f(t), built once per
+    node; the forcing is None without it."""
+    grid = u0.grid
+    quads = _quadratic_forms(grid, path, nodes)
+    fields = (None if f is None else f(t) for t in nodes)
+    f_prev, spec = next(fields), u0.spectrum
+    yield u0, f_prev
+    copies = _lattice_copies(grid.shape)
+    expo = np.empty(quads.shape[1:])
+    factor = np.zeros(grid.shape, dtype=complex)
+    half = 0.5 * np.diff(nodes)
+    for k, f_k in enumerate(fields, start=1):
+        np.subtract(quads[k - 1], quads[k], out=expo)
+        _to_full_lattice(np.exp(expo, out=expo), factor, copies)
+        if f_k is None:
+            spec = factor * spec
+        else:
+            step = half[k - 1] * f_prev.spectrum
+            step += spec
+            step *= factor
+            step += half[k - 1] * f_k.spectrum
+            spec = step
+        yield SpectralField.from_spectrum(grid, spec), f_k
+        f_prev = f_k
 
 
 def weak_residual_per_node(snapshots, f, path, nodes, test=None):
@@ -312,3 +349,56 @@ def stencil_symbol_uncached(grid, mat):
             out -= (2.0 * mat[i, j] * np.sin(h * comps[i])
                     * np.sin(h * comps[j]))
     return out / h ** 2
+
+
+def mc_solve_grouped(u0, f, path, t, points, samples, seed, partition=None):
+    """mc_solve with a spline of f(t_i) at every node i and one
+    interpolation per drawn node, over the paths that drew it."""
+    grid = u0.grid
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    if points.ndim == 1:
+        points = points[:, None]
+    if f is not None:
+        if partition is None:
+            partition = TimePartition.uniform(64, t)
+        nodes = partition.nodes
+    else:
+        nodes = np.array([0.0, t])
+
+    cums = accumulate_on(path, nodes)
+    factors = np.array([_sqrt_cov(2.0 * (cums[-1] - c)) for c in cums])
+    u0_coeffs = _spline_coeffs(u0)
+    if f is not None:
+        f_coeffs = [_spline_coeffs(f(s)) for s in nodes]
+        cdf = np.cumsum(_trapezoid_weights(nodes))
+        scale = cdf[-1] / _MC_NODES
+        cdf = cdf / cdf[-1]
+        cdf[-1] = np.inf
+
+    m = points.shape[0]
+    total = total_sq = 0.0
+    for chunk_index, done in enumerate(range(0, samples, DEFAULT_CHUNK)):
+        size = min(DEFAULT_CHUNK, samples - done)
+        rng = np.random.default_rng([seed, chunk_index])
+        x_t = rng.standard_normal((size, path.dim)) @ factors[0].T
+        vals = _periodic_interp(u0_coeffs, grid, points[:, None] + x_t)
+        if f is not None:
+            q = np.arange(_MC_NODES) + rng.random((size, _MC_NODES))
+            drawn = np.searchsorted(cdf, q.ravel() / _MC_NODES, side="right")
+            z = rng.standard_normal((drawn.size, path.dim, 1))
+            incs = (factors[drawn] @ z)[..., 0]
+            forced = np.empty((m, drawn.size))
+            order = np.argsort(drawn, kind="stable")
+            drawn_nodes, starts = np.unique(drawn[order], return_index=True)
+            for i, rows in zip(drawn_nodes, np.split(order, starts[1:])):
+                forced[:, rows] = _periodic_interp(
+                    f_coeffs[i], grid, points[:, None] + incs[rows])
+            vals += scale * forced.reshape(m, size, _MC_NODES).sum(axis=2)
+        total += vals.sum(axis=1)
+        total_sq += (vals ** 2).sum(axis=1)
+
+    mean = total / samples
+    var = np.maximum(total_sq - samples * mean ** 2, 0.0) / (samples - 1)
+    return MCEstimate(points=points, mean=mean,
+                      stderr=np.sqrt(var / samples),
+                      samples=samples, seed=seed)

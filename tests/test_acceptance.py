@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 
-from degparab import (GridSpec, SpectralField, TimePartition,
-                      char_function_check, check_kernel_decay, check_thm1,
-                      check_thm2, compare_fields, constant_profile,
+from degparab import (GridSpec, SeparableForcing, SpectralField,
+                      TimePartition, char_function_check,
+                      check_kernel_decay, check_thm1, check_thm2,
+                      compare_fields, constant_profile,
                       convergence_orders, cumulative_delta,
                       cumulative_delta_grid, epsilon_sweep,
                       fit_beta_exponent, gaussian_bump, kernel, lp_norm,
@@ -146,7 +147,7 @@ def test_criterion_07_thm1_ratio_stability():
         grid = GridSpec(dim=1, n=n, length=32.0)
         u0 = gaussian_bump(grid, width=2.0)
         shape = gaussian_bump(grid, width=1.5)
-        f = lambda t: SpectralField(grid, t * shape.samples)
+        f = SeparableForcing(lambda t: t, shape)
         rep = check_thm1(u0, f, path, prof, 0.0, p,
                          TimePartition.geometric(steps, 1.0))
         assert rep.admissible
@@ -159,7 +160,7 @@ def test_criterion_07_thm1_ratio_stability():
 
         u0 = gaussian_bump(GRID_1024, width=2.0)
         shape = gaussian_bump(GRID_1024, width=1.5)
-        f = lambda t: SpectralField(GRID_1024, t * shape.samples)
+        f = SeparableForcing(lambda t: t, shape)
         reps = epsilon_sweep(u0, f, path, prof, [1e-1, 1e-2, 1e-3, 1e-4], p,
                              TimePartition.geometric(128, 1.0))
         anchor = reps[0].ratio
@@ -216,7 +217,7 @@ def test_criterion_10_degenerate_limit():
     path = scalar_path(prof, 1)
     u0 = gaussian_bump(GRID_1024, width=2.0)
     g = gaussian_bump(GRID_1024, width=1.5)
-    f = lambda t: SpectralField(GRID_1024, (1.0 + 2.0 * t) * g.samples)
+    f = SeparableForcing(lambda t: 1.0 + 2.0 * t, g)
     final = solve_duhamel(u0, f, path, TimePartition.uniform(16, 1.0))[-1]
     expected = u0.samples + 2.0 * g.samples  # int_0^1 (1 + 2t) dt = 2
     gap = float(np.max(np.abs(final.samples - expected)))

@@ -11,10 +11,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degparab
-from degparab import (GridSpec, SpectralField, build_forcing, build_initial,
-                      cli, load_report, lp_norm, rough_field)
+from degparab import (GridSpec, SeparableForcing, SpectralField,
+                      build_forcing, build_initial, cli, load_report, lp_norm,
+                      oracle, rough_field)
 from degparab.cli import (_FIELD_MAP, RUNNERS, ConfigError,
                           ExperimentConfig, NonFiniteDataError, main,
                           parse_config, validate_config)
@@ -990,3 +993,218 @@ def test_forcing_fields_scale_one_transform_of_the_shape(monkeypatch):
         field, c = f(t), t * t + 0.5
         assert field.samples.tobytes() == (c * shape.samples).tobytes()
         assert field.spectrum.tobytes() == (c * spectrum).tobytes()
+
+
+def test_forcing_coefs_are_the_scalar_path_in_one_call():
+    grid = GridSpec(dim=1, n=64, length=8.0)
+    ts = np.array([0.0, 0.3, 0.5, 1.7])
+    for text, coef in [('separable("t * t + 0.5", gaussian(1.5))',
+                        lambda t: t * t + 0.5),
+                       ('separable("2.5", gaussian(1.5))', lambda t: 2.5)]:
+        f = build_forcing(text, grid, 2.0, seed=0)
+        assert isinstance(f, SeparableForcing) and f.text == text
+        cs = f.coefs(ts)
+        assert cs.shape == ts.shape
+        assert cs.tolist() == [coef(float(t)) for t in ts]
+        for t, c in zip(ts, cs):
+            assert f(t).samples.tobytes() == (c * f.shape.samples).tobytes()
+
+
+def test_forcing_coefs_name_the_first_bad_time_without_a_warning():
+    # c(t) = sqrt(t - 0.5) is NaN below 0.5, and 1e308 c S overflows; the
+    # error names the first such time of the array, as f(t) names its t
+    grid = GridSpec(dim=1, n=64, length=8.0)
+    f = build_forcing(FORCING_NAN, grid, 2.0, seed=0)
+    big = build_forcing('separable("1e300 * t", gaussian(1.5))', grid, 2.0,
+                        seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(f.coefs([0.5, 0.75])))
+        with pytest.raises(NonFiniteDataError, match=r"at t=0\.25$"):
+            f.coefs([0.75, 0.25, 0.0])
+        with pytest.raises(NonFiniteDataError, match=r"at t=1e\+300$"):
+            big.coefs([1.0, 1e300, 1e301])
+        with pytest.raises(NonFiniteDataError, match=r"at t=1e\+300$"):
+            big(1e300)
+
+
+@pytest.mark.parametrize("forcing", ["1e200 * t", "1e200"])
+def test_p2_norms_of_fields_beyond_the_square_range(tmp_path, forcing):
+    # the p = 2 norms squared each spectral value: two "overflow encountered
+    # in square" warnings, lhs = nan and rhs[forcing] = inf (exit 2).  With
+    # c(0) = 0 every number is finite; with c(0) = 1e200 the forcing's
+    # delta^(1 - p) weight diverges at t = 0, which alone is flagged
+    proc = run_module(tmp_path, "check-thm1", OVERFLOW_CONFIG.format(p=2)
+                      .replace('"t"', f'"{forcing}"'))
+    assert proc.stderr == ""
+    rows = (tmp_path / "out" / "thm1.csv").read_text().splitlines()[1:]
+    if forcing == "1e200 * t":
+        assert proc.returncode == 0
+        assert_scaled_rows(rows)
+    else:
+        assert proc.returncode == 2
+        lhs, rhs_1, rhs_2 = map(float, rows[0].split(",")[7:10])
+        assert rows[0].endswith(',nan,"inadmissible-weight"')
+        assert 1e198 < lhs < math.inf and rhs_1 == math.inf
+        assert 0.0 < rhs_2 < math.inf
+
+
+FORCED_1D = """
+[grid]
+n = 128
+
+[partition]
+steps = 16
+
+[profile]
+spec = power(1)
+
+[coefficients]
+spec = scalar(power(1))
+
+[forcing]
+spec = separable("1 + t", gaussian(1.5))
+
+[params]
+mc_samples = 2000
+mc_probes = 3
+"""
+
+
+def test_oracle_compare_filters_one_spline_of_the_shape(tmp_path,
+                                                        monkeypatch):
+    # u0, the forcing's shape and the final field: the Monte Carlo oracle
+    # scales the shape's one spline by c(t_i), where it filtered a spline
+    # of every node's field f(t_i), K + 3 in all
+    calls = []
+    spline = oracle._spline_coeffs
+
+    def spy(field):
+        calls.append(field)
+        return spline(field)
+
+    monkeypatch.setattr(oracle, "_spline_coeffs", spy)
+    monkeypatch.setattr(cli, "_spline_coeffs", spy)
+    path = write_cfg(tmp_path, FORCED_1D)
+    assert main(["oracle-compare", "--config", path,
+                 "--out", str(tmp_path / "o")]) in (0, 2)
+    assert len(calls) == 3
+
+
+def test_only_the_saved_solve_builds_forcing_fields(tmp_path, monkeypatch):
+    # the checks and the sweep read c(t_k) and the shape's one spectrum;
+    # solve transforms f(t).samples and pairs f(t) with the test function
+    # at each of its K + 1 nodes
+    calls = []
+    field = SeparableForcing.__call__
+
+    def spy(self, t):
+        calls.append(t)
+        return field(self, t)
+
+    monkeypatch.setattr(SeparableForcing, "__call__", spy)
+    path = write_cfg(tmp_path, FORCED_1D)
+    counts = {}
+    for command in ("check-thm1", "check-classic", "eps-sweep", "solve"):
+        del calls[:]
+        main([command, "--config", path, "--out", str(tmp_path / command)])
+        counts[command] = len(calls)
+    assert counts == {"check-thm1": 0, "check-classic": 0, "eps-sweep": 0,
+                      "solve": 2 * 17}
+
+
+REROUTED = ("check-thm1", "check-classic", "eps-sweep", "oracle-compare")
+
+
+def forced_config(dim, n, kind, steps, profile, coef, width, p):
+    return f"""
+[grid]
+dim = {dim}
+n = {n}
+period = 16.0
+
+[partition]
+kind = {kind}
+steps = {steps}
+
+[profile]
+spec = {profile}
+
+[coefficients]
+spec = scalar({profile})
+
+[initial]
+spec = gaussian(2.0)
+
+[forcing]
+spec = separable("{coef}", gaussian({width}))
+
+[params]
+p = {p}
+eps_list = 0.1, 0.01
+mc_samples = 1000
+mc_probes = 2
+"""
+
+
+def run_in_process(tmp_path, command, text):
+    """(exit code, stderr, CSV rows) of one in-process run that records
+    every warning instead of raising it."""
+    path = write_cfg(tmp_path, text, name=f"{command}.ini")
+    out = tmp_path / command
+    shutil.rmtree(out, ignore_errors=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", path, "--out", str(out)])
+    rows = [row for csv in sorted(out.glob("*.csv"))
+            for row in csv.read_text().splitlines()[1:]]
+    return code, [str(w.category.__name__) for w in caught], rows
+
+
+CONFIGS = dict(
+    dim=st.sampled_from([1, 2]),
+    log_n=st.integers(4, 7),
+    kind=st.sampled_from(["uniform", "geometric"]),
+    steps=st.integers(2, 16),
+    profile=st.sampled_from(["constant(1.0)", "power(1)", "power(0.5)"]),
+    width=st.sampled_from([1.0, 1.5]),
+    p=st.sampled_from([2.0, 3.0]))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(coef=st.sampled_from(["t", "1 + t", "2*sin(3*t)", "1e200*t",
+                             "exp(-t)"]), **CONFIGS)
+def test_a_rerouted_run_that_exits_0_reports_finite_numbers(
+        tmp_path_factory, coef, dim, log_n, kind, steps, profile, width, p):
+    tmp_path = tmp_path_factory.mktemp("run")
+    n = min(2 ** log_n, 32 if dim == 2 else 128)
+    text = forced_config(dim, n, kind, steps, profile, coef, width, p)
+    for command in REROUTED:
+        code, caught, rows = run_in_process(tmp_path, command, text)
+        assert code in (0, 2), (command, code)
+        if code == 0:
+            assert "RuntimeWarning" not in caught, command
+            for row in rows:
+                for value in row.replace('"', "").split(","):
+                    try:
+                        number = float(value)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(number), (command, row)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data(), **CONFIGS)
+def test_a_non_finite_time_factor_at_any_node_exits_3(
+        tmp_path_factory, data, dim, log_n, kind, steps, profile, width, p):
+    # c(t) = 1 / (t - t_j) is inf at the node t_j alone
+    tmp_path = tmp_path_factory.mktemp("run")
+    n = min(2 ** log_n, 32 if dim == 2 else 128)
+    nodes = cli._partition(ExperimentConfig(partition_kind=kind,
+                                            steps=steps)).nodes
+    node = float(nodes[data.draw(st.integers(0, steps), label="node")])
+    text = forced_config(dim, n, kind, steps, profile,
+                         f"1 / (t - {node!r})", width, p)
+    for command in REROUTED:
+        code, caught, _ = run_in_process(tmp_path, command, text)
+        assert code == 3, (command, node)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from degparab import (CSV_HEADER, GridSpec, SpectralField, TimePartition,
-                      besov_norm, bessel_norm, check_classic,
+from degparab import (CSV_HEADER, GridSpec, SeparableForcing, SpectralField,
+                      TimePartition, besov_norm, bessel_norm, check_classic,
                       check_kernel_decay, check_thm1, check_thm2, cli,
                       constant_profile, cumulative_delta, epsilon_sweep,
                       expr_matrix_path, expr_profile, gaussian_bump,
@@ -141,7 +141,7 @@ def test_thm1_flags_forcing_outside_weighted_space():
     # A = 0 with f(0) != 0: the delta^(1-p) weight diverges
     u0 = gaussian_bump(GRID, width=2.0)
     shape = gaussian_bump(GRID, width=1.5)
-    f = lambda t: SpectralField(GRID, (1.0 + t) * shape.samples)
+    f = SeparableForcing(lambda t: 1.0 + t, shape)
     prof = constant_profile(0.0)
     path = scalar_path(prof, 1)
     rep = check_thm1(u0, f, path, prof, 0.0, 2.0,
@@ -157,7 +157,7 @@ def test_thm1_heat_ratio_stable_under_grid_refinement():
         grid = GridSpec(dim=1, n=n, length=32.0)
         u0 = gaussian_bump(grid, width=2.0)
         shape = gaussian_bump(grid, width=1.5)
-        f = lambda t: SpectralField(grid, t * shape.samples)
+        f = SeparableForcing(lambda t: t, shape)
         prof = constant_profile(1.0)
         rep = check_thm1(u0, f, scalar_path(prof, 1), prof, 0.0, 2.0,
                          TimePartition.uniform(64, 1.0))
@@ -173,10 +173,9 @@ def test_thm1_scale_invariance():
     path = scalar_path(prof, 1)
     part = TimePartition.geometric(32, 1.0)
     lam = 37.5
-    r1 = check_thm1(u0, lambda t: SpectralField(GRID, t * shape.samples),
+    r1 = check_thm1(u0, SeparableForcing(lambda t: t, shape),
                     path, prof, 0.0, 2.0, part)
-    r2 = check_thm1(lam * u0,
-                    lambda t: SpectralField(GRID, lam * t * shape.samples),
+    r2 = check_thm1(lam * u0, SeparableForcing(lambda t: lam * t, shape),
                     path, prof, 0.0, 2.0, part)
     assert abs(r2.ratio - r1.ratio) < 1e-10 * r1.ratio
 
@@ -270,7 +269,7 @@ def test_classic_forced_growth_exact():
     T, p = 2.0, 3.0
     g = gaussian_bump(GRID, width=1.5)
     u0 = SpectralField(GRID, np.zeros(GRID.shape))
-    f = lambda t: g
+    f = SeparableForcing(lambda t: 1.0, g)
     path = scalar_path(constant_profile(0.0), 1)
     rep = check_classic(u0, f, path, TimePartition.uniform(16, T), p)
     assert abs(rep.ratio - T ** (1.0 - 1.0 / p)) < 1e-10
@@ -327,7 +326,7 @@ def test_kernel_decay_rejects_out_of_range_blocks():
 def test_eps_sweep_elliptic_insensitive():
     u0 = gaussian_bump(GRID, width=2.0)
     shape = gaussian_bump(GRID, width=1.5)
-    f = lambda t: SpectralField(GRID, t * shape.samples)
+    f = SeparableForcing(lambda t: t, shape)
     prof = constant_profile(1.0)
     reps = epsilon_sweep(u0, f, HEAT, prof, [1e-1, 1e-2, 1e-3], 2.0,
                          TimePartition.uniform(32, 1.0))
@@ -338,7 +337,7 @@ def test_eps_sweep_elliptic_insensitive():
 def test_eps_sweep_degenerate_within_factor_two():
     u0 = gaussian_bump(GRID, width=2.0)
     shape = gaussian_bump(GRID, width=1.5)
-    f = lambda t: SpectralField(GRID, t * shape.samples)
+    f = SeparableForcing(lambda t: t, shape)
     prof = power_profile(1.0)
     reps = epsilon_sweep(u0, f, scalar_path(prof, 1), prof,
                          [1e-1, 1e-2, 1e-3, 1e-4], 2.0,
@@ -374,7 +373,7 @@ def test_p2_checks_make_no_inverse_transform(dim, monkeypatch):
     grid = GridSpec(dim=dim, n=32, length=16.0)
     u0 = gaussian_bump(grid, width=2.0)
     shape = gaussian_bump(grid, width=1.5)
-    f = lambda t: SpectralField(grid, t * shape.samples)
+    f = SeparableForcing(lambda t: t, shape)
     prof = expr_profile("0.5*t")
     path = (scalar_path(prof, 1) if dim == 1 else
             expr_matrix_path([["t", "0.5*t"], ["0.5*t", "t"]]))
@@ -398,38 +397,47 @@ def test_p2_checks_make_no_inverse_transform(dim, monkeypatch):
 def test_streamed_checks_agree_with_the_solve_reports(dim, p):
     # the checks read their snapshots from the O(K) recurrence; the same
     # reports computed from solve_duhamel's per-node snapshots agree within
-    # 1e-12 relative, and the right-hand sides, which read no snapshot,
-    # bit for bit
+    # 1e-12 relative.  The forcing norms are |c(t_k)| times the shape's
+    # norm, taken once: bit for bit that product, and within 1e-14
+    # relative the norms of the fields f(t_k) themselves
     grid = GridSpec(dim=dim, n=64 if dim == 1 else 32, length=16.0)
     u0 = gaussian_bump(grid, width=2.0)
     shape = gaussian_bump(grid, width=1.5)
-    f = lambda t: SpectralField(grid, t * shape.samples)
+    f = SeparableForcing(lambda t: t, shape)
     prof = expr_profile("0.5*t")
     path = (scalar_path(prof, 1) if dim == 1 else
             expr_matrix_path([["t", "0.5*t"], ["0.5*t", "t"]]))
     part = TimePartition.geometric(16, 1.0)
     nodes = part.nodes
+    cs = np.abs(f.coefs(nodes)).tolist()
 
-    def agrees(rep, lhs, components):
+    def agrees(rep, lhs, components, per_node=()):
         assert rep.admissible
         assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
         assert rep.rhs_components == components
+        for (_, value), expected in zip(rep.rhs_components, per_node):
+            assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
         rhs = sum(value for _, value in rep.rhs_components)
         assert rep.ratio == pytest.approx(lhs / rhs, rel=1e-12, abs=0.0)
 
     snaps = solve_duhamel(u0, f, path, part)
+    shape_norm = bessel_norm(shape, 1.0, p)
     agrees(check_thm1(u0, f, path, prof, 1.0, p, part),
            weighted_norm(nodes, [hessian_lp_norm(u, p, 1.0) for u in snaps],
                          prof, p, 1.0),
            (("forcing", weighted_norm(
-               nodes, [bessel_norm(f(t), 1.0, p) for t in nodes], prof, p,
-               1.0 - p)),
-            ("initial", besov_norm(u0, 3.0 - 2.0 / p, p))))
+               nodes, [c * shape_norm for c in cs], prof, p, 1.0 - p)),
+            ("initial", besov_norm(u0, 3.0 - 2.0 / p, p))),
+           [weighted_norm(nodes, [bessel_norm(f(t), 1.0, p) for t in nodes],
+                          prof, p, 1.0 - p)])
+    shape_norm = lp_norm(shape, p)
     agrees(check_classic(u0, f, path, part, p),
            max(lp_norm(u, p) for u in snaps),
            (("forcing", weighted_norm(
-               nodes, [lp_norm(f(t), p) for t in nodes], None, p, 0.0)),
-            ("initial", lp_norm(u0, p))))
+               nodes, [c * shape_norm for c in cs], None, p, 0.0)),
+            ("initial", lp_norm(u0, p))),
+           [weighted_norm(nodes, [lp_norm(f(t), p) for t in nodes], None, p,
+                          0.0)])
     dominated = scalar_path(prof, dim)
     rep = check_thm2(u0, dominated, prof, p, part)
     snaps = solve_duhamel(u0, None, dominated, part)

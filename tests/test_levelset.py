@@ -276,6 +276,12 @@ def test_closed_form_levelset_measure_equals_the_bisection(name):
 def test_levelset_measure_rejects_nonpositive_levels():
     with pytest.raises(ValueError, match="positive"):
         levelset_measure(power_profile(1.0), np.array([0.1, 0.0]), 1.0)
+    # and a NaN level, by both measures: the scan tested h <= 0, which NaN
+    # fails, and counted the level as 0.0
+    for measure in (levelset_measure, levelset_measure_scan):
+        with pytest.raises(ValueError,
+                           match=r"^level h must be positive, got nan$"):
+            measure(expr_profile("sqrt(t)"), [math.nan, 0.1], 1.0)
 
 
 SCAN_PROFILES = [expr_profile("sqrt(t)"), oscillatory_profile(),

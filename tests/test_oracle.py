@@ -11,16 +11,17 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degparab import (GridSpec, SpectralField, TimePartition,
-                      accumulate_on, build_forcing, char_function_check,
-                      compare_fields, constant_matrix_path, constant_profile,
+from degparab import (GridSpec, SeparableForcing, SpectralField,
+                      TimePartition, accumulate_on, build_forcing,
+                      char_function_check, compare_fields, constant_matrix_path, constant_profile,
                       convergence_orders, cumulative_delta,
                       gaussian_bump, mc_solve, oscillatory_profile,
                       parse_coefficients, sample_increments, scalar_path,
                       solve_duhamel)
 from degparab import oracle
 from degparab.oracle import _fd_steps, _stencil_symbol
-from references import mc_solve_per_chunk, stencil_symbol_uncached
+from references import (mc_solve_grouped, mc_solve_per_chunk,
+                        stencil_symbol_uncached)
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -163,7 +164,7 @@ def test_fd_zero_coefficients_affine_forcing_exact():
     # for affine integrands
     g = gaussian_bump(GRID, width=1.5)
     u0 = gaussian_bump(GRID, width=2.0)
-    f = lambda t: SpectralField(GRID, (1.0 + 2.0 * t) * g.samples)
+    f = SeparableForcing(lambda t: 1.0 + 2.0 * t, g)
     path = scalar_path(constant_profile(0.0), 1)
     final = fd_final(u0, f, path, TimePartition.uniform(16, 1.0))
     expected = u0 + SpectralField(GRID, 2.0 * g.samples)  # int_0^1 (1+2t) = 2
@@ -217,7 +218,8 @@ def test_fd_solve_matches_sparse_lu_stepper(dim, kind, steps, horizon,
     path = _coefficient_path(coefficients, dim, seed)
     u0 = gaussian_bump(grid, width=1.0)
     shape = gaussian_bump(grid, width=0.7)
-    f = (lambda t: shape * (1.0 + math.sin(3.0 * t))) if forced else None
+    f = (SeparableForcing(lambda t: 1.0 + np.sin(3.0 * t), shape) if forced
+         else None)
     ref = _lu_fd_solve(u0, f, path, part)
     got = [u0, *_fd_steps(u0, f, path, part.nodes)]
     # each LU step solves a system with condition number up to kappa and
@@ -348,7 +350,7 @@ def test_mc_rejects_wrong_point_dim():
 def test_mc_forcing_matches_duhamel():
     g = gaussian_bump(GRID, width=1.5)
     u0 = gaussian_bump(GRID, width=2.0)
-    f = lambda t: SpectralField(GRID, t * g.samples)
+    f = SeparableForcing(lambda t: t, g)
     part = TimePartition.uniform(32, 0.4)
     ref = solve_duhamel(u0, f, HEAT, part)
     pts = np.array([-2.0, 0.0, 3.0])
@@ -409,7 +411,7 @@ def test_mc_stratified_nodes_agree_with_the_all_node_sum(dim, kind):
             constant_matrix_path([[1.0, 0.4], [0.4, 0.6]]))
     u0 = gaussian_bump(grid, width=1.5)
     shape = gaussian_bump(grid, width=1.0)
-    f = lambda s: shape * (1.0 + 4.0 * math.sin(9.0 * s))
+    f = SeparableForcing(lambda s: 1.0 + 4.0 * np.sin(9.0 * s), shape)
     pts = np.random.default_rng(dim).uniform(-2.0, 2.0, (4, dim))
     got = mc_solve(u0, f, path, t, pts, 40000, seed=31, partition=part)
     ref = mc_solve_per_chunk(u0, f, path, t, pts, 40000, seed=32,
@@ -418,30 +420,53 @@ def test_mc_stratified_nodes_agree_with_the_all_node_sum(dim, kind):
     assert np.all(gaps <= 4.0 * np.hypot(got.stderr, ref.stderr))
 
 
+@pytest.mark.parametrize("kind", ["uniform", "geometric"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mc_one_shape_spline_matches_the_per_node_splines(dim, kind):
+    # the same draws as the grouped estimator, which filters one spline of
+    # f(t_i) per node: the shape's one spline scaled by c(t_i) moves mean
+    # and stderr only by rounding
+    grid = MC_GRIDS[dim]
+    t = 0.3
+    part = getattr(TimePartition, kind)(12, t)
+    path = (scalar_path(oscillatory_profile(), 1) if dim == 1 else
+            constant_matrix_path([[1.0, 0.4], [0.4, 0.6]]))
+    u0 = gaussian_bump(grid, width=1.5)
+    f = SeparableForcing(lambda s: 1.0 + 4.0 * np.sin(9.0 * s),
+                         gaussian_bump(grid, width=1.0))
+    pts = np.random.default_rng(dim).uniform(-2.0, 2.0, (4, dim))
+    samples = oracle.DEFAULT_CHUNK + 3000  # a full and a partial chunk
+    got = mc_solve(u0, f, path, t, pts, samples, seed=31, partition=part)
+    ref = mc_solve_grouped(u0, f, path, t, pts, samples, seed=31,
+                           partition=part)
+    assert np.all(np.abs(got.mean - ref.mean) <= 1e-12 * np.abs(ref.mean))
+    assert np.all(np.abs(got.stderr - ref.stderr) <= 1e-12 * ref.stderr)
+
+
 def test_mc_memory_is_set_by_the_chunk_not_the_partition():
     grid = GridSpec(dim=1, n=64, length=16.0)
     steps, probes, chunk, dim, word = 256, 3, oracle.DEFAULT_CHUNK, 1, 8
     draws = oracle._MC_NODES * chunk  # forcing nodes drawn per chunk
     u0 = gaussian_bump(grid, width=1.5)
     shape = gaussian_bump(grid, width=1.0)
-    f = lambda s: shape * (1.0 + s)
+    f = SeparableForcing(lambda s: 1.0 + s, shape)
     part = TimePartition.uniform(steps, 0.3)
     pts = np.linspace(-4.0, 4.0, probes)
     # per chunk: the normals of X_t and X_t; the probe positions, their
     # grid coordinates and a contiguous copy, and the u0 values (vals);
     # the uniforms, the strata, their scaled copy and the drawn node
     # indices; the normals, gathered factors and increments of the drawn
-    # nodes; their sort order, the sorted indices and two sort
-    # temporaries of np.unique; the forcing values; the node sums, their
-    # scaled copy and vals squared.  Per run: K + 1 forcing and one
-    # initial spline coefficient array and K + 1 covariance factors;
-    # 64 KiB for Python objects.  No (chunk, K) array: a chunk of 16384
-    # paths over 256 steps alone would be 32 MiB.
+    # nodes; one stratum's node indices and c values; the forcing values;
+    # the node sums, their scaled copy and vals squared.  Per run: the
+    # initial and the shape's spline coefficient arrays, and K + 1 values
+    # of c and covariance factors; 64 KiB for Python objects.  No
+    # (chunk, K) array: a chunk of 16384 paths over 256 steps alone would
+    # be 32 MiB, and no per-node spline or grouping by node
     bound = word * (2 * chunk * dim + 3 * probes * chunk * dim
                     + probes * chunk + 4 * draws
-                    + draws * (2 * dim + dim * dim) + 4 * draws
+                    + draws * (2 * dim + dim * dim) + 2 * chunk
                     + probes * draws + 3 * probes * chunk
-                    + (steps + 2) * grid.n + (steps + 1) * dim * dim
+                    + 2 * grid.n + (steps + 1) * (1 + dim * dim)
                     ) + 64 * 1024
     import scipy.ndimage  # loaded before tracing: its import is not a buffer
     tracemalloc.start()
@@ -468,7 +493,8 @@ def test_fd_snapshots_own_their_samples(dim, monkeypatch):
 
     monkeypatch.setattr(np.fft, "ifftn", spy)
     samples = [snap.samples for snap in _fd_steps(
-        gaussian_bump(grid, width=1.5), lambda s: shape * (1.0 + s),
+        gaussian_bump(grid, width=1.5),
+        SeparableForcing(lambda s: 1.0 + s, shape),
         scalar_path(constant_profile(1.0), dim),
         TimePartition.uniform(6, 0.3).nodes)]
     assert len(transforms) == 6
@@ -481,10 +507,10 @@ def test_fd_snapshots_own_their_samples(dim, monkeypatch):
 def test_fd_final_holds_a_few_fields_at_any_step_count():
     # oracle-compare's FD order check keeps only the final field of its
     # doubled-grid solve (n = 4096, K = 256 on the spectral-1d benchmark;
-    # smaller here): the previous and the current step's spectrum, the
-    # forcing field's samples and spectrum, dt times that spectrum and the
-    # real symbol and its two factors, about 5 complex fields, where a list
-    # of all K + 1 = 65 real snapshots and their transforms takes 37
+    # smaller here): the previous and the current step's spectrum, dt c(t)
+    # times the shape's spectrum and the real symbol and its two factors,
+    # about 5 complex fields, where a list of all K + 1 = 65 real snapshots
+    # and their transforms takes 37
     grid = GridSpec(dim=1, n=2048, length=32.0)
     part = TimePartition.uniform(64, 1.0)
     u0 = gaussian_bump(grid, width=1.0)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degparab import (DegenerateKernelError, GridSpec, SpectralField,
-                      TimePartition, accumulate_on, bessel_norm,
+from degparab import (DegenerateKernelError, GridSpec, SeparableForcing,
+                      SpectralField, TimePartition, accumulate_on, bessel_norm,
                       check_classic, check_thm1, check_thm2,
                       compare_fields, constant_matrix_path, constant_profile,
                       cumulative_delta, epsilon_regularize, gaussian_bump,
@@ -524,20 +524,26 @@ def test_solve_final_is_the_last_duhamel_snapshot(dim, kind, steps, horizon,
     path = parse_coefficients(spec, dim)
     u0 = gaussian_bump(grid, width=width)
     shape = gaussian_bump(grid, width=1.5)
-    f = (lambda t: shape * (1.0 + t)) if forced else None
+    f = SeparableForcing(lambda t: 1.0 + t, shape) if forced else None
     final = solve_final(u0, f, path, part)
     last = list(_duhamel_stream(u0, f, path, part.nodes))[-1][0]
     assert final.spectrum.tobytes() == last.spectrum.tobytes()
     assert final.samples.tobytes() == last.samples.tobytes()
     # within the bound of test_duhamel_stream_is_the_per_node_sum_within_k_eps
-    # of the O(K^2) sum, which reads the same forcing spectra here:
-    # |A_K - S_K| <= 4 (K + 1) eps M_K
+    # of the O(K^2) sum on the same forcing spectra c(t) S^, which are the
+    # fields' f(t).spectrum: |A_K - S_K| <= 4 (K + 1) eps M_K.  (The saved
+    # solve transforms f(t).samples instead, which differs by FFT rounding,
+    # not bounded mode by mode.)
+    nodes = part.nodes
+    f_specs = [f(t).spectrum for t in nodes] if forced else None
     scale = np.abs(u0.spectrum)
     if forced:
-        scale = scale + sum(w * np.abs(f(t).spectrum) for w, t in
-                            zip(_trapezoid_weights(part.nodes), part.nodes))
-    solved = solve_duhamel(u0, f, path, part)[-1]
-    assert np.all(np.abs(final.spectrum - solved.spectrum)
+        scale = scale + sum(w * np.abs(f_t) for w, f_t in
+                            zip(_trapezoid_weights(nodes), f_specs))
+    solved = references.duhamel_spectrum_per_node(
+        u0.spectrum, references.quadratic_forms(grid, path, nodes), f_specs,
+        nodes, steps)
+    assert np.all(np.abs(final.spectrum - solved)
                   <= 4 * (steps + 1) * np.finfo(float).eps * scale)
 
 
@@ -592,6 +598,21 @@ def duhamel_case(dim, kind, steps, horizon, coefficients, forced, n=None,
                [np.fft.fftn(f(t).samples) for t in nodes])
     return (u0.spectrum, _quadratic_forms(grid, path, nodes), f_specs,
             nodes, references.quadratic_forms(grid, path, nodes))
+
+
+class CountingForcing(SeparableForcing):
+    """A forcing value that records its coefs calls and builds no field."""
+
+    def __init__(self, coef, shape):
+        super().__init__(coef, shape)
+        self.calls = []
+
+    def coefs(self, ts):
+        self.calls.append(np.array(ts))
+        return super().coefs(ts)
+
+    def __call__(self, t):
+        pytest.fail(f"a forcing field was built at t={t!r}")
 
 
 def ragged_rows(steps):
@@ -665,21 +686,21 @@ def test_duhamel_stream_is_the_per_node_sum_within_k_eps(
     path = scaled(path, scale)
     full = references.quadratic_forms(grid, path, nodes)
     u0, shape = gaussian_bump(grid, width=1.0), gaussian_bump(grid, width=1.5)
-    fields = [shape * (1.0 + t) for t in nodes] if forced else None
-    f_specs = fields and [x.spectrum for x in fields]
-    # the forcing comes from a one-shot iterator: one call per node, in order
-    pending = iter(zip(nodes, fields or ()))
-
-    def f(t):
-        node, field = next(pending)
-        assert t == node
-        return field
+    plain = SeparableForcing(lambda t: 1.0 + t, shape) if forced else None
+    f = CountingForcing(lambda t: 1.0 + t, shape) if forced else None
+    cs = plain.coefs(nodes).tolist() if forced else [None] * nodes.size
+    # the per-node sum reads the fields' spectra, c(t) S^
+    f_specs = [plain(t).spectrum for t in nodes] if forced else None
+    old_stream = list(references.duhamel_stream_fields(u0, plain, path,
+                                                       nodes))
 
     eps = np.finfo(float).eps
-    got = list(_duhamel_stream(u0, f if forced else None, path, nodes))
+    got = list(_duhamel_stream(u0, f, path, nodes))
     assert len(got) == steps + 1 and got[0][0] is u0
-    for k, (u, f_k) in enumerate(got):
-        assert f_k is (fields[k] if forced else None)
+    # c is read once, at every node, in order, and no field is built
+    assert not forced or [ts.tolist() for ts in f.calls] == [nodes.tolist()]
+    for k, (u, c_k) in enumerate(got):
+        assert c_k == cs[k]
         if k == 0:
             continue
         expected = references.duhamel_spectrum_per_node(
@@ -690,6 +711,11 @@ def test_duhamel_stream_is_the_per_node_sum_within_k_eps(
             scale_k = scale_k + sum(w_i * np.abs(f_i)
                                     for w_i, f_i in zip(w, f_specs))
         assert np.all(np.abs(u.spectrum - expected)
+                      <= 4 * (k + 1) * eps * scale_k), k
+        # and within the same bound of the recurrence over the fields
+        # f(t_k), one built per node, that this stream replaced
+        old = old_stream[k][0].spectrum
+        assert np.all(np.abs(u.spectrum - old)
                       <= 4 * (k + 1) * eps * scale_k), k
 
 
@@ -758,7 +784,8 @@ def test_forced_solve_holds_one_forcing_field_at_a_time(call):
     # n = 128, K = 32: all forcing spectra would take as much as the output
     grid = GridSpec(dim=2, n=128, length=16.0)
     shape = gaussian_bump(grid, width=1.5)
-    u0, f = gaussian_bump(grid, width=1.0), lambda t: shape * (1.0 + t)
+    u0 = gaussian_bump(grid, width=1.0)
+    f = SeparableForcing(lambda t: 1.0 + t, shape)
     path = parse_coefficients(expr_matrix_text(2), 2)
     part = TimePartition.geometric(32, 1.0)
     prof = power_profile(1.0)
@@ -775,13 +802,15 @@ def test_forced_solve_holds_one_forcing_field_at_a_time(call):
     assert call != "check_thm2" or report.admissible
     field = u0.spectrum.nbytes
     # the 33 real quadratic forms (half of this on the half lattice), plus
-    # eight complex fields: the initial snapshot, the two block buffers (and
-    # the exponent and mask blocks), the previous and the current forcing
-    # spectrum with its samples, its weighted copy and the endpoint term
-    # with its operands; solve_duhamel keeps its 32 snapshot spectra too,
-    # while the checks stream theirs and hold one or two at a time
-    kept = 32 * field if call == "solve_duhamel" else 0
-    bound = kept + 33 * field // 2 + 8 * field
+    # for solve_duhamel eight complex fields: the initial snapshot, the two
+    # block buffers (and the exponent and mask blocks), the previous and
+    # the current forcing spectrum with its samples, its weighted copy and
+    # the endpoint term with its operands, and its 32 snapshot spectra.
+    # The checks stream their snapshots and build no forcing field: five
+    # complex fields hold the complex factor (and the exponent block), the
+    # previous and the current snapshot and the two terms (dt / 2 c) S^
+    kept = 32 * field + 8 * field if call == "solve_duhamel" else 5 * field
+    bound = kept + 33 * field // 2
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

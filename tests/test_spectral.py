@@ -78,11 +78,15 @@ def test_lp_norm_constant_field():
     assert lp_norm(one, np.inf) == 1.0
 
 
-@pytest.mark.parametrize("p", [400.0, 1e308])
-@pytest.mark.parametrize("scale", [2.0 ** -300, 2.0 ** 300])
+@pytest.mark.parametrize("p", [2.0, 400.0, 1e308])
+@pytest.mark.parametrize("scale", [2.0 ** -560, 2.0 ** -300, 2.0 ** 300,
+                                   2.0 ** 700])
 def test_norms_at_a_huge_p_scale_with_the_field(p, scale):
     # every p-th power of the scaled field leaves the float range, which
-    # read inf or 0.0; a norm is homogeneous, so it must scale instead
+    # read inf or 0.0; a norm is homogeneous, so it must scale instead.
+    # At 2^700 and 2^-560 so do the squares of the p = 2 norms and of the
+    # Hessian's Frobenius sum, which read nan, inf or 0.0 with numpy's
+    # "overflow encountered in square"
     grid = GridSpec(dim=1, n=256, length=16.0)
     u = gaussian_bump(grid, width=1.0)
     v = SpectralField(grid, scale * u.samples)
