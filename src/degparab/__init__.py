@@ -12,9 +12,8 @@ checkers, and independent finite-difference / Monte Carlo oracles.
 from .degeneracy import (CoefficientPath, DegeneracyProfile, LevelsetFit,
                          accumulate_on, check_domination, compile_expr,
                          constant_matrix_path, constant_profile,
-                         cumulative_delta, cumulative_delta_grid,
-                         empirical_bound, expr_matrix_path, expr_profile,
-                         fit_beta_exponent, inverse_cumulative,
+                         cumulative_delta, empirical_bound, expr_matrix_path,
+                         expr_profile, fit_beta_exponent, inverse_cumulative,
                          levelset_measure, levelset_measure_scan,
                          oscillatory_profile, parse_coefficients,
                          parse_profile, piecewise_profile, power_profile,

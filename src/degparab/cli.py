@@ -25,8 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .degeneracy import (_SCAN_POINTS, _level_grid, check_domination,
-                         cumulative_delta, cumulative_delta_grid,
-                         empirical_bound, fit_beta_exponent,
+                         cumulative_delta, empirical_bound, fit_beta_exponent,
                          levelset_measure_scan, parse_coefficients,
                          parse_profile)
 from .estimates import (check_classic, check_kernel_decay, check_thm1,
@@ -540,7 +539,7 @@ def run_profile_check(cfg, outdir):
                     f"from the expected {expected} (tolerance {tol:.0%})")
         if name == "oscillatory":
             ts = np.linspace(1e-6, cfg.horizon, 1000)
-            betas = cumulative_delta_grid(profile, ts)
+            betas = cumulative_delta(profile, ts)
             ok = np.all((betas >= ts / 4.0 - 1e-12) & (betas <= 2.0 * ts + 1e-12))
             lines.append(f"bracket t/4 <= beta(t) <= 2t on 1000 samples: "
                          f"{'holds' if ok else 'FAILS'}")

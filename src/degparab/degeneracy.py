@@ -201,50 +201,18 @@ def _profile(call, text):
 
 
 def cumulative_delta(profile, t):
-    """beta at a time or an array of times (float or array out, as delta):
-    accumulate_on of scalar_path(profile, 1).  A failure names the profile."""
+    """beta at a finite time t >= 0 or an array of them (float or array
+    out, as delta): accumulate_on of scalar_path(profile, 1).  A failure
+    names the profile."""
     ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0):
-        raise ValueError(f"cumulative is defined for t >= 0, got {t}")
+    if not np.all((0 <= ts) & (ts < math.inf)):
+        raise ValueError(f"cumulative is defined for finite t >= 0, got {t}")
     try:
         betas = accumulate_on(scalar_path(profile, 1), ts.ravel())[:, 0, 0]
     except QuadratureError as exc:
         exc.spec = profile.spec
         raise
     return float(betas[0]) if ts.ndim == 0 else betas.reshape(ts.shape)
-
-
-def cumulative_delta_grid(profile, ts, npts=None):
-    """Vectorized beta on an array of times.
-
-    Uses the closed form when present; otherwise a dense midpoint scan with
-    npts panels over [0, max(ts)] (default 16 per requested time, at least
-    4096), linearly interpolated at ts.  The scan runs in fixed-size chunks,
-    each continuing the running total, so its memory stays bounded by the
-    chunk (plus arrays the size of ts) and its values equal one np.cumsum
-    over np.linspace(0, max(ts), npts + 1), bit for bit.  Intended for
-    plotting and scan-style diagnostics, not for the tight tolerances of the
-    solver path.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0):
-        raise ValueError("cumulative is defined for t >= 0")
-    if profile.closed_form_cumulative is not None:
-        return np.asarray(profile.closed_form_cumulative(ts), dtype=float)
-    hi = float(np.max(ts)) if ts.size else 0.0
-    if hi == 0.0:
-        return np.zeros_like(ts)
-    if npts is None:
-        npts = max(4096, 16 * ts.size)
-    flat = ts.ravel()
-    order = (None if np.all(flat[1:] >= flat[:-1])
-             else np.argsort(flat, kind="stable"))
-    times = [flat if order is None else flat[order]]
-    vals = np.concatenate([np.interp(q, edges, beta) for q, edges, beta, _
-                           in _scan_segments(profile, hi, npts, times)])
-    if order is not None:
-        vals[order] = vals.copy()
-    return vals.reshape(ts.shape)[()]
 
 
 # panels per chunk of a midpoint scan: a few MB of temporaries at a time
@@ -416,13 +384,17 @@ def levelset_measure_scan(profile, hs, t0):
     """Direct Riemann scan of the same level set for every level h in hs,
     accurate to ~2*t0/npts, npts = _SCAN_POINTS; one scan serves all levels.
 
-    beta is cumulative_delta_grid(profile, mids, npts=4*npts) at the npts
-    panel midpoints of [0, t0], bit for bit, read _SCAN_CHUNK midpoints at
-    a time alongside the chunked scan, so memory holds a few arrays of
-    _SCAN_CHUNK values whatever npts is; h counts #(beta >= h) less
-    #(beta >= 4h).  Reference implementation to cross-check levelset_measure.
+    beta at the npts panel midpoints of [0, t0] is the closed form where one
+    is registered; otherwise the midpoint scan of delta with 4*npts panels
+    up to the last midpoint, linearly interpolated, and read _SCAN_CHUNK
+    midpoints at a time alongside the chunked scan, so memory holds a few
+    arrays of _SCAN_CHUNK values whatever npts is.  h counts #(beta >= h)
+    less #(beta >= 4h).  Reference implementation to cross-check
+    levelset_measure.
     """
     npts = _SCAN_POINTS
+    if not 0 <= t0 < math.inf:
+        raise ValueError(f"t0 must be finite and >= 0, got {t0}")
     for h in hs:
         if not h > 0:
             raise ValueError(f"level h must be positive, got {h}")
@@ -432,10 +404,10 @@ def levelset_measure_scan(profile, hs, t0):
     step = t0 / npts
     hi = 0.5 * (((npts - 1) * step if step else (npts - 1) / npts * t0) + t0)
     mids = (m for _, m in _grid_chunks(t0, npts))
-    if profile.closed_form_cumulative is not None or hi <= 0.0:
+    if profile.closed_form_cumulative is not None:
         for q in mids:
-            above += _count_above(cumulative_delta_grid(profile, q), cuts)
-    else:
+            above += _count_above(profile.closed_form_cumulative(q), cuts)
+    elif hi > 0.0:  # else every midpoint is 0, where beta = 0 < every cut
         for q, edges, beta, rising in _scan_segments(profile, hi, 4 * npts,
                                                      mids):
             above += (_rising_counts(q, edges, beta, cuts) if rising
@@ -506,7 +478,9 @@ def fit_beta_exponent(profile, t0, h_grid):
     slope, intercept = np.polyfit(np.log(h_grid), np.log(measures), 1)
     fitted = intercept + slope * np.log(h_grid)
     residual = float(np.sqrt(np.mean((fitted - np.log(measures)) ** 2)))
-    return LevelsetFit(beta_hat=1.0 / slope, n0_hat=float(np.exp(intercept)),
+    with np.errstate(over="ignore"):  # an N0 beyond the float range is inf
+        n0_hat = float(np.exp(intercept))
+    return LevelsetFit(beta_hat=1.0 / slope, n0_hat=n0_hat,
                        residual=residual, measures=tuple(measures.tolist()))
 
 
@@ -514,11 +488,12 @@ def fit_beta_exponent(profile, t0, h_grid):
 class CoefficientPath:
     """Symmetric matrix path a(t) of size dim x dim.
 
-    a is vectorized like DegeneracyProfile.delta: a scalar t gives a
-    (dim, dim) array, an array ts of shape (m,) gives (m, dim, dim), and
-    a(ts)[k] equals a(ts[k]) bit for bit.  cumulative, when present, is
-    the exact entrywise integral over [0, t] at one scalar t; otherwise
-    accumulate_on integrates a by panel quadrature.
+    a and cumulative are vectorized like DegeneracyProfile.delta: a scalar
+    t gives a (dim, dim) array, an array ts of shape (m,) gives
+    (m, dim, dim), and a(ts)[k] equals a(ts[k]) bit for bit, as does
+    cumulative.  cumulative, when present, is the exact entrywise integral
+    of a over [0, t]; otherwise accumulate_on integrates a by panel
+    quadrature.
     """
 
     dim: int
@@ -536,10 +511,8 @@ class CoefficientPath:
 def scalar_path(profile, dim):
     """a(t) = delta(t) * I: the tightest path dominated by the profile."""
     eye = np.eye(dim)
-    cum = None
-    if profile.closed_form_cumulative is not None:
-        base = profile.closed_form_cumulative
-        cum = lambda t: float(base(t)) * eye
+    base = profile.closed_form_cumulative
+    cum = None if base is None else lambda t: np.multiply.outer(base(t), eye)
     return CoefficientPath(
         dim=dim,
         a=lambda t: np.multiply.outer(profile.delta(t), eye),
@@ -562,7 +535,7 @@ def constant_matrix_path(mat):
     return CoefficientPath(
         dim=dim,
         a=lambda t: np.broadcast_to(mat, np.shape(t) + mat.shape),
-        cumulative=lambda t: float(t) * mat,
+        cumulative=lambda t: np.multiply.outer(t, mat),
         bound_M=float(np.abs(mat).max()),
         spec=f"matrix([{rows}])",
     )
@@ -633,21 +606,22 @@ def accumulate_on(path, nodes):
     """Entrywise integrals of a over [0, t] for every t in nodes, symmetrized:
     the one route from a path, or a profile's scalar_path, to cumulatives.
 
-    Returns an array (len(nodes), dim, dim) in the order of nodes.  A
-    registered cumulative is evaluated per node.  Otherwise, per entry
-    i <= j, one integrate_windows call integrates the windows
-    [0, t_1], [t_1, t_2], ... between consecutive distinct positive nodes,
-    each to the package's accuracy policy, and np.cumsum sums them left to
-    right.  A failure names the path.
+    Returns an array (len(nodes), dim, dim) in the order of nodes; nodes
+    must be finite and >= 0.  A registered cumulative is evaluated in one
+    call on all nodes.  Otherwise, per entry i <= j, one integrate_windows
+    call integrates the windows [0, t_1], [t_1, t_2], ... between
+    consecutive distinct positive nodes, each to the package's accuracy
+    policy, and np.cumsum sums them left to right.  A failure names the
+    path.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1:
         raise ValueError(f"nodes must be one-dimensional, got shape {nodes.shape}")
-    if np.any(nodes < 0):
-        raise ValueError("accumulation endpoints must be >= 0")
+    if not np.all((0 <= nodes) & (nodes < math.inf)):
+        raise ValueError("accumulation endpoints must be finite and >= 0")
     shape = nodes.shape + (path.dim,) * 2
     if path.cumulative is not None:
-        out = np.array([path.cumulative(t) for t in nodes], float).reshape(shape)
+        out = np.asarray(path.cumulative(nodes), dtype=float)
         return 0.5 * (out + np.swapaxes(out, -1, -2))
     # distinct positive nodes (np.unique's quicksort maps ~1 MB more code)
     ts = np.sort(nodes[nodes > 0], kind="stable")
@@ -679,8 +653,9 @@ def check_domination(path, profile, sample_times):
     floor = d > 0.0
     if np.any(~floor & (amax > 0.0)):
         return math.inf
-    # fmax skips NaN ratios, as a running max(worst, ratio) does
-    return float(np.fmax.reduce(amax[floor] / d[floor], initial=0.0))
+    # fmax skips NaN ratios (inf / inf too), as max(worst, ratio) does
+    with np.errstate(invalid="ignore"):
+        return float(np.fmax.reduce(amax[floor] / d[floor], initial=0.0))
 
 
 def empirical_bound(profile, t_max):

@@ -88,13 +88,15 @@ def _fd_steps(u0, f, path, nodes):
 
 
 def _sqrt_cov(cov):
-    """Factor F with F F^T = cov; tiny negative eigenvalues are clamped."""
+    """Factor F with F F^T = cov, of a matrix or of each in a stack
+    (..., d, d); tiny negative eigenvalues, against their matrix's own
+    scale, are clamped."""
     w, v = np.linalg.eigh(cov)
-    scale = max(1.0, float(np.abs(w).max()))
-    if w[0] < -1e-12 * scale:
-        raise ValueError(
-            f"covariance has negative eigenvalue {w[0]:.3e}; path is not PSD")
-    return v * np.sqrt(np.clip(w, 0.0, None))
+    bad = w[..., 0] < -1e-12 * np.fmax(1.0, np.abs(w).max(axis=-1))
+    if np.any(bad):
+        raise ValueError(f"covariance has negative eigenvalue "
+                         f"{w[..., 0][bad].flat[0]:.3e}; path is not PSD")
+    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def _accumulated(path, s, t):
@@ -190,7 +192,7 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None):
 
     cums = accumulate_on(path, nodes)
     # covariance factors of X_t - X_(t_i) at every node i, X_t at i = 0
-    factors = np.array([_sqrt_cov(2.0 * (cums[-1] - c)) for c in cums])
+    factors = _sqrt_cov(2.0 * (cums[-1] - cums))
     u0_coeffs = _spline_coeffs(u0)
     if f is not None:
         s_coeffs, cs = _spline_coeffs(f.shape), f.coefs(nodes)

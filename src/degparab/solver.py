@@ -302,16 +302,16 @@ def solve_final(u0, f, path, partition):
 
 
 def epsilon_regularize(path, eps):
-    """Path a + eps * I, the uniform regularization of a degenerate path."""
+    """Path a + eps * I, the uniform regularization of a degenerate path;
+    a registered cumulative becomes cumulative + eps * t * I, on a scalar t
+    or an array of times alike."""
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     dim = path.dim
     eye = np.eye(dim)
-    base_a = path.a
-    cum = None
-    if path.cumulative is not None:
-        base_cum = path.cumulative
-        cum = lambda t: np.asarray(base_cum(t), dtype=float) + eps * t * eye
+    base_a, base_cum = path.a, path.cumulative
+    cum = None if base_cum is None else (
+        lambda t: base_cum(t) + np.multiply.outer(eps * t, eye))
     return CoefficientPath(
         dim=dim,
         a=lambda t: np.asarray(base_a(t), dtype=float) + eps * eye,

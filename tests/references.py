@@ -259,9 +259,12 @@ def time_change_solve(u0, f, path, profile, partition):
         return (np.asarray(base_a(t), dtype=float)
                 / np.asarray(base_delta(t), dtype=float)[..., None, None])
 
-    # the solve reads the cumulative and the forcing at the tau nodes only
+    # the solve reads the cumulative (a tau node or an array of them) and
+    # the forcing at the tau nodes only
+    lookup = np.vectorize(node_index.__getitem__, otypes=[int])
+
     def cumulative_tilde(tau):
-        return cums[node_index[float(tau)]]
+        return cums[lookup(tau)]
 
     changed = CoefficientPath(
         dim=path.dim, a=a_tilde, cumulative=cumulative_tilde,

@@ -13,8 +13,7 @@ from degparab import (GridSpec, SeparableForcing, SpectralField,
                       TimePartition, char_function_check,
                       check_kernel_decay, check_thm1, check_thm2,
                       compare_fields, constant_profile,
-                      convergence_orders, cumulative_delta,
-                      cumulative_delta_grid, epsilon_sweep,
+                      convergence_orders, cumulative_delta, epsilon_sweep,
                       fit_beta_exponent, gaussian_bump, kernel, lp_norm,
                       mc_solve, oscillatory_profile, parse_profile,
                       power_profile, rough_field, scalar_path, solve_duhamel)
@@ -205,7 +204,7 @@ def test_criterion_09_degeneracy_fits():
 
     # bracket t/4 <= beta(t) <= 2t at 1000 samples in (0, 1]
     ts = np.linspace(0.001, 1.0, 1000)
-    betas = cumulative_delta_grid(prof, ts)
+    betas = cumulative_delta(prof, ts)
     assert np.all(betas >= ts / 4.0 - 1e-12)
     assert np.all(betas <= 2.0 * ts + 1e-12)
 

@@ -7,6 +7,7 @@ accumulate_path) is the slow oracle, and the loop that integrated one
 window per call the exact one.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +142,34 @@ def test_rejects_negative_nodes():
         accumulate_on(expr_matrix_path([["1"]]), [0.0, -0.1])
 
 
+@pytest.mark.parametrize("profile", [expr_profile("t"), power_profile(1.0)],
+                         ids=["quadrature", "closed-form"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rejects_nan_and_inf_nodes(profile, bad):
+    # NaN read the largest node's beta on the quadrature route and NaN on
+    # the closed form; inf ran out of quadrature budget with a warning
+    path = scalar_path(profile, 1)
+    for call in (lambda: accumulate_on(path, [0.5, bad]),
+                 lambda: cumulative_delta(profile, [0.5, bad]),
+                 lambda: cumulative_delta(profile, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+def test_a_registered_cumulative_is_called_once():
+    path = scalar_path(power_profile(1.0), 2)
+    calls = []
+
+    def cumulative(t):
+        calls.append(np.shape(t))
+        return path.cumulative(t)
+
+    nodes = TimePartition.geometric(16, 1.0).nodes
+    fast = accumulate_on(replace(path, cumulative=cumulative), nodes)
+    assert calls == [nodes.shape]
+    assert fast.tobytes() == oracle(path, nodes).tobytes()
+
+
 PATHS = {
     "scalar-constant": scalar_path(constant_profile(0.5), 2),
     "scalar-power": scalar_path(power_profile(0.5), 3),
@@ -247,6 +276,35 @@ def test_batched_windows_equal_the_window_loop_across_breakpoints(cuts, dim,
     path = scalar_path(piecewise_profile(list(zip(starts, texts))), dim)
     assert np.array_equal(accumulate_on(path, nodes),
                           window_loop_oracle(path, nodes))
+
+
+CLOSED_FORMS = [constant_profile(0.0), constant_profile(0.7),
+                power_profile(1.0), power_profile(0.5), power_profile(-0.5),
+                power_profile(2.0), oscillatory_profile()]
+
+
+@st.composite
+def closed_form_paths(draw):
+    """scalar paths of closed-form profiles and constant matrices, dims
+    1-3, each as drawn or regularized by eps * I."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
+        mat = np.zeros((dim, dim))
+        mat[np.triu_indices(dim)] = values[:dim * (dim + 1) // 2]
+        path = constant_matrix_path(mat + np.triu(mat, 1).T)
+    else:
+        path = scalar_path(draw(st.sampled_from(CLOSED_FORMS)), dim)
+    eps = draw(st.sampled_from([None, 0.1, 1e-2, 1e-3, 1e-4]))
+    return path if eps is None else epsilon_regularize(path, eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=closed_form_paths(), nodes=node_sets)
+def test_closed_forms_in_one_call_are_the_per_node_values(path, nodes):
+    assert path.cumulative is not None
+    assert (accumulate_on(path, nodes).tobytes()
+            == oracle(path, nodes).tobytes())
 
 
 @pytest.mark.parametrize("expr, nodes", [

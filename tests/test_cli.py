@@ -11,7 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import degparab
@@ -1208,3 +1208,63 @@ def test_a_non_finite_time_factor_at_any_node_exits_3(
     for command in REROUTED:
         code, caught, _ = run_in_process(tmp_path, command, text)
         assert code == 3, (command, node)
+
+
+LEVELSET_PROFILES = st.one_of(
+    st.floats(0.0, 4.0).map(lambda c: f"constant({c!r})"),
+    st.floats(-0.9, 3.0).map(lambda a: f"power({a!r})"),
+    st.just("oscillatory()"),
+    st.sampled_from(['expr("t")', 'expr("sqrt(t)")', 'expr("1 + t*t")',
+                     'expr("t*exp(-t)")', 'expr("abs(sin(3*t))")',
+                     'expr("0")', 'expr("1 + sin(1/(t + 0.01))")']),
+    st.tuples(st.floats(0.1, 10.0), st.floats(-0.5, 2.0)).map(
+        lambda ca: f'expr("{ca[0]!r} * t**{ca[1]!r}")'))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+# delta(0) = inf made check_domination divide inf by inf, and a subnormal
+# floor put N0 = 1/c beyond the float range: both warned on overflow
+@example(profile="power(-0.5)", t0=None, p=1.5, kind="uniform", steps=2)
+@example(profile="constant(2.2250738585e-313)", t0=None, p=1.5,
+         kind="uniform", steps=2)
+@given(profile=LEVELSET_PROFILES,
+       t0=st.sampled_from([None, 0.0, 1e-3, 0.5, 1.0, 2.0]),
+       p=st.sampled_from([1.5, 2.0, 4.0]),
+       kind=st.sampled_from(["uniform", "geometric"]),
+       steps=st.integers(2, 16))
+def test_a_levelset_run_that_exits_0_reports_finite_numbers(
+        tmp_path_factory, profile, t0, p, kind, steps):
+    # profile-check and check-thm2 read beta from cumulative_delta and, in
+    # profile-check, from levelset_measure_scan's closed form or scan
+    tmp_path = tmp_path_factory.mktemp("run")
+    text = f"""
+[grid]
+n = 64
+period = 16.0
+
+[partition]
+kind = {kind}
+steps = {steps}
+
+[profile]
+spec = {profile}
+
+[coefficients]
+spec = scalar({profile})
+
+[params]
+p = {p}
+{'' if t0 is None else f't0 = {t0!r}'}
+"""
+    for command in ("profile-check", "check-thm2"):
+        code, caught, rows = run_in_process(tmp_path, command, text)
+        assert code in (0, 2, 3), (command, code)
+        if code == 0:
+            assert "RuntimeWarning" not in caught, command
+            for row in rows:
+                for value in row.replace('"', "").split(","):
+                    try:
+                        number = float(value)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(number), (command, row)

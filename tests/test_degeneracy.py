@@ -9,7 +9,7 @@ import pytest
 from degparab import (CoefficientPath, accumulate_on, check_domination,
                       epsilon_regularize,
                       constant_matrix_path, constant_profile, cumulative_delta,
-                      cumulative_delta_grid, empirical_bound,
+                      empirical_bound,
                       expr_matrix_path, expr_profile, fit_beta_exponent,
                       inverse_cumulative,
                       levelset_measure, levelset_measure_scan,
@@ -97,15 +97,17 @@ def test_cumulative_oscillatory_matches_midpoint_oracle():
 def test_cumulative_monotone():
     prof = oscillatory_profile()
     ts = np.linspace(0.0, 1.0, 97)
-    vals = cumulative_delta_grid(prof, ts)
+    vals = cumulative_delta(prof, ts)
     assert np.all(np.diff(vals) >= -1e-14)
 
 
 def test_cumulative_grid_matches_pointwise():
     prof = parse_profile('expr("t * t + 0.3")')
     ts = np.array([0.0, 0.2, 0.7, 1.3])
-    grid_vals = cumulative_delta_grid(prof, ts)
-    # the grid helper is a midpoint scan, not adaptive quadrature
+    # levelset_measure_scan's midpoint scan, not adaptive quadrature
+    grid_vals = np.concatenate([
+        np.interp(q, edges, beta) for q, edges, beta, _
+        in degeneracy._scan_segments(prof, 1.3, 4096, [ts])])
     for t, v in zip(ts, grid_vals):
         assert abs(v - cumulative_delta(prof, float(t))) < 1e-7
 

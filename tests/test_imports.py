@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "check_classic", "check_domination", "check_kernel_decay", "check_thm1",
     "check_thm2", "cli", "compare_fields", "compile_expr",
     "constant_matrix_path", "constant_profile", "convergence_orders",
-    "cumulative_delta", "cumulative_delta_grid", "degeneracy",
+    "cumulative_delta", "degeneracy",
     "empirical_bound", "epsilon_regularize", "epsilon_sweep", "estimates",
     "expr_matrix_path", "expr_profile", "fit_beta_exponent",
     "gaussian_bump", "hessian_lp_norm", "inner_product", "integrate_to",
@@ -39,7 +39,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 84
+    assert len(PUBLIC_NAMES) == 83
     assert sorted(degparab.__all__) == PUBLIC_NAMES
 
 

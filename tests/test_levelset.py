@@ -2,8 +2,9 @@
 
 inverse_cumulative bisects every level at once from one dyadic table of
 beta; the per-level bisection with a fresh integral from 0 at every step is
-kept here as the slow oracle.  cumulative_delta_grid runs its midpoint
-scan in chunks, and levelset_measure_scan reads it, counting each level
+kept here as the slow oracle.  levelset_measure_scan reads beta from the
+closed form where one is registered, and otherwise runs the midpoint scan
+of delta in chunks (_scan_chunks, _scan_segments), counting each level
 from where a rising scan crosses it; the one-array scans and the per-level
 masks are kept here as oracles too, and must agree bit for bit.
 """
@@ -16,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degparab import (constant_profile, cumulative_delta,
-                      cumulative_delta_grid, expr_profile, inverse_cumulative,
-                      levelset_measure, levelset_measure_scan,
-                      oscillatory_profile, piecewise_profile, power_profile)
+from degparab import (constant_profile, cumulative_delta, expr_profile,
+                      inverse_cumulative, levelset_measure,
+                      levelset_measure_scan, oscillatory_profile,
+                      piecewise_profile, power_profile)
 from degparab import degeneracy
-from degparab.degeneracy import _SCAN_CHUNK, _level_grid
+from degparab.degeneracy import (_SCAN_CHUNK, _level_grid, _scan_chunks,
+                                 _scan_segments)
 from degparab.quadrature import ATOL, RTOL, QuadratureError, integrate_to
 
 SETTINGS = settings(max_examples=15, deadline=None)
@@ -47,21 +49,33 @@ def bisection_oracle(profile, h, t_max):
     return hi
 
 
-def grid_oracle(profile, ts, npts=None):
-    """cumulative_delta_grid with the whole midpoint scan in memory."""
+def one_array_scan(profile, hi, npts):
+    """(edges, beta at the edges) of the midpoint scan of delta with npts
+    panels over [0, hi], each in one array."""
+    edges = np.linspace(0.0, hi, npts + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    dt = edges[1] - edges[0]
+    return edges, np.concatenate([[0.0], np.cumsum(profile.delta(mids) * dt)])
+
+
+def grid_oracle(profile, ts, npts):
+    """beta at ts as levelset_measure_scan reads it, with the whole scan in
+    memory: the closed form where one is registered, else the midpoint scan
+    with npts panels over [0, max(ts)], linearly interpolated."""
     ts = np.asarray(ts, dtype=float)
     if profile.closed_form_cumulative is not None:
         return np.asarray(profile.closed_form_cumulative(ts), dtype=float)
     hi = float(np.max(ts)) if ts.size else 0.0
     if hi == 0.0:
         return np.zeros_like(ts)
-    if npts is None:
-        npts = max(4096, 16 * ts.size)
-    edges = np.linspace(0.0, hi, npts + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    dt = edges[1] - edges[0]
-    beta_edges = np.concatenate([[0.0], np.cumsum(profile.delta(mids) * dt)])
-    return np.interp(ts, edges, beta_edges)
+    return np.interp(ts, *one_array_scan(profile, hi, npts))
+
+
+def chunked_scan(profile, hi, npts, ts):
+    """beta at the sorted times ts from the chunked midpoint scan over
+    [0, hi], one np.interp per chunk."""
+    return np.concatenate([np.interp(q, edges, beta) for q, edges, beta, _
+                           in _scan_segments(profile, hi, npts, [ts])])
 
 
 def mid_betas(profile, t0, npts):
@@ -292,9 +306,20 @@ SCAN_IDS = ["quadrature", "closed-form", "plateau"]
 @pytest.mark.parametrize("prof", SCAN_PROFILES, ids=SCAN_IDS)
 @pytest.mark.parametrize("npts", [1, 7, _SCAN_CHUNK, 2 * _SCAN_CHUNK + 17])
 def test_grid_scan_equals_the_one_array_scan(prof, npts):
-    ts = np.array([0.3, 0.0, 0.9, 0.3, 0.0, 0.61, 1.2, 0.9])
-    assert np.array_equal(cumulative_delta_grid(prof, ts, npts=npts),
-                          grid_oracle(prof, ts, npts=npts))
+    # the chunks, each shared end edge once, are one np.cumsum over the grid
+    # (every profile here is >= 0, so every chunk rises); the scan is of
+    # delta, so a closed form does not enter
+    chunks = [(edges.copy(), beta.copy(), rising)
+              for edges, beta, rising in _scan_chunks(prof, 1.2, npts)]
+    ref_edges, ref_beta = one_array_scan(prof, 1.2, npts)
+    for i, ref in enumerate((ref_edges, ref_beta)):
+        got = np.concatenate([chunks[0][i][:1]] + [c[i][1:] for c in chunks])
+        assert got.tobytes() == ref.tobytes()
+    assert all(rising for _, _, rising in chunks)
+    # repeated times and 0, read chunk by chunk, as one np.interp
+    ts = np.sort([0.3, 0.0, 0.9, 0.3, 0.0, 0.61, 1.2, 0.9])
+    assert np.array_equal(chunked_scan(prof, 1.2, npts, ts),
+                          np.interp(ts, ref_edges, ref_beta))
 
 
 @pytest.mark.parametrize("prof", SCAN_PROFILES, ids=SCAN_IDS)
@@ -302,23 +327,15 @@ def test_grid_scan_on_chunk_edges(prof):
     npts = 3 * _SCAN_CHUNK + 5
     step = 1.0 / npts
     k = _SCAN_CHUNK
-    ts = np.array([1.0, k * step, 2 * k * step, 3 * k * step,
-                   np.nextafter(k * step, 0.0), np.nextafter(k * step, 1.0),
-                   0.0, (3 * k + 4) * step])
-    assert np.array_equal(cumulative_delta_grid(prof, ts, npts=npts),
-                          grid_oracle(prof, ts, npts=npts))
-    # every edge of the scan at once, in reverse order
-    edges = np.linspace(0.0, 1.0, npts + 1)[::-1]
-    assert np.array_equal(cumulative_delta_grid(prof, edges, npts=npts),
-                          grid_oracle(prof, edges, npts=npts))
-
-
-@pytest.mark.parametrize("prof", SCAN_PROFILES, ids=SCAN_IDS)
-def test_grid_scan_keeps_the_shape_of_ts(prof):
-    ts = np.array([[0.5, 0.0], [0.25, 1.0], [0.5, 0.75]])
-    fast = cumulative_delta_grid(prof, ts, npts=1000)
-    assert fast.shape == ts.shape
-    assert np.array_equal(fast, grid_oracle(prof, ts, npts=1000))
+    ts = np.sort([1.0, k * step, 2 * k * step, 3 * k * step,
+                  np.nextafter(k * step, 0.0), np.nextafter(k * step, 1.0),
+                  0.0, (3 * k + 4) * step])
+    edges, beta = one_array_scan(prof, 1.0, npts)
+    assert np.array_equal(chunked_scan(prof, 1.0, npts, ts),
+                          np.interp(ts, edges, beta))
+    # every edge of the scan at once
+    assert np.array_equal(chunked_scan(prof, 1.0, npts, edges),
+                          np.interp(edges, edges, beta))
 
 
 # delta < 0 on stretches, and delta = NaN before t = 0.5: neither scan
@@ -372,6 +389,15 @@ def test_levelset_scan_at_zero_horizon(monkeypatch):
     prof = expr_profile("sqrt(t)")
     monkeypatch.setattr(degeneracy, "_SCAN_POINTS", 10)
     assert levelset_measure_scan(prof, [0.1], 0.0) == [0.0]
+
+
+@pytest.mark.parametrize("prof", [expr_profile("sqrt(t)"), power_profile(0.5)],
+                         ids=["quadrature", "closed-form"])
+@pytest.mark.parametrize("t0", [-0.5, math.nan, math.inf])
+def test_levelset_scan_rejects_a_horizon_beta_is_not_defined_at(prof, t0):
+    # a NaN t0 counted every level as 0 on a closed form
+    with pytest.raises(ValueError, match="t0 must be finite and >= 0"):
+        levelset_measure_scan(prof, [0.1], t0)
 
 
 @pytest.mark.parametrize("prof", [expr_profile("sqrt(t)"), power_profile(0.5)],

@@ -443,6 +443,30 @@ def test_mc_one_shape_spline_matches_the_per_node_splines(dim, kind):
     assert np.all(np.abs(got.stderr - ref.stderr) <= 1e-12 * ref.stderr)
 
 
+@pytest.mark.parametrize("spec, dim, kind, steps", [
+    ("scalar(power(1))", 1, "geometric", 128),
+    ('matrix([["t", "0.5*t"], ["0.5*t", "t"]])', 2, "geometric", 32),
+    ("matrix([[1.0, 0.4], [0.4, 0.6]])", 2, "uniform", 64)])
+def test_stacked_covariance_factors_are_the_per_matrix_ones(spec, dim, kind,
+                                                            steps):
+    # mc_solve factors the covariances of all K + 1 nodes in one call
+    nodes = getattr(TimePartition, kind)(steps, 1.0).nodes
+    cums = accumulate_on(parse_coefficients(spec, dim), nodes)
+    covs = 2.0 * (cums[-1] - cums)
+    per_matrix = np.array([oracle._sqrt_cov(cov) for cov in covs])
+    assert oracle._sqrt_cov(covs).tobytes() == per_matrix.tobytes()
+
+
+def test_each_stacked_covariance_is_checked_against_its_own_scale():
+    # -1e-9 is rounding next to 1e6, but not next to 1
+    big, small = np.diag([1e6, 1e6]), np.diag([1.0, -1e-9])
+    with pytest.raises(ValueError, match="negative eigenvalue -1.000e-09"):
+        oracle._sqrt_cov(np.array([big, small]))
+    factors = oracle._sqrt_cov(np.array([np.diag([1e6, -1e-9]),
+                                         np.zeros((2, 2))]))
+    assert factors.shape == (2, 2, 2) and np.all(factors[1] == 0.0)
+
+
 def test_mc_memory_is_set_by_the_chunk_not_the_partition():
     grid = GridSpec(dim=1, n=64, length=16.0)
     steps, probes, chunk, dim, word = 256, 3, oracle.DEFAULT_CHUNK, 1, 8
