@@ -25,9 +25,8 @@ from .estimates import (CSV_HEADER, EstimateReport, KernelDecayFit,
 from .oracle import (MCEstimate, char_function_check, compare_fields,
                      convergence_orders, mc_solve, sample_increments)
 from .quadrature import QuadratureError, integrate_to, integrate_windows
-from .solver import (DegenerateKernelError, SeparableForcing, TimePartition,
-                     epsilon_regularize, kernel, load_report, quadratic_form,
-                     save_report, solve_duhamel, solve_final,
+from .solver import (SeparableForcing, TimePartition, epsilon_regularize,
+                     quadratic_form, save_report, solve_duhamel, solve_final,
                      weak_residual_profile)
 from .spectral import (GridSpec, LPFamily, SpectralField, besov_norm,
                        bessel_norm, gaussian_bump, hessian_lp_norm,

@@ -37,7 +37,7 @@ from .quadrature import QuadratureError
 from .solver import (NonFiniteDataError, SeparableForcing, TimePartition,
                      save_report, solve_duhamel, solve_final)
 from .spec import Call, compile_expr, read_call
-from .spectral import (GridSpec, LPFamily, SpectralField, _xi_sq, besov_norm,
+from .spectral import (GridSpec, LPFamily, SpectralField, _freq_axes, _xi_sq,
                        gaussian_bump, lp_norm, mode_field)
 
 THM1_TEXT = ("||u_xx||_bH^n_p(T,delta) <= N(d,p) * "
@@ -197,7 +197,11 @@ def validate_config(cfg):
                      f"got {cfg.smoothness}")
     if not 0.0 <= cfg.gamma < math.inf:
         diags.append(f"params.gamma: must be finite and >= 0, got {cfg.gamma}")
-    if not all(0.0 < e < math.inf for e in cfg.eps_list) or \
+    elif grid_ok:
+        _check_gamma(grid, cfg.gamma, diags)
+    if not cfg.eps_list:
+        diags.append("params.eps_list: must list at least one eps, got []")
+    elif not all(0.0 < e < math.inf for e in cfg.eps_list) or \
             any(b >= a for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
         diags.append(f"params.eps_list: must be positive, finite and "
                      f"decreasing, got {list(cfg.eps_list)}")
@@ -241,6 +245,20 @@ def _check_frequencies(grid, s, diags):
         diags.append(f"grid: frequencies up to {grid.nyquist:.3e} overflow "
                      f"|xi|^4 or the Besov weights 2^(2sj) at s = {s}; "
                      f"enlarge the period or lower n")
+
+
+def _check_gamma(grid, gamma, diags):
+    """kernel-decay weighs the lattice by |xi|^gamma, which must be a float
+    at the largest |xi|, the lattice's corner; its block k <= j_max is then
+    normalized by 2^(k gamma) < |xi|^gamma there, since 2^(j_max + 1) is
+    at most the grid's Nyquist frequency."""
+    corner = grid.dim * _freq_axes(grid)[0][grid.n // 2] ** 2
+    with np.errstate(over="ignore"):
+        if np.isfinite(corner ** (0.5 * gamma)):
+            return
+    diags.append(f"params.gamma: |xi|^gamma overflows at the grid's largest "
+                 f"|xi| = {float(np.sqrt(corner)):.4g} for gamma = {gamma}; "
+                 f"lower gamma or n, or enlarge the period")
 
 
 def _check_rough_scales(cfg, diags, where):
@@ -420,8 +438,8 @@ def run_check_thm2(cfg, outdir):
     t0 = cfg.t0 if cfg.t0 is not None else partition.horizon
     h_grid = _level_grid(cumulative_delta(profile, t0), cfg.h_points,
                          cfg.h_decades)
-    rep = check_thm2(u0, path, profile, cfg.p, partition,
-                     beta_hat=cfg.beta_hat, t0=t0, h_grid=h_grid)
+    rep = check_thm2(u0, path, profile, cfg.p, partition, t0, h_grid,
+                     beta_hat=cfg.beta_hat)
     reports_to_csv([rep], os.path.join(outdir, "thm2.csv"))
     ex = rep.extra
     _summary(outdir, "check-thm2", [
@@ -601,8 +619,7 @@ def run_oracle_compare(cfg, outdir):
     final = solve_final(u0, f, path, partition)
     probes = np.linspace(-cfg.period / 4.0, cfg.period / 4.0, cfg.mc_probes)
     pts = np.stack([probes] + [np.zeros_like(probes)] * (cfg.dim - 1), axis=1)
-    est = mc_solve(u0, f, path, cfg.horizon, pts, cfg.mc_samples, cfg.seed,
-                   partition=partition if f is not None else None)
+    est = mc_solve(u0, f, path, partition, pts, cfg.mc_samples, cfg.seed)
     est.to_csv(os.path.join(outdir, "mc_compare.csv"))
     exact = _periodic_interp(_spline_coeffs(final), grid, pts)
     gaps = np.abs(est.mean - exact)
@@ -615,7 +632,7 @@ def run_oracle_compare(cfg, outdir):
 
     freqs = np.stack([np.linspace(0.2, 2.0, 10)]
                      + [np.zeros(10)] * (cfg.dim - 1), axis=1)
-    rows = char_function_check(path, 0.0, cfg.horizon, freqs,
+    rows = char_function_check(path, cfg.horizon, freqs,
                                max(cfg.mc_samples, 10000), cfg.seed)
     worst = 0.0
     for xi, re, im, exact_cf, se_re, se_im in rows:

@@ -446,7 +446,7 @@ class LevelsetFit:
     measures: tuple  # levelset_measure at each level of the fitted grid
 
 
-def _level_grid(beta_t0, points=9, decades=2.5):
+def _level_grid(beta_t0, points, decades):
     """The levels h of a beta fit: `points` of them, log-spaced over
     `decades` decades up to beta(t0)/4; empty when beta(t0) vanishes."""
     top = beta_t0 / 4.0
@@ -499,7 +499,6 @@ class CoefficientPath:
     dim: int
     a: callable
     cumulative: callable = None
-    bound_M: float = None
     spec: str = ""
     breakpoints: tuple = ()
 
@@ -517,7 +516,6 @@ def scalar_path(profile, dim):
         dim=dim,
         a=lambda t: np.multiply.outer(profile.delta(t), eye),
         cumulative=cum,
-        bound_M=profile.bound_M,
         spec=f"scalar({profile.spec})",
         breakpoints=profile.breakpoints,
     )
@@ -536,7 +534,6 @@ def constant_matrix_path(mat):
         dim=dim,
         a=lambda t: np.broadcast_to(mat, np.shape(t) + mat.shape),
         cumulative=lambda t: np.multiply.outer(t, mat),
-        bound_M=float(np.abs(mat).max()),
         spec=f"matrix([{rows}])",
     )
 

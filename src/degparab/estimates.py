@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degeneracy import (_level_grid, accumulate_on, check_domination,
-                         cumulative_delta, fit_beta_exponent)
+from .degeneracy import (accumulate_on, check_domination, cumulative_delta,
+                         fit_beta_exponent)
 from .solver import _duhamel_stream, epsilon_regularize, quadratic_form
 from .spectral import (LPFamily, _block_multiplier, _pth_root, _xi_sq,
                        besov_norm, bessel_norm, hessian_lp_norm, lp_norm)
@@ -109,32 +109,27 @@ def check_thm1(u0, f, path, profile, smoothness, p, partition):
     return EstimateReport(
         theorem="thm1", smoothness=smoothness, p=p, weight_power=1.0,
         profile_spec=profile.spec, grid_n=u0.grid.n, steps=partition.steps,
-        lhs=lhs, rhs_components=components, ratio=ratio, flags=flags,
-        extra={"dim": u0.grid.dim, "horizon": partition.horizon})
+        lhs=lhs, rhs_components=components, ratio=ratio, flags=flags)
 
 
-def check_thm2(u0, path, profile, p, partition, beta_hat=None, t0=None,
-               h_grid=None):
+def check_thm2(u0, path, profile, p, partition, t0, h_grid, beta_hat=None):
     """Unweighted second-derivative estimate for the homogeneous solve:
 
         || u_xx ||_{bL_p(T)} <= N || u0 ||_{B^{2(1 - 1/(beta p))}_p},
 
     valid when the profile satisfies the level-set condition
     |{t <= t0 : h <= beta(t) < 4h}| <= N0 h^(1/beta) and the coefficients
-    are dominated by the floor.  beta_hat defaults to the fitted exponent;
-    h_grid, the levels of the fit, defaults to 9 levels log-spaced over 2.5
-    decades up to beta(t0)/4.
+    are dominated by the floor.  h_grid holds the levels of the fit of
+    beta over [0, t0], and beta_hat defaults to the fitted exponent.
     """
     horizon = partition.horizon
-    t0 = horizon if t0 is None else t0
     kappa0 = cumulative_delta(profile, t0)
     flags = []
     fit = None
     try:
         if kappa0 <= 0:
             raise ValueError(f"beta(t0) = {kappa0!r} vanishes")
-        fit = fit_beta_exponent(
-            profile, t0, _level_grid(kappa0) if h_grid is None else h_grid)
+        fit = fit_beta_exponent(profile, t0, h_grid)
     except ValueError as exc:
         flags.append("inadmissible-hypothesis:levelset")
         flags.append(str(exc))
@@ -191,8 +186,7 @@ def check_classic(u0, f, path, partition, p):
     return EstimateReport(
         theorem="classic", smoothness=0.0, p=p, weight_power=0.0,
         profile_spec="", grid_n=u0.grid.n, steps=partition.steps,
-        lhs=lhs, rhs_components=components, ratio=ratio, flags=flags,
-        extra={"dim": u0.grid.dim, "horizon": partition.horizon})
+        lhs=lhs, rhs_components=components, ratio=ratio, flags=flags)
 
 
 @dataclass(frozen=True)
@@ -201,7 +195,6 @@ class KernelDecayFit:
 
     c: float
     n_const: float
-    gamma: float
     violations: tuple
     samples: tuple  # rows (k, t, beta, mass_ratio)
 
@@ -246,8 +239,8 @@ def check_kernel_decay(path, profile, gamma, k_range, t_samples, grid):
     pos = np.nonzero(y > 0.0)[0]
     logy, zp = np.log(y[pos]), z[pos]
     if logy.size == 0:
-        return KernelDecayFit(c=float(cs[-1]), n_const=0.0, gamma=gamma,
-                              violations=(), samples=tuple(rows))
+        return KernelDecayFit(c=float(cs[-1]), n_const=0.0, violations=(),
+                              samples=tuple(rows))
     cap_log = math.log(10.0) + float(np.max(logy + cs[0] * zp))
     ok = logy + cs[0] * zp <= cap_log + 1e-12
     violations = tuple(rows[pos[i]] for i in range(logy.size) if not ok[i])
@@ -259,8 +252,7 @@ def check_kernel_decay(path, profile, gamma, k_range, t_samples, grid):
     else:
         best, n_best = 0, 0.0
     return KernelDecayFit(c=float(cs[best]), n_const=n_best,
-                          gamma=gamma, violations=violations,
-                          samples=tuple(rows))
+                          violations=violations, samples=tuple(rows))
 
 
 def epsilon_sweep(u0, f, path, profile, eps_list, p, partition,

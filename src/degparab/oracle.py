@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import accumulate_on
-from .solver import TimePartition, _trapezoid_weights
+from .solver import _trapezoid_weights
 from .spectral import SpectralField, _freq_grids, lp_norm
 
 DEFAULT_CHUNK = 16384  # samples per RNG chunk of mc_solve
@@ -99,19 +99,10 @@ def _sqrt_cov(cov):
     return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
-def _accumulated(path, s, t):
-    """B = int_s^t a dr, the difference of one accumulate_on pass."""
-    if not 0 <= s <= t:
-        raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-    return np.diff(accumulate_on(path, [s, t]), axis=0)[0]
-
-
-def sample_increments(path, s, t, samples, rng):
-    """Draws of X_t - X_s: exact Gaussians with covariance 2 int_s^t a dr."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    cov = 2.0 * _accumulated(path, s, t)
-    factor = _sqrt_cov(cov)
+def sample_increments(path, t, samples, rng):
+    """Draws of X_t from the Generator rng: exact Gaussians with covariance
+    2 int_0^t a dr."""
+    factor = _sqrt_cov(2.0 * accumulate_on(path, [t])[0])
     z = rng.standard_normal((samples, path.dim))
     return z @ factor.T
 
@@ -152,8 +143,9 @@ def _periodic_interp(coeffs, grid, positions):
         prefilter=False).reshape(frac.shape[:-1])
 
 
-def mc_solve(u0, f, path, t, points, samples, seed, partition=None):
-    """Stochastic-representation estimate of u(t, x) at probe points.
+def mc_solve(u0, f, path, partition, points, samples, seed):
+    """Stochastic-representation estimate of u(t, x) at probe points, at
+    the partition's horizon t.
 
         u(t, x) = E u0(x + X_t) + int_0^t E f(s, x + X_t - X_s) ds
 
@@ -181,14 +173,8 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None):
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
 
-    if f is not None:
-        if partition is None:
-            partition = TimePartition.uniform(64, t)
-        nodes = partition.nodes
-        if abs(nodes[-1] - t) > 1e-12 * max(1.0, t):
-            raise ValueError(f"partition horizon {nodes[-1]} != t={t}")
-    else:
-        nodes = np.array([0.0, t])
+    nodes = (partition.nodes if f is not None
+             else np.array([0.0, partition.horizon]))
 
     cums = accumulate_on(path, nodes)
     # covariance factors of X_t - X_(t_i) at every node i, X_t at i = 0
@@ -230,15 +216,15 @@ def mc_solve(u0, f, path, t, points, samples, seed, partition=None):
                       samples=samples, seed=seed)
 
 
-def char_function_check(path, s, t, freqs, samples, seed):
-    """Empirical E exp(i xi . (X_t - X_s)) against the propagator symbol.
+def char_function_check(path, t, freqs, samples, seed):
+    """Empirical E exp(i xi . X_t) against the propagator symbol.
 
     Returns rows (xi, empirical_re, empirical_im, exact, stderr_re,
     stderr_im); the identity under test is exp(-xi^T B xi) with B the
     accumulated coefficients.
     """
-    x = sample_increments(path, s, t, samples, np.random.default_rng([seed, 0]))
-    b = _accumulated(path, s, t)
+    x = sample_increments(path, t, samples, np.random.default_rng([seed, 0]))
+    b = accumulate_on(path, [t])[0]
     rows = []
     for xi in np.atleast_2d(np.asarray(freqs, dtype=float)):
         phase = x @ xi

@@ -16,13 +16,8 @@ import os
 import numpy as np
 
 from .degeneracy import CoefficientPath, accumulate_on
-from .spectral import (GridSpec, SpectralField, _mixed, bessel_norm,
-                       gaussian_bump, inner_product, lp_norm,
-                       second_derivatives)
-
-
-class DegenerateKernelError(ValueError):
-    """The accumulated coefficients are singular: the kernel is not a function."""
+from .spectral import (SpectralField, _mixed, bessel_norm, gaussian_bump,
+                       inner_product, lp_norm, second_derivatives)
 
 
 class NonFiniteDataError(ValueError):
@@ -55,14 +50,12 @@ class SeparableForcing:
         return cs
 
     def __call__(self, t):
-        """The field c(t) S, whose spectrum c(t) S^ needs no transform."""
+        """The field c(t) S, from its samples."""
         c = float(self.coef(t))
         if not math.isfinite(abs(c) * self.peak):
             raise NonFiniteDataError(
                 f"{self.text}: field is NaN or inf at t={float(t)!r}")
-        return SpectralField.from_spectrum(self.shape.grid,
-                                           c * self.shape.spectrum,
-                                           c * self.shape.samples)
+        return SpectralField(self.shape.grid, c * self.shape.samples)
 
 
 class TimePartition:
@@ -114,24 +107,6 @@ def quadratic_form(grid, B):
         for j in range(i + 1, grid.dim):
             out += 2.0 * B[i, j] * _mixed(grid, i, j)
     return out
-
-
-def kernel(path, t, grid):
-    """Fundamental solution at time t, sampled with its peak at x = 0.
-
-    Requires the accumulated coefficients to be nondegenerate; over a
-    window where they vanish the propagator is a point mass, not a
-    function, and DegenerateKernelError is raised.
-    """
-    B = accumulate_on(path, [t])[0]
-    eigs = np.linalg.eigvalsh(B)
-    if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
-        raise DegenerateKernelError(
-            f"kernel at t={t} is degenerate: accumulated coefficients have "
-            f"min eigenvalue {eigs[0]:.3e}")
-    values = np.exp(-quadratic_form(grid, B))
-    samples = np.fft.fftshift(np.fft.ifftn(values).real)
-    return SpectralField(grid, samples / grid.cell_volume)
 
 
 def _trapezoid_weights(nodes):
@@ -278,14 +253,14 @@ def solve_duhamel(u0, f, path, partition):
     with each forcing slice propagated by the exact symbol; everything is
     accumulated in spectral space, and a snapshot is inverse-transformed
     only when its samples are first read.  The forcing is transformed one
-    node at a time, as fftn(f(t).samples): the saved snapshots are compared
-    at rounding level, where a field's cached spectrum may differ from it.
+    node at a time, as the spectrum of f(t): the saved snapshots are
+    compared at rounding level, where c(t) times the shape's cached
+    spectrum may differ from it.
     Working memory is the output and quads plus O(1) fields.
     """
     grid, nodes = u0.grid, partition.nodes
     quads = _quadratic_forms(grid, path, nodes)
-    f_specs = (None if f is None else
-               (np.fft.fftn(f(t).samples) for t in nodes))
+    f_specs = None if f is None else (f(t).spectrum for t in nodes)
     snapshots = [SpectralField(grid, u0.samples.copy())]
     snapshots += [SpectralField.from_spectrum(grid, spec) for spec in
                   _duhamel_spectra(u0.spectrum, quads, f_specs, nodes)]
@@ -316,26 +291,24 @@ def epsilon_regularize(path, eps):
         dim=dim,
         a=lambda t: np.asarray(base_a(t), dtype=float) + eps * eye,
         cumulative=cum,
-        bound_M=None if path.bound_M is None else path.bound_M + eps,
         spec=f"regularized({path.spec}, {eps})",
         breakpoints=path.breakpoints,
     )
 
 
-def weak_residual_profile(snapshots, f, path, nodes, test=None):
+def weak_residual_profile(snapshots, f, path, nodes):
     """Weak-form defect of snapshots (one per node, as solve_duhamel lists
-    them) at every node against one test function.
+    them) at every node against one test function phi, a Gaussian bump of
+    width period / 16.
 
     f and path are the forcing (or None) and the coefficient path of the
-    solve, nodes its partition's nodes, and test defaults to a Gaussian
-    bump of width period / 16.  The defect at node k is |(u_k, phi)
-    - (u_0, phi) - int_0^tk sum_ij a_ij(s) (u(s), phi_xixj) ds
+    solve, and nodes its partition's nodes.  The defect at node k is
+    |(u_k, phi) - (u_0, phi) - int_0^tk sum_ij a_ij(s) (u(s), phi_xixj) ds
     - int_0^tk (f(s), phi) ds| with both time integrals running trapezoid
     sums over the nodes, added left to right.
     """
     grid = snapshots[0].grid
-    if test is None:
-        test = gaussian_bump(grid, width=grid.length / 16.0)
+    test = gaussian_bump(grid, width=grid.length / 16.0)
     # a_ij against phi_xixj, in the row-major order of second_derivatives
     a = np.asarray(path.a(nodes), dtype=float).reshape(nodes.size, -1)
     phis = (test, *second_derivatives(test))
@@ -384,28 +357,3 @@ def save_report(snapshots, f, path, partition, outdir, p=2.0):
             fh.write(f"{k},{float(t)!r},{lp_norm(u, p)!r},"
                      f"{bessel_norm(u, 2.0, p)!r},{float(r)!r}\n")
     return residuals
-
-
-def load_report(outdir):
-    """Read back a saved report: (meta dict, node times, snapshot fields).
-
-    The fields are views into one np.fromfile read of snapshots.bin.  A cut
-    header, short or long data, or a count that disagrees with meta raises
-    ValueError naming the file.
-    """
-    with open(os.path.join(outdir, "meta")) as fh:
-        meta = dict(line.strip().partition("=")[::2] for line in fh)
-    path = os.path.join(outdir, "snapshots.bin")
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size < 32:
-        raise ValueError(f"truncated header in snapshot file {path}")
-    dim, n, count = (int(v) for v in raw[:24].view(np.int64))
-    grid = GridSpec(dim=dim, n=n, length=float(raw[24:32].view(np.float64)[0]))
-    if count != int(meta["nodes"]) or raw.size != 32 + 8 * count * n ** dim:
-        raise ValueError(f"snapshot file {path} has {raw.size} bytes for "
-                         f"{count} fields of {n}^{dim} samples "
-                         f"(meta: nodes={meta['nodes']})")
-    fields = raw[32:].view(np.float64).reshape((count,) + grid.shape)
-    nodes = np.loadtxt(os.path.join(outdir, "norms.csv"), delimiter=",",
-                       skiprows=1, usecols=1, ndmin=1)
-    return meta, nodes, [SpectralField(grid, u) for u in fields]

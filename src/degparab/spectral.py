@@ -126,31 +126,22 @@ class SpectralField:
         return self._spectrum
 
     @classmethod
-    def from_spectrum(cls, grid, spectrum, samples=None):
+    def from_spectrum(cls, grid, spectrum):
         """Field with the spectrum of a real field, conjugate-symmetric as
-        every spectrum the package makes is; its samples are the float
-        array given, which it keeps, or else a copy of ifftn(spectrum).real,
-        transformed when first read.  The p = 2 norms read the spectrum."""
+        every spectrum the package makes is; its samples are a copy of
+        ifftn(spectrum).real, transformed when first read.  The p = 2
+        norms read the spectrum."""
         spectrum = np.asarray(spectrum, dtype=complex)
         if spectrum.shape != grid.shape:
             raise ValueError(f"spectrum shape {spectrum.shape} does not match "
                              f"grid {grid.shape}")
         field = cls.__new__(cls)
-        field.grid, field._samples, field._spectrum = grid, samples, spectrum
+        field.grid, field._samples, field._spectrum = grid, None, spectrum
         return field
-
-    def __add__(self, other):
-        self._check_same_grid(other)
-        return SpectralField(self.grid, self.samples + other.samples)
 
     def __sub__(self, other):
         self._check_same_grid(other)
         return SpectralField(self.grid, self.samples - other.samples)
-
-    def __mul__(self, c):
-        return SpectralField(self.grid, self.samples * float(c))
-
-    __rmul__ = __mul__
 
     def _check_same_grid(self, other):
         if self.grid != other.grid:
@@ -294,9 +285,9 @@ def _hessian_weights(grid, smoothness):
     return out
 
 
-def lp_block(field, j, family=None):
+def lp_block(field, j):
     """Dyadic block j of a field."""
-    family = family or LPFamily.for_grid(field.grid)
+    family = LPFamily.for_grid(field.grid)
     if not family.j_min <= j <= family.j_max:
         raise ValueError(f"block {j} outside the family range "
                          f"[{family.j_min}, {family.j_max}]")
@@ -321,7 +312,7 @@ def besov_norm(field, s, p):
         return (_parseval_norm(field, head_weight)
                 + _parseval_norm(field, tail_weight))
     head = lp_norm(s0_block(field), p)
-    terms = np.array([2.0 ** (s * j) * lp_norm(lp_block(field, j, family), p)
+    terms = np.array([2.0 ** (s * j) * lp_norm(lp_block(field, j), p)
                       for j in range(1, family.j_max + 1)])  # numpy's ** p
     with np.errstate(over="ignore"):  # a power beyond the float range: inf
         tail = sum(term ** p for term in terms)
@@ -378,27 +369,22 @@ def hessian_lp_norm(field, p, smoothness=0.0):
     return lp_norm(SpectralField(grid, np.sqrt(acc)), p)
 
 
-def gaussian_bump(grid, width=1.0, center=None, amplitude=1.0):
-    """amplitude * exp(-|x - center|^2 / (2 width^2)) sampled on the grid."""
+def gaussian_bump(grid, width=1.0):
+    """exp(-|x|^2 / (2 width^2)) sampled on the grid."""
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    if center is None:
-        center = (0.0,) * grid.dim
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.size != grid.dim:
-        raise ValueError(f"center must have {grid.dim} components")
     r2 = np.zeros(grid.shape)
-    for x, c in zip(x_grids(grid), center):
-        r2 += (x - c) ** 2
-    return SpectralField(grid, amplitude * np.exp(-r2 / (2.0 * width ** 2)))
+    for x in x_grids(grid):
+        r2 += x ** 2
+    return SpectralField(grid, np.exp(-r2 / (2.0 * width ** 2)))
 
 
-def mode_field(grid, k, phase=0.0, amplitude=1.0):
-    """cos(xi_k . x + phase) for an integer lattice mode k."""
+def mode_field(grid, k):
+    """cos(xi_k . x) for an integer lattice mode k."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.size != grid.dim:
         raise ValueError(f"mode must have {grid.dim} components")
-    arg = np.full(grid.shape, phase)
+    arg = np.zeros(grid.shape)
     for x, ki in zip(x_grids(grid), k):
         arg = arg + (2.0 * np.pi * ki / grid.length) * x
-    return SpectralField(grid, amplitude * np.cos(arg))
+    return SpectralField(grid, np.cos(arg))

@@ -39,16 +39,32 @@ shape's spline once and scales it by c(t_i), matches it within 1e-12
 relative.  stencil_symbol_uncached is the
 finite-difference symbol with its sines recomputed at every call, which
 oracle._stencil_symbol must match bit for bit from its per-grid cache.
+kernel samples the fundamental solution, which no subcommand forms, as
+the reference for the propagator's mass and heat-kernel shape; load_report
+reads a saved report back, which no subcommand does, so the tests can
+check the documented report/ layout.  default_levels are the levels of a
+beta fit at the config's default h_points and h_decades, and
+check_thm2_at_horizon runs check_thm2 on them at t0 = T, as check-thm2
+does with no [params] t0, h_points or h_decades.  scaled_field multiplies
+a field's samples by a number, the one field arithmetic the tests need.
+cached_forcing turns a SeparableForcing into fields whose spectrum is
+c(t) times the shape's one transform, the spectra the O(K) stream reads,
+where f(t) itself transforms c(t) S.  gaussian_at is a Gaussian bump
+centred anywhere, where gaussian_bump centres it at 0.
 """
+
+import os
 
 import numpy as np
 
-from degparab import (CoefficientPath, LPFamily, QuadratureError,
-                      SpectralField, TimePartition, accumulate_on,
+from degparab import (CoefficientPath, ExperimentConfig, GridSpec, LPFamily,
+                      QuadratureError, SpectralField, TimePartition,
+                      accumulate_on, check_thm2, cumulative_delta,
                       gaussian_bump, inner_product, integrate_to,
                       inverse_cumulative, lowpass, lp_block, lp_norm,
                       quadratic_form, s0_block, scalar_path,
-                      second_derivatives, solve_duhamel)
+                      second_derivatives, solve_duhamel, x_grids)
+from degparab.degeneracy import _level_grid
 from degparab.oracle import (_MC_NODES, DEFAULT_CHUNK, MCEstimate,
                              _periodic_interp, _spline_coeffs, _sqrt_cov)
 from degparab.solver import (_lattice_copies, _quadratic_forms,
@@ -106,7 +122,7 @@ def besov_norm_by_ifft(field, s, p):
     head = lp_norm(s0_block(field), p)
     tail = 0.0
     for j in range(1, family.j_max + 1):
-        tail += (2.0 ** (s * j) * lp_norm(lp_block(field, j, family), p)) ** p
+        tail += (2.0 ** (s * j) * lp_norm(lp_block(field, j), p)) ** p
     return head + tail ** (1.0 / p)
 
 
@@ -275,12 +291,12 @@ def time_change_solve(u0, f, path, profile, partition):
     else:
         def f_tilde(tau):
             t = float(phi_nodes[node_index[float(tau)]])
-            return f(t) * (1.0 / float(base_delta(t)))
+            return scaled_field(f(t), 1.0 / float(base_delta(t)))
 
     return solve_duhamel(u0, f_tilde, changed, tau_partition), tau_nodes
 
 
-def mc_solve_per_chunk(u0, f, path, t, points, samples, seed, partition=None,
+def mc_solve_per_chunk(u0, f, path, partition, points, samples, seed,
                        chunk=DEFAULT_CHUNK):
     """The all-node estimator: every path walked over all K partition
     intervals and the forcing evaluated at all K + 1 nodes; each chunk's
@@ -290,12 +306,8 @@ def mc_solve_per_chunk(u0, f, path, t, points, samples, seed, partition=None,
     points = np.atleast_1d(np.asarray(points, dtype=float))
     if points.ndim == 1:
         points = points[:, None]
-    if f is not None:
-        if partition is None:
-            partition = TimePartition.uniform(64, t)
-        nodes = partition.nodes
-    else:
-        nodes = np.array([0.0, t])
+    nodes = (partition.nodes if f is not None
+             else np.array([0.0, partition.horizon]))
 
     cums = accumulate_on(path, nodes)
     factors = [_sqrt_cov(2.0 * (cb - ca))
@@ -354,19 +366,15 @@ def stencil_symbol_uncached(grid, mat):
     return out / h ** 2
 
 
-def mc_solve_grouped(u0, f, path, t, points, samples, seed, partition=None):
+def mc_solve_grouped(u0, f, path, partition, points, samples, seed):
     """mc_solve with a spline of f(t_i) at every node i and one
     interpolation per drawn node, over the paths that drew it."""
     grid = u0.grid
     points = np.atleast_1d(np.asarray(points, dtype=float))
     if points.ndim == 1:
         points = points[:, None]
-    if f is not None:
-        if partition is None:
-            partition = TimePartition.uniform(64, t)
-        nodes = partition.nodes
-    else:
-        nodes = np.array([0.0, t])
+    nodes = (partition.nodes if f is not None
+             else np.array([0.0, partition.horizon]))
 
     cums = accumulate_on(path, nodes)
     factors = np.array([_sqrt_cov(2.0 * (cums[-1] - c)) for c in cums])
@@ -405,3 +413,83 @@ def mc_solve_grouped(u0, f, path, t, points, samples, seed, partition=None):
     return MCEstimate(points=points, mean=mean,
                       stderr=np.sqrt(var / samples),
                       samples=samples, seed=seed)
+
+
+class DegenerateKernelError(ValueError):
+    """The accumulated coefficients are singular: the kernel is not a function."""
+
+
+def kernel(path, t, grid):
+    """Fundamental solution at time t, sampled with its peak at x = 0.
+
+    Requires the accumulated coefficients to be nondegenerate; over a
+    window where they vanish the propagator is a point mass, not a
+    function, and DegenerateKernelError is raised.
+    """
+    B = accumulate_on(path, [t])[0]
+    eigs = np.linalg.eigvalsh(B)
+    if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
+        raise DegenerateKernelError(
+            f"kernel at t={t} is degenerate: accumulated coefficients have "
+            f"min eigenvalue {eigs[0]:.3e}")
+    values = np.exp(-quadratic_form(grid, B))
+    samples = np.fft.fftshift(np.fft.ifftn(values).real)
+    return SpectralField(grid, samples / grid.cell_volume)
+
+
+def load_report(outdir):
+    """Read back a saved report: (meta dict, node times, snapshot fields).
+
+    The fields are views into one np.fromfile read of snapshots.bin.  A cut
+    header, short or long data, or a count that disagrees with meta raises
+    ValueError naming the file.
+    """
+    with open(os.path.join(outdir, "meta")) as fh:
+        meta = dict(line.strip().partition("=")[::2] for line in fh)
+    path = os.path.join(outdir, "snapshots.bin")
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size < 32:
+        raise ValueError(f"truncated header in snapshot file {path}")
+    dim, n, count = (int(v) for v in raw[:24].view(np.int64))
+    grid = GridSpec(dim=dim, n=n, length=float(raw[24:32].view(np.float64)[0]))
+    if count != int(meta["nodes"]) or raw.size != 32 + 8 * count * n ** dim:
+        raise ValueError(f"snapshot file {path} has {raw.size} bytes for "
+                         f"{count} fields of {n}^{dim} samples "
+                         f"(meta: nodes={meta['nodes']})")
+    fields = raw[32:].view(np.float64).reshape((count,) + grid.shape)
+    nodes = np.loadtxt(os.path.join(outdir, "norms.csv"), delimiter=",",
+                       skiprows=1, usecols=1, ndmin=1)
+    return meta, nodes, [SpectralField(grid, u) for u in fields]
+
+
+def default_levels(profile, t0):
+    """The levels of a beta fit over [0, t0] at the config's defaults."""
+    cfg = ExperimentConfig()
+    return _level_grid(cumulative_delta(profile, t0), cfg.h_points,
+                       cfg.h_decades)
+
+
+def check_thm2_at_horizon(u0, path, profile, p, partition, beta_hat=None):
+    """check_thm2 at t0 = T on the default levels."""
+    t0 = partition.horizon
+    return check_thm2(u0, path, profile, p, partition, t0,
+                      default_levels(profile, t0), beta_hat=beta_hat)
+
+
+def scaled_field(field, c):
+    """The field with samples c * field.samples."""
+    return SpectralField(field.grid, field.samples * float(c))
+
+
+def cached_forcing(f):
+    """t -> the field with spectrum c(t) S^, S^ the shape's cached spectrum."""
+    return lambda t: SpectralField.from_spectrum(
+        f.shape.grid, float(f.coef(t)) * f.shape.spectrum)
+
+
+def gaussian_at(grid, width, center):
+    """exp(-|x - center|^2 / (2 width^2)) sampled on the grid."""
+    r2 = np.zeros(grid.shape)
+    for x, c in zip(x_grids(grid), center):
+        r2 += (x - c) ** 2
+    return SpectralField(grid, np.exp(-r2 / (2.0 * width ** 2)))

@@ -18,14 +18,15 @@ from hypothesis import strategies as st
 from degparab import (GridSpec, TimePartition, accumulate_on,
                       char_function_check, constant_matrix_path,
                       constant_profile, cumulative_delta, epsilon_regularize,
-                      expr_matrix_path, expr_profile, gaussian_bump, kernel,
+                      expr_matrix_path, expr_profile, gaussian_bump,
                       oscillatory_profile, parse_coefficients,
                       piecewise_profile, power_profile, quadratic_form,
                       sample_increments, scalar_path, solve_duhamel)
-from degparab import quadrature, solver
+from degparab import quadrature
 from degparab.oracle import _sqrt_cov
 from degparab.quadrature import QuadratureError, integrate_to
-from references import accumulate_path, integrate_entries, propagate
+import references
+from references import accumulate_path, integrate_entries, kernel, propagate
 
 RTOL, ATOL = 1e-10, 1e-14
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -429,12 +430,12 @@ def test_callers_at_s_zero_see_the_per_node_b(name, monkeypatch):
         seen.append(np.array(cov))
         return _sqrt_cov(cov)
 
-    monkeypatch.setattr(solver, "quadratic_form", form)
+    monkeypatch.setattr(references, "quadratic_form", form)
     monkeypatch.setattr("degparab.oracle._sqrt_cov", sqrt_cov)
     kernel(path, t, GridSpec(dim=path.dim, n=16, length=8.0))
-    sample_increments(path, 0.0, t, 10, 0)
+    sample_increments(path, t, 10, np.random.default_rng(0))
     freqs = np.eye(path.dim)
-    rows = char_function_check(path, 0.0, t, freqs, 10, 0)
+    rows = char_function_check(path, t, freqs, 10, 0)
     assert [b.tobytes() for b in seen] == [expected.tobytes(),
                                            (2.0 * expected).tobytes(),
                                            (2.0 * expected).tobytes()]

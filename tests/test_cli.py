@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 import degparab
 from degparab import (GridSpec, SeparableForcing, SpectralField,
-                      build_forcing, build_initial, cli, load_report, lp_norm,
-                      oracle, rough_field)
+                      build_forcing, build_initial, cli, lp_norm, oracle,
+                      rough_field)
 from degparab.cli import (_FIELD_MAP, RUNNERS, ConfigError,
                           ExperimentConfig, NonFiniteDataError, main,
                           parse_config, validate_config)
+from references import load_report
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(degparab.__file__)))
 
@@ -179,7 +180,10 @@ def test_negative_t0_is_a_config_error(tmp_path, capsys, command, t0,
     ("params", "eps_list = 0.1,nan", "params.eps_list: must be positive, "
      "finite and decreasing, got [0.1, nan]"),
     ("params", "eps_list = inf,0.1", "params.eps_list: must be positive, "
-     "finite and decreasing, got [inf, 0.1]")])
+     "finite and decreasing, got [inf, 0.1]"),
+    # eps-sweep exited 0 with a header-only eps_sweep.csv
+    ("params", "eps_list = ,",
+     "params.eps_list: must list at least one eps, got []")])
 def test_configs_that_cannot_run_fail_validation(tmp_path, capsys, section,
                                                  setting, diag):
     # each of these used to pass validation and then exit 1 in some or all
@@ -988,11 +992,17 @@ def test_forcing_fields_scale_one_transform_of_the_shape(monkeypatch):
     shape = build_initial("rough(1)", grid, 2.0, seed=0)
     spectrum = np.fft.fftn(shape.samples)
     f = build_forcing('separable("t * t + 0.5", rough(1))', grid, 2.0, seed=0)
+    # the checks read c(t) times the shape's spectrum, transformed when the
+    # forcing was built, and f(t) scales the shape's samples
     monkeypatch.setattr(np.fft, "fftn", None)  # no transform per call
     for t in (0.0, 0.3, 1.7):
         field, c = f(t), t * t + 0.5
         assert field.samples.tobytes() == (c * shape.samples).tobytes()
-        assert field.spectrum.tobytes() == (c * spectrum).tobytes()
+        assert f.shape.spectrum.tobytes() == spectrum.tobytes()
+    monkeypatch.undo()
+    # a field's own spectrum is the transform of its samples
+    assert (f(0.3).spectrum.tobytes()
+            == np.fft.fftn((0.3 * 0.3 + 0.5) * shape.samples).tobytes())
 
 
 def test_forcing_coefs_are_the_scalar_path_in_one_call():
@@ -1156,9 +1166,21 @@ def run_in_process(tmp_path, command, text):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command, "--config", path, "--out", str(out)])
-    rows = [row for csv in sorted(out.glob("*.csv"))
+    rows = [row for csv in sorted(out.rglob("*.csv"))
             for row in csv.read_text().splitlines()[1:]]
     return code, [str(w.category.__name__) for w in caught], rows
+
+
+def assert_exit_0_reports_finite_numbers(command, code, caught, rows):
+    if code == 0:
+        assert "RuntimeWarning" not in caught, command
+        for row in rows:
+            for value in row.replace('"', "").split(","):
+                try:
+                    number = float(value)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), (command, row)
 
 
 CONFIGS = dict(
@@ -1268,3 +1290,86 @@ p = {p}
                     except ValueError:
                         continue
                     assert math.isfinite(number), (command, row)
+
+
+KERNEL_DECAY_CONFIG = """
+[grid]
+n = 256
+period = 32.0
+
+[partition]
+steps = 16
+
+[profile]
+spec = power(1)
+
+[coefficients]
+spec = scalar(power(1))
+
+[params]
+k_max = 3
+gamma = {gamma}
+"""
+
+
+@pytest.mark.parametrize("gamma, code", [(220.0, 0), (221.0, 3), (300.0, 3),
+                                         (350.0, 3)])
+def test_kernel_decay_rejects_a_gamma_whose_weight_overflows(
+        tmp_path, gamma, code):
+    # |xi|^gamma at the largest |xi| = 8 pi / 32 * 32 = 25.13 leaves the
+    # float range above gamma = 220.2: at 221 and 300 every mass ratio read
+    # NaN with exit 0, and at 350 2^(k gamma) raised OverflowError (exit 1)
+    got, caught, rows = run_in_process(
+        tmp_path, "kernel-decay", KERNEL_DECAY_CONFIG.format(gamma=gamma))
+    assert got == code
+    assert caught == []
+    assert len(rows) == (24 if code == 0 else 0)
+    assert_exit_0_reports_finite_numbers("kernel-decay", got, caught, rows)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([1, 2]), log_n=st.integers(4, 6),
+       period=st.sampled_from([4.0, 16.0, 8.0 * math.pi, 32.0]),
+       kind=st.sampled_from(["uniform", "geometric"]),
+       steps=st.integers(2, 8),
+       profile=st.sampled_from(["constant(1.0)", "power(1)", "power(0.5)",
+                                'expr("sqrt(t)")']),
+       forcing=st.sampled_from(["none", 'separable("1 + t", gaussian(1.0))']),
+       k_max=st.integers(1, 4), share=st.floats(0.9, 1.1))
+def test_a_solve_or_kernel_decay_that_exits_0_reports_finite_numbers(
+        tmp_path_factory, dim, log_n, period, kind, steps, profile, forcing,
+        k_max, share):
+    # gamma is drawn across the bound at which |xi|^gamma overflows at the
+    # lattice's largest |xi|, where |xi|^2 = dim nyquist^2
+    tmp_path = tmp_path_factory.mktemp("run")
+    n = 2 ** log_n
+    corner_sq = dim * (math.pi * n / period) ** 2
+    gamma = share * 2.0 * math.log(sys.float_info.max) / math.log(corner_sq)
+    text = f"""
+[grid]
+dim = {dim}
+n = {n}
+period = {period!r}
+
+[partition]
+kind = {kind}
+steps = {steps}
+
+[profile]
+spec = {profile}
+
+[coefficients]
+spec = scalar({profile})
+
+[forcing]
+spec = {forcing}
+
+[params]
+k_max = {k_max}
+t_count = 3
+gamma = {gamma!r}
+"""
+    for command in ("solve", "kernel-decay"):
+        code, caught, rows = run_in_process(tmp_path, command, text)
+        assert code in (0, 2, 3), (command, code)
+        assert_exit_0_reports_finite_numbers(command, code, caught, rows)

@@ -375,4 +375,4 @@ def test_empirical_bound_oscillatory():
 def test_coefficient_path_rejects_bad_dim():
     with pytest.raises(ValueError):
         CoefficientPath(dim=4, a=lambda t: np.eye(4), cumulative=None,
-                        bound_M=1.0, spec="", breakpoints=())
+                        spec="", breakpoints=())

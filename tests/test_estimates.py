@@ -7,7 +7,7 @@ import pytest
 
 from degparab import (CSV_HEADER, GridSpec, SeparableForcing, SpectralField,
                       TimePartition, besov_norm, bessel_norm, check_classic,
-                      check_kernel_decay, check_thm1, check_thm2, cli,
+                      check_kernel_decay, check_thm1, cli,
                       constant_profile, cumulative_delta, epsilon_sweep,
                       expr_matrix_path, expr_profile, gaussian_bump,
                       hessian_lp_norm, lp_block, lp_norm, mode_field,
@@ -15,6 +15,7 @@ from degparab import (CSV_HEADER, GridSpec, SeparableForcing, SpectralField,
                       reports_to_csv, scalar_path, solve_duhamel,
                       weighted_norm)
 from degparab.spectral import _xi_sq
+from references import check_thm2_at_horizon, scaled_field
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -175,7 +176,8 @@ def test_thm1_scale_invariance():
     lam = 37.5
     r1 = check_thm1(u0, SeparableForcing(lambda t: t, shape),
                     path, prof, 0.0, 2.0, part)
-    r2 = check_thm1(lam * u0, SeparableForcing(lambda t: lam * t, shape),
+    r2 = check_thm1(scaled_field(u0, lam),
+                    SeparableForcing(lambda t: lam * t, shape),
                     path, prof, 0.0, 2.0, part)
     assert abs(r2.ratio - r1.ratio) < 1e-10 * r1.ratio
 
@@ -207,8 +209,8 @@ def test_thm1_lhs_is_the_closed_form_at_p2():
 def test_thm2_heat_benchmark():
     u0 = gaussian_bump(GRID, width=2.0)
     prof = constant_profile(1.0)
-    rep = check_thm2(u0, scalar_path(prof, 1), prof, 2.0,
-                     TimePartition.uniform(32, 1.0))
+    rep = check_thm2_at_horizon(u0, scalar_path(prof, 1), prof, 2.0,
+                                TimePartition.uniform(32, 1.0))
     assert rep.admissible
     assert abs(rep.extra["beta_hat"] - 1.0) < 0.02
     assert 0.0 < rep.ratio < 10.0
@@ -222,7 +224,8 @@ def test_thm2_inadmissible_domination():
     u0 = gaussian_bump(GRID, width=2.0)
     prof = constant_profile(0.0)
     path = scalar_path(constant_profile(1.0), 1)
-    rep = check_thm2(u0, path, prof, 2.0, TimePartition.uniform(8, 1.0))
+    rep = check_thm2_at_horizon(u0, path, prof, 2.0,
+                                TimePartition.uniform(8, 1.0))
     assert not rep.admissible
     assert any("domination" in flag for flag in rep.flags)
     assert math.isnan(rep.lhs)
@@ -231,8 +234,8 @@ def test_thm2_inadmissible_domination():
 def test_thm2_beta_hat_override():
     u0 = gaussian_bump(GRID, width=2.0)
     prof = power_profile(1.0)
-    rep = check_thm2(u0, scalar_path(prof, 1), prof, 2.0,
-                     TimePartition.geometric(32, 1.0), beta_hat=2.0)
+    rep = check_thm2_at_horizon(u0, scalar_path(prof, 1), prof, 2.0,
+                                TimePartition.geometric(32, 1.0), beta_hat=2.0)
     assert rep.extra["beta_hat"] == 2.0
     assert abs(rep.extra["besov_order"] - 1.5) < 1e-12
 
@@ -243,8 +246,8 @@ def test_thm2_power_profile_ratio_stable():
         grid = GridSpec(dim=1, n=n, length=32.0)
         u0 = gaussian_bump(grid, width=2.0)
         prof = power_profile(1.0)
-        rep = check_thm2(u0, scalar_path(prof, 1), prof, 2.0,
-                         TimePartition.geometric(48, 1.0))
+        rep = check_thm2_at_horizon(u0, scalar_path(prof, 1), prof, 2.0,
+                                    TimePartition.geometric(48, 1.0))
         assert rep.admissible
         ratios.append(rep.ratio)
     assert abs(ratios[1] - ratios[0]) / ratios[0] < 0.15
@@ -439,7 +442,7 @@ def test_streamed_checks_agree_with_the_solve_reports(dim, p):
            [weighted_norm(nodes, [lp_norm(f(t), p) for t in nodes], None, p,
                           0.0)])
     dominated = scalar_path(prof, dim)
-    rep = check_thm2(u0, dominated, prof, p, part)
+    rep = check_thm2_at_horizon(u0, dominated, prof, p, part)
     snaps = solve_duhamel(u0, None, dominated, part)
     agrees(rep, weighted_norm(nodes, [hessian_lp_norm(u, p) for u in snaps],
                               prof, p, 0.0),
@@ -513,8 +516,8 @@ def test_eps_sweep_validates_ordering():
 def test_reports_to_csv_round_trip(tmp_path):
     u0 = gaussian_bump(GRID, width=2.0)
     prof = power_profile(1.0)
-    rep = check_thm2(u0, scalar_path(prof, 1), prof, 2.0,
-                     TimePartition.geometric(16, 1.0))
+    rep = check_thm2_at_horizon(u0, scalar_path(prof, 1), prof, 2.0,
+                                TimePartition.geometric(16, 1.0))
     out = tmp_path / "reports.csv"
     reports_to_csv([rep], out)
     lines = out.read_text().splitlines()

@@ -14,7 +14,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(degparab.__file__)))
 # change to this list
 PUBLIC_NAMES = [
     "CSV_HEADER", "CoefficientPath", "ConfigError", "DegeneracyProfile",
-    "DegenerateKernelError", "EstimateReport", "ExperimentConfig",
+    "EstimateReport", "ExperimentConfig",
     "GridSpec", "KernelDecayFit", "LPFamily", "LevelsetFit",
     "MCEstimate", "QuadratureError", "SeparableForcing", "SpectralField",
     "TimePartition", "accumulate_on", "besov_norm",
@@ -26,8 +26,8 @@ PUBLIC_NAMES = [
     "empirical_bound", "epsilon_regularize", "epsilon_sweep", "estimates",
     "expr_matrix_path", "expr_profile", "fit_beta_exponent",
     "gaussian_bump", "hessian_lp_norm", "inner_product", "integrate_to",
-    "integrate_windows", "inverse_cumulative", "kernel", "levelset_measure",
-    "levelset_measure_scan", "load_report", "lowpass", "lp_block",
+    "integrate_windows", "inverse_cumulative", "levelset_measure",
+    "levelset_measure_scan", "lowpass", "lp_block",
     "lp_norm", "mc_solve", "mode_field", "oracle", "oscillatory_profile",
     "parse_coefficients", "parse_config", "parse_profile",
     "piecewise_profile", "power_profile", "quadratic_form", "quadrature",
@@ -39,7 +39,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 83
+    assert len(PUBLIC_NAMES) == 80
     assert sorted(degparab.__all__) == PUBLIC_NAMES
 
 

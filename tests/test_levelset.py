@@ -22,9 +22,9 @@ from degparab import (constant_profile, cumulative_delta, expr_profile,
                       levelset_measure_scan, oscillatory_profile,
                       piecewise_profile, power_profile)
 from degparab import degeneracy
-from degparab.degeneracy import (_SCAN_CHUNK, _level_grid, _scan_chunks,
-                                 _scan_segments)
+from degparab.degeneracy import _SCAN_CHUNK, _scan_chunks, _scan_segments
 from degparab.quadrature import ATOL, RTOL, QuadratureError, integrate_to
+from references import default_levels
 
 SETTINGS = settings(max_examples=15, deadline=None)
 EPS = np.finfo(float).eps
@@ -362,7 +362,7 @@ def test_levelset_scan_equals_the_one_array_scan(monkeypatch, prof, npts):
 def test_levelset_scan_of_the_benchmark_profile_is_exact():
     # profile-check on sqrt(t) at t0 = 1, at the full _SCAN_POINTS
     prof = expr_profile("sqrt(t)")
-    hs = _level_grid(cumulative_delta(prof, 1.0)).tolist()
+    hs = default_levels(prof, 1.0).tolist()
     assert levelset_measure_scan(prof, hs, 1.0) == scan_oracle(prof, hs, 1.0)
 
 
@@ -372,7 +372,7 @@ def test_a_rising_scan_interpolates_only_near_the_crossings(monkeypatch,
     # beta rises, so each level h is counted from where beta crosses h and
     # 4h; np.interp may read at most 4 midpoints per crossing, not all 1e6
     prof = QUADRATURE[name]
-    hs = _level_grid(cumulative_delta(prof, 1.0))
+    hs = default_levels(prof, 1.0)
     read = []
     interp = np.interp
 

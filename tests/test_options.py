@@ -2,14 +2,20 @@
 
 import argparse
 import inspect
+from dataclasses import fields
 
 import pytest
 
 import degparab
-from degparab import (besov_norm, check_classic, check_kernel_decay, cli,
-                      empirical_bound, epsilon_sweep, levelset_measure_scan,
-                      mc_solve, s0_block, save_report, weak_residual_profile,
-                      weighted_norm)
+from degparab import (CoefficientPath, GridSpec, KernelDecayFit,
+                      SpectralField, TimePartition, besov_norm,
+                      char_function_check, check_classic, check_kernel_decay,
+                      check_thm1, check_thm2, cli, constant_profile,
+                      empirical_bound, epsilon_sweep, gaussian_bump,
+                      levelset_measure_scan, lp_block, mc_solve, mode_field,
+                      s0_block, sample_increments, save_report, scalar_path,
+                      weak_residual_profile, weighted_norm)
+from degparab.degeneracy import _level_grid
 from degparab.oracle import _fd_steps
 from degparab.quadrature import integrate_to, integrate_windows
 
@@ -51,7 +57,7 @@ def test_no_function_takes_a_parameter_no_caller_sets():
     assert list(inspect.signature(_fd_steps).parameters) == [
         "u0", "f", "path", "nodes"]
     assert list(inspect.signature(mc_solve).parameters) == [
-        "u0", "f", "path", "t", "points", "samples", "seed", "partition"]
+        "u0", "f", "path", "partition", "points", "samples", "seed"]
     assert list(inspect.signature(besov_norm).parameters) == [
         "field", "s", "p"]
     assert list(inspect.signature(levelset_measure_scan).parameters) == [
@@ -64,8 +70,54 @@ def test_no_function_takes_a_parameter_no_caller_sets():
     assert list(inspect.signature(save_report).parameters) == [
         "snapshots", "f", "path", "partition", "outdir", "p"]
     assert list(inspect.signature(weak_residual_profile).parameters) == [
-        "snapshots", "f", "path", "nodes", "test"]
+        "snapshots", "f", "path", "nodes"]
     assert list(inspect.signature(s0_block).parameters) == ["field"]
+    # the initial data are centred, unit-height bumps and cosine modes; a
+    # block's family is its grid's; the oracles start at s = 0 and draw
+    # from the Generator they are given; a spectrum's samples are its
+    # inverse transform
+    assert list(inspect.signature(gaussian_bump).parameters) == [
+        "grid", "width"]
+    assert list(inspect.signature(mode_field).parameters) == ["grid", "k"]
+    assert list(inspect.signature(lp_block).parameters) == ["field", "j"]
+    assert list(inspect.signature(sample_increments).parameters) == [
+        "path", "t", "samples", "rng"]
+    assert list(inspect.signature(char_function_check).parameters) == [
+        "path", "t", "freqs", "samples", "seed"]
+    assert list(inspect.signature(SpectralField.from_spectrum).parameters
+                ) == ["grid", "spectrum"]
+
+
+def test_check_thm2_takes_its_window_and_levels_from_the_caller():
+    # check-thm2 always passes t0 and the levels, and ExperimentConfig holds
+    # their defaults: the level count and span have no second default
+    params = inspect.signature(check_thm2).parameters
+    assert list(params) == ["u0", "path", "profile", "p", "partition", "t0",
+                            "h_grid", "beta_hat"]
+    assert [name for name, p in params.items()
+            if p.default is not inspect.Parameter.empty] == ["beta_hat"]
+    params = inspect.signature(_level_grid).parameters
+    assert list(params) == ["beta_t0", "points", "decades"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
+
+
+def test_records_hold_only_fields_a_subcommand_reads():
+    # profile-check reads the profile's bound_M, and nothing reads a path's;
+    # kernel-decay's summary prints the gamma of its config
+    assert [f.name for f in fields(CoefficientPath)] == [
+        "dim", "a", "cumulative", "spec", "breakpoints"]
+    assert [f.name for f in fields(KernelDecayFit)] == [
+        "c", "n_const", "violations", "samples"]
+    # fields subtract for compare_fields, and no other arithmetic is kept
+    assert [name for name in ("__add__", "__sub__", "__mul__", "__rmul__")
+            if name in vars(SpectralField)] == ["__sub__"]
+    # check-thm2's summary reads its report's extra; thm1 and classic's
+    # summaries take dim and T from the config
+    grid = GridSpec(dim=1, n=32, length=8.0)
+    u0, prof = gaussian_bump(grid, width=1.0), constant_profile(1.0)
+    path, part = scalar_path(prof, 1), TimePartition.uniform(2, 0.1)
+    assert check_thm1(u0, None, path, prof, 0.0, 2.0, part).extra == {}
+    assert check_classic(u0, None, path, part, 2.0).extra == {}
 
 
 def test_kernel_decay_fit_has_no_knobs():

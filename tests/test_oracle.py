@@ -167,7 +167,8 @@ def test_fd_zero_coefficients_affine_forcing_exact():
     f = SeparableForcing(lambda t: 1.0 + 2.0 * t, g)
     path = scalar_path(constant_profile(0.0), 1)
     final = fd_final(u0, f, path, TimePartition.uniform(16, 1.0))
-    expected = u0 + SpectralField(GRID, 2.0 * g.samples)  # int_0^1 (1+2t) = 2
+    # int_0^1 (1 + 2t) dt = 2
+    expected = SpectralField(GRID, u0.samples + 2.0 * g.samples)
     assert compare_fields(expected, final, math.inf) < 1e-12
 
 
@@ -264,13 +265,19 @@ def test_stencil_symbol_cache_is_bit_for_bit(dim):
                 == stencil_symbol_uncached(grid, mat).tobytes())
 
 
+def until(t):
+    """A partition ending at t; without forcing mc_solve reads only its
+    horizon."""
+    return TimePartition.uniform(1, t)
+
+
 def test_mc_frozen_solution_at_nodes():
     # A = 0, f = 0: X == 0, every sample returns u0(x) itself, so the
     # estimate at grid nodes is exact with zero spread
     u0 = gaussian_bump(GRID, width=2.0)
     path = scalar_path(constant_profile(0.0), 1)
     pts = np.array([-8.0, 0.0, GRID.spacing * 3])
-    est = mc_solve(u0, None, path, 0.7, pts, 2000, seed=5)
+    est = mc_solve(u0, None, path, until(0.7), pts, 2000, seed=5)
     idx = np.round((pts + GRID.length / 2) / GRID.spacing).astype(int)
     exact = u0.samples[idx]
     assert np.max(np.abs(est.mean - exact)) < 1e-12
@@ -281,7 +288,7 @@ def test_mc_heat_within_three_sigma():
     u0 = gaussian_bump(GRID, width=2.0)
     t = 0.3
     pts = np.linspace(-6.0, 6.0, 5)
-    est = mc_solve(u0, None, HEAT, t, pts, 40000, seed=11)
+    est = mc_solve(u0, None, HEAT, until(t), pts, 40000, seed=11)
     exact = heat_gaussian(GRID, 2.0, t)
     idx = np.round((pts + GRID.length / 2) / GRID.spacing).astype(int)
     gaps = np.abs(est.mean - exact.samples[idx])
@@ -295,7 +302,7 @@ def test_mc_oscillatory_within_three_sigma():
     t = 0.3
     var = 2.0 ** 2 + 2.0 * cumulative_delta(prof, t)
     pts = np.array([-3.0, 0.0, 2.0])
-    est = mc_solve(u0, None, path, t, pts, 40000, seed=17)
+    est = mc_solve(u0, None, path, until(t), pts, 40000, seed=17)
     exact = np.exp(-pts ** 2 / (2.0 * var)) * math.sqrt(2.0 ** 2 / var)
     gaps = np.abs(est.mean - exact)
     assert np.all(gaps <= 3.0 * est.stderr + 1e-4)
@@ -303,8 +310,8 @@ def test_mc_oscillatory_within_three_sigma():
 
 def test_mc_deterministic_replay():
     u0 = gaussian_bump(GRID, width=2.0)
-    a = mc_solve(u0, None, HEAT, 0.2, [0.0, 1.0], 5000, seed=3)
-    b = mc_solve(u0, None, HEAT, 0.2, [0.0, 1.0], 5000, seed=3)
+    a = mc_solve(u0, None, HEAT, until(0.2), [0.0, 1.0], 5000, seed=3)
+    b = mc_solve(u0, None, HEAT, until(0.2), [0.0, 1.0], 5000, seed=3)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.stderr, b.stderr)
 
@@ -314,9 +321,9 @@ def test_mc_chunking_consistency(monkeypatch):
     # different draws; they must still agree statistically
     u0 = gaussian_bump(GRID, width=2.0)
     monkeypatch.setattr(oracle, "DEFAULT_CHUNK", 20000)
-    a = mc_solve(u0, None, HEAT, 0.2, [0.5], 20000, seed=9)
+    a = mc_solve(u0, None, HEAT, until(0.2), [0.5], 20000, seed=9)
     monkeypatch.setattr(oracle, "DEFAULT_CHUNK", 1024)
-    b = mc_solve(u0, None, HEAT, 0.2, [0.5], 20000, seed=9)
+    b = mc_solve(u0, None, HEAT, until(0.2), [0.5], 20000, seed=9)
     gap = abs(float(a.mean[0]) - float(b.mean[0]))
     assert gap <= 4.0 * (float(a.stderr[0]) + float(b.stderr[0]))
 
@@ -324,7 +331,7 @@ def test_mc_chunking_consistency(monkeypatch):
 def test_mc_stderr_scaling():
     u0 = gaussian_bump(GRID, width=2.0)
     sizes = (4000, 8000, 16000)
-    errs = [float(np.max(mc_solve(u0, None, HEAT, 0.3, [0.0], n,
+    errs = [float(np.max(mc_solve(u0, None, HEAT, until(0.3), [0.0], n,
                                   seed=21).stderr))
             for n in sizes]
     slopes = np.diff(np.log(errs)) / np.diff(np.log(sizes))
@@ -336,7 +343,7 @@ def test_mc_stderr_scaling():
 def test_mc_rejects_insufficient_samples():
     u0 = gaussian_bump(GRID, width=2.0)
     with pytest.raises(ValueError):
-        mc_solve(u0, None, HEAT, 0.2, [0.0], 10, seed=0)
+        mc_solve(u0, None, HEAT, until(0.2), [0.0], 10, seed=0)
 
 
 def test_mc_rejects_wrong_point_dim():
@@ -344,7 +351,8 @@ def test_mc_rejects_wrong_point_dim():
     u0 = gaussian_bump(grid, width=2.0)
     path = constant_matrix_path([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        mc_solve(u0, None, path, 0.1, np.zeros((3, 1)), 2000, seed=0)
+        mc_solve(u0, None, path, until(0.1), np.zeros((3, 1)), 2000,
+                 seed=0)
 
 
 def test_mc_forcing_matches_duhamel():
@@ -354,7 +362,7 @@ def test_mc_forcing_matches_duhamel():
     part = TimePartition.uniform(32, 0.4)
     ref = solve_duhamel(u0, f, HEAT, part)
     pts = np.array([-2.0, 0.0, 3.0])
-    est = mc_solve(u0, f, HEAT, 0.4, pts, 40000, seed=29, partition=part)
+    est = mc_solve(u0, f, HEAT, part, pts, 40000, seed=29)
     idx = np.round((pts + GRID.length / 2) / GRID.spacing).astype(int)
     gaps = np.abs(est.mean - ref[-1].samples[idx])
     assert np.all(gaps <= 3.0 * est.stderr + 1e-3)
@@ -390,11 +398,11 @@ def test_mc_homogeneous_matches_per_chunk_walk(dim, kind, steps,
     u0 = gaussian_bump(grid, width=1.5)
     pts = np.random.default_rng(seed).uniform(
         -grid.length / 2, grid.length / 2, (probes, dim))
-    args = (u0, None, path, t, pts, samples, seed)
+    args = (u0, None, path, part, pts, samples, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "DEFAULT_CHUNK", chunk)
-        got = mc_solve(*args, partition=part)
-    ref = mc_solve_per_chunk(*args, partition=part, chunk=chunk)
+        got = mc_solve(*args)
+    ref = mc_solve_per_chunk(*args, chunk=chunk)
     assert got.mean.tobytes() == ref.mean.tobytes()
     assert got.stderr.tobytes() == ref.stderr.tobytes()
 
@@ -413,9 +421,8 @@ def test_mc_stratified_nodes_agree_with_the_all_node_sum(dim, kind):
     shape = gaussian_bump(grid, width=1.0)
     f = SeparableForcing(lambda s: 1.0 + 4.0 * np.sin(9.0 * s), shape)
     pts = np.random.default_rng(dim).uniform(-2.0, 2.0, (4, dim))
-    got = mc_solve(u0, f, path, t, pts, 40000, seed=31, partition=part)
-    ref = mc_solve_per_chunk(u0, f, path, t, pts, 40000, seed=32,
-                             partition=part)
+    got = mc_solve(u0, f, path, part, pts, 40000, seed=31)
+    ref = mc_solve_per_chunk(u0, f, path, part, pts, 40000, seed=32)
     gaps = np.abs(got.mean - ref.mean)
     assert np.all(gaps <= 4.0 * np.hypot(got.stderr, ref.stderr))
 
@@ -436,9 +443,8 @@ def test_mc_one_shape_spline_matches_the_per_node_splines(dim, kind):
                          gaussian_bump(grid, width=1.0))
     pts = np.random.default_rng(dim).uniform(-2.0, 2.0, (4, dim))
     samples = oracle.DEFAULT_CHUNK + 3000  # a full and a partial chunk
-    got = mc_solve(u0, f, path, t, pts, samples, seed=31, partition=part)
-    ref = mc_solve_grouped(u0, f, path, t, pts, samples, seed=31,
-                           partition=part)
+    got = mc_solve(u0, f, path, part, pts, samples, seed=31)
+    ref = mc_solve_grouped(u0, f, path, part, pts, samples, seed=31)
     assert np.all(np.abs(got.mean - ref.mean) <= 1e-12 * np.abs(ref.mean))
     assert np.all(np.abs(got.stderr - ref.stderr) <= 1e-12 * ref.stderr)
 
@@ -495,7 +501,7 @@ def test_mc_memory_is_set_by_the_chunk_not_the_partition():
     import scipy.ndimage  # loaded before tracing: its import is not a buffer
     tracemalloc.start()
     try:
-        mc_solve(u0, f, HEAT, 0.3, pts, chunk, seed=1, partition=part)
+        mc_solve(u0, f, HEAT, part, pts, chunk, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -558,7 +564,7 @@ def test_fd_final_holds_a_few_fields_at_any_step_count():
 def test_sample_increments_covariance():
     path = constant_matrix_path([[2.0, 0.5], [0.5, 1.0]])
     rng = np.random.default_rng(7)
-    x = sample_increments(path, 0.0, 0.5, 200000, rng)
+    x = sample_increments(path, 0.5, 200000, rng)
     cov = np.cov(x.T)
     expected = np.array([[2.0, 0.5], [0.5, 1.0]])  # 2 * 0.5 * a
     assert np.max(np.abs(cov - expected)) < 0.02
@@ -567,14 +573,14 @@ def test_sample_increments_covariance():
 def test_sample_increments_rejects_non_psd():
     path = constant_matrix_path([[1.0, 3.0], [3.0, 1.0]])
     with pytest.raises(ValueError):
-        sample_increments(path, 0.0, 1.0, 100, np.random.default_rng(0))
+        sample_increments(path, 1.0, 100, np.random.default_rng(0))
 
 
 def test_char_function_identity():
     prof = oscillatory_profile()
     path = scalar_path(prof, 1)
     freqs = np.linspace(0.2, 2.0, 10)[:, None]
-    rows = char_function_check(path, 0.0, 0.4, freqs, 200000, seed=13)
+    rows = char_function_check(path, 0.4, freqs, 200000, seed=13)
     for _, emp_re, emp_im, exact, se_re, se_im in rows:
         assert abs(emp_re - exact) <= 4.0 * se_re
         assert abs(emp_im) <= 4.0 * se_im  # symbol is real
@@ -597,7 +603,7 @@ def test_convergence_orders_exact_powers():
 
 def test_mc_estimate_csv(tmp_path):
     u0 = gaussian_bump(GRID, width=2.0)
-    est = mc_solve(u0, None, HEAT, 0.2, [0.0, 1.5], 2000, seed=3)
+    est = mc_solve(u0, None, HEAT, until(0.2), [0.0, 1.5], 2000, seed=3)
     out = tmp_path / "mc.csv"
     est.to_csv(out)
     lines = out.read_text().splitlines()

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degparab import (DegenerateKernelError, GridSpec, SeparableForcing,
-                      SpectralField, TimePartition, accumulate_on, bessel_norm,
-                      check_classic, check_thm1, check_thm2,
+from degparab import (GridSpec, SeparableForcing, SpectralField,
+                      TimePartition, accumulate_on, bessel_norm,
+                      check_classic, check_thm1,
                       compare_fields, constant_matrix_path, constant_profile,
                       cumulative_delta, epsilon_regularize, gaussian_bump,
-                      hessian_lp_norm, kernel, inner_product, load_report,
-                      lp_norm, mode_field,
+                      hessian_lp_norm, inner_product, lp_norm, mode_field,
                       oscillatory_profile, parse_coefficients, parse_profile,
                       power_profile, quadratic_form, save_report,
                       scalar_path, solve_duhamel, solve_final,
@@ -25,7 +24,10 @@ from degparab.estimates import _trapezoid
 from degparab.solver import (_duhamel_spectra, _duhamel_stream,
                              _quadratic_forms, _trapezoid_weights)
 import references
-from references import propagate, time_change_solve, weak_residual_per_node
+from references import (DegenerateKernelError, cached_forcing,
+                        check_thm2_at_horizon, kernel,
+                        load_report, propagate, scaled_field,
+                        time_change_solve, weak_residual_per_node)
 
 GRID = GridSpec(dim=1, n=512, length=32.0)
 HEAT = scalar_path(constant_profile(1.0), 1)
@@ -297,7 +299,7 @@ def test_time_change_forced_converges_to_direct_solve():
     path = scalar_path(prof, 1)
     u0 = gaussian_bump(GRID, width=2.0)
     shape = gaussian_bump(GRID, width=1.5)
-    f = lambda t: shape * (1.0 + t)
+    f = lambda t: scaled_field(shape, 1.0 + t)
     gaps = []
     for K in (16, 32):
         part = TimePartition.uniform(K, 1.0)
@@ -320,7 +322,7 @@ def test_time_change_inverts_all_nodes_in_one_call(monkeypatch, forced):
     monkeypatch.setattr(references, "inverse_cumulative", spy)
     prof = parse_profile('expr("t + 0.1")')
     shape = gaussian_bump(GRID, width=1.5)
-    f = (lambda t: shape * (1.0 + t)) if forced else None
+    f = (lambda t: scaled_field(shape, 1.0 + t)) if forced else None
     part = TimePartition.uniform(8, 1.0)
     time_change_solve(gaussian_bump(GRID, width=2.0), f,
                       scalar_path(prof, 1), prof, part)
@@ -395,14 +397,12 @@ def test_weak_residual_detects_corruption():
     u0 = gaussian_bump(GRID, width=2.0)
     part = TimePartition.uniform(64, 1.0)
     snapshots = solve_duhamel(u0, None, HEAT, part)
-    test_fn = gaussian_bump(GRID, width=2.0)
-    clean = weak_residual_profile(snapshots, None, HEAT, part.nodes,
-                                  test=test_fn)[-1]
-    corrupted = snapshots[-1] * 1.01
+    test_fn = gaussian_bump(GRID, width=GRID.length / 16.0)  # the residual's
+    clean = weak_residual_profile(snapshots, None, HEAT, part.nodes)[-1]
+    corrupted = scaled_field(snapshots[-1], 1.01)
     pairing = abs(inner_product(corrupted, test_fn))
     snapshots[-1] = corrupted
-    dirty = weak_residual_profile(snapshots, None, HEAT, part.nodes,
-                                  test=test_fn)[-1]
+    dirty = weak_residual_profile(snapshots, None, HEAT, part.nodes)[-1]
     jump = abs(dirty - clean)
     # linear functional: scaling u by 1.01 moves it by ~ 0.01 (u, phi)
     assert abs(jump - 0.01 * pairing / 1.01) < 0.2 * jump
@@ -433,7 +433,7 @@ def test_weak_residual_is_the_per_node_loop_bit_for_bit(dim, forced,
             else expr_matrix_text(dim))
     path = parse_coefficients(spec, dim)
     shape = gaussian_bump(grid, width=1.5)
-    f = (lambda t: shape * (1.0 + t)) if forced else None
+    f = (lambda t: scaled_field(shape, 1.0 + t)) if forced else None
     part = getattr(TimePartition, kind)(11, 0.7)
     snapshots = solve_duhamel(gaussian_bump(grid, width=1.0), f, path, part)
     args = (snapshots, f, path, part.nodes)
@@ -530,12 +530,13 @@ def test_solve_final_is_the_last_duhamel_snapshot(dim, kind, steps, horizon,
     assert final.spectrum.tobytes() == last.spectrum.tobytes()
     assert final.samples.tobytes() == last.samples.tobytes()
     # within the bound of test_duhamel_stream_is_the_per_node_sum_within_k_eps
-    # of the O(K^2) sum on the same forcing spectra c(t) S^, which are the
-    # fields' f(t).spectrum: |A_K - S_K| <= 4 (K + 1) eps M_K.  (The saved
-    # solve transforms f(t).samples instead, which differs by FFT rounding,
-    # not bounded mode by mode.)
+    # of the O(K^2) sum on the same forcing spectra c(t) S^:
+    # |A_K - S_K| <= 4 (K + 1) eps M_K.  (The saved solve transforms
+    # f(t).samples instead, which differs by FFT rounding, not bounded mode
+    # by mode.)
     nodes = part.nodes
-    f_specs = [f(t).spectrum for t in nodes] if forced else None
+    f_specs = ([cached_forcing(f)(t).spectrum for t in nodes] if forced
+               else None)
     scale = np.abs(u0.spectrum)
     if forced:
         scale = scale + sum(w * np.abs(f_t) for w, f_t in
@@ -552,7 +553,7 @@ def test_solve_final_is_the_last_duhamel_snapshot(dim, kind, steps, horizon,
 def test_saved_solve_transforms_each_forcing_field(dim, kind):
     # solve_duhamel's snapshots are saved and compared at rounding level, so
     # its forcing spectra are fftn(f(t).samples), not the c(t) times one
-    # transform of the shape that build_forcing's fields also carry
+    # transform of the shape that the stream reads
     grid = GRIDS[dim]
     part = getattr(TimePartition, kind)(8, 1.0)
     path = parse_coefficients(
@@ -563,7 +564,7 @@ def test_saved_solve_transforms_each_forcing_field(dim, kind):
     f_specs = [np.fft.fftn(f(t).samples) for t in part.nodes]
     # the two differ by rounding, so routing the solve through the cached
     # spectra fails below
-    assert any(f(t).spectrum.tobytes() != spec.tobytes()
+    assert any(cached_forcing(f)(t).spectrum.tobytes() != spec.tobytes()
                for t, spec in zip(part.nodes, f_specs))
     full = references.quadratic_forms(grid, path, part.nodes)
     snapshots = solve_duhamel(u0, f, path, part)
@@ -592,7 +593,7 @@ def duhamel_case(dim, kind, steps, horizon, coefficients, forced, n=None,
             else expr_matrix_text(dim))
     path = scaled(parse_coefficients(spec, dim), scale)
     shape = gaussian_bump(grid, width=1.5)
-    f = (lambda t: shape * (1.0 + t)) if forced else None
+    f = (lambda t: scaled_field(shape, 1.0 + t)) if forced else None
     u0 = gaussian_bump(grid, width=1.0)
     f_specs = (None if f is None else
                [np.fft.fftn(f(t).samples) for t in nodes])
@@ -690,9 +691,10 @@ def test_duhamel_stream_is_the_per_node_sum_within_k_eps(
     f = CountingForcing(lambda t: 1.0 + t, shape) if forced else None
     cs = plain.coefs(nodes).tolist() if forced else [None] * nodes.size
     # the per-node sum reads the fields' spectra, c(t) S^
-    f_specs = [plain(t).spectrum for t in nodes] if forced else None
-    old_stream = list(references.duhamel_stream_fields(u0, plain, path,
-                                                       nodes))
+    f_specs = ([cached_forcing(plain)(t).spectrum for t in nodes] if forced
+               else None)
+    old_stream = list(references.duhamel_stream_fields(
+        u0, plain and cached_forcing(plain), path, nodes))
 
     eps = np.finfo(float).eps
     got = list(_duhamel_stream(u0, f, path, nodes))
@@ -793,8 +795,8 @@ def test_forced_solve_holds_one_forcing_field_at_a_time(call):
            "check_thm1": lambda: check_thm1(u0, f, path, prof, 0.0, 2.0,
                                             part),
            # a path the profile dominates, so that the check solves
-           "check_thm2": lambda: check_thm2(u0, scalar_path(prof, 2), prof,
-                                            2.0, part),
+           "check_thm2": lambda: check_thm2_at_horizon(
+               u0, scalar_path(prof, 2), prof, 2.0, part),
            "check_classic": lambda: check_classic(u0, f, path, part,
                                                   2.0)}[call]
     report = run()  # fills the lattice caches before tracing
@@ -838,7 +840,7 @@ def saved_report(tmp_path, dim):
     part = TimePartition.geometric(5, 0.5)
     path = parse_coefficients(expr_matrix_text(dim), dim)
     shape = gaussian_bump(grid, width=1.5)
-    f = lambda t: shape * (1.0 + t)
+    f = lambda t: scaled_field(shape, 1.0 + t)
     snapshots = solve_duhamel(gaussian_bump(grid, width=1.0), f, path, part)
     outdir = tmp_path / "report"
     save_report(snapshots, f, path, part, outdir, p=2.0)

@@ -11,7 +11,7 @@ from degparab import (GridSpec, LPFamily, SpectralField, besov_norm,
                       bessel_norm, gaussian_bump, hessian_lp_norm,
                       inner_product, lowpass, lp_block, lp_norm, mode_field,
                       quadratic_form, s0_block, second_derivatives, x_grids)
-from references import (besov_norm_by_ifft, bessel_norm_by_ifft,
+from references import (besov_norm_by_ifft, bessel_norm_by_ifft, gaussian_at,
                         hessian_lp_norm_every_pair, partition_defect,
                         random_band_limited)
 
@@ -113,11 +113,11 @@ def test_inner_product_mode_orthogonality():
 def test_field_arithmetic_and_grid_check():
     u = mode_field(LATTICE_GRID, (3,))
     v = mode_field(LATTICE_GRID, (5,))
-    w = 2.0 * u + v - u
-    assert np.allclose(w.samples, u.samples + v.samples)
+    w = u - v
+    assert np.array_equal(w.samples, u.samples - v.samples)
     other = mode_field(GridSpec(dim=1, n=128, length=8.0 * math.pi), (3,))
     with pytest.raises(ValueError):
-        u + other
+        u - other
 
 
 def test_lowpass_shape():
@@ -139,12 +139,11 @@ def test_block_support_annulus():
 
 
 def test_block_orthogonality_distant_blocks():
-    fam = LPFamily.for_grid(LATTICE_GRID)
     rng = np.random.default_rng(11)
     u = random_band_limited(LATTICE_GRID, rng)
-    b2 = lp_block(u, 2, fam)
-    assert lp_norm(lp_block(b2, 4, fam), np.inf) == 0.0
-    assert lp_norm(lp_block(b2, 1, fam), np.inf) > 0.0  # neighbors overlap
+    b2 = lp_block(u, 2)
+    assert lp_norm(lp_block(b2, 4), np.inf) == 0.0
+    assert lp_norm(lp_block(b2, 1), np.inf) > 0.0  # neighbors overlap
 
 
 def test_reconstruction_band_limited():
@@ -155,7 +154,7 @@ def test_reconstruction_band_limited():
         u = random_band_limited(grid, rng)
         rec = s0_block(u).samples.copy()
         for j in range(1, fam.j_max + 1):
-            rec += lp_block(u, j, fam).samples
+            rec += lp_block(u, j).samples
         gap = np.max(np.abs(rec - u.samples)) / np.max(np.abs(u.samples))
         assert gap < 1e-10
 
@@ -169,7 +168,7 @@ def test_block_out_of_range_rejected():
     fam = LPFamily.for_grid(LATTICE_GRID)
     u = mode_field(LATTICE_GRID, (3,))
     with pytest.raises(ValueError):
-        lp_block(u, fam.j_max + 1, fam)
+        lp_block(u, fam.j_max + 1)
 
 
 def test_besov_single_mode_exact():
@@ -256,8 +255,8 @@ def _evolved(bump, top, rho):
 def _field(kind, grid, rng):
     if kind == "white":  # no band limit: the Nyquist planes carry content
         return SpectralField(grid, rng.standard_normal(grid.shape))
-    bump = gaussian_bump(grid, width=grid.length * rng.uniform(0.04, 0.2),
-                         center=rng.uniform(-1.0, 1.0, grid.dim))
+    bump = gaussian_at(grid, grid.length * rng.uniform(0.04, 0.2),
+                       rng.uniform(-1.0, 1.0, grid.dim))
     if kind == "gaussian":
         return bump
     return _evolved(bump, 10.0 ** rng.uniform(0.0, 3.0),
@@ -347,8 +346,8 @@ def test_from_spectrum_checks_the_shape():
 
 def test_gaussian_bump_shape():
     grid = GridSpec(dim=1, n=256, length=32.0)
-    u = gaussian_bump(grid, width=2.0, amplitude=3.0)
+    u = gaussian_bump(grid, width=2.0)
     x = x_grids(grid)[0]
-    assert abs(np.max(u.samples) - 3.0) < 1e-12
+    assert abs(np.max(u.samples) - 1.0) < 1e-12
     i = np.argmax(u.samples)
     assert abs(x[i]) < grid.spacing
